@@ -7,24 +7,27 @@ div_x(sigma * D_y H) = 0 with sigma the normalized Gibbs weight.  Working
 with (1/k) log of the exponential functional keeps every quantity bounded:
 no k cap is needed.
 
-Two optimizers share one contract: a limited-memory quasi-Newton descent and
-a damped Newton iteration whose linear systems use the symmetric elliptic
-operator w -> -div_x(sigma (D2_yy + k D_yH D_yH^T) D_x w), solved by
-preconditioned conjugate gradients.  The default ("auto") runs quasi-Newton
-steps while they pay off and escalates to Newton on the stiff stages where
-the Gibbs weight spans many orders of magnitude.
+The optimizer is damped Newton.  Its linear systems use the symmetric
+elliptic operator w -> -div_x(sigma (D2_yy + k D_yH D_yH^T) D_x w), solved by
+preconditioned conjugate gradients.  The preconditioner follows from the
+grid: on spectral grids with two spatial axes it is an exact Cholesky solve
+of the operator itself, fiber by fiber, so each step costs one operator
+apply; everywhere else it is a sparse LU of a finite-difference stencil with
+the same coefficients, which is near-exact in one dimension and for fd2.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
 from .fields import (
     ScalarField,
     TorusGrid,
+    _spectral_diff,
     div_values,
     grad_values,
     log_mean_exp_values,
@@ -46,22 +49,26 @@ __all__ = [
 ]
 
 
+# largest N_x of a spectral n=2 grid: its packed per-fiber factor holds N_x^4/2 doubles
+EXACT_MAX_N_X = 64
+
+
+def _exact_step(grid: TorusGrid) -> bool:
+    """Whether Newton steps on this grid use the exact (Cholesky) solve."""
+    return grid.n == 2 and grid.diff_mode == "spectral"
+
+
 @dataclass(frozen=True)
 class SolverOptions:
     gtol: float = 1e-8          # grid norm of the objective gradient
     rtol: float = 1e-6          # weak stationarity residual over trig test fields
     max_iter: int = 2000
-    method: str = "auto"        # "auto" | "lbfgs" | "newton"
-    memory: int = 10
     test_modes: int = 8
     cg_max_iter: int = 200
-    auto_switch: int = 300      # "auto": quasi-Newton budget before Newton takes over
 
     def __post_init__(self):
         if self.gtol <= 0 or self.rtol <= 0 or self.max_iter < 1:
             raise ValueError("tolerances must be positive and max_iter >= 1")
-        if self.method not in ("auto", "lbfgs", "newton"):
-            raise ValueError(f"unknown method {self.method!r}")
 
 
 class HomotopyModel(HamiltonianModel):
@@ -112,6 +119,12 @@ class CellProblem:
             )
         if not model.x_periodic():
             raise ValueError("model is not 2*pi periodic in x; grid sampling is invalid")
+        if _exact_step(grid) and grid.N_x > EXACT_MAX_N_X:
+            mb = 8 * grid.N_x ** 4 / 2 / 1e6
+            raise ValueError(
+                f"spectral n=2 grids need N_x <= {EXACT_MAX_N_X}: the exact Newton "
+                f"step stores N_x^4/2 doubles ({mb:.0f} MB at N_x={grid.N_x}); "
+                f'use grid.diff = "fd2" for finer grids')
         self.model = model
         self.P = P
         self.k = float(k)
@@ -198,17 +211,19 @@ def objective(problem: CellProblem, v: ScalarField):
 def _el_residual(problem: CellProblem, sigma: np.ndarray, dy: np.ndarray,
                  test_modes: int) -> float:
     """Weak stationarity: max_w |mean(sigma * D_yH . grad w)| over trig fields
-    w = sin(q x_a), cos(q x_a), q = 1..test_modes, per spatial axis."""
+    w = sin(q x_a), cos(q x_a), q = 1..test_modes, per spatial axis.  That is
+    the derivative's symbol at q times a Fourier coefficient of the flux
+    sigma * D_yH_a averaged over the other axes: one rFFT per axis."""
     grid = problem.grid
     modes = min(test_modes, grid.N_x // 2 - 1)
+    q = np.arange(1, modes + 1)
+    symbol = q if grid.diff_mode == "spectral" else np.sin(q * grid.dx) / grid.dx
     worst = 0.0
     for a in range(grid.n):
-        xa = problem.x_mesh[a]
-        for q in range(1, modes + 1):
-            for w in (np.sin(q * xa), np.cos(q * xa)):
-                gw = grad_values(w, grid)
-                r = abs(float(np.mean(sigma * np.einsum("i...,i...->...", dy, gw))))
-                worst = max(worst, r)
+        others = tuple(i for i in range(sigma.ndim) if i != a)
+        c = np.fft.rfft(np.mean(sigma * dy[a], axis=others))[1:modes + 1] / grid.N_x
+        worst = max(worst, float(np.max(symbol * np.maximum(np.abs(c.real), np.abs(c.imag)),
+                                        initial=0.0)))
     return worst
 
 
@@ -260,42 +275,6 @@ def _finish(problem: CellProblem, v_values: np.ndarray, iterations: int,
     )
 
 
-def _two_loop(g, S, Y, rho):
-    q = g.copy()
-    alphas = []
-    for s, y, r in zip(reversed(S), reversed(Y), reversed(rho)):
-        a = r * _grid_inner(s, q)
-        alphas.append(a)
-        q -= a * y
-    if S:
-        q *= _grid_inner(S[-1], Y[-1]) / _grid_inner(Y[-1], Y[-1])
-    for (s, y, r), a in zip(zip(S, Y, rho), reversed(alphas)):
-        b = r * _grid_inner(y, q)
-        q += (a - b) * s
-    return q
-
-
-def _spectral_multiplier(grid: TorusGrid, power: float):
-    """Apply (1 + |q|^2)^power over the spatial axes (q = 0 stays fixed)."""
-    axes = tuple(range(grid.n))
-    qs = []
-    for a in axes:
-        if a == grid.n - 1:
-            q = np.arange(grid.N_x // 2 + 1, dtype=float)
-        else:
-            q = np.fft.fftfreq(grid.N_x) * grid.N_x
-        shape = [1] * (grid.n + grid.m)
-        shape[a] = -1
-        qs.append(q.reshape(shape))
-    mult = (1.0 + sum(q * q for q in qs)) ** power
-
-    def apply(r: np.ndarray) -> np.ndarray:
-        hat = np.fft.rfftn(r, axes=axes)
-        return np.fft.irfftn(hat * mult, s=(grid.N_x,) * grid.n, axes=axes)
-
-    return apply
-
-
 def _line_search(problem, v, f, g, d, slope, gnorm):
     """Backtracking Armijo with a rounding-floor polish rule.
 
@@ -317,100 +296,50 @@ def _line_search(problem, v, f, g, d, slope, gnorm):
     return None
 
 
-def _minimize_lbfgs(problem, v, opts, budget):
-    """Limited-memory quasi-Newton in the smoothed variable w = (1-Lap)^(1/2) v.
-
-    The substitution v = K w with K = (1 - Laplacian_x)^(-1/2) bounds the
-    Hessian spectrum independently of the grid size, which keeps the
-    iteration count flat under refinement; convergence is still measured on
-    the true gradient of F_k.
-    """
-    smooth = _spectral_multiplier(problem.grid, -0.5)
-    sharpen = _spectral_multiplier(problem.grid, +0.5)
-
-    w = sharpen(v)
-    f, gv, _, _ = _evaluate(problem, smooth(w))
-    gw = smooth(gv)
-    history = [f]
-    S, Y, rho = [], [], []
-    for it in range(budget):
-        gnorm = _grid_norm(gv)
-        if gnorm <= opts.gtol:
-            return smooth(w), it, "converged", history
-        d = -_two_loop(gw, S, Y, rho)
-        slope = _grid_inner(d, gw)
-        if slope >= 0:           # stale curvature; fall back to steepest descent
-            d, slope = -gw, -_grid_inner(gw, gw)
-        if not S:
-            d = d * min(1.0, 1.0 / max(_grid_norm(d), 1e-30))
-            slope = _grid_inner(d, gw)
-        hit = _lbfgs_search(problem, smooth, w, f, d, slope, gnorm)
-        if hit is None:
-            return smooth(w), it, "line_search", history
-        t, w_new, f_new, gv_new, gw_new = hit
-        s, yk = t * d, gw_new - gw
-        sy = _grid_inner(s, yk)
-        if sy > 1e-12 * np.sqrt(_grid_inner(s, s) * _grid_inner(yk, yk)):
-            S.append(s), Y.append(yk), rho.append(1.0 / sy)
-            if len(S) > opts.memory:
-                S.pop(0), Y.pop(0), rho.pop(0)
-        w, f, gv, gw = w_new - w_new.mean(), f_new, gv_new, gw_new
-        history.append(f)
-    return smooth(w), budget, "max_iter", history
+@lru_cache(maxsize=8)
+def _fd_pattern(shape: tuple, n: int):
+    """CSC pattern of the cyclic stencil: the permutation from the value list
+    (per axis the node/up-neighbour pair both ways, then the diagonal) to CSC
+    order, the row indices and the column pointers.  N_x >= 4 keeps every
+    entry distinct."""
+    idx = np.arange(int(np.prod(shape))).reshape(shape)
+    rows, cols = [], []
+    for a in range(n):
+        up = np.roll(idx, -1, axis=a).ravel()
+        rows += [idx.ravel(), up]
+        cols += [up, idx.ravel()]
+    rows = np.concatenate(rows + [idx.ravel()])
+    cols = np.concatenate(cols + [idx.ravel()])
+    order = np.lexsort((rows, cols))
+    return order, rows[order], np.searchsorted(cols[order], np.arange(idx.size + 1))
 
 
-def _lbfgs_search(problem, smooth, w, f, d, slope, gnorm):
-    t = 1.0
-    floor = 1e-13 * max(1.0, abs(f))
-    for _ in range(60):
-        w_new = w + t * d
-        f_new, gv_new, _, _ = _evaluate(problem, smooth(w_new))
-        if f_new <= f + 1e-4 * t * slope:
-            return t, w_new, f_new, gv_new, smooth(gv_new)
-        if f_new <= f + floor and _grid_norm(gv_new) < 0.999 * gnorm:
-            return t, w_new, f_new, gv_new, smooth(gv_new)
-        t *= 0.5
-    return None
-
-
-def _laplace_preconditioner(grid: TorusGrid):
-    """Spectral (1 - Laplacian_x)^-1; smooths CG residuals per fiber."""
-    return _spectral_multiplier(grid, -1.0)
-
-
-def _fd_preconditioner(grid: TorusGrid, coeffs: np.ndarray, shift: np.ndarray):
+def _fd_preconditioner(grid: TorusGrid, C: np.ndarray, shift: np.ndarray):
     """Cyclic finite-difference factorization of -div_x(c grad_x .) + shift.
 
     Assembles the 2nd-order flux-form stencil with the exact (nonnegative)
-    coefficients ``coeffs[a]`` per spatial axis plus a nodewise diagonal
-    shift, then LU-factorizes; the result is spectrally close to the Newton
-    operator even when the Gibbs weight spans many orders of magnitude.
+    diagonal coefficients ``C[a, a]`` per spatial axis plus a nodewise
+    diagonal shift, then LU-factorizes; the result is spectrally close to the
+    Newton operator even when the Gibbs weight spans many orders of magnitude.
     """
-    from scipy.sparse import coo_matrix
+    from scipy.sparse import csc_matrix
     from scipy.sparse.linalg import splu
 
-    idx = np.arange(grid.size).reshape(grid.shape)
     h2 = grid.dx ** 2
-    rows, cols, vals = [], [], []
+    vals = []
     diag = np.zeros(grid.shape)
     for a in range(grid.n):
-        c_half = 0.5 * (coeffs[a] + np.roll(coeffs[a], -1, axis=a)) / h2
-        up = np.roll(idx, -1, axis=a)
-        rows += [idx.ravel(), up.ravel()]
-        cols += [up.ravel(), idx.ravel()]
+        c_half = 0.5 * (C[a, a] + np.roll(C[a, a], -1, axis=a)) / h2
         vals += [-c_half.ravel(), -c_half.ravel()]
         diag += c_half + np.roll(c_half, 1, axis=a)
     # positive floor scaled per fiber: a global floor would swamp the blocks
     # whose Gibbs mass (hence coefficient scale) is many orders smaller
     fiber_max = diag.max(axis=tuple(range(grid.n)), keepdims=True)
     eps = 1e-12 * fiber_max + 1e-40 * float(diag.max()) + 1e-290
-    rows.append(idx.ravel())
-    cols.append(idx.ravel())
     vals.append((diag + shift + np.broadcast_to(eps, grid.shape)).ravel())
-    mat = coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(grid.size, grid.size)).tocsc()
-    lu = splu(mat)
+    order, indices, indptr = _fd_pattern(grid.shape, grid.n)
+    lu = splu(csc_matrix((np.concatenate(vals)[order], indices, indptr),
+                         shape=(grid.size, grid.size)))
 
     def solve(r: np.ndarray) -> np.ndarray:
         z = lu.solve(r.ravel()).reshape(grid.shape)
@@ -419,40 +348,122 @@ def _fd_preconditioner(grid: TorusGrid, coeffs: np.ndarray, shift: np.ndarray):
     return solve
 
 
-def _minimize_newton(problem, v, opts, budget):
-    """Damped Newton on the divergence-form linearization.
+@lru_cache(maxsize=4)
+def _spectral_matrix(N: int) -> np.ndarray:
+    """The N x N matrix of the spectral derivative along one axis."""
+    D = _spectral_diff(np.eye(N), 0, N)
+    D.setflags(write=False)
+    return D
 
-    The Levenberg shift lam is scaled by each fiber's own curvature ceiling,
-    which tames the near-null directions outside the Gibbs support without
-    drowning low-mass fibers; lam relaxes toward 0 as full steps succeed, so
-    the tail is plain Newton.
+
+def _operator_rows(D: np.ndarray, c: np.ndarray, i1: int, s: float) -> np.ndarray:
+    """Rows (i1, 0..N-1), shape (N, N*N), of sum_ab D_a^T diag(c_ab) D_b + s on
+    one N x N fiber, with D_1 = D (x) I and D_2 = I (x) D in C order."""
+    N = D.shape[0]
+    ar = np.arange(N)
+    col = D[:, i1, None]
+    R = (col * c[0, 1]).T[:, :, None] * D[:, None, :]            # a=1, b=2
+    R += (D.T * c[1, 0, i1])[:, None, :] * D[i1][None, :, None]  # a=2, b=1
+    R[:, i1, :] += (D.T * c[1, 1, i1]) @ D                       # a=b=2
+    R[ar, :, ar] += (col * c[0, 0]).T @ D                        # a=b=1
+    R[ar, i1, ar] += s
+    return R.reshape(N, N * N)
+
+
+def _exact_preconditioner(grid: TorusGrid, C: np.ndarray, shift: np.ndarray):
+    """Exact inverse of the Newton operator on mean-zero fields (spectral, n=2).
+
+    Per fiber the operator is sum_ab D_a^T diag(C_ab) D_b + shift with D_a the
+    grid's own derivative matrix, so its Cholesky factor makes PCG a single
+    step.  Its lower triangle goes straight into rectangular full packed (RFP)
+    storage, N_x^4/2 doubles, in one buffer that the fibers share: allocated
+    at the first solve, so the previous step's buffer is already released.
+    """
+    from scipy.linalg.lapack import dpftrf, dpftrs
+
+    N = grid.N_x
+    n = N * N
+    half = n // 2                   # n is even: RFP is (n + 1) x n/2, column-major
+    D = _spectral_matrix(N)
+    upper = np.arange(half)[:, None]
+    buf, held = None, None          # the shared RFP buffer and whose factor it holds
+
+    def factor(fiber: tuple) -> None:
+        nonlocal buf, held
+        if buf is None:
+            buf = np.empty(n * (n + 1) // 2)
+        AR = buf.reshape(half, n + 1).T
+        c = C[(Ellipsis,) + fiber]
+        s = float(shift[(0, 0) + fiber]) + 1e-290   # an all-zero fiber stays solvable
+        for i1 in range(N):
+            rows = _operator_rows(D, c, i1, s)
+            # A[i, j] sits at AR[i + 1, j] for j < n/2, and at AR[j - n/2, i - n/2]
+            # (above the diagonal of AR's top square) for j >= n/2
+            AR[i1 * N + 1:i1 * N + N + 1] = rows[:, :half]
+            if i1 * N >= half:
+                cols = np.arange(i1 * N - half, i1 * N - half + N)
+                np.copyto(AR[:half, cols[0]:cols[-1] + 1], rows[:, half:].T,
+                          where=upper <= cols)
+        _, info = dpftrf(n, buf, transr="N", uplo="L", overwrite_a=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"Newton operator not positive definite ({info})")
+        held = fiber
+
+    def solve(r: np.ndarray) -> np.ndarray:
+        z, ones = np.empty_like(r), np.empty_like(r)
+        for fiber in np.ndindex(grid.shape[2:]):
+            if held != fiber:
+                factor(fiber)
+            at = (Ellipsis,) + fiber
+            rhs = np.stack([r[at].ravel(), np.ones(n)], axis=1)
+            x, _ = dpftrs(n, buf, rhs, transr="N", uplo="L", overwrite_b=1)
+            z[at], ones[at] = x[:, 0].reshape(N, N), x[:, 1].reshape(N, N)
+        # on mean-zero fields the operator is A followed by the projection off
+        # constants; its exact inverse is A^-1 (r + mu 1), mu fixed by mean zero
+        return z - (z.mean() / ones.mean()) * ones
+
+    return solve
+
+
+def _newton_system(problem, ev, sigma, lam):
+    """The Newton operator at a state, matrix-free, and its preconditioner.
+
+    The operator is w -> -div_x(C D_x w) + shift * w with the pointwise
+    tensor C = sigma (D2_yy H + k D_yH D_yH^T), projected off constants.  The
+    Levenberg shift is lam times each fiber's own curvature ceiling.
     """
     grid, k = problem.grid, problem.k
-    h2 = grid.dx ** 2
-    x_axes = tuple(range(grid.n))
+    dy = ev.dy
+    C = sigma * (ev.dyy + k * np.einsum("i...,j...->ij...", dy, dy))
+    curvature = sum(C[a, a] for a in range(grid.n))
+    shift = lam * np.broadcast_to(
+        curvature.max(axis=tuple(range(grid.n)), keepdims=True) / grid.dx ** 2,
+        grid.shape)
+
+    def apply_A(w: np.ndarray) -> np.ndarray:
+        flux = np.einsum("ij...,j...->i...", C, grad_values(w, grid))
+        out = -div_values(flux, grid) + shift * w
+        return out - out.mean()
+
+    make = _exact_preconditioner if _exact_step(grid) else _fd_preconditioner
+    return apply_A, make(grid, C, shift)
+
+
+def _minimize_newton(problem, v, opts):
+    """Damped Newton on the divergence-form linearization.
+
+    The Levenberg shift, scaled per fiber, tames the near-null directions
+    outside the Gibbs support without drowning low-mass fibers; lam relaxes
+    toward 0 as full steps succeed, so the tail is plain Newton.
+    """
     f, g, ev, sigma = _evaluate(problem, v)
     history = [f]
     lam = 1e-3
-    for it in range(budget):
+    for it in range(opts.max_iter):
         gnorm = _grid_norm(g)
         if gnorm <= opts.gtol:
             return v, it, "converged", history
-
-        dy, dyy = ev.dy, ev.dyy
-        coeffs = np.stack([sigma * (dyy[a, a] + k * dy[a] ** 2)
-                           for a in range(grid.n)])
-        fiber_scale = np.broadcast_to(
-            coeffs.sum(axis=0).max(axis=x_axes, keepdims=True) / h2, grid.shape)
-        shift = lam * fiber_scale
-
-        def apply_A(w: np.ndarray) -> np.ndarray:
-            gw = grad_values(w, grid)
-            mgw = np.einsum("ij...,j...->i...", dyy, gw)
-            mgw += k * dy * np.einsum("i...,i...->...", dy, gw)
-            out = -div_values(sigma * mgw, grid) + shift * w
-            return out - out.mean()
-
-        precond = _fd_preconditioner(grid, coeffs, shift)
+        apply_A, precond = _newton_system(problem, ev, sigma, lam)
         d = _pcg(apply_A, -g, rtol=min(0.5, np.sqrt(gnorm)),
                  max_iter=opts.cg_max_iter, precond=precond,
                  atol=0.25 * opts.gtol)
@@ -472,21 +483,7 @@ def _minimize_newton(problem, v, opts, budget):
         v = v - v.mean()
         f, g, ev, sigma = _evaluate(problem, v)
         history.append(f)
-    return v, budget, "max_iter", history
-
-
-def _minimize_auto(problem, v, opts, budget):
-    """Quasi-Newton steps while they pay off, Newton-CG when they stall.
-
-    Flat-piece stages at intermediate k make the Gibbs weight span many
-    orders of magnitude; no fixed quasi-Newton metric tracks that, so after
-    ``auto_switch`` iterations the remaining budget goes to Newton."""
-    head = min(opts.auto_switch, budget)
-    v, it1, status, hist1 = _minimize_lbfgs(problem, v, opts, head)
-    if status == "converged" or it1 >= budget:
-        return v, it1, status, hist1
-    v, it2, status, hist2 = _minimize_newton(problem, v, opts, budget - it1)
-    return v, it1 + it2, status, hist1 + hist2[1:]
+    return v, opts.max_iter, "max_iter", history
 
 
 def _pcg(apply_A, b, rtol, max_iter, precond, atol=0.0):
@@ -534,9 +531,7 @@ def solve_cell(problem: CellProblem, init: ScalarField | None = None,
         if abs(float(np.mean(init.values))) > 1e-8 * (1.0 + float(np.max(np.abs(init.values)))):
             raise ValueError("init must have zero mean")
         v = init.values - init.values.mean()
-    minimize = {"auto": _minimize_auto, "lbfgs": _minimize_lbfgs,
-                "newton": _minimize_newton}[opts.method]
-    v, iters, status, history = minimize(problem, v, opts, opts.max_iter)
+    v, iters, status, history = _minimize_newton(problem, v, opts)
     return _finish(problem, v, iters, status, history, opts, t0)
 
 

@@ -3,7 +3,8 @@ simulation, verification and report extraction.
 
 Outputs are machine-readable: one ``manifest.json`` per run plus CSV tables
 (schemas documented in the README).  Exit codes: 0 success, 1 configuration
-error, 2 solver non-convergence, 3 verification failure.
+error, 2 solver non-convergence or a problem outside the solver's envelope,
+3 verification failure.
 """
 
 from __future__ import annotations
@@ -124,8 +125,7 @@ def _grid(cfg: RunConfig, model) -> TorusGrid:
 
 
 def _opts(cfg: RunConfig) -> SolverOptions:
-    return SolverOptions(gtol=cfg.gtol, rtol=cfg.rtol, max_iter=cfg.max_iter,
-                         method=cfg.method)
+    return SolverOptions(gtol=cfg.gtol, rtol=cfg.rtol, max_iter=cfg.max_iter)
 
 
 def _config_echo(cfg: RunConfig) -> dict:
@@ -446,6 +446,9 @@ def main(argv=None) -> int:
         return 1
     except ContinuationError as exc:
         print(f"solver did not converge: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:           # a problem the solver refuses up front
+        print(f"problem outside the solver's envelope: {exc}", file=sys.stderr)
         return 2
 
 

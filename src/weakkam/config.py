@@ -51,7 +51,6 @@ class RunConfig:
     gtol: float = 1e-8
     rtol: float = 1e-6
     max_iter: int = 2000
-    method: str = "auto"
     # simulator
     sim_T: float = 100.0
     sim_dt: float = 1e-3
@@ -89,7 +88,6 @@ _KEYMAP = {
     "tol.gtol": "gtol",
     "tol.rtol": "rtol",
     "tol.max_iter": "max_iter",
-    "solver.method": "method",
     "sim.T": "sim_T",
     "sim.dt": "sim_dt",
     "sim.x0": "sim_x0",
@@ -168,8 +166,6 @@ def _validate(cfg: RunConfig, source: str) -> None:
             _fail(source, f"tol.{name}", "must be positive")
     if cfg.max_iter < 1:
         _fail(source, "tol.max_iter", "must be >= 1")
-    if cfg.method not in ("auto", "lbfgs", "newton"):
-        _fail(source, "solver.method", f"unknown method {cfg.method!r}")
     if cfg.diff_mode not in ("spectral", "fd2"):
         _fail(source, "grid.diff", f"unknown scheme {cfg.diff_mode!r}")
     if cfg.N_x < 4 or cfg.N_x % 2:

@@ -34,8 +34,7 @@ class CheckResult:
 def _pendulum_sweep(cfg: RunConfig, P: float):
     model = hamiltonians.make_pendulum(1.0)
     grid = fields.TorusGrid(n=1, m=0, N_x=max(128, cfg.N_x), diff_mode="spectral")
-    opts = cell.SolverOptions(gtol=cfg.gtol, rtol=cfg.rtol, max_iter=cfg.max_iter,
-                              method=cfg.method)
+    opts = cell.SolverOptions(gtol=cfg.gtol, rtol=cfg.rtol, max_iter=cfg.max_iter)
     sols = cell.continuation_solve(model, [P], cfg.k_schedule, cfg.tau_steps,
                                    grid, opts)
     return model, grid, opts, sols
@@ -263,8 +262,7 @@ def _integrable_exact(cfg):
 def _hard_solve(cfg):
     model = hamiltonians.make_pendulum(1.0)
     grid = fields.TorusGrid(n=1, m=0, N_x=128)
-    opts = cell.SolverOptions(gtol=cfg.gtol, rtol=cfg.rtol, max_iter=cfg.max_iter,
-                              method=cfg.method)
+    opts = cell.SolverOptions(gtol=cfg.gtol, rtol=cfg.rtol, max_iter=cfg.max_iter)
     sols = cell.continuation_solve(model, [1.5], [8.0, 16.0, 32.0], 2, grid, opts)
     return model, grid, opts, sols
 

@@ -46,6 +46,23 @@ def test_config_rejects_unknown_key():
         parse_config("\nnot.a.key = 1\n")
 
 
+def test_config_rejects_retired_method_key(tmp_path):
+    # one optimizer remains; an old config naming one is an unknown key
+    with pytest.raises(ConfigError, match=":3: unknown key 'solver.method'"):
+        parse_config('P = [0.9]\n\nsolver.method = "auto"\n')
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(CELL_CFG + 'solver.method = "newton"\n')
+    assert run(["cell", "--config", cfg, "--out", tmp_path / "o"]) == 1
+
+
+def test_cell_rejects_spectral_2d_beyond_envelope(tmp_path, capsys):
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text('model.name = "integrable"\nmodel.n = 2\nmodel.alpha = [0.0, 0.0]\n'
+                   'model.lam = [1.0, 1.0]\ngrid.N_x = 128\nP = [[0.3, 0.6]]\n')
+    assert run(["cell", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert 'grid.diff = "fd2"' in capsys.readouterr().err
+
+
 def test_config_rejects_bad_json():
     with pytest.raises(ConfigError, match="bad value"):
         parse_config("P = [1.0,,]\n")
