@@ -34,7 +34,6 @@ from .config import (
     p_vectors,
     parse_config,
     serialize_config,
-    swing_params_from_config,
 )
 from .fields import TorusGrid
 from .measures import default_speed_threshold, gibbs_measure, measure_stats
@@ -274,7 +273,14 @@ def cmd_oracle(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
 
 
 def cmd_simulate(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
-    params = swing_params_from_config(cfg)
+    params = model_from_config(cfg).params
+    for key, value in (("sim.x0", cfg.sim_x0), ("sim.y0", cfg.sim_y0)):
+        try:
+            ok = np.asarray(value, dtype=float).shape == (params.n,)
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
+            raise ConfigError(f"field {key!r}: expected {params.n} numbers, got {value!r}")
     t0 = time.perf_counter()
     traj = integrate_swing(params, cfg.sim_x0, cfg.sim_y0, cfg.sim_T, cfg.sim_dt,
                            record_every=cfg.sim_record_every)

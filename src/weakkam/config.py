@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .hamiltonians import (
-    HamiltonianModel,
+    SwingModel,
     SwingParams,
     TrigPoly,
     make_integrable,
@@ -174,6 +174,10 @@ def _validate(cfg: RunConfig, source: str) -> None:
         _fail(source, "grid.N_phi", "must be >= 1")
     if cfg.sim_dt <= 0 or cfg.sim_T < cfg.sim_dt:
         _fail(source, "sim.dt", "need dt > 0 and T >= dt")
+    if cfg.sim_record_every < 1:
+        _fail(source, "sim.record_every", "must be >= 1")
+    if cfg.sim_compare and cfg.sim_samples < 1:
+        _fail(source, "sim.samples", "must be >= 1 when sim.compare is on")
     if not 0.0 <= cfg.sim_burn_in <= 0.9:
         _fail(source, "sim.burn_in", "must lie in [0, 0.9]")
     if len(cfg.oracle_P) != 3 or cfg.oracle_P[2] <= 0:
@@ -182,7 +186,7 @@ def _validate(cfg: RunConfig, source: str) -> None:
         _fail(source, "jobs", "must be >= 0 (0 = one worker per core)")
 
 
-def model_from_config(cfg: RunConfig) -> HamiltonianModel:
+def model_from_config(cfg: RunConfig) -> SwingModel:
     try:
         if cfg.model_name == "pendulum":
             return make_pendulum(cfg.model_a)
@@ -198,25 +202,9 @@ def model_from_config(cfg: RunConfig) -> HamiltonianModel:
         raise ConfigError(f"field 'model.*': {exc}") from None
 
 
-def swing_params_from_config(cfg: RunConfig) -> SwingParams:
-    model = model_from_config(cfg)
-    if hasattr(model, "params"):
-        return model.params
-    if cfg.model_name == "pendulum":
-        return SwingParams(alpha=[0.0], beta=((TrigPoly(cfg.model_a),),), lam=[0.5])
-    if cfg.model_name == "integrable":
-        n = cfg.model_n
-        zero = TrigPoly(0.0)
-        return SwingParams(alpha=[0.0] * n,
-                           beta=tuple(tuple(zero for _ in range(n)) for _ in range(n)),
-                           lam=[1.0] * n,
-                           omega=[0.0] * cfg.model_m if cfg.model_m else [])
-    raise ConfigError(f"no simulator parameters for model {cfg.model_name!r}")
-
-
 def p_vectors(cfg: RunConfig) -> list[np.ndarray]:
     """Normalize cfg.P (scalars or vectors) to a list of n-vectors."""
-    n = 1 if cfg.model_name == "pendulum" else cfg.model_n
+    n = model_from_config(cfg).n
     out = []
     for p in cfg.P:
         vec = np.atleast_1d(np.asarray(p, dtype=float))

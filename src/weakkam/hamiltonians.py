@@ -1,5 +1,7 @@
-"""Hamiltonian evaluator bundles: integrable, pendulum and coupled-swing models.
+"""Hamiltonian evaluators: the coupled-swing model and its special cases.
 
+``SwingModel`` is the one concrete model; ``make_pendulum`` and
+``make_integrable`` build the pendulum and the free rotor as swing models.
 Every model evaluates ``H(x, y, phi)`` together with its first derivatives in
 ``x`` and ``y`` and the second derivative in ``y``; all models here have a
 quadratic kinetic term ``|y|^2 / 2``, so the y-Hessian is the identity and the
@@ -10,6 +12,7 @@ anything else.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -20,6 +23,7 @@ __all__ = [
     "SwingParams",
     "HamEval",
     "HamiltonianModel",
+    "SwingModel",
     "make_integrable",
     "make_pendulum",
     "make_swing",
@@ -134,7 +138,9 @@ class HamEval(NamedTuple):
     dyy: np.ndarray    # (n, n, ...)
 
 
+@functools.lru_cache(maxsize=64)
 def _identity_dyy(n: int, batch_shape: tuple) -> np.ndarray:
+    """Read-only (n, n, *batch_shape) identity, shared between calls."""
     eye = np.eye(n).reshape((n, n) + (1,) * len(batch_shape))
     return np.broadcast_to(eye, (n, n) + batch_shape)
 
@@ -166,51 +172,14 @@ class HamiltonianModel:
         return True
 
 
-class IntegrableModel(HamiltonianModel):
-    """H = |y|^2 / 2: no spatial forces, identity y-Hessian."""
-
-    mechanical = True
-
-    def __init__(self, n: int, m: int = 0):
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        self.n, self.m = int(n), int(m)
-        self.gamma = 1.0
-        self.descriptor = {"name": "integrable", "n": self.n, "m": self.m}
-
-    def evaluate(self, x, y, phi) -> HamEval:
-        y = np.asarray(y, dtype=float)
-        h = 0.5 * np.einsum("i...,i...->...", y, y)
-        return HamEval(h, np.zeros_like(y), y, _identity_dyy(self.n, y.shape[1:]))
-
-
-class PendulumModel(HamiltonianModel):
-    """H = y^2/2 + a (1 - cos x): the canonical one-rotor verification model."""
-
-    mechanical = True
-
-    def __init__(self, a: float):
-        if a <= 0:
-            raise ValueError("pendulum amplitude must be positive")
-        self.a = float(a)
-        self.n, self.m = 1, 0
-        self.gamma = 1.0
-        self.descriptor = {"name": "pendulum", "a": self.a}
-
-    def evaluate(self, x, y, phi) -> HamEval:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        h = 0.5 * y[0] ** 2 + self.a * (1.0 - np.cos(x[0]))
-        dx = self.a * np.sin(x)
-        return HamEval(h, dx, y.astype(float), _identity_dyy(1, y.shape[1:]))
-
-
 class SwingModel(HamiltonianModel):
     """H = |y|^2/2 - <alpha, x> + sum_ij beta_ij(phi) (1 - cos(lam_i x_i + lam_j x_j)).
 
     The double sum runs over both (i, j) and (j, i); the spatial force picks
     up both occurrences of x_i, giving
     dH/dx_i = -alpha_i + lam_i * sum_j (beta_ij + beta_ji)(phi) sin(lam_i x_i + lam_j x_j).
+    This is the only concrete model: the pendulum and the free rotor are its
+    special cases (``make_pendulum``, ``make_integrable``).
     """
 
     mechanical = True
@@ -228,10 +197,13 @@ class SwingModel(HamiltonianModel):
             "omega": params.omega.tolist(),
             "beta": [[b.to_dict() for b in row] for row in params.beta],
         }
-
-    @property
-    def tilted(self) -> bool:
-        return self.params.tilted
+        # the active terms (i, j, lam_i, lam_j, beta_ij): nonzero beta only
+        self._terms = tuple(
+            (i, j, float(params.lam[i]), float(params.lam[j]), params.beta[i][j])
+            for i in range(self.n) for j in range(self.n)
+            if not params.beta[i][j].is_zero())
+        self.tilted = params.tilted
+        self._alpha = params.alpha if self.tilted else None
 
     def x_periodic(self, tol: float = 1e-12) -> bool:
         """Check 2*pi periodicity structurally from the coupling wavenumbers.
@@ -242,58 +214,69 @@ class SwingModel(HamiltonianModel):
         """
         if self.tilted:
             return False
-        lam = self.params.lam
-        for i in range(self.n):
-            for j in range(self.n):
-                if self.params.beta[i][j].is_zero():
-                    continue
-                if i == j:
-                    if abs(2.0 * lam[i] - round(2.0 * lam[i])) > tol:
-                        return False
-                else:
-                    if abs(lam[i] - round(lam[i])) > tol or abs(lam[j] - round(lam[j])) > tol:
-                        return False
+        for i, j, lam_i, lam_j, _ in self._terms:
+            if i == j:
+                if abs(2.0 * lam_i - round(2.0 * lam_i)) > tol:
+                    return False
+            elif abs(lam_i - round(lam_i)) > tol or abs(lam_j - round(lam_j)) > tol:
+                return False
         return True
+
+    def drive(self, phi) -> tuple:
+        """beta_ij(phi) of the active terms; a constant beta stays a float."""
+        return tuple(b(phi) if b.modes else b.const for *_, b in self._terms)
+
+    def potential_force(self, x: np.ndarray, beta: tuple, h=None):
+        """(h + V(x), D_x V(x)) for the coupling values ``beta = drive(phi)``.
+
+        The one place the swing potential and force are written; ``evaluate``
+        and the simulator both call it.  With ``h`` None only the force is
+        computed.  ``x`` has shape (n, ...) and each beta value broadcasts
+        against ``x[i]``.
+        """
+        dx = np.zeros(x.shape)
+        if self._alpha is not None:
+            dx -= self._alpha.reshape((self.n,) + (1,) * (x.ndim - 1))
+            if h is not None:
+                h = h - np.tensordot(self._alpha, x, axes=(0, 0))
+        for (i, j, lam_i, lam_j, _), bv in zip(self._terms, beta):
+            # lam x + lam x == (2 lam) x exactly: one product on the diagonal
+            arg = (2.0 * lam_i) * x[i] if i == j else lam_i * x[i] + lam_j * x[j]
+            if h is not None:
+                h = h + bv * (1.0 - np.cos(arg))
+            s = bv * np.sin(arg)
+            si = lam_i * s
+            dx[i] += si
+            dx[j] += si if i == j else lam_j * s
+        return h, dx
 
     def evaluate(self, x, y, phi) -> HamEval:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        p = self.params
-        batch = x.shape[1:]
-        h = 0.5 * np.einsum("i...,i...->...", y, y)
-        if p.tilted:
-            h = h - np.tensordot(p.alpha, x, axes=(0, 0))
-        dx = np.zeros((self.n,) + batch)
-        dx -= p.alpha.reshape((self.n,) + (1,) * len(batch))
-        for i in range(self.n):
-            for j in range(self.n):
-                bij = p.beta[i][j]
-                if bij.is_zero():
-                    continue
-                bv = bij(phi)
-                arg = p.lam[i] * x[i] + p.lam[j] * x[j]
-                h = h + bv * (1.0 - np.cos(arg))
-                s = bv * np.sin(arg)
-                dx[i] += p.lam[i] * s
-                dx[j] += p.lam[j] * s
-        return HamEval(h, dx, y.astype(float), _identity_dyy(self.n, batch))
+        kinetic = 0.5 * np.einsum("i...,i...->...", y, y)
+        h, dx = self.potential_force(x, self.drive(phi), kinetic)
+        return HamEval(h, dx, y.copy(), _identity_dyy(self.n, x.shape[1:]))
 
 
-def make_integrable(n: int, m: int = 0) -> HamiltonianModel:
-    return IntegrableModel(n, m)
+def make_integrable(n: int, m: int = 0) -> SwingModel:
+    """H = |y|^2 / 2: the swing model with zero coupling."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    zero = TrigPoly(0.0)
+    return SwingModel(SwingParams(alpha=[0.0] * n,
+                                  beta=tuple((zero,) * n for _ in range(n)),
+                                  lam=[1.0] * n, omega=[0.0] * m))
 
 
-def make_pendulum(a: float) -> HamiltonianModel:
-    return PendulumModel(a)
+def make_pendulum(a: float) -> SwingModel:
+    """H = y^2/2 + a (1 - cos x): the swing model with beta11 = a, lam = 1/2."""
+    if a <= 0:
+        raise ValueError("pendulum amplitude must be positive")
+    return SwingModel(SwingParams(alpha=[0.0], beta=((TrigPoly(a),),), lam=[0.5]))
 
 
-def make_swing(params: SwingParams) -> HamiltonianModel:
+def make_swing(params: SwingParams) -> SwingModel:
     return SwingModel(params)
-
-
-def pendulum_as_swing(a: float) -> HamiltonianModel:
-    """The swing-model realization of the pendulum: beta11 = a, lam = 1/2."""
-    return make_swing(SwingParams(alpha=[0.0], beta=((TrigPoly(a),),), lam=[0.5]))
 
 
 def lagrangian(model: HamiltonianModel, x, vel, phi=None, method: str = "auto") -> float:

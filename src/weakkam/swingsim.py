@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import PERIOD
-from .hamiltonians import SwingParams
-from .oracle1d import Potential1D
+from .hamiltonians import SwingParams, make_swing
+from .oracle1d import potential_from_model
 
 __all__ = [
     "SwingTrajectory",
@@ -37,41 +37,16 @@ class NonFiniteStateError(RuntimeError):
 
 @dataclass(frozen=True)
 class SwingTrajectory:
+    """Recorded samples; a batch of B orbits adds a trailing axis of size B."""
+
     times: np.ndarray        # (S,)
-    x: np.ndarray            # (S, n) unwrapped positions
-    y: np.ndarray            # (S, n) velocities
-    energy: np.ndarray | None   # (S,) total energy; autonomous case only
-    rotation_estimate: np.ndarray  # (n,) = (x(T) - x(0)) / T
+    x: np.ndarray            # (S, n) or (S, n, B) unwrapped positions
+    y: np.ndarray            # (S, n) or (S, n, B) velocities
+    energy: np.ndarray | None   # (S,) or (S, B) total energy; autonomous case only
+    rotation_estimate: np.ndarray  # (n,) or (n, B) = (x(T) - x(0)) / T
 
     def wrapped_x(self) -> np.ndarray:
         return np.mod(self.x, PERIOD)
-
-
-def _acceleration(p: SwingParams, x: np.ndarray, t: float) -> np.ndarray:
-    acc = p.alpha.copy()
-    phi = (p.omega * t).reshape(p.m, 1) if p.m else np.zeros((0, 1))
-    for i in range(p.n):
-        for j in range(p.n):
-            bij = p.beta[i][j]
-            if bij.is_zero():
-                continue
-            s = float(bij(phi)[0]) * np.sin(p.lam[i] * x[i] + p.lam[j] * x[j])
-            acc[i] -= p.lam[i] * s
-            acc[j] -= p.lam[j] * s
-    return acc
-
-
-def _energy(p: SwingParams, x: np.ndarray, y: np.ndarray) -> float:
-    """Total energy on the covering space; meaningful when autonomous (m=0)."""
-    h = 0.5 * float(np.dot(y, y)) - float(np.dot(p.alpha, x))
-    phi = np.zeros((0, 1))
-    for i in range(p.n):
-        for j in range(p.n):
-            bij = p.beta[i][j]
-            if not bij.is_zero():
-                h += float(bij(phi)[0]) * (
-                    1.0 - np.cos(p.lam[i] * x[i] + p.lam[j] * x[j]))
-    return h
 
 
 def integrate_swing(p: SwingParams, x0, y0, T: float, dt: float,
@@ -80,75 +55,80 @@ def integrate_swing(p: SwingParams, x0, y0, T: float, dt: float,
 
     Both half-kicks of a step evaluate beta at t + dt/2, which keeps the map
     symmetric (hence 2nd order) in the quasi-periodic case and reduces to
-    classic velocity Verlet when autonomous.  Deterministic; raises
-    NonFiniteStateError if the state blows up.
+    classic velocity Verlet when autonomous.  ``x0`` and ``y0`` have shape
+    (n,) for one orbit or (n, B) for a batch of B orbits stepped together;
+    the force is ``SwingModel.potential_force`` and the drive coefficients
+    are evaluated once per step.  Deterministic; raises NonFiniteStateError
+    if any orbit blows up.
     """
     if dt <= 0 or T < dt:
         raise ValueError("need dt > 0 and T >= dt")
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
-    x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-    y = np.atleast_1d(np.asarray(y0, dtype=float)).copy()
-    if x.shape != (p.n,) or y.shape != (p.n,):
-        raise ValueError(f"x0 and y0 must have shape ({p.n},)")
+    x = np.array(x0, dtype=float, ndmin=1)
+    y = np.array(y0, dtype=float, ndmin=1)
+    if x.shape != y.shape or x.ndim > 2 or x.shape[0] != p.n:
+        raise ValueError(f"x0 and y0 must share the shape ({p.n},) or ({p.n}, B)")
+    single = x.ndim == 1
+    if single:
+        x, y = x[:, None], y[:, None]
 
+    model = make_swing(p)
     n_steps = int(round(T / dt))
     autonomous = p.m == 0
-    times, xs, ys, es = [0.0], [x.copy()], [y.copy()], []
+    beta = model.drive(np.zeros((0, 1))) if autonomous else None
+
+    def energy():
+        """Total energy on the covering space; meaningful when autonomous."""
+        return model.potential_force(x, beta, 0.5 * np.einsum("i...,i...->...", y, y))[0]
+
+    times, xs, ys, es = [0.0], [x], [y], []
     if autonomous:
-        es.append(_energy(p, x, y))
-    for step in range(n_steps):
-        t_half = (step + 0.5) * dt
-        y = y + 0.5 * dt * _acceleration(p, x, t_half)
-        x = x + dt * y
-        y = y + 0.5 * dt * _acceleration(p, x, t_half)
-        if (step + 1) % record_every == 0:
-            e = _energy(p, x, y) if autonomous else 0.0
-            if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))
-                    and np.isfinite(e)):
-                raise NonFiniteStateError(len(times) - 1)
-            times.append((step + 1) * dt)
-            xs.append(x.copy())
-            ys.append(y.copy())
-            if autonomous:
-                es.append(e)
+        es.append(energy())
+    half = 0.5 * dt
+    # a blow-up is reported as NonFiniteStateError, not as overflow warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(n_steps):
+            t_half = (step + 0.5) * dt
+            if not autonomous:
+                beta = model.drive((p.omega * t_half).reshape(p.m, 1))
+            y = y - half * model.potential_force(x, beta)[1]
+            x = x + dt * y
+            y = y - half * model.potential_force(x, beta)[1]
+            if (step + 1) % record_every == 0:
+                e = energy() if autonomous else 0.0
+                if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))
+                        and np.all(np.isfinite(e))):
+                    raise NonFiniteStateError(len(times) - 1)
+                times.append((step + 1) * dt)
+                xs.append(x)
+                ys.append(y)
+                if autonomous:
+                    es.append(e)
 
     times = np.asarray(times)
     xs = np.asarray(xs)
     ys = np.asarray(ys)
+    es = np.asarray(es) if autonomous else None
+    if single:
+        xs, ys = xs[..., 0], ys[..., 0]
+        es = es[:, 0] if autonomous else es
     rotation = (xs[-1] - xs[0]) / times[-1]
-    return SwingTrajectory(times=times, x=xs, y=ys,
-                           energy=np.asarray(es) if autonomous else None,
+    return SwingTrajectory(times=times, x=xs, y=ys, energy=es,
                            rotation_estimate=rotation)
 
 
 def rotation_number(traj: SwingTrajectory, burn_in: float = 0.0) -> np.ndarray:
-    """Least-squares slope of unwrapped x against t after the burn-in window."""
+    """Least-squares slope of unwrapped x against t after the burn-in window,
+    one per column: shape (n,) or (n, B) like ``traj.x[0]``."""
     if not 0.0 <= burn_in <= 0.9:
         raise ValueError("burn_in must lie in [0, 0.9]")
     start = int(np.ceil(burn_in * (len(traj.times) - 1)))
     t = traj.times[start:]
     if t.size < 10:
         raise ValueError("post-burn-in window shorter than 10 samples")
-    return np.array([np.polyfit(t, traj.x[start:, i], 1)[0]
-                     for i in range(traj.x.shape[1])])
-
-
-def _autonomous_potential(p: SwingParams) -> Potential1D:
-    if p.n != 1 or p.m != 0 or p.tilted:
-        raise ValueError("homogenization comparison needs n=1, m=0, alpha=0")
-
-    def V(x: float) -> float:
-        total = 0.0
-        for i in range(p.n):
-            for j in range(p.n):
-                b = p.beta[i][j]
-                if not b.is_zero():
-                    total += float(b(np.zeros((0, 1)))[0]) * (
-                        1.0 - np.cos(p.lam[i] * x + p.lam[j] * x))
-        return total
-
-    return Potential1D.from_callable(V)
+    cols = traj.x[start:].reshape(t.size, -1)
+    return np.polyfit(t, cols, 1)[0].reshape(traj.x.shape[1:])
 
 
 def compare_with_homogenization(p: SwingParams, hbar_table, samples: int,
@@ -158,34 +138,34 @@ def compare_with_homogenization(p: SwingParams, hbar_table, samples: int,
 
     For each sampled momentum P the launched orbit sits on the energy level
     Hbar(P): rotating (above the potential ceiling) when the table slope is
-    nonzero there, a trapped librating orbit inside the flat piece.  Each row
-    reports (P, rotation measured, centered-difference slope of the table,
-    absolute gap).
+    nonzero there, a trapped librating orbit inside the flat piece.  All
+    sampled orbits are integrated as one batch.  Each row reports (P,
+    rotation measured, centered-difference slope of the table, absolute gap).
     """
+    if p.n != 1 or p.m != 0 or p.tilted:
+        raise ValueError("homogenization comparison needs n=1, m=0, alpha=0")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     table = np.asarray(sorted((float(pp), float(h)) for pp, h in hbar_table))
     if table.shape[0] < 3:
         raise ValueError("table needs at least 3 rows for centered differences")
-    pot = _autonomous_potential(p)
-    x0 = np.zeros(1)
+    pot = potential_from_model(make_swing(p))
     v_x0 = float(pot.v(0.0))
 
     idx = np.unique(np.linspace(1, table.shape[0] - 2, samples).round().astype(int))
-    rows = []
-    for i in idx:
-        P, E = table[i]
-        predicted = (table[i + 1, 1] - table[i - 1, 1]) / (table[i + 1, 0] - table[i - 1, 0])
-        if E > pot.v_max + 1e-9:
-            y0 = np.array([np.sign(P) * np.sqrt(2.0 * (E - v_x0))])
-        else:
-            # flat piece: any librating orbit has rotation 0, matching slope 0
-            e_trap = 0.5 * (pot.v_min + pot.v_max)
-            y0 = np.array([np.sqrt(max(2.0 * (e_trap - v_x0), 0.0))])
-        traj = integrate_swing(p, x0, y0, T, dt, record_every=10)
-        measured = float(rotation_number(traj, burn_in)[0])
-        rows.append({
-            "P": float(P),
-            "rotation_measured": measured,
-            "rotation_predicted": float(predicted),
-            "gap": abs(measured - float(predicted)),
-        })
-    return rows
+    P, E = table[idx, 0], table[idx, 1]
+    predicted = (table[idx + 1, 1] - table[idx - 1, 1]) / (table[idx + 1, 0] - table[idx - 1, 0])
+    # flat piece: any librating orbit has rotation 0, matching slope 0
+    e_trap = 0.5 * (pot.v_min + pot.v_max)
+    y0 = np.array([np.sign(Pi) * np.sqrt(2.0 * (Ei - v_x0)) if Ei > pot.v_max + 1e-9
+                   else np.sqrt(max(2.0 * (e_trap - v_x0), 0.0))
+                   for Pi, Ei in zip(P, E)])
+    traj = integrate_swing(p, np.zeros((1, idx.size)), y0[None, :], T, dt,
+                           record_every=10)
+    measured = rotation_number(traj, burn_in)[0]
+    return [{
+        "P": float(Pi),
+        "rotation_measured": float(mi),
+        "rotation_predicted": float(pi),
+        "gap": abs(float(mi) - float(pi)),
+    } for Pi, mi, pi in zip(P, measured, predicted)]

@@ -387,21 +387,15 @@ def _oracle_props():
 
 # simulator ------------------------------------------------------------------
 
-def _pendulum_params():
-    return hamiltonians.SwingParams(alpha=[0.0],
-                                    beta=((hamiltonians.TrigPoly(1.0),),), lam=[0.5])
-
-
 def _free_motion():
-    p = hamiltonians.SwingParams(alpha=[0.0], beta=((hamiltonians.TrigPoly(0.0),),),
-                                 lam=[0.5])
+    p = hamiltonians.make_integrable(1).params
     traj = swingsim.integrate_swing(p, [0.2], [0.7], 10.0, 1e-3)
     err = abs(float(traj.rotation_estimate[0]) - 0.7)
     return err <= 1e-10, f"rotation error {err:.2e}"
 
 
 def _drift():
-    p = _pendulum_params()
+    p = hamiltonians.make_pendulum(1.0).params
     traj = swingsim.integrate_swing(p, [1.0], [0.0], 10.0, 1e-3)
     drift = float(np.max(np.abs(traj.energy - traj.energy[0]))) / abs(traj.energy[0])
     errs = []
@@ -414,7 +408,7 @@ def _drift():
 
 
 def _reversibility():
-    p = _pendulum_params()
+    p = hamiltonians.make_pendulum(1.0).params
     fwd = swingsim.integrate_swing(p, [0.5], [1.1], 12.0, 1e-3)
     back = swingsim.integrate_swing(p, fwd.x[-1], -fwd.y[-1], 12.0, 1e-3)
     err = max(float(np.max(np.abs(back.x[-1] - 0.5))),

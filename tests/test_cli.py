@@ -202,6 +202,21 @@ oracle.P_range = [0.0, 3.0, 0.25]
     assert (rep / "rotation_comparison.csv").exists()
 
 
+@pytest.mark.parametrize("extra", [
+    "sim.record_every = 0",
+    "sim.x0 = [0.0, 0.0]",
+    'model.name = "swing"\nmodel.n = 2\nmodel.alpha = [0.0, 0.0]\n'
+    'model.lam = [1.0, 1.0]\nsim.x0 = [0.0, 0.0]\nsim.y0 = [1.5]',
+    "sim.compare = true\nsim.samples = 0",
+], ids=["record_every_zero", "x0_length", "y0_length", "compare_without_samples"])
+def test_simulate_config_errors_exit_1(tmp_path, capsys, extra):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(f'model.name = "pendulum"\nsim.T = 1.0\n{extra}\n')
+    assert run(["simulate", "--config", cfg, "--out", tmp_path / "o"]) == 1
+    assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_report_on_cell_manifest(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(CELL_CFG)

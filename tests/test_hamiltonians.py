@@ -11,7 +11,6 @@ from weakkam.hamiltonians import (
     make_integrable,
     make_pendulum,
     make_swing,
-    pendulum_as_swing,
 )
 
 RNG = np.random.default_rng(42)
@@ -35,6 +34,8 @@ ALL_MODELS = [
     make_pendulum(1.0),
     make_swing(quasi_swing_params()),
 ]
+# every model is a SwingModel, so the descriptor name no longer tells them apart
+MODEL_IDS = ["integrable", "pendulum", "swing"]
 
 
 def test_integrable_values():
@@ -45,6 +46,15 @@ def test_integrable_values():
     assert np.all(ev.dyy[..., 0] == np.eye(1))
     x, y, phi = sample_points(m)
     assert np.all(m.evaluate(x, y, phi).dx == 0.0)
+
+    m = make_integrable(2, 1)
+    assert (m.n, m.m) == (2, 1)
+    x, y, phi = sample_points(m)
+    ev = m.evaluate(x, y, phi)
+    assert np.max(np.abs(ev.h - 0.5 * (y[0] ** 2 + y[1] ** 2))) <= 1e-14
+    assert np.all(ev.dx == 0.0)
+    assert np.array_equal(ev.dy, y)
+    assert np.all(ev.dyy == np.eye(2)[..., None])
 
 
 def test_integrable_rejects_bad_n():
@@ -64,23 +74,22 @@ def test_pendulum_values():
         make_pendulum(-1.0)
 
 
-def test_pendulum_matches_swing_realization():
-    pend = make_pendulum(1.0)
-    swing = pendulum_as_swing(1.0)
-    x, y, _ = sample_points(pend, 200)
-    phi = np.zeros((0, 200))
-    a, b = pend.evaluate(x, y, phi), swing.evaluate(x, y, phi)
-    assert np.max(np.abs(a.h - b.h)) <= 1e-14
-    assert np.max(np.abs(a.dx - b.dx)) <= 1e-14
-    assert np.max(np.abs(a.dy - b.dy)) <= 1e-14
+def test_pendulum_closed_form():
+    a = 0.7
+    m = make_pendulum(a)
+    x, y, phi = sample_points(m, 200)
+    ev = m.evaluate(x, y, phi)
+    assert np.max(np.abs(ev.h - (0.5 * y[0] ** 2 + a * (1.0 - np.cos(x[0]))))) <= 1e-14
+    assert np.max(np.abs(ev.dx - a * np.sin(x))) <= 1e-14
+    assert np.array_equal(ev.dy, y)
 
 
 def test_swing_formula_at_pi():
-    # n=1, beta11 = 1, lam = 1/2: the coupling argument is x itself, so
-    # H(pi, 0, phi) = 1 - cos(pi) = 2
-    m = pendulum_as_swing(1.0)
+    # n=1, beta11 = a, lam = 1/2: the coupling argument is x itself, so
+    # H(pi, 0, phi) = a (1 - cos(pi)) = 2a
+    m = make_pendulum(0.7)
     ev = m.evaluate(np.array([[np.pi]]), np.zeros((1, 1)), np.zeros((0, 1)))
-    assert ev.h[0] == pytest.approx(2.0, abs=1e-15)
+    assert ev.h[0] == pytest.approx(1.4, abs=1e-15)
 
 
 def test_swing_zero_beta_is_integrable():
@@ -144,7 +153,7 @@ def test_trigpoly_roundtrip_and_bound():
     assert np.max(np.abs(tp(phi))) <= tp.bound() + 1e-15
 
 
-@pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.descriptor["name"])
+@pytest.mark.parametrize("model", ALL_MODELS, ids=MODEL_IDS)
 def test_derivative_consistency(model):
     x, y, phi = sample_points(model)
     ev = model.evaluate(x, y, phi)
@@ -166,7 +175,7 @@ def test_derivative_consistency(model):
         assert np.max(np.abs(fdyy - ev.dyy[:, i])) <= 1e-6 * scale
 
 
-@pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.descriptor["name"])
+@pytest.mark.parametrize("model", ALL_MODELS, ids=MODEL_IDS)
 def test_uniform_convexity_midpoint(model):
     for _ in range(100):
         x = RNG.uniform(0, PERIOD, (model.n, 1))
@@ -224,7 +233,7 @@ def test_lagrangian_newton_on_nonmechanical_model():
         assert lagrangian(model, x, vel) == pytest.approx(expected, abs=1e-10)
 
 
-@pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.descriptor["name"])
+@pytest.mark.parametrize("model", ALL_MODELS, ids=MODEL_IDS)
 def test_fenchel_young(model):
     for _ in range(50):
         x = RNG.uniform(0, PERIOD, model.n)

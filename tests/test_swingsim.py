@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from weakkam.hamiltonians import SwingParams, TrigPoly
-from weakkam.oracle1d import Potential1D, oracle_table
+from weakkam.hamiltonians import SwingParams, TrigPoly, make_pendulum
+from weakkam.oracle1d import Potential1D, oracle_table, potential_from_model
 from weakkam.swingsim import (
     NonFiniteStateError,
     compare_with_homogenization,
@@ -17,6 +17,11 @@ def free_params():
 
 def pendulum_params():
     return SwingParams(alpha=[0.0], beta=((TrigPoly(1.0),),), lam=[0.5])
+
+
+def qp_params():
+    return SwingParams(alpha=[0.0], beta=((TrigPoly(1.0, (((1,), 0.5, 0.0),)),),),
+                       lam=[0.5], omega=[np.sqrt(2.0)])
 
 
 def test_free_motion_exact():
@@ -86,6 +91,13 @@ def test_integrate_validation():
         integrate_swing(free_params(), [0.0, 0.0], [1.0], 1.0, 1e-3)
     with pytest.raises(ValueError):
         integrate_swing(free_params(), [0.0], [1.0], 1e-4, 1e-3)
+    # batch states: x0 and y0 must share one (n, B) shape
+    with pytest.raises(ValueError):
+        integrate_swing(free_params(), np.zeros((1, 2)), np.zeros((1, 3)), 1.0, 1e-3)
+    with pytest.raises(ValueError):
+        integrate_swing(free_params(), [0.0], np.zeros((1, 2)), 1.0, 1e-3)
+    with pytest.raises(ValueError):
+        integrate_swing(free_params(), np.zeros((2, 2)), np.zeros((2, 2)), 1.0, 1e-3)
 
 
 def test_nonfinite_state_aborts():
@@ -93,6 +105,29 @@ def test_nonfinite_state_aborts():
     with pytest.raises(NonFiniteStateError) as err:
         integrate_swing(p, [0.0], [0.0], 200.0, 10.0)
     assert err.value.index >= 0
+    # one orbit of a batch blowing up aborts the whole batch
+    with pytest.raises(NonFiniteStateError) as err:
+        integrate_swing(free_params(), [[0.0, 0.0]], [[1.0, 1e308]], 200.0, 10.0)
+    assert err.value.index == 0
+
+
+@pytest.mark.parametrize("params", [pendulum_params, qp_params],
+                         ids=["autonomous", "quasi_periodic"])
+def test_batch_columns_match_single_runs(params):
+    x0 = np.array([[0.0, 0.5, -1.0, 2.0]])
+    y0 = np.array([[2.6, 0.0, 1.1, -3.0]])
+    batch = integrate_swing(params(), x0, y0, 3.0, 1e-3, record_every=7)
+    assert batch.x.shape == (len(batch.times), 1, 4)
+    assert rotation_number(batch).shape == (1, 4)
+    for b in range(4):
+        one = integrate_swing(params(), x0[:, b], y0[:, b], 3.0, 1e-3, record_every=7)
+        assert np.array_equal(batch.times, one.times)
+        assert np.array_equal(batch.x[:, :, b], one.x)
+        assert np.array_equal(batch.y[:, :, b], one.y)
+        if one.energy is None:
+            assert batch.energy is None
+        else:
+            assert np.array_equal(batch.energy[:, b], one.energy)
 
 
 def test_rotation_window_validation():
@@ -122,6 +157,29 @@ def test_compare_flat_piece_trapped():
     for r in rows:
         assert r["rotation_predicted"] == pytest.approx(0.0, abs=1e-12)
         assert abs(r["rotation_measured"]) <= 2.0 / T
+
+
+def test_compare_matches_per_sample_loop():
+    pot = potential_from_model(make_pendulum(1.0))
+    table = oracle_table(pot, np.round(np.arange(0.0, 3.0001, 0.25), 10))
+    T, dt, burn_in = 20.0, 1e-3, 0.1
+    rows = compare_with_homogenization(pendulum_params(), table, samples=5,
+                                       T=T, dt=dt, burn_in=burn_in)
+    idx = np.unique(np.linspace(1, len(table) - 2, 5).round().astype(int))
+    assert [r["P"] for r in rows] == [float(table[i, 0]) for i in idx]
+    v_x0 = float(pot.v(0.0))
+    for r, i in zip(rows, idx):
+        P, E = table[i]
+        predicted = (table[i + 1, 1] - table[i - 1, 1]) / (table[i + 1, 0] - table[i - 1, 0])
+        if E > pot.v_max + 1e-9:
+            y0 = np.sign(P) * np.sqrt(2.0 * (E - v_x0))
+        else:
+            y0 = np.sqrt(max(2.0 * (0.5 * (pot.v_min + pot.v_max) - v_x0), 0.0))
+        traj = integrate_swing(pendulum_params(), [0.0], [y0], T, dt, record_every=10)
+        measured = float(rotation_number(traj, burn_in)[0])
+        assert r["rotation_predicted"] == float(predicted)
+        assert abs(r["rotation_measured"] - measured) <= 1e-15
+        assert abs(r["gap"] - abs(measured - predicted)) <= 1e-15
 
 
 def test_compare_requires_autonomous():
