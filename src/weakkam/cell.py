@@ -10,10 +10,15 @@ no k cap is needed.
 The optimizer is damped Newton.  Its linear systems use the symmetric
 elliptic operator w -> -div_x(sigma (D2_yy + k D_yH D_yH^T) D_x w), solved by
 preconditioned conjugate gradients.  The preconditioner follows from the
-grid: on spectral grids with two spatial axes it is an exact Cholesky solve
-of the operator itself, fiber by fiber, so each step costs one operator
-apply; everywhere else it is a sparse LU of a finite-difference stencil with
-the same coefficients, which is near-exact in one dimension and for fd2.
+grid.  Where the grid has fiber axes and one spatial axis (spectral or fd2),
+or two spatial axes and the spectral derivative, it is an exact Cholesky
+solve of the operator itself, fiber by fiber, so each step costs one
+operator apply (with the FD LU, one CG across fibers whose Gibbs masses
+differ by many orders runs close to its iteration cap).  One-dimensional
+grids without fiber axes (the pendulum, the subproblems of the fiber
+decomposition) and fd2 grids in two dimensions keep a sparse LU of a
+finite-difference stencil with the same coefficients, which is near-exact
+there and cheaper to build.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import numpy as np
 from .fields import (
     ScalarField,
     TorusGrid,
-    _spectral_diff,
+    _diff_x,
     div_values,
     grad_values,
     log_mean_exp_values,
@@ -54,8 +59,11 @@ EXACT_MAX_N_X = 64
 
 
 def _exact_step(grid: TorusGrid) -> bool:
-    """Whether Newton steps on this grid use the exact (Cholesky) solve."""
-    return grid.n == 2 and grid.diff_mode == "spectral"
+    """Whether Newton steps on this grid use an exact (Cholesky) solve: on
+    spectral n=2 grids, and on n=1 grids with fiber axes (spectral or fd2),
+    whose fibers the FD LU fits one by one but one CG cannot treat together.
+    n=1 grids without fiber axes keep the cheaper FD LU."""
+    return (grid.n == 2 and grid.diff_mode == "spectral") or (grid.n == 1 and grid.m >= 1)
 
 
 @dataclass(frozen=True)
@@ -119,7 +127,7 @@ class CellProblem:
             )
         if not model.x_periodic():
             raise ValueError("model is not 2*pi periodic in x; grid sampling is invalid")
-        if _exact_step(grid) and grid.N_x > EXACT_MAX_N_X:
+        if grid.n == 2 and _exact_step(grid) and grid.N_x > EXACT_MAX_N_X:
             mb = 8 * grid.N_x ** 4 / 2 / 1e6
             raise ValueError(
                 f"spectral n=2 grids need N_x <= {EXACT_MAX_N_X}: the exact Newton "
@@ -275,6 +283,11 @@ def _finish(problem: CellProblem, v_values: np.ndarray, iterations: int,
     )
 
 
+def _rounding_floor(f: float) -> float:
+    """Changes of f at or below this are lost to double-precision rounding."""
+    return 1e-13 * max(1.0, abs(f))
+
+
 def _line_search(problem, v, f, g, d, slope, gnorm):
     """Backtracking Armijo with a rounding-floor polish rule.
 
@@ -284,7 +297,7 @@ def _line_search(problem, v, f, g, d, slope, gnorm):
     gradient norm strictly drops.
     """
     t = 1.0
-    floor = 1e-13 * max(1.0, abs(f))
+    floor = _rounding_floor(f)
     for _ in range(60):
         v_new = v + t * d
         f_new, g_new, _, _ = _evaluate(problem, v_new)
@@ -320,7 +333,11 @@ def _fd_preconditioner(grid: TorusGrid, C: np.ndarray, shift: np.ndarray):
     Assembles the 2nd-order flux-form stencil with the exact (nonnegative)
     diagonal coefficients ``C[a, a]`` per spatial axis plus a nodewise
     diagonal shift, then LU-factorizes; the result is spectrally close to the
-    Newton operator even when the Gibbs weight spans many orders of magnitude.
+    Newton operator on each fiber, even when the Gibbs weight spans many
+    orders of magnitude.  It serves the grids without an exact step: n=1
+    without fiber axes (where it costs less than a dense factor) and fd2 n=2.
+    On n=1 grids with fiber axes one CG across fibers whose masses differ by
+    many orders ran near its iteration cap with it, hence the exact step there.
     """
     from scipy.sparse import csc_matrix
     from scipy.sparse.linalg import splu
@@ -349,9 +366,9 @@ def _fd_preconditioner(grid: TorusGrid, C: np.ndarray, shift: np.ndarray):
 
 
 @lru_cache(maxsize=4)
-def _spectral_matrix(N: int) -> np.ndarray:
-    """The N x N matrix of the spectral derivative along one axis."""
-    D = _spectral_diff(np.eye(N), 0, N)
+def _diff_matrix(N: int, diff_mode: str) -> np.ndarray:
+    """The N x N matrix of the grid's derivative along one spatial axis."""
+    D = _diff_x(np.eye(N), TorusGrid(n=1, N_x=N, diff_mode=diff_mode), 0)
     D.setflags(write=False)
     return D
 
@@ -384,7 +401,7 @@ def _exact_preconditioner(grid: TorusGrid, C: np.ndarray, shift: np.ndarray):
     N = grid.N_x
     n = N * N
     half = n // 2                   # n is even: RFP is (n + 1) x n/2, column-major
-    D = _spectral_matrix(N)
+    D = _diff_matrix(N, "spectral")
     upper = np.arange(half)[:, None]
     buf, held = None, None          # the shared RFP buffer and whose factor it holds
 
@@ -425,6 +442,45 @@ def _exact_preconditioner(grid: TorusGrid, C: np.ndarray, shift: np.ndarray):
     return solve
 
 
+def _exact_preconditioner_1d(grid: TorusGrid, C: np.ndarray, shift: np.ndarray):
+    """Exact inverse of the Newton operator on mean-zero fields (n=1, m >= 1).
+
+    Per fiber the operator is D^T diag(C_00) D + shift, an N_x x N_x matrix
+    with D the grid's own derivative matrix.  All fibers go into one stack,
+    Cholesky-factored in place, so PCG takes one step.  BLAS and LAPACK read
+    each C-ordered matrix as its transpose, which is the same symmetric
+    matrix.  Products and factors both come from scipy's BLAS: interleaved
+    with numpy's (a second OpenBLAS, with its own threads) they ran ~10x
+    slower.
+    """
+    from scipy.linalg.blas import dgemm
+    from scipy.linalg.lapack import dpotrf, dpotrs
+
+    N = grid.N_x
+    D = _diff_matrix(N, grid.diff_mode)
+    c = C[0, 0].reshape(N, -1)
+    s = shift[0].reshape(-1) + 1e-290   # constant along x; an all-zero fiber stays solvable
+    A = np.empty((c.shape[1], N, N))
+    for f, Af in enumerate(A):
+        # (c D)^T D, written in place
+        dgemm(1.0, (c[:, f, None] * D).T, D.T, trans_b=1, c=Af.T, overwrite_c=1)
+        Af.flat[::N + 1] += s[f]
+        _, info = dpotrf(Af.T, lower=1, overwrite_a=1, clean=0)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"Newton operator not positive definite ({info})")
+
+    def solve(r: np.ndarray) -> np.ndarray:
+        rhs = np.ones((len(A), 2, N))
+        rhs[:, 0] = r.reshape(N, -1).T
+        for Af, b in zip(A, rhs):
+            dpotrs(Af.T, b.T, lower=1, overwrite_b=1)
+        z, ones = (rhs[:, j].T.reshape(grid.shape) for j in (0, 1))
+        # the mean-zero correction of _exact_preconditioner
+        return z - (z.mean() / ones.mean()) * ones
+
+    return solve
+
+
 def _newton_system(problem, ev, sigma, lam):
     """The Newton operator at a state, matrix-free, and its preconditioner.
 
@@ -445,7 +501,10 @@ def _newton_system(problem, ev, sigma, lam):
         out = -div_values(flux, grid) + shift * w
         return out - out.mean()
 
-    make = _exact_preconditioner if _exact_step(grid) else _fd_preconditioner
+    if not _exact_step(grid):
+        make = _fd_preconditioner
+    else:
+        make = _exact_preconditioner_1d if grid.n == 1 else _exact_preconditioner
     return apply_A, make(grid, C, shift)
 
 
@@ -454,7 +513,9 @@ def _minimize_newton(problem, v, opts):
 
     The Levenberg shift, scaled per fiber, tames the near-null directions
     outside the Gibbs support without drowning low-mass fibers; lam relaxes
-    toward 0 as full steps succeed, so the tail is plain Newton.
+    toward 0 as full steps succeed, so the tail is plain Newton.  Below f's
+    rounding floor the gain ratio is noise, so a step there counts as good
+    exactly when the gradient norm fell.
     """
     f, g, ev, sigma = _evaluate(problem, v)
     history = [f]
@@ -473,9 +534,12 @@ def _minimize_newton(problem, v, opts):
         hit = _line_search(problem, v, f, g, d, slope, gnorm)
         if hit is None:
             return v, it, "line_search", history
-        t, v, f_new, _ = hit
-        # gain ratio against the damped quadratic model (pred ~ -slope/2)
-        ratio = (f - f_new) / max(-0.5 * t * slope, 1e-300)
+        t, v, f_new, g_new = hit
+        if f - f_new <= _rounding_floor(f):
+            ratio = 1.0 if _grid_norm(g_new) < gnorm else 0.0
+        else:
+            # gain ratio against the damped quadratic model (pred ~ -slope/2)
+            ratio = (f - f_new) / max(-0.5 * t * slope, 1e-300)
         if ratio > 0.75 and t >= 1.0:
             lam = max(lam / 3.0, 1e-12)
         elif ratio < 0.25 or t < 0.1:
@@ -614,7 +678,9 @@ def fiber_decomposed_solve(problem: CellProblem,
     its share of the Gibbs mass, so after a first pass at the base tolerance
     the fibers that dominate the mass are polished to gtol over their weight,
     which keeps the assembled joint gradient at the requested level without
-    asking low-mass fibers for precision below the round-off floor.
+    asking low-mass fibers for precision below the round-off floor.  Each
+    fiber but the first starts from the solution of the fiber before it in
+    grid order, which the drive's continuity in phi keeps close.
     """
     if problem.grid.m < 1:
         raise ValueError("fiber decomposition needs m >= 1")
@@ -626,11 +692,13 @@ def fiber_decomposed_solve(problem: CellProblem,
 
     fibers = []
     iters = 0
+    init = None
     for idx in np.ndindex(*(grid.N_phi,) * grid.m):
         phi_val = np.array([phi_axis[i] for i in idx])
         sub = CellProblem(_FixedFiberModel(problem.model, phi_val), problem.P,
                           problem.k, grid_x, problem.tau)
-        sol = solve_cell(sub, None, opts)
+        sol = solve_cell(sub, init, opts)
+        init = sol.v
         iters += sol.iterations
         if not sol.converged:
             raise ContinuationError(

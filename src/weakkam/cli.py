@@ -304,7 +304,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
         table = oracle_table(pot, np.arange(start, stop + 0.5 * step, step))
         comparison = compare_with_homogenization(
             params, table, samples=cfg.sim_samples, T=cfg.sim_T, dt=cfg.sim_dt,
-            burn_in=cfg.sim_burn_in)
+            burn_in=cfg.sim_burn_in, pot=pot)
         _write_csv(out_dir / "rotation_comparison.csv",
                    ["P", "rotation_measured", "rotation_predicted", "gap"],
                    [(r["P"], r["rotation_measured"], r["rotation_predicted"], r["gap"])

@@ -36,10 +36,13 @@ class Potential1D:
 
     @classmethod
     def from_callable(cls, V, samples: int = 4096) -> "Potential1D":
+        """Sample V densely, in one call, and refine its extrema.  V maps a
+        point to its value, and an array of points to theirs elementwise (a
+        constant V may return a scalar for an array)."""
         if abs(float(V(0.0)) - float(V(PERIOD))) > 1e-12:
             raise ValueError("potential is not 2*pi periodic")
         xs = np.linspace(0.0, PERIOD, samples, endpoint=False)
-        vals = np.array([float(V(x)) for x in xs])
+        vals = np.broadcast_to(np.asarray(V(xs), dtype=float), xs.shape)
         if not np.all(np.isfinite(vals)):
             raise ValueError("potential non-finite on the sampling grid")
         v_max, x_stars = _refine_extrema(V, xs, vals, sign=+1.0)
@@ -121,9 +124,12 @@ def potential_from_model(model: HamiltonianModel, samples: int = 64) -> Potentia
     if np.max(np.abs(ev.h - 0.5 * ys**2 - v0)) > 1e-10:
         raise ValueError("Hamiltonian is not kinetic-plus-potential; oracle refuses")
 
-    def V(xx: float) -> float:
-        return float(model.evaluate(np.array([[xx]]), np.zeros((1, 1)),
-                                    np.zeros((0, 1))).h[0])
+    def V(xx):
+        """V at a point, or at every point of an array."""
+        xx = np.asarray(xx, dtype=float)
+        pts = xx.reshape(1, -1)
+        h = model.evaluate(pts, np.zeros_like(pts), np.zeros((0, pts.shape[1]))).h
+        return h.reshape(xx.shape) if xx.ndim else float(h[0])
 
     return Potential1D.from_callable(V)
 

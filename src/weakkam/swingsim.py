@@ -16,7 +16,7 @@ import numpy as np
 
 from .fields import PERIOD
 from .hamiltonians import SwingParams, make_swing
-from .oracle1d import potential_from_model
+from .oracle1d import Potential1D, potential_from_model
 
 __all__ = [
     "SwingTrajectory",
@@ -133,7 +133,8 @@ def rotation_number(traj: SwingTrajectory, burn_in: float = 0.0) -> np.ndarray:
 
 def compare_with_homogenization(p: SwingParams, hbar_table, samples: int,
                                 T: float = 200.0, dt: float = 1e-3,
-                                burn_in: float = 0.1) -> list[dict]:
+                                burn_in: float = 0.1,
+                                pot: Potential1D | None = None) -> list[dict]:
     """Rotation of trajectories vs the slope of the effective Hamiltonian.
 
     For each sampled momentum P the launched orbit sits on the energy level
@@ -141,6 +142,8 @@ def compare_with_homogenization(p: SwingParams, hbar_table, samples: int,
     nonzero there, a trapped librating orbit inside the flat piece.  All
     sampled orbits are integrated as one batch.  Each row reports (P,
     rotation measured, centered-difference slope of the table, absolute gap).
+    ``pot`` is the 1-D potential of ``p`` when the caller has already built
+    it; otherwise it is built here.
     """
     if p.n != 1 or p.m != 0 or p.tilted:
         raise ValueError("homogenization comparison needs n=1, m=0, alpha=0")
@@ -149,7 +152,8 @@ def compare_with_homogenization(p: SwingParams, hbar_table, samples: int,
     table = np.asarray(sorted((float(pp), float(h)) for pp, h in hbar_table))
     if table.shape[0] < 3:
         raise ValueError("table needs at least 3 rows for centered differences")
-    pot = potential_from_model(make_swing(p))
+    if pot is None:
+        pot = potential_from_model(make_swing(p))
     v_x0 = float(pot.v(0.0))
 
     idx = np.unique(np.linspace(1, table.shape[0] - 2, samples).round().astype(int))

@@ -321,22 +321,50 @@ def _ladder_model(beta_phi=None):
         lam=[1.0, 1.0], omega=[1.0, np.sqrt(2.0)][:m]))
 
 
-@pytest.mark.parametrize("m", [0, 1, 2])
-def test_exact_step_inverts_operator(m):
-    # spectral n=2: the preconditioner is the exact inverse of the matrix-free
-    # Newton operator on mean-zero fields, fiber by fiber.  At k=4 the Gibbs
-    # weight spans < 1e9 per fiber, so round-off stays near 1e-13
+def _qp_model():
+    """The quasi-periodic rotor of configs/swing_quasiperiodic.cfg."""
+    return make_swing(SwingParams(alpha=[0.0],
+                                  beta=((TrigPoly(1.0, (((1,), 0.5, 0.0),)),),),
+                                  lam=[0.5], omega=[np.sqrt(2.0)]))
+
+
+@pytest.mark.parametrize("n,m,mode", [(2, 0, "spectral"), (2, 1, "spectral"),
+                                      (2, 2, "spectral"), (1, 1, "spectral"),
+                                      (1, 1, "fd2")],
+                         ids=["0", "1", "2", "1d-spectral", "1d-fd2"])
+def test_exact_step_inverts_operator(n, m, mode):
+    # spectral n=2 and fibered n=1 grids: the preconditioner is the exact
+    # inverse of the matrix-free Newton operator on mean-zero fields, fiber by
+    # fiber.  At k=4 the Gibbs weight spans < 1e9 per fiber, so round-off
+    # stays near 1e-13
     from weakkam.cell import _evaluate, _newton_system
     rng = np.random.default_rng(11 + m)
-    model = _ladder_model((((1,) * m, 0.3, 0.1),) if m else None)
-    grid = TorusGrid(n=2, m=m, N_x=8, N_phi=3)
-    problem = CellProblem(model, [0.3, 0.6], 4.0, grid)
+    if n == 2:
+        model = _ladder_model((((1,) * m, 0.3, 0.1),) if m else None)
+        grid, P = TorusGrid(n=2, m=m, N_x=8, N_phi=3), [0.3, 0.6]
+    else:
+        model = _qp_model()
+        grid, P = TorusGrid(n=1, m=m, N_x=16, N_phi=5, diff_mode=mode), [0.7]
+    problem = CellProblem(model, P, 4.0, grid)
     v = random_band_limited(grid, rng, max_mode=2, amplitude=0.2).values
     _, _, ev, sigma = _evaluate(problem, v)
     apply_A, precond = _newton_system(problem, ev, sigma, lam=1e-3)
     for _ in range(3):
         z = random_band_limited(grid, rng, max_mode=3).values      # mean zero
         assert np.max(np.abs(precond(apply_A(z)) - z)) <= 1e-12 * np.max(np.abs(z))
+
+
+def test_pendulum_keeps_fd_preconditioner(pendulum, monkeypatch):
+    # n=1 without fiber axes: the Newton step stays on the sparse FD LU
+    from weakkam import cell
+    used = []
+    fd = cell._fd_preconditioner
+    monkeypatch.setattr(cell, "_fd_preconditioner",
+                        lambda *a: used.append(a[0]) or fd(*a))
+    for name in ("_exact_preconditioner", "_exact_preconditioner_1d"):
+        monkeypatch.setattr(cell, name, None)
+    sol = solve_cell(CellProblem(pendulum, [0.5], 8.0, TorusGrid(n=1, m=0, N_x=64)))
+    assert sol.converged and used
 
 
 def test_ladder_2d_converges(monkeypatch):
@@ -429,6 +457,30 @@ def test_fiber_two_rotors_one_drive():
     grid = TorusGrid(n=2, m=1, N_x=24, N_phi=6)
     joint = continuation_solve(model, [0.3, 0.8], [6.0], 3, grid)[-1]
     fib = fiber_decomposed_solve(CellProblem(model, [0.3, 0.8], 6.0, grid))
+    assert abs(joint.Hbar_k - fib.Hbar_k) <= 1e-8
+
+
+def test_fiber_pass_converges_past_rounding_floor(monkeypatch):
+    # at this |P| the fiber polish used to stall at f's rounding floor and run
+    # into max_iter; the joint k=16 stage used to take 44 Newton steps
+    from weakkam import cell
+    stages = []
+    solve = cell.solve_cell
+
+    def recording(problem, *args, **kwargs):
+        sol = solve(problem, *args, **kwargs)
+        stages.append((problem.grid.m, sol.k, sol.iterations, sol.status))
+        return sol
+
+    monkeypatch.setattr(cell, "solve_cell", recording)
+    model, P = _qp_model(), [0.7886112211144736]
+    grid = TorusGrid(n=1, m=1, N_x=128, N_phi=16)
+    joint = continuation_solve(model, P, [8.0, 16.0], 4, grid)[-1]
+    assert [it for m, k, it, _ in stages if m == 1 and k == 16.0][0] <= 25
+    stages.clear()
+    fib = fiber_decomposed_solve(CellProblem(model, P, 16.0, grid))
+    assert fib.converged, (fib.grad_norm, fib.status)
+    assert all(status == "converged" for *_, status in stages), stages
     assert abs(joint.Hbar_k - fib.Hbar_k) <= 1e-8
 
 

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import weakkam
+from weakkam import oracle1d
 from weakkam.cli import main, manifest_fingerprint
 from weakkam.config import (
     ConfigError,
@@ -202,6 +207,18 @@ oracle.P_range = [0.0, 3.0, 0.25]
     assert (rep / "rotation_comparison.csv").exists()
 
 
+def test_simulate_builds_oracle_potential_once(tmp_path, monkeypatch):
+    built = []
+    from_callable = oracle1d.Potential1D.from_callable
+    monkeypatch.setattr(oracle1d.Potential1D, "from_callable", classmethod(
+        lambda cls, *a, **k: built.append(a) or from_callable(*a, **k)))
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text('model.name = "pendulum"\nsim.T = 2.0\nsim.compare = true\n'
+                   'sim.samples = 2\noracle.P_range = [0.0, 3.0, 0.5]\n')
+    assert run(["simulate", "--config", cfg, "--out", tmp_path / "o"]) == 0
+    assert len(built) == 1
+
+
 @pytest.mark.parametrize("extra", [
     "sim.record_every = 0",
     "sim.x0 = [0.0, 0.0]",
@@ -243,6 +260,24 @@ def test_env_var_out_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("WEAKKAM_OUT", str(tmp_path / "envout"))
     assert run(["oracle", "--config", cfg]) == 0
     assert (tmp_path / "envout" / "oracle_table.csv").exists()
+
+
+def test_python_dash_m_entry_point(tmp_path):
+    # `python -m weakkam` runs the CLI without the installed console script
+    src = os.path.dirname(os.path.dirname(weakkam.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    cfg = tmp_path / "o.cfg"
+    cfg.write_text('model.name = "pendulum"\noracle.P_range = [0.0, 2.0, 0.5]\n')
+    out = tmp_path / "out"
+    done = subprocess.run([sys.executable, "-m", "weakkam", "oracle", "--config", str(cfg),
+                           "--out", str(out)], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert len((out / "oracle_table.csv").read_text().strip().splitlines()) == 6
+    bad = subprocess.run([sys.executable, "-m", "weakkam", "oracle", "--config",
+                          str(tmp_path / "missing.cfg")], env=env, capture_output=True,
+                         text=True)
+    assert bad.returncode == 1
 
 
 def test_verify_default_config_passes(tmp_path, capsys):

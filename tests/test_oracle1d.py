@@ -99,6 +99,19 @@ def test_potential_from_model():
         potential_from_model(make_integrable(2))
 
 
+def test_potential_from_model_samples_in_one_call(monkeypatch):
+    # the dense sampling is one array evaluation, bitwise equal to point by point
+    model = make_pendulum(0.7)
+    calls = []
+    evaluate = model.evaluate
+    monkeypatch.setattr(model, "evaluate", lambda *a: calls.append(a) or evaluate(*a))
+    pot = potential_from_model(model)
+    assert len(calls) < 100
+    xs = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
+    assert np.array_equal(pot.v(xs), [pot.v(x) for x in xs])
+    assert isinstance(pot.v(1.0), float)
+
+
 class _CrossTermModel(HamiltonianModel):
     """H = y^2/2 + x*y: not kinetic-plus-potential."""
 
