@@ -20,6 +20,7 @@ from .hamiltonians import (
     make_pendulum,
     make_swing,
 )
+from .swingsim import COMPARE_RECORD_EVERY, MIN_FIT_SAMPLES
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "load_config",
            "serialize_config", "model_from_config"]
@@ -180,6 +181,18 @@ def _validate(cfg: RunConfig, source: str) -> None:
         _fail(source, "sim.samples", "must be >= 1 when sim.compare is on")
     if not 0.0 <= cfg.sim_burn_in <= 0.9:
         _fail(source, "sim.burn_in", "must lie in [0, 0.9]")
+    # rotation_number fits a slope to the samples after the burn-in window;
+    # reject a window too short for it before any step runs
+    steps = int(round(cfg.sim_T / cfg.sim_dt))
+    windows = [("sim.record_every", cfg.sim_record_every, "the recorded orbit")]
+    if cfg.sim_compare:
+        windows.append(("sim.T", COMPARE_RECORD_EVERY, "the compared orbits"))
+    for key, stride, orbit in windows:
+        samples = steps // stride + 1
+        fitted = samples - int(np.ceil(cfg.sim_burn_in * (samples - 1)))
+        if fitted < MIN_FIT_SAMPLES:
+            _fail(source, key, f"{steps} steps recorded every {stride} leave {orbit} "
+                  f"{fitted} samples after the burn-in window; need >= {MIN_FIT_SAMPLES}")
     if len(cfg.oracle_P) != 3 or cfg.oracle_P[2] <= 0:
         _fail(source, "oracle.P_range", "expected [start, stop, step] with step > 0")
     if cfg.jobs < 0:

@@ -58,7 +58,11 @@ class TrigPoly:
         phi = np.asarray(phi, dtype=float)
         out = np.full(phi.shape[1:], self.const)
         for kvec, a, b in self.modes:
-            arg = np.tensordot(np.asarray(kvec, dtype=float), phi, axes=(0, 0))
+            # k . phi summed left to right, elementwise: a BLAS dot rounds
+            # differently for different batch shapes of phi
+            arg = kvec[0] * phi[0] if kvec else np.zeros(phi.shape[1:])
+            for k, ph in zip(kvec[1:], phi[1:]):
+                arg = arg + k * ph
             out = out + a * np.cos(arg) + b * np.sin(arg)
         return out
 
@@ -197,9 +201,13 @@ class SwingModel(HamiltonianModel):
             "omega": params.omega.tolist(),
             "beta": [[b.to_dict() for b in row] for row in params.beta],
         }
-        # the active terms (i, j, lam_i, lam_j, beta_ij): nonzero beta only
+        # the active terms (i, j, lam_i, lam_j, 2 lam_i, beta_ij): nonzero
+        # beta only.  The wavenumbers are 0-d arrays: numpy multiplies a small
+        # array by a 0-d array about twice as fast as by a Python float, which
+        # the simulator's per-step force feels
         self._terms = tuple(
-            (i, j, float(params.lam[i]), float(params.lam[j]), params.beta[i][j])
+            (i, j, np.array(params.lam[i]), np.array(params.lam[j]),
+             np.array(2.0 * params.lam[i]), params.beta[i][j])
             for i in range(self.n) for j in range(self.n)
             if not params.beta[i][j].is_zero())
         self.tilted = params.tilted
@@ -214,11 +222,9 @@ class SwingModel(HamiltonianModel):
         """
         if self.tilted:
             return False
-        for i, j, lam_i, lam_j, _ in self._terms:
-            if i == j:
-                if abs(2.0 * lam_i - round(2.0 * lam_i)) > tol:
-                    return False
-            elif abs(lam_i - round(lam_i)) > tol or abs(lam_j - round(lam_j)) > tol:
+        for i, j, lam_i, lam_j, lam_ii, _ in self._terms:
+            lams = [float(lam_ii)] if i == j else [float(lam_i), float(lam_j)]
+            if any(abs(lam - round(lam)) > tol for lam in lams):
                 return False
         return True
 
@@ -226,29 +232,66 @@ class SwingModel(HamiltonianModel):
         """beta_ij(phi) of the active terms; a constant beta stays a float."""
         return tuple(b(phi) if b.modes else b.const for *_, b in self._terms)
 
+    def _coupling_args(self, x: np.ndarray) -> list:
+        # lam x + lam x == (2 lam) x exactly: one product on the diagonal
+        return [lam_ii * x[i] if i == j else lam_i * x[i] + lam_j * x[j]
+                for i, j, lam_i, lam_j, lam_ii, _ in self._terms]
+
+    def coupling_sines(self, x: np.ndarray) -> list:
+        """sin(lam_i x_i + lam_j x_j) of the active terms: the part of the
+        force that depends on the position only (see ``coupling_force``)."""
+        return [np.sin(arg) for arg in self._coupling_args(x)]
+
+    def coupling_force(self, sines: list, beta: tuple, shape: tuple) -> np.ndarray:
+        """D_x V of shape ``shape`` = x.shape from ``coupling_sines(x)`` and
+        the coupling values ``beta = drive(phi)``; equal, bit for bit, to the
+        force ``potential_force(x, beta)`` returns."""
+        dx = np.zeros(shape)
+        if self._alpha is not None:
+            dx -= self._alpha.reshape((self.n,) + (1,) * (len(shape) - 1))
+        # row views: an in-place add on a view is cheaper than dx[i] += ...
+        rows = [dx[i] for i in range(self.n)]
+        for (i, j, lam_i, lam_j, *_), bv, sn in zip(self._terms, beta, sines):
+            s = bv * sn
+            si = lam_i * s
+            rows[i] += si
+            rows[j] += si if i == j else lam_j * s
+        return dx
+
+    def _add_potential(self, h, x: np.ndarray, args: list, beta: tuple):
+        """h + V(x) from the coupling arguments ``args = _coupling_args(x)``."""
+        if self._alpha is not None:
+            h = h - np.tensordot(self._alpha, x, axes=(0, 0))
+        for bv, arg in zip(beta, args):
+            h = h + bv * (1.0 - np.cos(arg))
+        return h
+
     def potential_force(self, x: np.ndarray, beta: tuple, h=None):
         """(h + V(x), D_x V(x)) for the coupling values ``beta = drive(phi)``.
 
-        The one place the swing potential and force are written; ``evaluate``
-        and the simulator both call it.  With ``h`` None only the force is
-        computed.  ``x`` has shape (n, ...) and each beta value broadcasts
-        against ``x[i]``.
+        The one place the swing potential and force are written (through
+        ``_add_potential`` and ``coupling_force``); ``evaluate``,
+        ``potential``, ``energy`` and the simulator call it or its parts.
+        With ``h`` None only the force is computed.  ``x`` has shape (n, ...)
+        and each beta value broadcasts against ``x[i]``.
         """
-        dx = np.zeros(x.shape)
-        if self._alpha is not None:
-            dx -= self._alpha.reshape((self.n,) + (1,) * (x.ndim - 1))
-            if h is not None:
-                h = h - np.tensordot(self._alpha, x, axes=(0, 0))
-        for (i, j, lam_i, lam_j, _), bv in zip(self._terms, beta):
-            # lam x + lam x == (2 lam) x exactly: one product on the diagonal
-            arg = (2.0 * lam_i) * x[i] if i == j else lam_i * x[i] + lam_j * x[j]
-            if h is not None:
-                h = h + bv * (1.0 - np.cos(arg))
-            s = bv * np.sin(arg)
-            si = lam_i * s
-            dx[i] += si
-            dx[j] += si if i == j else lam_j * s
-        return h, dx
+        args = self._coupling_args(x)
+        if h is not None:
+            h = self._add_potential(h, x, args, beta)
+        return h, self.coupling_force([np.sin(arg) for arg in args], beta, x.shape)
+
+    def energy(self, x: np.ndarray, y: np.ndarray, beta: tuple) -> np.ndarray:
+        """|y|^2/2 + V(x) for ``beta = drive(phi)``, without the force; equal,
+        bit for bit, to ``evaluate(x, y, phi).h``."""
+        kinetic = 0.5 * np.einsum("i...,i...->...", y, y)
+        return self._add_potential(kinetic, x, self._coupling_args(x), beta)
+
+    def potential(self, x, phi) -> np.ndarray:
+        """V(x, phi) = H(x, 0, phi), without the force or the kinetic term's
+        arrays; equal, bit for bit, to ``evaluate(x, 0, phi).h``."""
+        x = np.asarray(x, dtype=float)
+        return self._add_potential(np.zeros(x.shape[1:]), x, self._coupling_args(x),
+                                   self.drive(phi))
 
     def evaluate(self, x, y, phi) -> HamEval:
         x = np.asarray(x, dtype=float)

@@ -128,7 +128,7 @@ def potential_from_model(model: HamiltonianModel, samples: int = 64) -> Potentia
         """V at a point, or at every point of an array."""
         xx = np.asarray(xx, dtype=float)
         pts = xx.reshape(1, -1)
-        h = model.evaluate(pts, np.zeros_like(pts), np.zeros((0, pts.shape[1]))).h
+        h = model.potential(pts, np.zeros((0, pts.shape[1])))
         return h.reshape(xx.shape) if xx.ndim else float(h[0])
 
     return Potential1D.from_callable(V)

@@ -35,6 +35,14 @@ class NonFiniteStateError(RuntimeError):
         self.index = index
 
 
+# steps whose drive coefficients are tabulated in one call: O(block) memory
+DRIVE_BLOCK = 4096
+# fewest samples rotation_number fits a slope to, after the burn-in window
+MIN_FIT_SAMPLES = 10
+# record stride of the orbits compare_with_homogenization integrates
+COMPARE_RECORD_EVERY = 10
+
+
 @dataclass(frozen=True)
 class SwingTrajectory:
     """Recorded samples; a batch of B orbits adds a trailing axis of size B."""
@@ -56,15 +64,21 @@ def integrate_swing(p: SwingParams, x0, y0, T: float, dt: float,
     Both half-kicks of a step evaluate beta at t + dt/2, which keeps the map
     symmetric (hence 2nd order) in the quasi-periodic case and reduces to
     classic velocity Verlet when autonomous.  ``x0`` and ``y0`` have shape
-    (n,) for one orbit or (n, B) for a batch of B orbits stepped together;
-    the force is ``SwingModel.potential_force`` and the drive coefficients
-    are evaluated once per step.  Deterministic; raises NonFiniteStateError
-    if any orbit blows up.
+    (n,) for one orbit or (n, B) for a batch of B orbits stepped together.
+    The force is ``SwingModel.potential_force``, split so that each step
+    costs one coupling evaluation: the drive coefficients are tabulated in
+    one ``drive`` call per block of ``DRIVE_BLOCK`` steps, and the coupling
+    sines at the new position are carried from the second half-kick of a
+    step to the first half-kick of the next (the whole force, when
+    autonomous); the trajectory is bit for bit the one of a per-step
+    ``potential_force`` loop.  Deterministic; raises NonFiniteStateError if
+    any orbit blows up.
     """
     if dt <= 0 or T < dt:
         raise ValueError("need dt > 0 and T >= dt")
-    if record_every < 1:
-        raise ValueError("record_every must be >= 1")
+    n_steps = int(round(T / dt))
+    if not 1 <= record_every <= n_steps:
+        raise ValueError(f"record_every must lie in [1, {n_steps}] (the step count)")
     x = np.array(x0, dtype=float, ndmin=1)
     y = np.array(y0, dtype=float, ndmin=1)
     if x.shape != y.shape or x.ndim > 2 or x.shape[0] != p.n:
@@ -74,37 +88,50 @@ def integrate_swing(p: SwingParams, x0, y0, T: float, dt: float,
         x, y = x[:, None], y[:, None]
 
     model = make_swing(p)
-    n_steps = int(round(T / dt))
     autonomous = p.m == 0
-    beta = model.drive(np.zeros((0, 1))) if autonomous else None
+    shape = x.shape
+    # constants as 0-d arrays, not floats: numpy scales a small array by them
+    # about twice as fast (see SwingModel.__init__)
+    half, step_dt = np.array(0.5 * dt), np.array(dt)
+    beta = tuple(map(np.asarray, model.drive(np.zeros((0, 1))))) if autonomous else None
 
-    def energy():
-        """Total energy on the covering space; meaningful when autonomous."""
-        return model.potential_force(x, beta, 0.5 * np.einsum("i...,i...->...", y, y))[0]
-
+    # total energy on the covering space, recorded when autonomous
     times, xs, ys, es = [0.0], [x], [y], []
     if autonomous:
-        es.append(energy())
-    half = 0.5 * dt
+        es.append(model.energy(x, y, beta))
     # a blow-up is reported as NonFiniteStateError, not as overflow warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(n_steps):
-            t_half = (step + 0.5) * dt
-            if not autonomous:
-                beta = model.drive((p.omega * t_half).reshape(p.m, 1))
-            y = y - half * model.potential_force(x, beta)[1]
-            x = x + dt * y
-            y = y - half * model.potential_force(x, beta)[1]
-            if (step + 1) % record_every == 0:
-                e = energy() if autonomous else 0.0
-                if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))
-                        and np.all(np.isfinite(e))):
-                    raise NonFiniteStateError(len(times) - 1)
-                times.append((step + 1) * dt)
-                xs.append(x)
-                ys.append(y)
-                if autonomous:
-                    es.append(e)
+        sines = model.coupling_sines(x)
+        if autonomous:
+            kick = half * model.coupling_force(sines, beta, shape)
+        for first in range(0, n_steps, DRIVE_BLOCK):
+            steps = range(first, min(first + DRIVE_BLOCK, n_steps))
+            if autonomous:
+                betas = [beta] * len(steps)
+            else:
+                # beta at the midstep times (step + 1/2) dt of the block, one
+                # (1,) row per step
+                phi = p.omega[:, None] * ((np.arange(steps.start, steps.stop) + 0.5) * dt)
+                betas = zip(*(np.broadcast_to(b, (len(steps),))[:, None]
+                              for b in model.drive(phi)))
+            for step, beta in zip(steps, betas):
+                if not autonomous:
+                    kick = half * model.coupling_force(sines, beta, shape)
+                y = y - kick
+                x = x + step_dt * y
+                sines = model.coupling_sines(x)
+                kick = half * model.coupling_force(sines, beta, shape)
+                y = y - kick
+                if (step + 1) % record_every == 0:
+                    e = model.energy(x, y, beta) if autonomous else 0.0
+                    if not (np.isfinite(x).all() and np.isfinite(y).all()
+                            and np.isfinite(e).all()):
+                        raise NonFiniteStateError(len(times) - 1)
+                    times.append((step + 1) * dt)
+                    xs.append(x)
+                    ys.append(y)
+                    if autonomous:
+                        es.append(e)
 
     times = np.asarray(times)
     xs = np.asarray(xs)
@@ -125,8 +152,8 @@ def rotation_number(traj: SwingTrajectory, burn_in: float = 0.0) -> np.ndarray:
         raise ValueError("burn_in must lie in [0, 0.9]")
     start = int(np.ceil(burn_in * (len(traj.times) - 1)))
     t = traj.times[start:]
-    if t.size < 10:
-        raise ValueError("post-burn-in window shorter than 10 samples")
+    if t.size < MIN_FIT_SAMPLES:
+        raise ValueError(f"post-burn-in window shorter than {MIN_FIT_SAMPLES} samples")
     cols = traj.x[start:].reshape(t.size, -1)
     return np.polyfit(t, cols, 1)[0].reshape(traj.x.shape[1:])
 
@@ -165,7 +192,7 @@ def compare_with_homogenization(p: SwingParams, hbar_table, samples: int,
                    else np.sqrt(max(2.0 * (e_trap - v_x0), 0.0))
                    for Pi, Ei in zip(P, E)])
     traj = integrate_swing(p, np.zeros((1, idx.size)), y0[None, :], T, dt,
-                           record_every=10)
+                           record_every=COMPARE_RECORD_EVERY)
     measured = rotation_number(traj, burn_in)[0]
     return [{
         "P": float(Pi),

@@ -225,13 +225,27 @@ def test_simulate_builds_oracle_potential_once(tmp_path, monkeypatch):
     'model.name = "swing"\nmodel.n = 2\nmodel.alpha = [0.0, 0.0]\n'
     'model.lam = [1.0, 1.0]\nsim.x0 = [0.0, 0.0]\nsim.y0 = [1.5]',
     "sim.compare = true\nsim.samples = 0",
-], ids=["record_every_zero", "x0_length", "y0_length", "compare_without_samples"])
+    "sim.record_every = 200",
+    "sim.dt = 0.02\nsim.record_every = 1\nsim.compare = true",
+], ids=["record_every_zero", "x0_length", "y0_length", "compare_without_samples",
+        "record_every_beyond_window", "compare_window"])
 def test_simulate_config_errors_exit_1(tmp_path, capsys, extra):
     cfg = tmp_path / "sim.cfg"
     cfg.write_text(f'model.name = "pendulum"\nsim.T = 1.0\n{extra}\n')
     assert run(["simulate", "--config", cfg, "--out", tmp_path / "o"]) == 1
     assert "configuration error" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_simulate_window_boundary(tmp_path, capsys):
+    # 1000 steps recorded every 100 leave exactly 10 samples after the
+    # burn-in window, the fewest the rotation fit takes; every 101 leave 9
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text('model.name = "pendulum"\nsim.T = 1.0\nsim.record_every = 100\n')
+    assert run(["simulate", "--config", cfg, "--out", tmp_path / "o"]) == 0
+    cfg.write_text('model.name = "pendulum"\nsim.T = 1.0\nsim.record_every = 101\n')
+    assert run(["simulate", "--config", cfg, "--out", tmp_path / "o2"]) == 1
+    assert "'sim.record_every'" in capsys.readouterr().err
 
 
 def test_report_on_cell_manifest(tmp_path):

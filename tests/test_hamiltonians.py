@@ -153,6 +153,39 @@ def test_trigpoly_roundtrip_and_bound():
     assert np.max(np.abs(tp(phi))) <= tp.bound() + 1e-15
 
 
+def test_trigpoly_columns_independent_of_batch_shape():
+    # each column of an (m, S) evaluation equals the (m, 1) one bit for bit,
+    # so the simulator may tabulate the drive for a block of steps
+    tp = TrigPoly(0.7, (((1, 0), 0.5, 0.0), ((2, -3), 0.1, -0.25), ((1, 1), 0.0, 0.3)))
+    omega = np.array([1.0, np.sqrt(2.0)])
+    phi = omega[:, None] * ((np.arange(5000) + 0.5) * 1e-3)
+    table = tp(phi)
+    for s in range(phi.shape[1]):
+        assert np.array_equal(table[s:s + 1], tp(phi[:, s:s + 1]))
+
+
+def n2_swing_params():
+    return SwingParams(alpha=[0.1, 0.0],
+                       beta=((TrigPoly(1.0, (((1, 0), 0.3, 0.1),)), TrigPoly(0.4)),
+                             (TrigPoly(0.0), TrigPoly(0.7, (((0, 1), 0.0, 0.25),)))),
+                       lam=[1.0, 0.5], omega=[1.0, np.sqrt(2.0)])
+
+
+@pytest.mark.parametrize("model", [
+    make_pendulum(1.0),
+    make_swing(SwingParams(alpha=[0.3], beta=((TrigPoly(1.0),),), lam=[0.5])),
+    make_swing(quasi_swing_params()),
+    make_swing(n2_swing_params()),
+], ids=["pendulum", "tilted", "quasi_periodic", "n2"])
+def test_potential_and_energy_match_evaluate(model):
+    # the force-free shortcuts agree with evaluate bit for bit
+    x, y, phi = sample_points(model)
+    assert np.array_equal(model.potential(x, phi), model.evaluate(x, np.zeros_like(y), phi).h)
+    assert np.array_equal(model.energy(x, y, model.drive(phi)), model.evaluate(x, y, phi).h)
+    one = model.potential(x[:, :1], phi[:, :1])
+    assert one.shape == (1,) and one[0] == model.evaluate(x[:, :1], 0 * y[:, :1], phi[:, :1]).h[0]
+
+
 @pytest.mark.parametrize("model", ALL_MODELS, ids=MODEL_IDS)
 def test_derivative_consistency(model):
     x, y, phi = sample_points(model)

@@ -103,8 +103,9 @@ def test_potential_from_model_samples_in_one_call(monkeypatch):
     # the dense sampling is one array evaluation, bitwise equal to point by point
     model = make_pendulum(0.7)
     calls = []
-    evaluate = model.evaluate
-    monkeypatch.setattr(model, "evaluate", lambda *a: calls.append(a) or evaluate(*a))
+    for name in ("evaluate", "potential"):
+        method = getattr(model, name)
+        monkeypatch.setattr(model, name, lambda *a, _m=method: calls.append(a) or _m(*a))
     pot = potential_from_model(model)
     assert len(calls) < 100
     xs = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from weakkam.hamiltonians import SwingParams, TrigPoly, make_pendulum
+from weakkam.hamiltonians import SwingParams, TrigPoly, make_pendulum, make_swing
 from weakkam.oracle1d import Potential1D, oracle_table, potential_from_model
 from weakkam.swingsim import (
+    DRIVE_BLOCK,
     NonFiniteStateError,
     compare_with_homogenization,
     integrate_swing,
@@ -98,6 +99,10 @@ def test_integrate_validation():
         integrate_swing(free_params(), [0.0], np.zeros((1, 2)), 1.0, 1e-3)
     with pytest.raises(ValueError):
         integrate_swing(free_params(), np.zeros((2, 2)), np.zeros((2, 2)), 1.0, 1e-3)
+    # a record stride coarser than the horizon would leave one sample
+    with pytest.raises(ValueError, match="record_every"):
+        integrate_swing(free_params(), [0.0], [1.0], 1.0, 1e-3, record_every=1001)
+    integrate_swing(free_params(), [0.0], [1.0], 1.0, 1e-3, record_every=1000)
 
 
 def test_nonfinite_state_aborts():
@@ -128,6 +133,105 @@ def test_batch_columns_match_single_runs(params):
             assert batch.energy is None
         else:
             assert np.array_equal(batch.energy[:, b], one.energy)
+
+
+def per_step_reference(p, x0, y0, T, dt, record_every):
+    """Reference integrator: drive and force evaluated afresh at every
+    half-kick.  Returns (times, x, y, energy) or the NonFiniteStateError."""
+    x = np.array(x0, dtype=float, ndmin=1)
+    y = np.array(y0, dtype=float, ndmin=1)
+    single = x.ndim == 1
+    if single:
+        x, y = x[:, None], y[:, None]
+
+    model = make_swing(p)
+    n_steps = int(round(T / dt))
+    autonomous = p.m == 0
+    beta = model.drive(np.zeros((0, 1))) if autonomous else None
+
+    def energy():
+        """Total energy on the covering space; meaningful when autonomous."""
+        return model.potential_force(x, beta, 0.5 * np.einsum("i...,i...->...", y, y))[0]
+
+    times, xs, ys, es = [0.0], [x], [y], []
+    if autonomous:
+        es.append(energy())
+    half = 0.5 * dt
+    # a blow-up is reported as NonFiniteStateError, not as overflow warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(n_steps):
+            t_half = (step + 0.5) * dt
+            if not autonomous:
+                beta = model.drive((p.omega * t_half).reshape(p.m, 1))
+            y = y - half * model.potential_force(x, beta)[1]
+            x = x + dt * y
+            y = y - half * model.potential_force(x, beta)[1]
+            if (step + 1) % record_every == 0:
+                e = energy() if autonomous else 0.0
+                if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))
+                        and np.all(np.isfinite(e))):
+                    return NonFiniteStateError(len(times) - 1)
+                times.append((step + 1) * dt)
+                xs.append(x)
+                ys.append(y)
+                if autonomous:
+                    es.append(e)
+
+    times = np.asarray(times)
+    xs = np.asarray(xs)
+    ys = np.asarray(ys)
+    es = np.asarray(es) if autonomous else None
+    if single:
+        xs, ys = xs[..., 0], ys[..., 0]
+        es = es[:, 0] if autonomous else es
+    return times, xs, ys, es
+
+
+def qp_drive():
+    return TrigPoly(1.0, (((1,), 0.5, 0.0),))
+
+
+BITWISE_CASES = {
+    "pendulum": (pendulum_params(), [0.3], [2.6]),
+    "batch_of_3": (pendulum_params(), [[0.0, 0.5, -1.0]], [[2.6, 0.0, 1.1]]),
+    "quasi_periodic": (qp_params(), [0.0], [1.5]),
+    "n2_m2": (SwingParams(alpha=[0.0, 0.0],
+                          beta=((TrigPoly(1.0, (((1, 0), 0.3, 0.1),)),
+                                 TrigPoly(0.4, (((1, -1), 0.2, 0.0),))),
+                                (TrigPoly(0.0), TrigPoly(0.7, (((0, 2), 0.0, 0.25),)))),
+                          lam=[1.0, 0.5], omega=[1.0, np.sqrt(2.0)]),
+              [0.1, -0.3], [1.2, 0.4]),
+    "tilted_autonomous": (SwingParams(alpha=[0.1], beta=((TrigPoly(1.0),),), lam=[0.5]),
+                          [0.0], [0.3]),
+    "tilted_driven": (SwingParams(alpha=[0.1], beta=((qp_drive(),),), lam=[0.5],
+                                  omega=[np.sqrt(2.0)]), [0.0], [0.3]),
+    # x overflows after ~4600 steps, past the first drive block
+    "blow_up": (SwingParams(alpha=[1.7e307], beta=((qp_drive(),),), lam=[0.5],
+                            omega=[np.sqrt(2.0)]), [0.0], [0.0]),
+}
+
+
+@pytest.mark.parametrize("case", list(BITWISE_CASES))
+def test_matches_per_step_reference_bitwise(case):
+    # more steps than one drive block, and a stride that does not divide it
+    p, x0, y0 = BITWISE_CASES[case]
+    T, dt, every = 5.0, 1e-3, 7
+    assert T / dt > DRIVE_BLOCK and DRIVE_BLOCK % every
+    ref = per_step_reference(p, x0, y0, T, dt, every)
+    if isinstance(ref, NonFiniteStateError):
+        with pytest.raises(NonFiniteStateError) as err:
+            integrate_swing(p, x0, y0, T, dt, record_every=every)
+        assert err.value.index == ref.index > (DRIVE_BLOCK // every)
+        return
+    traj = integrate_swing(p, x0, y0, T, dt, record_every=every)
+    times, xs, ys, es = ref
+    assert np.array_equal(traj.times, times)
+    assert np.array_equal(traj.x, xs)
+    assert np.array_equal(traj.y, ys)
+    if es is None:
+        assert traj.energy is None
+    else:
+        assert np.array_equal(traj.energy, es)
 
 
 def test_rotation_window_validation():
