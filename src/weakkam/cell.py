@@ -9,16 +9,18 @@ no k cap is needed.
 
 The optimizer is damped Newton.  Its linear systems use the symmetric
 elliptic operator w -> -div_x(sigma (D2_yy + k D_yH D_yH^T) D_x w), solved by
-preconditioned conjugate gradients.  The preconditioner follows from the
-grid.  Where the grid has fiber axes and one spatial axis (spectral or fd2),
-or two spatial axes and the spectral derivative, it is an exact Cholesky
-solve of the operator itself, fiber by fiber, so each step costs one
-operator apply (with the FD LU, one CG across fibers whose Gibbs masses
-differ by many orders runs close to its iteration cap).  One-dimensional
-grids without fiber axes (the pendulum, the subproblems of the fiber
-decomposition) and fd2 grids in two dimensions keep a sparse LU of a
-finite-difference stencil with the same coefficients, which is near-exact
-there and cheaper to build.
+preconditioned conjugate gradients.  Each solve starts on the preconditioner
+that ``_exact_step`` picks from the grid.  Where the grid has fiber axes and
+one spatial axis (spectral or fd2), or two spatial axes and the spectral
+derivative, it is an exact Cholesky solve of the operator itself, fiber by
+fiber, so each step costs one operator apply (with the FD LU, one CG across
+fibers whose Gibbs masses differ by many orders runs close to its iteration
+cap).  One-dimensional grids without fiber axes (the pendulum, the
+subproblems of the fiber decomposition) and fd2 grids in two dimensions start
+on a sparse LU of a finite-difference stencil with the same coefficients,
+which is cheaper to build and near-exact at low k.  At high k it is not: once
+one CG solve on an n=1 grid takes more applies than a dense factor costs, the
+rest of that solve uses the exact step.
 """
 
 from __future__ import annotations
@@ -59,11 +61,25 @@ EXACT_MAX_N_X = 64
 
 
 def _exact_step(grid: TorusGrid) -> bool:
-    """Whether Newton steps on this grid use an exact (Cholesky) solve: on
-    spectral n=2 grids, and on n=1 grids with fiber axes (spectral or fd2),
-    whose fibers the FD LU fits one by one but one CG cannot treat together.
-    n=1 grids without fiber axes keep the cheaper FD LU."""
+    """Whether a solve on this grid starts with an exact (Cholesky) Newton
+    step: on spectral n=2 grids, and on n=1 grids with fiber axes (spectral or
+    fd2), whose fibers the FD LU fits one by one but one CG cannot treat
+    together.  n=1 grids without fiber axes start on the cheaper FD LU and
+    move to the exact step when CG stalls (``_dense_pays``)."""
     return (grid.n == 2 and grid.diff_mode == "spectral") or (grid.n == 1 and grid.m >= 1)
+
+
+def _dense_pays(grid: TorusGrid, applies: int) -> bool:
+    """Whether a CG solve that took ``applies`` operator applies on this grid
+    cost more than the exact step would have.  Only n=1 grids have a dense
+    step to move to.  Its build and factor grow as N_x^3, one apply as
+    N_x log N_x: on 2 cores the dense system takes 0.28 ms at N_x=128 and
+    1.4 ms at N_x=256, the FD system 0.3 ms and one apply with its FD solve
+    about 0.1 ms at either size.  The threshold, 4 applies at N_x=128 and 32
+    at N_x=256, is at or above that break-even, so a solve whose CG stays
+    near-exact keeps the FD LU (and the process skips the first dense
+    factor's BLAS buffers), while one whose CG stalls switches."""
+    return grid.n == 1 and applies > 4 * (grid.N_x / 128) ** 3
 
 
 @dataclass(frozen=True)
@@ -294,17 +310,17 @@ def _line_search(problem, v, f, g, d, slope, gnorm):
     Near the optimum the per-step decrease of f drops below double-precision
     resolution while descent directions are still sound; a step is then
     accepted when f does not increase beyond the rounding floor and the true
-    gradient norm strictly drops.
+    gradient norm strictly drops.  Returns the step length, the accepted
+    point and its evaluation (value, gradient, Hamiltonian, Gibbs weight).
     """
     t = 1.0
     floor = _rounding_floor(f)
     for _ in range(60):
         v_new = v + t * d
-        f_new, g_new, _, _ = _evaluate(problem, v_new)
-        if f_new <= f + 1e-4 * t * slope:
-            return t, v_new, f_new, g_new
-        if f_new <= f + floor and _grid_norm(g_new) < 0.999 * gnorm:
-            return t, v_new, f_new, g_new
+        f_new, g_new, ev, sigma = _evaluate(problem, v_new)
+        if f_new <= f + 1e-4 * t * slope or (
+                f_new <= f + floor and _grid_norm(g_new) < 0.999 * gnorm):
+            return t, v_new, f_new, g_new, ev, sigma
         t *= 0.5
     return None
 
@@ -334,10 +350,11 @@ def _fd_preconditioner(grid: TorusGrid, C: np.ndarray, shift: np.ndarray):
     diagonal coefficients ``C[a, a]`` per spatial axis plus a nodewise
     diagonal shift, then LU-factorizes; the result is spectrally close to the
     Newton operator on each fiber, even when the Gibbs weight spans many
-    orders of magnitude.  It serves the grids without an exact step: n=1
-    without fiber axes (where it costs less than a dense factor) and fd2 n=2.
-    On n=1 grids with fiber axes one CG across fibers whose masses differ by
-    many orders ran near its iteration cap with it, hence the exact step there.
+    orders of magnitude.  It serves fd2 n=2 grids, and n=1 grids without fiber
+    axes until one CG solve takes more applies than a dense factor costs
+    (``_dense_pays``; at high k it is far from exact there).  On n=1 grids
+    with fiber axes one CG across fibers whose masses differ by many orders
+    ran near its iteration cap with it, hence the exact step there.
     """
     from scipy.sparse import csc_matrix
     from scipy.sparse.linalg import splu
@@ -443,10 +460,11 @@ def _exact_preconditioner(grid: TorusGrid, C: np.ndarray, shift: np.ndarray):
 
 
 def _exact_preconditioner_1d(grid: TorusGrid, C: np.ndarray, shift: np.ndarray):
-    """Exact inverse of the Newton operator on mean-zero fields (n=1, m >= 1).
+    """Exact inverse of the Newton operator on mean-zero fields (n=1).
 
     Per fiber the operator is D^T diag(C_00) D + shift, an N_x x N_x matrix
-    with D the grid's own derivative matrix.  All fibers go into one stack,
+    with D the grid's own derivative matrix; a grid without fiber axes is a
+    stack of one fiber.  All fibers go into one stack,
     Cholesky-factored in place, so PCG takes one step.  BLAS and LAPACK read
     each C-ordered matrix as its transpose, which is the same symmetric
     matrix.  Products and factors both come from scipy's BLAS: interleaved
@@ -481,8 +499,9 @@ def _exact_preconditioner_1d(grid: TorusGrid, C: np.ndarray, shift: np.ndarray):
     return solve
 
 
-def _newton_system(problem, ev, sigma, lam):
-    """The Newton operator at a state, matrix-free, and its preconditioner.
+def _newton_system(problem, ev, sigma, lam, exact):
+    """The Newton operator at a state, matrix-free, and its preconditioner:
+    the exact (Cholesky) solve if ``exact``, else the FD LU.
 
     The operator is w -> -div_x(C D_x w) + shift * w with the pointwise
     tensor C = sigma (D2_yy H + k D_yH D_yH^T), projected off constants.  The
@@ -501,7 +520,7 @@ def _newton_system(problem, ev, sigma, lam):
         out = -div_values(flux, grid) + shift * w
         return out - out.mean()
 
-    if not _exact_step(grid):
+    if not exact:
         make = _fd_preconditioner
     else:
         make = _exact_preconditioner_1d if grid.n == 1 else _exact_preconditioner
@@ -515,28 +534,33 @@ def _minimize_newton(problem, v, opts):
     outside the Gibbs support without drowning low-mass fibers; lam relaxes
     toward 0 as full steps succeed, so the tail is plain Newton.  Below f's
     rounding floor the gain ratio is noise, so a step there counts as good
-    exactly when the gradient norm fell.
+    exactly when the gradient norm fell.  The step starts exact where
+    ``_exact_step`` says so, and turns exact for the rest of the solve once
+    one CG solve costs more than a dense factor (``_dense_pays``).
     """
+    grid = problem.grid
     f, g, ev, sigma = _evaluate(problem, v)
     history = [f]
     lam = 1e-3
+    exact = _exact_step(grid)
     for it in range(opts.max_iter):
         gnorm = _grid_norm(g)
         if gnorm <= opts.gtol:
             return v, it, "converged", history
-        apply_A, precond = _newton_system(problem, ev, sigma, lam)
-        d = _pcg(apply_A, -g, rtol=min(0.5, np.sqrt(gnorm)),
-                 max_iter=opts.cg_max_iter, precond=precond,
-                 atol=0.25 * opts.gtol)
+        apply_A, precond = _newton_system(problem, ev, sigma, lam, exact)
+        d, applies = _pcg(apply_A, -g, rtol=min(0.5, np.sqrt(gnorm)),
+                          max_iter=opts.cg_max_iter, precond=precond,
+                          atol=0.25 * opts.gtol)
+        exact = exact or _dense_pays(grid, applies)
         slope = _grid_inner(d, g)
         if slope >= 0:
             d, slope = -g, -_grid_inner(g, g)
         hit = _line_search(problem, v, f, g, d, slope, gnorm)
         if hit is None:
             return v, it, "line_search", history
-        t, v, f_new, g_new = hit
+        t, v, f_new, g, ev, sigma = hit
         if f - f_new <= _rounding_floor(f):
-            ratio = 1.0 if _grid_norm(g_new) < gnorm else 0.0
+            ratio = 1.0 if _grid_norm(g) < gnorm else 0.0
         else:
             # gain ratio against the damped quadratic model (pred ~ -slope/2)
             ratio = (f - f_new) / max(-0.5 * t * slope, 1e-300)
@@ -544,24 +568,28 @@ def _minimize_newton(problem, v, opts):
             lam = max(lam / 3.0, 1e-12)
         elif ratio < 0.25 or t < 0.1:
             lam = min(lam * 2.0, 1e6)
+        # a constant shift of v changes neither f nor g
         v = v - v.mean()
-        f, g, ev, sigma = _evaluate(problem, v)
+        f = f_new
         history.append(f)
     return v, opts.max_iter, "max_iter", history
 
 
 def _pcg(apply_A, b, rtol, max_iter, precond, atol=0.0):
+    """Preconditioned CG; returns the solution and the number of applies."""
     x = np.zeros_like(b)
     r = b.copy()
     bnorm = _grid_norm(b)
     if bnorm == 0.0:
-        return x
+        return x, 0
     target = max(rtol * bnorm, atol)
     z = precond(r)
     p = z.copy()
     rz = _grid_inner(r, z)
+    applies = 0
     for _ in range(max_iter):
         Ap = apply_A(p)
+        applies += 1
         pAp = _grid_inner(p, Ap)
         if pAp <= 0:
             break
@@ -574,7 +602,7 @@ def _pcg(apply_A, b, rtol, max_iter, precond, atol=0.0):
         rz_new = _grid_inner(r, z)
         p = z + (rz_new / rz) * p
         rz = rz_new
-    return x
+    return x, applies
 
 
 def solve_cell(problem: CellProblem, init: ScalarField | None = None,

@@ -330,41 +330,87 @@ def _qp_model():
 
 @pytest.mark.parametrize("n,m,mode", [(2, 0, "spectral"), (2, 1, "spectral"),
                                       (2, 2, "spectral"), (1, 1, "spectral"),
-                                      (1, 1, "fd2")],
-                         ids=["0", "1", "2", "1d-spectral", "1d-fd2"])
+                                      (1, 1, "fd2"), (1, 0, "spectral"),
+                                      (1, 0, "fd2")],
+                         ids=["0", "1", "2", "1d-spectral", "1d-fd2",
+                              "pendulum-spectral", "pendulum-fd2"])
 def test_exact_step_inverts_operator(n, m, mode):
-    # spectral n=2 and fibered n=1 grids: the preconditioner is the exact
-    # inverse of the matrix-free Newton operator on mean-zero fields, fiber by
-    # fiber.  At k=4 the Gibbs weight spans < 1e9 per fiber, so round-off
-    # stays near 1e-13
+    # spectral n=2 grids and every n=1 grid (without fiber axes a stack of
+    # one fiber): the exact step is the exact inverse of the matrix-free
+    # Newton operator on mean-zero fields, fiber by fiber.  At k=4 the Gibbs
+    # weight spans < 1e9 per fiber, so round-off stays near 1e-13
     from weakkam.cell import _evaluate, _newton_system
     rng = np.random.default_rng(11 + m)
     if n == 2:
         model = _ladder_model((((1,) * m, 0.3, 0.1),) if m else None)
         grid, P = TorusGrid(n=2, m=m, N_x=8, N_phi=3), [0.3, 0.6]
-    else:
+    elif m:
         model = _qp_model()
         grid, P = TorusGrid(n=1, m=m, N_x=16, N_phi=5, diff_mode=mode), [0.7]
+    else:
+        model = make_pendulum(1.0)
+        grid, P = TorusGrid(n=1, m=0, N_x=16, diff_mode=mode), [0.7]
     problem = CellProblem(model, P, 4.0, grid)
     v = random_band_limited(grid, rng, max_mode=2, amplitude=0.2).values
     _, _, ev, sigma = _evaluate(problem, v)
-    apply_A, precond = _newton_system(problem, ev, sigma, lam=1e-3)
+    apply_A, precond = _newton_system(problem, ev, sigma, lam=1e-3, exact=True)
     for _ in range(3):
         z = random_band_limited(grid, rng, max_mode=3).values      # mean zero
         assert np.max(np.abs(precond(apply_A(z)) - z)) <= 1e-12 * np.max(np.abs(z))
 
 
-def test_pendulum_keeps_fd_preconditioner(pendulum, monkeypatch):
-    # n=1 without fiber axes: the Newton step stays on the sparse FD LU
+def _count_dense_factors(monkeypatch):
+    """Count the calls of the n=1 exact step's factorization."""
     from weakkam import cell
-    used = []
-    fd = cell._fd_preconditioner
-    monkeypatch.setattr(cell, "_fd_preconditioner",
-                        lambda *a: used.append(a[0]) or fd(*a))
-    for name in ("_exact_preconditioner", "_exact_preconditioner_1d"):
-        monkeypatch.setattr(cell, name, None)
-    sol = solve_cell(CellProblem(pendulum, [0.5], 8.0, TorusGrid(n=1, m=0, N_x=64)))
-    assert sol.converged and used
+    built = []
+    dense = cell._exact_preconditioner_1d
+    monkeypatch.setattr(cell, "_exact_preconditioner_1d",
+                        lambda *a: built.append(a[0]) or dense(*a))
+    return built
+
+
+def _count_pcg_applies(monkeypatch):
+    """Count the Newton-operator applies of every PCG solve."""
+    from weakkam import cell
+    applies = []
+    pcg = cell._pcg
+
+    def counting(*args, **kwargs):
+        x, n = pcg(*args, **kwargs)
+        applies.append(n)
+        return x, n
+
+    monkeypatch.setattr(cell, "_pcg", counting)
+    return applies
+
+
+def test_pendulum_sweep_stays_on_fd_lu(pendulum, grid256, monkeypatch):
+    # n=1 without fiber axes at N_x=256: CG on the FD LU stays well below the
+    # cost of a dense factor along a k continuation, so none is built
+    built = _count_dense_factors(monkeypatch)
+    sols = continuation_solve(pendulum, [0.5], [8.0, 16.0, 32.0, 64.0], 4, grid256)
+    assert all(s.converged for s in sols)
+    assert not built
+
+
+def test_stalled_cg_switches_to_exact_step(pendulum, grid256, pendulum_sweep,
+                                           monkeypatch):
+    # one row of the Hbar^64 table: warm-started from P=0, CG on the FD LU
+    # runs into its cap (the FD-only solve takes 19 steps and 1807 applies);
+    # the solve moves to the dense step (17 steps, 77 applies), same Hbar_k
+    from weakkam import cell
+    init = pendulum_sweep["solutions"][0.0][-1].v
+    problem = CellProblem(pendulum, [0.05], 64.0, grid256)
+    opts = SolverOptions(max_iter=4000)
+    built = _count_dense_factors(monkeypatch)
+    applies = _count_pcg_applies(monkeypatch)
+    sol = solve_cell(problem, init, opts)
+    assert sol.converged and built
+    assert sum(applies) <= 200, applies
+    monkeypatch.setattr(cell, "_dense_pays", lambda grid, applies: False)
+    fd_only = solve_cell(problem, init, opts)
+    assert fd_only.converged
+    assert abs(sol.Hbar_k - fd_only.Hbar_k) <= 1e-9
 
 
 def test_ladder_2d_converges(monkeypatch):
@@ -473,15 +519,20 @@ def test_fiber_pass_converges_past_rounding_floor(monkeypatch):
         return sol
 
     monkeypatch.setattr(cell, "solve_cell", recording)
+    applies = _count_pcg_applies(monkeypatch)
     model, P = _qp_model(), [0.7886112211144736]
     grid = TorusGrid(n=1, m=1, N_x=128, N_phi=16)
     joint = continuation_solve(model, P, [8.0, 16.0], 4, grid)[-1]
     assert [it for m, k, it, _ in stages if m == 1 and k == 16.0][0] <= 25
     stages.clear()
+    applies.clear()
     fib = fiber_decomposed_solve(CellProblem(model, P, 16.0, grid))
     assert fib.converged, (fib.grad_norm, fib.status)
     assert all(status == "converged" for *_, status in stages), stages
     assert abs(joint.Hbar_k - fib.Hbar_k) <= 1e-8
+    # the n=1 fiber subproblems leave the FD LU once CG stalls (5513 applies
+    # on the FD LU alone)
+    assert sum(applies) <= 1000, sum(applies)
 
 
 def test_fiber_jump_shrinks_with_refinement(quasi_swing):
