@@ -195,6 +195,18 @@ class ContinuationError(RuntimeError):
         self.k = k
 
 
+def _unconverged_reason(sol: CellSolution, opts: SolverOptions) -> str:
+    """The convergence criteria a solve missed, each with value and tolerance."""
+    misses = [f"{name} {value:.2e} > {tol_name} {tol:g}"
+              for name, value, tol_name, tol in (
+                  ("grad_norm", sol.grad_norm, "gtol", opts.gtol),
+                  ("el_residual", sol.el_residual, "rtol", opts.rtol))
+              if value > tol]
+    if sol.status != "converged":
+        misses.insert(0, sol.status)
+    return ", ".join(misses)
+
+
 def _grid_norm(values: np.ndarray) -> float:
     return float(np.sqrt(np.mean(values * values)))
 
@@ -651,7 +663,7 @@ def continuation_solve(model: HamiltonianModel, P, k_schedule, tau_steps: int,
         if not sol.converged:
             raise ContinuationError(
                 f"stage (tau={tau:g}, k={k_schedule[0]:g}) did not converge "
-                f"({sol.status})", results, tau, k_schedule[0])
+                f"({_unconverged_reason(sol, opts)})", results, tau, k_schedule[0])
         init = sol.v
     results.append(sol)
 
@@ -659,7 +671,8 @@ def continuation_solve(model: HamiltonianModel, P, k_schedule, tau_steps: int,
         sol = solve_cell(CellProblem(model, P, k, grid, 1.0), init, opts)
         if not sol.converged:
             raise ContinuationError(
-                f"stage (tau=1, k={k:g}) did not converge ({sol.status})",
+                f"stage (tau=1, k={k:g}) did not converge "
+                f"({_unconverged_reason(sol, opts)})",
                 results, 1.0, k)
         results.append(sol)
         init = sol.v
@@ -730,8 +743,8 @@ def fiber_decomposed_solve(problem: CellProblem,
         iters += sol.iterations
         if not sol.converged:
             raise ContinuationError(
-                f"fiber {idx} did not converge ({sol.status})", [], problem.tau,
-                problem.k)
+                f"fiber {idx} did not converge ({_unconverged_reason(sol, opts)})",
+                [], problem.tau, problem.k)
         fibers.append((idx, sub, sol))
 
     values = np.array([sol.Hbar_k for _, _, sol in fibers])

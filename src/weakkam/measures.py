@@ -9,7 +9,7 @@ beta = D_y H(x, D_x u, phi).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,6 +36,8 @@ class GibbsMeasure:
     k: float
     Hbar_k: float
     renorm_factor: float        # raw mass before renormalization; ~1
+    h: np.ndarray = field(repr=False)    # H(x, D_x u, phi) at every node
+    dy: np.ndarray = field(repr=False)   # velocity D_yH(x, D_x u, phi), (n, *grid.shape)
 
     def __post_init__(self):
         if np.any(self.sigma.values < 0):
@@ -67,21 +69,18 @@ class EffectiveLagrangian:
     at_boundary: bool           # supremum attained at the table edge: unreliable
 
 
-def _solution_fields(solution: CellSolution, problem: CellProblem):
-    value, _, ev, _ = _evaluate(problem, solution.v.values)
-    return value, ev
-
-
 def gibbs_measure(solution: CellSolution, problem: CellProblem) -> GibbsMeasure:
     """Normalized density exp(k (H - Hbar_k)); underflow clamps to zero.
 
-    The raw mass must come out within 1e-4 of 1 (it is 1 up to round-off when
-    solution and problem are consistent); the residual factor is divided out
-    so the returned density integrates to 1 exactly.
+    The solution is evaluated once; the measure keeps the node energies and
+    velocities, which every diagnostic below reads.  The raw mass must come
+    out within 1e-4 of 1 (it is 1 up to round-off when solution and problem
+    are consistent); the residual factor is divided out so the returned
+    density integrates to 1 exactly.
     """
     if not solution.converged:
         raise ValueError("gibbs_measure needs a converged solution")
-    _, ev = _solution_fields(solution, problem)
+    ev = _evaluate(problem, solution.v.values)[2]
     with np.errstate(under="ignore"):
         raw = np.exp(problem.k * (ev.h - solution.Hbar_k))
     mass = float(np.mean(raw))
@@ -90,15 +89,14 @@ def gibbs_measure(solution: CellSolution, problem: CellProblem) -> GibbsMeasure:
             f"inconsistent (solution, problem) pair: raw gibbs mass {mass!r}")
     sigma = ScalarField(problem.grid, raw / mass)
     return GibbsMeasure(sigma=sigma, k=problem.k, Hbar_k=solution.Hbar_k,
-                        renorm_factor=mass)
+                        renorm_factor=mass, h=ev.h, dy=ev.dy)
 
 
 def rotation_vector(measure: GibbsMeasure, solution: CellSolution,
                     problem: CellProblem) -> np.ndarray:
     """Q_i = integrate(sigma * D_yH_i(x, P + D_xv, phi))."""
-    _, ev = _solution_fields(solution, problem)
     return np.array([
-        float(np.mean(measure.sigma.values * ev.dy[i])) for i in range(problem.grid.n)
+        float(np.mean(measure.sigma.values * measure.dy[i])) for i in range(problem.grid.n)
     ])
 
 
@@ -109,17 +107,15 @@ def closedness_residual(measure: GibbsMeasure, solution: CellSolution,
     At a converged solution this equals the solver's weak stationarity
     residual by construction.
     """
-    _, ev = _solution_fields(solution, problem)
-    return _el_residual(problem, measure.sigma.values, ev.dy, test_modes)
+    return _el_residual(problem, measure.sigma.values, measure.dy, test_modes)
 
 
 def energy_statistics(measure: GibbsMeasure, solution: CellSolution,
                       problem: CellProblem) -> tuple[float, float]:
     """Mean and variance of H(x, D_x u, phi) under sigma."""
-    _, ev = _solution_fields(solution, problem)
     s = measure.sigma.values
-    mean = float(np.mean(s * ev.h))
-    var = float(np.mean(s * (ev.h - mean) ** 2))
+    mean = float(np.mean(s * measure.h))
+    var = float(np.mean(s * (measure.h - mean) ** 2))
     return mean, var
 
 
@@ -130,8 +126,7 @@ def tail_mass(measure: GibbsMeasure, solution: CellSolution,
     M = 0 returns 1 exactly (speeds are nonnegative)."""
     if M < 0:
         raise ValueError("threshold M must be nonnegative")
-    _, ev = _solution_fields(solution, problem)
-    speed = np.sqrt(np.einsum("i...,i...->...", ev.dy, ev.dy))
+    speed = np.sqrt(np.einsum("i...,i...->...", measure.dy, measure.dy))
     return float(np.mean(measure.sigma.values * (speed >= M)))
 
 
@@ -165,8 +160,8 @@ def default_speed_threshold(solution: CellSolution, problem: CellProblem) -> flo
     if problem.model.mechanical:
         v_min = float(np.min(problem.ham.potential(problem.x_mesh, problem.phi_mesh)))
         return 1.0 + float(np.sqrt(max(2.0 * (solution.Hbar_k - v_min), 0.0)))
-    _, ev = _solution_fields(solution, problem)
-    speed = np.sqrt(np.einsum("i...,i...->...", ev.dy, ev.dy))
+    dy = _evaluate(problem, solution.v.values)[2].dy
+    speed = np.sqrt(np.einsum("i...,i...->...", dy, dy))
     return 1.0 + float(speed.max())
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from weakkam import verify
 from weakkam.cell import (
     CellProblem,
     ContinuationError,
@@ -16,7 +17,6 @@ from weakkam.cell import (
 from weakkam.fields import (
     ScalarField,
     TorusGrid,
-    inner,
     log_mean_exp,
     random_band_limited,
 )
@@ -112,29 +112,17 @@ def test_objective_gradient_directional(mk):
     model, P = mk()
     grid = TorusGrid(n=model.n, m=model.m, N_x=32)
     prob = CellProblem(model, P, 6.0, grid)
-    v0 = random_band_limited(grid, RNG, amplitude=0.4)
-    _, g = objective(prob, v0)
-    eps = 1e-5
-    for _ in range(20):
-        w = random_band_limited(grid, RNG)
-        fp, _ = objective(prob, ScalarField(grid, v0.values + eps * w.values
-                                            - (v0.values + eps * w.values).mean()))
-        fm, _ = objective(prob, ScalarField(grid, v0.values - eps * w.values
-                                            - (v0.values - eps * w.values).mean()))
-        fd = (fp - fm) / (2 * eps)
-        an = inner(g, w)
-        assert abs(fd - an) <= 1e-5 * max(abs(fd), abs(an))
+    defect = verify.objective_gradient_defect(prob, RNG, amplitude=0.4)
+    assert defect <= verify.OBJECTIVE_GRADIENT_RTOL
 
 
 # solve_cell -----------------------------------------------------------------
 
 def test_solve_integrable_immediate():
-    grid = TorusGrid(n=1, m=0, N_x=64)
-    sol = solve_cell(CellProblem(make_integrable(1), [0.7], 8.0, grid))
-    assert sol.converged
-    assert sol.iterations <= 2
-    assert sol.Hbar_k == pytest.approx(0.5 * 0.49, abs=1e-12)
-    assert np.max(np.abs(sol.v.values)) <= 1e-12
+    h, v, iters, converged, _ = verify.integrable_exactness(
+        TorusGrid(n=1, m=0, N_x=64), 8.0, Ps=(0.7,))
+    assert converged and iters <= verify.INTEGRABLE_MAX_ITERS
+    assert h <= verify.INTEGRABLE_TOL and v <= verify.INTEGRABLE_TOL
 
 
 def test_hbar_reported_via_field_op(pendulum, pendulum_sweep):
@@ -150,11 +138,7 @@ def test_hbar_reported_via_field_op(pendulum, pendulum_sweep):
 
 def test_mean_zero_and_descent(pendulum_sweep):
     for sols in pendulum_sweep["solutions"].values():
-        for s in sols:
-            assert abs(float(np.mean(s.v.values))) <= 1e-12
-            h = np.asarray(s.objective_history)
-            if h.size > 1:
-                assert float(np.max(h[1:] - h[:-1])) <= 1e-12
+        assert max(verify.descent_defects(sols)) <= verify.DESCENT_TOL
 
 
 def test_pendulum_value_window(pendulum_sweep, pendulum_pot):
@@ -192,8 +176,7 @@ def test_tau_steps_one_integrable_stays_zero():
 
 def test_continuation_monotone_and_bounded(pendulum_sweep, pendulum_pot):
     for P, sols in pendulum_sweep["solutions"].items():
-        hb = [s.Hbar_k for s in sols]
-        assert all(b >= a - 1e-8 for a, b in zip(hb, hb[1:]))
+        assert verify.monotonicity_defect(sols) <= verify.MONOTONE_SLACK
         turning = np.sqrt(2.0 * (effective_hamiltonian_1d(pendulum_pot, P)
                                  - pendulum_pot.v_min))
         for s in sols:
@@ -202,20 +185,13 @@ def test_continuation_monotone_and_bounded(pendulum_sweep, pendulum_pot):
 
 def test_infmax_upper_bound(pendulum, pendulum_sweep):
     # Hbar_k never exceeds the sup of H along any candidate gradient field
-    sols = pendulum_sweep["solutions"][1.5]
-    sol = sols[-1]
-    prob = CellProblem(pendulum, sol.P, sol.k, sol.v.grid)
-    for v_cand in (np.zeros(sol.v.grid.shape), sol.v.values,
-                   random_band_limited(sol.v.grid, RNG).values):
-        y = prob.momentum_field(v_cand - v_cand.mean())
-        h = prob.ham.evaluate(prob.x_mesh, y, prob.phi_mesh).h
-        assert sol.Hbar_k <= float(h.max()) + 1e-10
+    sol = pendulum_sweep["solutions"][1.5][-1]
+    assert verify.infmax_defect(pendulum, sol, RNG, amplitude=1.0) <= verify.INFMAX_TOL
 
 
 def test_stationarity_el_residual(pendulum_sweep):
     for sols in pendulum_sweep["solutions"].values():
-        for s in sols:
-            assert s.el_residual <= 1e-6
+        assert verify.stationarity_residual(sols) <= verify.STATIONARITY_TOL
 
 
 @pytest.mark.parametrize("mode", ["spectral", "fd2"])
@@ -252,11 +228,13 @@ def test_nonconverged_has_larger_el_residual(pendulum, grid256, pendulum_sweep):
 
 
 def test_continuation_error_carries_partial(pendulum, grid256):
-    with pytest.raises(ContinuationError) as err:
-        continuation_solve(pendulum, [1.5], [8.0, 64.0], 2, grid256,
-                           SolverOptions(max_iter=8))
-    assert isinstance(err.value.partial, list)
-    assert err.value.k in (8.0, 64.0)
+    for opts in (SolverOptions(max_iter=8), SolverOptions(gtol=1e-2)):
+        with pytest.raises(ContinuationError) as err:
+            continuation_solve(pendulum, [1.5], [8.0, 64.0], 2, grid256, opts)
+        assert isinstance(err.value.partial, list)
+        assert err.value.k in (8.0, 64.0)
+    # the gradient met the loose gtol; the message names the criterion missed
+    assert "el_residual" in str(err.value) and "(converged)" not in str(err.value)
 
 
 def test_tilted_model_rejected():
@@ -298,8 +276,7 @@ def test_methods_agree(pendulum, method):
     sols = continuation_solve(pendulum, [2.0], [8.0, 16.0], 2, grid, opts)
     assert all(s.converged for s in sols)
     assert sols[-1].Hbar_k == pytest.approx(3.0627309, abs=1e-6)
-    hb = [s.Hbar_k for s in sols]
-    assert all(b >= a - 1e-8 for a, b in zip(hb, hb[1:]))
+    assert verify.monotonicity_defect(sols) <= verify.MONOTONE_SLACK
 
 
 def test_fd2_mode_close_to_spectral(pendulum):

@@ -294,12 +294,52 @@ def test_python_dash_m_entry_point(tmp_path):
     assert bad.returncode == 1
 
 
+VERIFY_CHECKS = [
+    "calculus.adjoint-gradient-divergence",
+    "calculus.gradient-of-constant-vanishes",
+    "calculus.gradient-has-zero-mean",
+    "calculus.log-mean-exp-monotone-and-jensen",
+    "hamiltonian.derivatives-match-finite-differences",
+    "hamiltonian.uniform-convexity-midpoint",
+    "hamiltonian.fenchel-young-duality",
+    "hamiltonian.swing-torus-periodicity",
+    "solver.objective-gradient-vs-central-differences",
+    "solver.integrable-exactness",
+    "solver.descent-and-mean-zero",
+    "solver.effective-energy-monotone-in-k",
+    "solver.inf-max-upper-bound",
+    "solver.weak-stationarity",
+    "measure.normalization-and-density-identity",
+    "measure.closedness",
+    "measure.energy-bounds-envelope",
+    "measure.energy-concentration-in-k",
+    "oracle.evenness-flat-piece-convexity",
+    "sim.free-motion-rotation-exact",
+    "sim.energy-drift-and-2nd-order",
+    "sim.time-reversibility",
+]
+
+
 def test_verify_default_config_passes(tmp_path, capsys):
     assert run(["verify", "--out", tmp_path / "v"]) == 0
     text = capsys.readouterr().out
     assert "[FAIL]" not in text
     manifest = json.loads((tmp_path / "v/manifest.json").read_text())
     assert all(c["passed"] for c in manifest["checks"])
+    assert [c["name"] for c in manifest["checks"]] == VERIFY_CHECKS
+
+
+def test_verify_solves_once(monkeypatch):
+    # every solver.* check that reads a solve and every measure.* check
+    # read one pendulum continuation
+    from weakkam import cell
+    from weakkam.verify import run_checks
+    calls = []
+    solve = cell.continuation_solve
+    monkeypatch.setattr(cell, "continuation_solve",
+                        lambda *args, **kwargs: calls.append(args) or solve(*args, **kwargs))
+    assert all(r.passed for r in run_checks())
+    assert len(calls) == 1
 
 
 def test_verify_empty_config_passes(tmp_path):
@@ -358,10 +398,12 @@ def test_bundled_pendulum_config(tmp_path):
 
 
 def test_verify_negative_control(tmp_path, capsys):
-    # a sloppy solver tolerance must surface as failed closedness checks
+    # a sloppy solver tolerance must surface as failed stationarity and
+    # measure checks
     cfg = tmp_path / "sloppy.cfg"
     cfg.write_text("tol.gtol = 1e-2\nseed = 7\n")
     assert run(["verify", "--config", cfg, "--out", tmp_path / "v"]) == 3
     manifest = json.loads((tmp_path / "v/manifest.json").read_text())
     failed = {c["name"] for c in manifest["checks"] if not c["passed"]}
     assert any("closedness" in name or "stationarity" in name for name in failed)
+    assert any(name.startswith("measure.") for name in failed)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from weakkam import verify
 from weakkam.fields import PERIOD
 from weakkam.hamiltonians import (
     HamEval,
@@ -121,13 +122,7 @@ def test_swing_params_validation():
 
 def test_swing_periodicity_half_integer_diagonal():
     m = make_swing(quasi_swing_params())
-    assert m.x_periodic()
-    x, y, phi = sample_points(m, 60)
-    h0 = m.evaluate(x, y, phi).h
-    shift = np.full_like(x, PERIOD)
-    assert np.max(np.abs(m.evaluate(x + shift, y, phi).h - h0)) <= 1e-13
-    pshift = np.full_like(phi, PERIOD)
-    assert np.max(np.abs(m.evaluate(x, y, phi + pshift).h - h0)) <= 1e-13
+    assert verify.periodicity_defect(m, RNG, points=60) <= verify.PERIODICITY_TOL
 
 
 def test_swing_periodicity_structural_negative():
@@ -188,38 +183,12 @@ def test_potential_and_energy_match_evaluate(model):
 
 @pytest.mark.parametrize("model", ALL_MODELS, ids=MODEL_IDS)
 def test_derivative_consistency(model):
-    x, y, phi = sample_points(model)
-    ev = model.evaluate(x, y, phi)
-    step = 1e-5
-    scale = max(1.0, float(np.max(np.abs(ev.h))))
-    for i in range(model.n):
-        dx = np.zeros_like(x)
-        dx[i] = step
-        fd = (model.evaluate(x + dx, y, phi).h
-              - model.evaluate(x - dx, y, phi).h) / (2 * step)
-        assert np.max(np.abs(fd - ev.dx[i])) <= 1e-6 * scale
-        dy = np.zeros_like(y)
-        dy[i] = step
-        fd = (model.evaluate(x, y + dy, phi).h
-              - model.evaluate(x, y - dy, phi).h) / (2 * step)
-        assert np.max(np.abs(fd - ev.dy[i])) <= 1e-6 * scale
-        fdyy = (model.evaluate(x, y + dy, phi).dy
-                - model.evaluate(x, y - dy, phi).dy) / (2 * step)
-        assert np.max(np.abs(fdyy - ev.dyy[:, i])) <= 1e-6 * scale
+    assert verify.derivative_defect(model, RNG) <= verify.DERIVATIVE_RTOL
 
 
 @pytest.mark.parametrize("model", ALL_MODELS, ids=MODEL_IDS)
 def test_uniform_convexity_midpoint(model):
-    for _ in range(100):
-        x = RNG.uniform(0, PERIOD, (model.n, 1))
-        phi = RNG.uniform(0, PERIOD, (model.m, 1))
-        y1 = RNG.normal(0, 2, (model.n, 1))
-        y2 = RNG.normal(0, 2, (model.n, 1))
-        hmid = model.evaluate(x, (y1 + y2) / 2, phi).h[0]
-        h1 = model.evaluate(x, y1, phi).h[0]
-        h2 = model.evaluate(x, y2, phi).h[0]
-        gap = model.gamma / 8.0 * float(np.sum((y1 - y2) ** 2))
-        assert hmid <= 0.5 * h1 + 0.5 * h2 - gap + 1e-10
+    assert verify.convexity_violation(model, RNG, draws=100) <= verify.CONVEXITY_TOL
 
 
 def test_lagrangian_closed_forms():
@@ -268,15 +237,5 @@ def test_lagrangian_newton_on_nonmechanical_model():
 
 @pytest.mark.parametrize("model", ALL_MODELS, ids=MODEL_IDS)
 def test_fenchel_young(model):
-    for _ in range(50):
-        x = RNG.uniform(0, PERIOD, model.n)
-        phi = RNG.uniform(0, PERIOD, model.m)
-        y = RNG.normal(0, 2, model.n)
-        beta = RNG.normal(0, 2, model.n)
-        ev = model.evaluate(x[:, None], y[:, None], phi[:, None])
-        L = lagrangian(model, x, beta, phi)
-        assert float(beta @ y) <= L + ev.h[0] + 1e-8
-        # equality exactly at beta = D_y H(x, y, phi)
-        beta_star = ev.dy[:, 0]
-        L_star = lagrangian(model, x, beta_star, phi)
-        assert abs(L_star + ev.h[0] - float(beta_star @ y)) <= 1e-10
+    ineq, eq = verify.fenchel_defects(model, RNG, draws=50)
+    assert ineq <= verify.FENCHEL_TOL and eq <= verify.FENCHEL_EQUALITY_TOL

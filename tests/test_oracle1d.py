@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from weakkam import verify
 from weakkam.hamiltonians import HamEval, HamiltonianModel, make_integrable, make_pendulum
 from weakkam.oracle1d import (
     Potential1D,
@@ -42,9 +43,7 @@ def test_momentum_separatrix_closed_form(pend_pot):
 
 
 def test_momentum_monotone(pend_pot):
-    es = np.linspace(2.0, 8.0, 25)
-    ps = [momentum_of_energy(pend_pot, e) for e in es]
-    assert all(b > a for a, b in zip(ps, ps[1:]))
+    assert verify.oracle_shape(pend_pot, energies=np.linspace(2.0, 8.0, 25))[4] > 0
 
 
 def test_momentum_rejects_low_energy(pend_pot):
@@ -73,23 +72,16 @@ def test_effective_hamiltonian_free_particle():
 
 
 def test_evenness(pend_pot):
-    for P in (0.3, 1.1, 1.9, 2.7):
-        a = effective_hamiltonian_1d(pend_pot, P)
-        b = effective_hamiltonian_1d(pend_pot, -P)
-        assert abs(a - b) <= 1e-12
+    even = verify.oracle_shape(pend_pot, even_ps=(0.3, 1.1, 1.9, 2.7))[0]
+    assert even <= verify.EVENNESS_TOL
 
 
 def test_midpoint_convexity_61_points(pend_pot):
-    ps = np.linspace(-3.0, 3.0, 61)
-    hs = np.array([effective_hamiltonian_1d(pend_pot, p) for p in ps])
-    defect = np.max(hs[1:-1] - 0.5 * (hs[:-2] + hs[2:]))
-    assert defect <= 1e-9
+    assert verify.oracle_shape(pend_pot)[2] <= verify.ORACLE_CONVEXITY_TOL
 
 
 def test_superlinearity_proxy(pend_pot):
-    h2 = effective_hamiltonian_1d(pend_pot, 2.0)
-    h3 = effective_hamiltonian_1d(pend_pot, 3.0)
-    assert h3 >= h2 + 1.0
+    assert verify.oracle_shape(pend_pot)[3] >= verify.SUPERLINEAR_GAIN
 
 
 def test_potential_from_model():
