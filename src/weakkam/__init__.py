@@ -26,7 +26,7 @@ from .fields import (
     log_mean_exp,
 )
 from .hamiltonians import (
-    HamiltonianModel,
+    SwingModel,
     SwingParams,
     TrigPoly,
     lagrangian,

@@ -39,14 +39,13 @@ from .fields import (
     grad_values,
     log_mean_exp_values,
 )
-from .hamiltonians import HamEval, HamiltonianModel
+from .hamiltonians import SwingModel
 
 __all__ = [
     "SolverOptions",
     "CellProblem",
     "CellSolution",
     "ContinuationError",
-    "HomotopyModel",
     "objective",
     "solve_cell",
     "continuation_solve",
@@ -58,6 +57,10 @@ __all__ = [
 
 # largest N_x of a spectral n=2 grid: its packed per-fiber factor holds N_x^4/2 doubles
 EXACT_MAX_N_X = 64
+# trig test fields per spatial axis of the weak stationarity residual
+TEST_MODES = 8
+# conjugate-gradient iterations per Newton step
+CG_MAX_ITER = 200
 
 
 def _exact_step(grid: TorusGrid) -> bool:
@@ -87,45 +90,21 @@ class SolverOptions:
     gtol: float = 1e-8          # grid norm of the objective gradient
     rtol: float = 1e-6          # weak stationarity residual over trig test fields
     max_iter: int = 2000
-    test_modes: int = 8
-    cg_max_iter: int = 200
 
     def __post_init__(self):
         if self.gtol <= 0 or self.rtol <= 0 or self.max_iter < 1:
             raise ValueError("tolerances must be positive and max_iter >= 1")
 
 
-class HomotopyModel(HamiltonianModel):
-    """H_tau = tau * H + (1 - tau) * |y|^2 / 2, the deformation toward the
-    integrable endpoint used for continuation."""
-
-    def __init__(self, base: HamiltonianModel, tau: float):
-        if not 0.0 <= tau <= 1.0:
-            raise ValueError("tau must lie in [0, 1]")
-        self.base = base
-        self.tau = float(tau)
-        self.n, self.m = base.n, base.m
-        self.gamma = self.tau * base.gamma + (1.0 - self.tau)
-        self.mechanical = base.mechanical
-        self.descriptor = {"name": "homotopy", "tau": self.tau, "base": base.descriptor}
-
-    def evaluate(self, x, y, phi) -> HamEval:
-        ev = self.base.evaluate(x, y, phi)
-        t, s = self.tau, 1.0 - self.tau
-        y = np.asarray(y, dtype=float)
-        kin = 0.5 * np.einsum("i...,i...->...", y, y)
-        eye = np.eye(self.n).reshape((self.n, self.n) + (1,) * (y.ndim - 1))
-        return HamEval(t * ev.h + s * kin, t * ev.dx, t * ev.dy + s * y,
-                       t * ev.dyy + s * eye)
-
-    def x_periodic(self) -> bool:
-        return self.base.x_periodic()
-
-
 class CellProblem:
-    """One corrector problem: (model, P, k, grid, tau)."""
+    """One corrector problem: (model, P, k, grid, tau).
 
-    def __init__(self, model: HamiltonianModel, P, k: float, grid: TorusGrid,
+    The solver minimizes over ``ham``: the model itself at tau = 1, else
+    ``model.scaled(tau)``, the Hamiltonian tau H + (1 - tau) |y|^2/2 on the
+    way from the free rotor to the model.
+    """
+
+    def __init__(self, model: SwingModel, P, k: float, grid: TorusGrid,
                  tau: float = 1.0):
         P = np.atleast_1d(np.asarray(P, dtype=float))
         if k <= 0:
@@ -136,7 +115,7 @@ class CellProblem:
             raise ValueError(f"P must have shape ({model.n},)")
         if grid.n != model.n or grid.m != model.m:
             raise ValueError("grid dimensions must match the model")
-        if getattr(model, "tilted", False):
+        if model.tilted:
             raise ValueError(
                 "tilted model: simulator-only (alpha != 0 makes the torus "
                 "Hamiltonian multivalued; the exponential functional is undefined)"
@@ -154,7 +133,7 @@ class CellProblem:
         self.k = float(k)
         self.grid = grid
         self.tau = float(tau)
-        self.ham = model if tau == 1.0 else HomotopyModel(model, tau)
+        self.ham = model if tau == 1.0 else model.scaled(tau)
         self.x_mesh, self.phi_mesh = grid.meshes()
         self._P_bcast = P.reshape((model.n,) + (1,) * len(grid.shape))
 
@@ -244,14 +223,13 @@ def objective(problem: CellProblem, v: ScalarField):
     return value, ScalarField(problem.grid, grad)
 
 
-def _el_residual(problem: CellProblem, sigma: np.ndarray, dy: np.ndarray,
-                 test_modes: int) -> float:
+def _el_residual(problem: CellProblem, sigma: np.ndarray, dy: np.ndarray) -> float:
     """Weak stationarity: max_w |mean(sigma * D_yH . grad w)| over trig fields
-    w = sin(q x_a), cos(q x_a), q = 1..test_modes, per spatial axis.  That is
+    w = sin(q x_a), cos(q x_a), q = 1..TEST_MODES, per spatial axis.  That is
     the derivative's symbol at q times a Fourier coefficient of the flux
     sigma * D_yH_a averaged over the other axes: one rFFT per axis."""
     grid = problem.grid
-    modes = min(test_modes, grid.N_x // 2 - 1)
+    modes = min(TEST_MODES, grid.N_x // 2 - 1)
     q = np.arange(1, modes + 1)
     symbol = q if grid.diff_mode == "spectral" else np.sin(q * grid.dx) / grid.dx
     worst = 0.0
@@ -281,7 +259,7 @@ def _finish(problem: CellProblem, v_values: np.ndarray, iterations: int,
     value, grad, ev, sigma = _evaluate(problem, v_values)
     hbar = log_mean_exp_values(ev.h, problem.k)   # == value; reported via the field op
     gnorm = _grid_norm(grad)
-    el = _el_residual(problem, sigma, ev.dy, opts.test_modes)
+    el = _el_residual(problem, sigma, ev.dy)
     dxu = problem.momentum_field(v_values)
     sup_dxu = float(np.max(np.sqrt(np.einsum("i...,i...->...", dxu, dxu))))
     warnings = []
@@ -561,7 +539,7 @@ def _minimize_newton(problem, v, opts):
             return v, it, "converged", history
         apply_A, precond = _newton_system(problem, ev, sigma, lam, exact)
         d, applies = _pcg(apply_A, -g, rtol=min(0.5, np.sqrt(gnorm)),
-                          max_iter=opts.cg_max_iter, precond=precond,
+                          max_iter=CG_MAX_ITER, precond=precond,
                           atol=0.25 * opts.gtol)
         exact = exact or _dense_pays(grid, applies)
         slope = _grid_inner(d, g)
@@ -639,7 +617,7 @@ def solve_cell(problem: CellProblem, init: ScalarField | None = None,
     return _finish(problem, v, iters, status, history, opts, t0)
 
 
-def continuation_solve(model: HamiltonianModel, P, k_schedule, tau_steps: int,
+def continuation_solve(model: SwingModel, P, k_schedule, tau_steps: int,
                        grid: TorusGrid, opts: SolverOptions | None = None) -> list:
     """Homotopy in tau at the first k, then warm-started continuation in k.
 
@@ -686,35 +664,14 @@ def continuation_solve(model: HamiltonianModel, P, k_schedule, tau_steps: int,
     return results
 
 
-class _FixedFiberModel(HamiltonianModel):
-    """The n-dimensional model obtained by freezing the fiber angle."""
-
-    def __init__(self, base: HamiltonianModel, phi_value: np.ndarray):
-        self.base = base
-        self.phi_value = np.asarray(phi_value, dtype=float)
-        self.n, self.m = base.n, 0
-        self.gamma = base.gamma
-        self.mechanical = base.mechanical
-        self.descriptor = {"name": "fiber", "phi": self.phi_value.tolist(),
-                           "base": base.descriptor}
-
-    def evaluate(self, x, y, phi) -> HamEval:
-        batch = np.asarray(x).shape[1:]
-        phi_b = np.broadcast_to(
-            self.phi_value.reshape((self.base.m,) + (1,) * len(batch)),
-            (self.base.m,) + batch)
-        return self.base.evaluate(x, y, phi_b)
-
-    def x_periodic(self) -> bool:
-        return self.base.x_periodic()
-
-
 def fiber_decomposed_solve(problem: CellProblem,
                            opts: SolverOptions | None = None) -> CellSolution:
     """Solve each phi-fiber independently and assemble the joint solution.
 
-    The functional integrates fiber by fiber and the divergence acts only in
-    x, so fibers decouple exactly; the joint value is the log-mean-exp of the
+    Fiber phi is the corrector problem of ``model.at_phase(phi)``, the
+    autonomous model with the drive frozen there, on the x grid.  The
+    functional integrates fiber by fiber and the divergence acts only in x,
+    so fibers decouple exactly; the joint value is the log-mean-exp of the
     fiber free energies.  The joint gradient weighs each fiber's gradient by
     its share of the Gibbs mass, so after a first pass at the base tolerance
     the fibers that dominate the mass are polished to gtol over their weight,
@@ -736,7 +693,7 @@ def fiber_decomposed_solve(problem: CellProblem,
     init = None
     for idx in np.ndindex(*(grid.N_phi,) * grid.m):
         phi_val = np.array([phi_axis[i] for i in idx])
-        sub = CellProblem(_FixedFiberModel(problem.model, phi_val), problem.P,
+        sub = CellProblem(problem.model.at_phase(phi_val), problem.P,
                           problem.k, grid_x, problem.tau)
         sol = solve_cell(sub, init, opts)
         init = sol.v

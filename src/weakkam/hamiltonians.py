@@ -1,13 +1,13 @@
 """Hamiltonian evaluators: the coupled-swing model and its special cases.
 
-``SwingModel`` is the one concrete model; ``make_pendulum`` and
-``make_integrable`` build the pendulum and the free rotor as swing models.
+``SwingModel`` is the one model type; ``make_pendulum`` and
+``make_integrable`` build the pendulum and the free rotor as swing models,
+``SwingModel.scaled`` the tau-deformation toward the free rotor and
+``SwingModel.at_phase`` the autonomous model of one frozen-drive fiber.
 Every model evaluates ``H(x, y, phi)`` together with its first derivatives in
-``x`` and ``y`` and the second derivative in ``y``; all models here have a
-quadratic kinetic term ``|y|^2 / 2``, so the y-Hessian is the identity and the
-uniform-convexity constant is 1.  The Legendre transform (``lagrangian``) is
-closed-form for those models and falls back to a damped Newton ascent for
-anything else.
+``x`` and ``y`` and the second derivative in ``y``.  The kinetic term is
+``|y|^2 / 2``, so the y-Hessian is the identity, the uniform-convexity
+constant is 1 and the Legendre transform (``lagrangian``) is closed-form.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ __all__ = [
     "TrigPoly",
     "SwingParams",
     "HamEval",
-    "HamiltonianModel",
     "SwingModel",
     "make_integrable",
     "make_pendulum",
@@ -85,7 +84,7 @@ class TrigPoly:
 class SwingParams:
     """Parameters of the coupled swing model.
 
-    alpha: mechanical power input per rotor (nonnegative); lam: coupling
+    alpha: power input per rotor (nonnegative); lam: coupling
     wavenumbers; beta: n x n table of TrigPoly coefficient functions of the
     fiber angle; omega: rationally independent drive frequencies (length m).
     """
@@ -149,44 +148,19 @@ def _identity_dyy(n: int, batch_shape: tuple) -> np.ndarray:
     return np.broadcast_to(eye, (n, n) + batch_shape)
 
 
-class HamiltonianModel:
-    """Base evaluator; concrete models fill in ``evaluate``.
-
-    Evaluators are immutable and pure: concurrent use is safe.  ``x`` and
-    ``y`` must have shape (n, ...) and ``phi`` shape (m, ...); all batch
-    shapes must agree.
-    """
-
-    n: int
-    m: int
-    gamma: float
-    mechanical: bool = False   # H == |y|^2/2 + potential(x, phi)
-    descriptor: dict
-
-    def evaluate(self, x: np.ndarray, y: np.ndarray, phi: np.ndarray) -> HamEval:
-        raise NotImplementedError
-
-    def potential(self, x: np.ndarray, phi: np.ndarray) -> np.ndarray:
-        """H(x, 0, phi); for mechanical models this is the potential energy."""
-        y0 = np.zeros_like(np.asarray(x, dtype=float))
-        return self.evaluate(x, y0, phi).h
-
-    def x_periodic(self) -> bool:
-        """Whether H is 2*pi periodic in every spatial component."""
-        return True
-
-
-class SwingModel(HamiltonianModel):
+class SwingModel:
     """H = |y|^2/2 - <alpha, x> + sum_ij beta_ij(phi) (1 - cos(lam_i x_i + lam_j x_j)).
 
     The double sum runs over both (i, j) and (j, i); the spatial force picks
     up both occurrences of x_i, giving
     dH/dx_i = -alpha_i + lam_i * sum_j (beta_ij + beta_ji)(phi) sin(lam_i x_i + lam_j x_j).
-    This is the only concrete model: the pendulum and the free rotor are its
+    This is the only model type: the pendulum and the free rotor are its
     special cases (``make_pendulum``, ``make_integrable``).
-    """
 
-    mechanical = True
+    Models are immutable and pure: concurrent use is safe.  ``x`` and ``y``
+    must have shape (n, ...) and ``phi`` shape (m, ...); all batch shapes
+    must agree.
+    """
 
     def __init__(self, params: SwingParams):
         self.params = params
@@ -227,6 +201,27 @@ class SwingModel(HamiltonianModel):
             if any(abs(lam - round(lam)) > tol for lam in lams):
                 return False
         return True
+
+    def scaled(self, tau: float) -> "SwingModel":
+        """|y|^2/2 + tau V: every beta coefficient (and alpha) times tau.
+
+        That is tau H + (1 - tau) |y|^2/2, the deformation toward the free
+        rotor that ``continuation_solve`` walks; ``scaled(1.0)`` evaluates
+        bit for bit like this model."""
+        p = self.params
+        beta = tuple(tuple(TrigPoly(tau * b.const,
+                                    tuple((kvec, tau * a, tau * s) for kvec, a, s in b.modes))
+                           for b in row) for row in p.beta)
+        return SwingModel(SwingParams(alpha=tau * p.alpha, beta=beta, lam=p.lam,
+                                      omega=p.omega))
+
+    def at_phase(self, phi) -> "SwingModel":
+        """The autonomous model (m = 0) of one fiber: the drive frozen at the
+        angle ``phi`` of shape (m,), each beta_ij the constant beta_ij(phi)."""
+        phi = np.asarray(phi, dtype=float).reshape(self.m)
+        p = self.params
+        beta = tuple(tuple(TrigPoly(b(phi)) for b in row) for row in p.beta)
+        return SwingModel(SwingParams(alpha=p.alpha, beta=beta, lam=p.lam))
 
     def drive(self, phi) -> tuple:
         """beta_ij(phi) of the active terms; a constant beta stays a float."""
@@ -322,13 +317,9 @@ def make_swing(params: SwingParams) -> SwingModel:
     return SwingModel(params)
 
 
-def lagrangian(model: HamiltonianModel, x, vel, phi=None, method: str = "auto") -> float:
-    """Legendre transform L(x, vel, phi) = sup_y (vel . y - H(x, y, phi)).
-
-    Mechanical models admit the closed form |vel|^2/2 - H(x, 0, phi); otherwise
-    a damped Newton ascent on the strictly concave inner problem is used
-    (method="newton" forces that path).
-    """
+def lagrangian(model: SwingModel, x, vel, phi=None) -> float:
+    """Legendre transform L(x, vel, phi) = sup_y (vel . y - H(x, y, phi)),
+    in closed form |vel|^2/2 - V(x, phi)."""
     x = np.atleast_1d(np.asarray(x, dtype=float)).reshape(model.n, -1)
     vel = np.atleast_1d(np.asarray(vel, dtype=float)).reshape(model.n, -1)
     if model.m == 0:
@@ -337,33 +328,5 @@ def lagrangian(model: HamiltonianModel, x, vel, phi=None, method: str = "auto") 
         if phi is None:
             raise ValueError("phi required when the model has fiber angles")
         phi = np.atleast_1d(np.asarray(phi, dtype=float)).reshape(model.m, -1)
-
-    if method == "auto" and model.mechanical:
-        v0 = model.evaluate(x, np.zeros_like(vel), phi).h
-        out = 0.5 * np.einsum("i...,i...->...", vel, vel) - v0
-        return float(out[0]) if out.size == 1 else out
-    if method not in ("auto", "newton"):
-        raise ValueError(f"unknown method {method!r}")
-
-    if x.shape[1] != 1:
-        raise ValueError("Newton path evaluates one point at a time")
-    y = vel.copy()
-    target = lambda yy: float(np.dot(vel[:, 0], yy[:, 0]) - model.evaluate(x, yy, phi).h[0])
-    val = target(y)
-    for _ in range(100):
-        ev = model.evaluate(x, y, phi)
-        g = vel[:, 0] - ev.dy[:, 0]
-        if np.linalg.norm(g) <= 1e-12 * (1.0 + np.linalg.norm(vel)):
-            return val
-        step = np.linalg.solve(ev.dyy[..., 0], g)
-        t = 1.0
-        while t > 1e-14:
-            y_new = y + t * step[:, None]
-            v_new = target(y_new)
-            if v_new >= val + 0.25 * t * float(np.dot(g, step)):
-                y, val = y_new, v_new
-                break
-            t *= 0.5
-        else:
-            raise RuntimeError("Legendre transform: line search stalled")
-    raise RuntimeError("Legendre transform: Newton did not converge in 100 iterations")
+    out = 0.5 * np.einsum("i...,i...->...", vel, vel) - model.potential(x, phi)
+    return float(out[0]) if out.size == 1 else out

@@ -101,13 +101,14 @@ def rotation_vector(measure: GibbsMeasure, solution: CellSolution,
 
 
 def closedness_residual(measure: GibbsMeasure, solution: CellSolution,
-                        problem: CellProblem, test_modes: int = 8) -> float:
-    """Max over trig test fields w of |integrate(sigma * D_yH . grad_x w)|.
+                        problem: CellProblem) -> float:
+    """Max over trig test fields w of |integrate(sigma * D_yH . grad_x w)|,
+    ``cell.TEST_MODES`` modes per spatial axis.
 
     At a converged solution this equals the solver's weak stationarity
     residual by construction.
     """
-    return _el_residual(problem, measure.sigma.values, measure.dy, test_modes)
+    return _el_residual(problem, measure.sigma.values, measure.dy)
 
 
 def energy_statistics(measure: GibbsMeasure, solution: CellSolution,
@@ -152,26 +153,19 @@ def effective_lagrangian(hbar_table, Q) -> EffectiveLagrangian:
 
 
 def default_speed_threshold(solution: CellSolution, problem: CellProblem) -> float:
-    """1 + the classical speed ceiling at energy Hbar_k.
-
-    For kinetic-plus-potential models that ceiling is sqrt(2 (Hbar_k -
-    min V)); otherwise fall back to the largest velocity on the grid.
-    """
-    if problem.model.mechanical:
-        v_min = float(np.min(problem.ham.potential(problem.x_mesh, problem.phi_mesh)))
-        return 1.0 + float(np.sqrt(max(2.0 * (solution.Hbar_k - v_min), 0.0)))
-    dy = _evaluate(problem, solution.v.values)[2].dy
-    speed = np.sqrt(np.einsum("i...,i...->...", dy, dy))
-    return 1.0 + float(speed.max())
+    """1 + the classical speed ceiling sqrt(2 (Hbar_k - min V)) at energy
+    Hbar_k."""
+    v_min = float(np.min(problem.ham.potential(problem.x_mesh, problem.phi_mesh)))
+    return 1.0 + float(np.sqrt(max(2.0 * (solution.Hbar_k - v_min), 0.0)))
 
 
 def measure_stats(measure: GibbsMeasure, solution: CellSolution,
                   problem: CellProblem, speed_threshold: float,
-                  hbar_table=None, test_modes: int = 8) -> MeasureStats:
+                  hbar_table=None) -> MeasureStats:
     """Assemble the full diagnostics row for one converged solve."""
     Q = rotation_vector(measure, solution, problem)
     mean, var = energy_statistics(measure, solution, problem)
-    closed = closedness_residual(measure, solution, problem, test_modes)
+    closed = closedness_residual(measure, solution, problem)
     tail = tail_mass(measure, solution, problem, speed_threshold)
     lbar = gap = None
     if hbar_table is not None:

@@ -1,4 +1,4 @@
-"""Ground truth for one-dimensional mechanical Hamiltonians H = y^2/2 + V(x).
+"""Ground truth for 1-D kinetic-plus-potential Hamiltonians H = y^2/2 + V(x).
 
 For this class the effective Hamiltonian has a classical characterization:
 the averaged momentum at energy E is p(E) = (1/2pi) * int sqrt(2(E - V)) dx,
@@ -12,11 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate as _si
-from scipy import optimize as _so
 
 from .fields import PERIOD
-from .hamiltonians import HamiltonianModel
+from .hamiltonians import SwingModel
 
 __all__ = [
     "Potential1D",
@@ -52,6 +50,8 @@ class Potential1D:
 
 def _refine_extrema(V, xs, vals, sign):
     """Locate extrema by dense sampling plus bounded local refinement."""
+    from scipy import optimize as _so
+
     f = lambda x: -sign * float(V(x))
     target = sign * vals
     best = float(np.max(target))
@@ -78,6 +78,8 @@ def momentum_of_energy(pot: Potential1D, E: float) -> float:
     quadrature with the maximum locations as split points keeps the absolute
     error at the 1e-10 target.
     """
+    from scipy import integrate as _si
+
     if E < pot.v_max - 1e-12:
         raise ValueError(f"energy {E!r} below the potential maximum {pot.v_max!r}")
     f = lambda x: np.sqrt(max(2.0 * (E - float(pot.v(x))), 0.0))
@@ -92,6 +94,8 @@ def effective_hamiltonian_1d(pot: Potential1D, P: float) -> float:
 
     Even in P and convex; the root is bracketed and solved to 1e-12.
     """
+    from scipy import optimize as _so
+
     P = abs(float(P))
     p_star = momentum_of_energy(pot, pot.v_max)
     if P <= p_star:
@@ -107,8 +111,8 @@ def effective_hamiltonian_1d(pot: Potential1D, P: float) -> float:
                             xtol=1e-12, rtol=8.9e-16))
 
 
-def potential_from_model(model: HamiltonianModel, samples: int = 64) -> Potential1D:
-    """Extract V from a 1-D autonomous mechanical model; refuse cross terms."""
+def potential_from_model(model: SwingModel, samples: int = 64) -> Potential1D:
+    """Extract V from a 1-D autonomous model; refuse cross terms."""
     if model.n != 1 or model.m != 0:
         raise ValueError("oracle supports n=1, m=0 models only")
     rng = np.random.default_rng(12345)

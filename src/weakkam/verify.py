@@ -440,9 +440,10 @@ def measure_identity_defects(model, solutions):
     return mass, ident, renorm
 
 
-def closedness(model, solutions, test_modes: int = 8) -> float:
-    """Largest closedness residual of the Gibbs measures over test_modes."""
-    return max(measures.closedness_residual(mu, s, p, test_modes)
+def closedness(model, solutions) -> float:
+    """Largest closedness residual of the Gibbs measures over
+    ``cell.TEST_MODES`` trig test fields per axis."""
+    return max(measures.closedness_residual(mu, s, p)
                for s, p, mu in _gibbs(model, solutions))
 
 

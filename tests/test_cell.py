@@ -32,7 +32,7 @@ from weakkam.oracle1d import effective_hamiltonian_1d
 RNG = np.random.default_rng(7)
 
 
-# independent finite-k ground truth for n=1 mechanical models ---------------
+# independent finite-k ground truth for n=1 kinetic-plus-potential models ---
 #
 # In one dimension the stationarity condition integrates exactly: the flux
 # exp(k H(x, u_x)) u_x is a constant C on each fiber.  Solving the scalar
@@ -209,7 +209,7 @@ def test_el_residual_matches_trig_test_fields(mode):
             for w in (np.sin(q * problem.x_mesh[a]), np.cos(q * problem.x_mesh[a])):
                 flux = np.einsum("i...,i...->...", dy, grad_values(w, grid))
                 worst = max(worst, abs(float(np.mean(sigma * flux))))
-    assert _el_residual(problem, sigma, dy, 8) == pytest.approx(worst, rel=1e-12)
+    assert _el_residual(problem, sigma, dy) == pytest.approx(worst, rel=1e-12)
 
 
 def test_nonconverged_flagged(pendulum, grid256):

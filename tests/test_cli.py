@@ -11,6 +11,7 @@ from weakkam.cli import main, manifest_fingerprint
 from weakkam.config import (
     ConfigError,
     RunConfig,
+    load_config,
     model_from_config,
     parse_config,
     serialize_config,
@@ -276,11 +277,16 @@ def test_env_var_out_dir(tmp_path, monkeypatch):
     assert (tmp_path / "envout" / "oracle_table.csv").exists()
 
 
+def _child_env() -> dict:
+    """The environment of a child Python that imports this checkout's package."""
+    src = os.path.dirname(os.path.dirname(weakkam.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
 def test_python_dash_m_entry_point(tmp_path):
     # `python -m weakkam` runs the CLI without the installed console script
-    src = os.path.dirname(os.path.dirname(weakkam.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    env = _child_env()
     cfg = tmp_path / "o.cfg"
     cfg.write_text('model.name = "pendulum"\noracle.P_range = [0.0, 2.0, 0.5]\n')
     out = tmp_path / "out"
@@ -292,6 +298,17 @@ def test_python_dash_m_entry_point(tmp_path):
                           str(tmp_path / "missing.cfg")], env=env, capture_output=True,
                          text=True)
     assert bad.returncode == 1
+
+
+def test_cli_import_leaves_scipy_quadrature_unloaded():
+    # only the oracle needs scipy.integrate and scipy.optimize; importing the
+    # CLI must not pay for them
+    code = ("import sys, weakkam.cli; "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 VERIFY_CHECKS = [
@@ -343,9 +360,11 @@ def test_verify_solves_once(monkeypatch):
 
 
 def test_verify_empty_config_passes(tmp_path):
+    # an empty config is the default one, which test_verify_default_config_passes
+    # runs; test_verify_negative_control covers --config reaching verify
     cfg = tmp_path / "empty.cfg"
     cfg.write_text("# nothing overridden\n")
-    assert run(["verify", "--config", cfg, "--out", tmp_path / "v"]) == 0
+    assert load_config(cfg) == RunConfig()
 
 
 def test_bundled_sweep_shows_flat_region(tmp_path):

@@ -1,11 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from weakkam import verify
 from weakkam.fields import PERIOD
 from weakkam.hamiltonians import (
-    HamEval,
-    HamiltonianModel,
     SwingParams,
     TrigPoly,
     lagrangian,
@@ -197,42 +197,33 @@ def test_lagrangian_closed_forms():
     assert lagrangian(pend, [np.pi], [0.0]) == pytest.approx(-2.0, abs=1e-14)
 
 
-def test_lagrangian_newton_matches_closed_form():
-    pend = make_pendulum(1.0)
-    for _ in range(20):
-        x = RNG.uniform(0, PERIOD, 1)
-        vel = RNG.normal(0, 2, 1)
-        closed = lagrangian(pend, x, vel)
-        newton = lagrangian(pend, x, vel, method="newton")
-        assert newton == pytest.approx(closed, abs=1e-10)
+TILTED = make_swing(replace(quasi_swing_params(), alpha=[0.3]))
 
 
-class _ShearModel(HamiltonianModel):
-    """H = y^2/2 + sin(x) y: convex in y but not kinetic-plus-potential, so
-    the transform has no mechanical shortcut; L = (v - sin x)^2 / 2."""
-
-    mechanical = False
-
-    def __init__(self):
-        self.n, self.m, self.gamma = 1, 0, 1.0
-        self.descriptor = {"name": "shear"}
-
-    def evaluate(self, x, y, phi):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        h = 0.5 * y[0] ** 2 + np.sin(x[0]) * y[0]
-        dx = np.cos(x) * y
-        eye = np.ones((1, 1) + y.shape[1:])
-        return HamEval(h, dx, y + np.sin(x), eye)
+@pytest.mark.parametrize("model", ALL_MODELS + [TILTED], ids=MODEL_IDS + ["tilted"])
+def test_scaled_is_the_homotopy(model):
+    x, y, phi = sample_points(model)
+    ev = model.evaluate(x, y, phi)
+    assert all(np.array_equal(a, b) for a, b in zip(model.scaled(1.0).evaluate(x, y, phi), ev))
+    kin = 0.5 * np.sum(y * y, axis=0)
+    eye = np.eye(model.n)[..., None]
+    for tau in (0.25, 0.5, 0.75):
+        # H_tau = tau H + (1 - tau) |y|^2/2, field by field
+        want = (tau * ev.h + (1 - tau) * kin, tau * ev.dx, tau * ev.dy + (1 - tau) * y,
+                tau * ev.dyy + (1 - tau) * eye)
+        got = model.scaled(tau).evaluate(x, y, phi)
+        assert all(np.max(np.abs(g - w)) <= 1e-14 for g, w in zip(got, want))
 
 
-def test_lagrangian_newton_on_nonmechanical_model():
-    model = _ShearModel()
-    for _ in range(20):
-        x = RNG.uniform(0, PERIOD, 1)
-        vel = RNG.normal(0, 2, 1)
-        expected = 0.5 * (vel[0] - np.sin(x[0])) ** 2
-        assert lagrangian(model, x, vel) == pytest.approx(expected, abs=1e-10)
+@pytest.mark.parametrize("model", ALL_MODELS, ids=MODEL_IDS)
+def test_at_phase_freezes_the_drive(model):
+    x, y, _ = sample_points(model)
+    for phi in RNG.uniform(0, PERIOD, (5, model.m)):
+        fiber = model.at_phase(phi)
+        assert (fiber.n, fiber.m) == (model.n, 0)
+        got = fiber.evaluate(x, y, np.zeros((0, x.shape[1])))
+        want = model.evaluate(x, y, np.broadcast_to(phi[:, None], (model.m, x.shape[1])))
+        assert all(np.max(np.abs(g - w)) <= 1e-14 for g, w in zip(got, want))
 
 
 @pytest.mark.parametrize("model", ALL_MODELS, ids=MODEL_IDS)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from weakkam import verify
-from weakkam.hamiltonians import HamEval, HamiltonianModel, make_integrable, make_pendulum
+from weakkam.hamiltonians import HamEval, make_integrable, make_pendulum
 from weakkam.oracle1d import (
     Potential1D,
     effective_hamiltonian_1d,
@@ -105,10 +105,8 @@ def test_potential_from_model_samples_in_one_call(monkeypatch):
     assert isinstance(pot.v(1.0), float)
 
 
-class _CrossTermModel(HamiltonianModel):
+class _CrossTermModel:
     """H = y^2/2 + x*y: not kinetic-plus-potential."""
-
-    mechanical = False
 
     def __init__(self):
         self.n, self.m, self.gamma = 1, 0, 1.0
