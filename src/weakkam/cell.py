@@ -21,6 +21,16 @@ on a sparse LU of a finite-difference stencil with the same coefficients,
 which is cheaper to build and near-exact at low k.  At high k it is not: once
 one CG solve on an n=1 grid takes more applies than a dense factor costs, the
 rest of that solve uses the exact step.
+
+An exact factor is kept from one Newton step to the next as the
+preconditioner of an operator built anew at every step, and factored again
+only after a CG solve on it took more than ``REFACTOR_APPLIES`` applies: a
+few extra applies cost far less than a factor, which on a spectral n=2 grid
+is almost all of a step.  Only a preconditioner that holds every fiber's
+factor is kept (n=1 grids, and n=2 grids without fiber axes).  On n=2 grids
+with fiber axes the fibers share one factor buffer, so a kept preconditioner
+would factor every fiber again at each CG iteration; there, as with the FD
+LU, every step builds its own.
 """
 
 from __future__ import annotations
@@ -34,6 +44,7 @@ import numpy as np
 from .fields import (
     ScalarField,
     TorusGrid,
+    _check_finite,
     _diff_x,
     div_values,
     grad_values,
@@ -61,6 +72,9 @@ EXACT_MAX_N_X = 64
 TEST_MODES = 8
 # conjugate-gradient iterations per Newton step
 CG_MAX_ITER = 200
+# applies of one CG solve on a kept exact factor above which the next Newton
+# step factors anew
+REFACTOR_APPLIES = 4
 
 
 def _exact_step(grid: TorusGrid) -> bool:
@@ -195,7 +209,11 @@ def _grid_inner(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _evaluate(problem: CellProblem, v_values: np.ndarray):
-    """Objective value, gradient and the node fields they were built from."""
+    """Objective value, gradient and the node fields they were built from.
+
+    The one finiteness check of an evaluation: the raw gradient and divergence
+    it calls, also inside every Newton-operator apply, check nothing."""
+    _check_finite(v_values, "v")
     y = problem.momentum_field(v_values)
     ev = problem.ham.evaluate(problem.x_mesh, y, problem.phi_mesh)
     if not np.all(np.isfinite(ev.h)):
@@ -401,7 +419,11 @@ def _exact_preconditioner(grid: TorusGrid, C: np.ndarray, shift: np.ndarray):
     grid's own derivative matrix, so its Cholesky factor makes PCG a single
     step.  Its lower triangle goes straight into rectangular full packed (RFP)
     storage, N_x^4/2 doubles, in one buffer that the fibers share: allocated
-    at the first solve, so the previous step's buffer is already released.
+    at the first solve, so the previous factor's buffer is already released
+    (``_minimize_newton`` drops it before building this one).  Without fiber
+    axes the buffer holds the one factor for good, so the solve can be kept
+    across Newton steps.  With fiber axes each solve factors every fiber
+    again, in turn, so the solve is built anew at every step.
     """
     from scipy.linalg.lapack import dpftrf, dpftrs
 
@@ -489,9 +511,10 @@ def _exact_preconditioner_1d(grid: TorusGrid, C: np.ndarray, shift: np.ndarray):
     return solve
 
 
-def _newton_system(problem, ev, sigma, lam, exact):
+def _newton_system(problem, ev, sigma, lam, exact, precond=None):
     """The Newton operator at a state, matrix-free, and its preconditioner:
-    the exact (Cholesky) solve if ``exact``, else the FD LU.
+    ``precond`` if given (a factor kept from an earlier step), else a new
+    exact (Cholesky) solve if ``exact``, else a new FD LU.
 
     The operator is w -> -div_x(C D_x w) + shift * w with the pointwise
     tensor C = sigma (D2_yy H + k D_yH D_yH^T), projected off constants.  The
@@ -510,11 +533,13 @@ def _newton_system(problem, ev, sigma, lam, exact):
         out = -div_values(flux, grid) + shift * w
         return out - out.mean()
 
-    if not exact:
-        make = _fd_preconditioner
-    else:
-        make = _exact_preconditioner_1d if grid.n == 1 else _exact_preconditioner
-    return apply_A, make(grid, C, shift)
+    if precond is None:
+        if not exact:
+            make = _fd_preconditioner
+        else:
+            make = _exact_preconditioner_1d if grid.n == 1 else _exact_preconditioner
+        precond = make(grid, C, shift)
+    return apply_A, precond
 
 
 def _minimize_newton(problem, v, opts):
@@ -527,20 +552,35 @@ def _minimize_newton(problem, v, opts):
     exactly when the gradient norm fell.  The step starts exact where
     ``_exact_step`` says so, and turns exact for the rest of the solve once
     one CG solve costs more than a dense factor (``_dense_pays``).
+
+    The operator is built from the current state at every step.  An exact
+    factor is kept from step to step as the preconditioner, and factored
+    anew when the step turns exact or after a CG solve on it took more than
+    ``REFACTOR_APPLIES`` applies, so CG pays for the lag in a few cheap
+    applies instead of a factor per step.  Only a preconditioner that holds
+    every fiber's factor is kept: the dense stack of n=1 grids and the
+    single factor of n=2 grids without fiber axes.  On n=2 grids with fiber
+    axes the fibers share one factor buffer, so every solve on a kept
+    preconditioner would factor every fiber again; there, as with the FD LU
+    (whose reuse doubled the pendulum's applies), each step factors once.
     """
     grid = problem.grid
     f, g, ev, sigma = _evaluate(problem, v)
     history = [f]
     lam = 1e-3
     exact = _exact_step(grid)
+    keeps = grid.n == 1 or grid.m == 0
+    precond = None
     for it in range(opts.max_iter):
         gnorm = _grid_norm(g)
         if gnorm <= opts.gtol:
             return v, it, "converged", history
-        apply_A, precond = _newton_system(problem, ev, sigma, lam, exact)
+        apply_A, precond = _newton_system(problem, ev, sigma, lam, exact, precond)
         d, applies = _pcg(apply_A, -g, rtol=min(0.5, np.sqrt(gnorm)),
                           max_iter=CG_MAX_ITER, precond=precond,
                           atol=0.25 * opts.gtol)
+        if not (exact and keeps and applies <= REFACTOR_APPLIES):
+            precond = None      # released before the next factor is built
         exact = exact or _dense_pays(grid, applies)
         slope = _grid_inner(d, g)
         if slope >= 0:

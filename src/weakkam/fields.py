@@ -168,7 +168,9 @@ def gradient_x(f: ScalarField) -> VectorField:
 
 
 def grad_values(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    _check_finite(values, "gradient input")
+    """``gradient_x`` on a raw array, unchecked: the solver calls it inside
+    every Newton-operator apply and checks finiteness once per objective
+    evaluation instead (``weakkam.cell._evaluate``)."""
     return np.stack([_diff_x(values, grid, a) for a in range(grid.n)])
 
 
@@ -178,7 +180,7 @@ def divergence_x(F: VectorField) -> ScalarField:
 
 
 def div_values(components: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    _check_finite(components, "divergence input")
+    """``divergence_x`` on a raw array, unchecked like ``grad_values``."""
     out = np.zeros(grid.shape)
     for a in range(grid.n):
         out += _diff_x(components[a], grid, a)

@@ -185,7 +185,8 @@ class SwingModel:
             for i in range(self.n) for j in range(self.n)
             if not params.beta[i][j].is_zero())
         self.tilted = params.tilted
-        self._alpha = params.alpha if self.tilted else None
+        # -alpha, the tilt's constant force; None when untilted
+        self._minus_alpha = -params.alpha if self.tilted else None
 
     def x_periodic(self, tol: float = 1e-12) -> bool:
         """Check 2*pi periodicity structurally from the coupling wavenumbers.
@@ -241,9 +242,11 @@ class SwingModel:
         """D_x V of shape ``shape`` = x.shape from ``coupling_sines(x)`` and
         the coupling values ``beta = drive(phi)``; equal, bit for bit, to the
         force ``potential_force(x, beta)`` returns."""
-        dx = np.zeros(shape)
-        if self._alpha is not None:
-            dx -= self._alpha.reshape((self.n,) + (1,) * (len(shape) - 1))
+        if self._minus_alpha is None:
+            dx = np.zeros(shape)
+        else:
+            dx = np.empty(shape)
+            dx.T[...] = self._minus_alpha     # broadcast along axis 0 of dx
         # row views: an in-place add on a view is cheaper than dx[i] += ...
         rows = [dx[i] for i in range(self.n)]
         for (i, j, lam_i, lam_j, *_), bv, sn in zip(self._terms, beta, sines):
@@ -255,8 +258,9 @@ class SwingModel:
 
     def _add_potential(self, h, x: np.ndarray, args: list, beta: tuple):
         """h + V(x) from the coupling arguments ``args = _coupling_args(x)``."""
-        if self._alpha is not None:
-            h = h - np.tensordot(self._alpha, x, axes=(0, 0))
+        if self._minus_alpha is not None:
+            for i, ma in enumerate(self._minus_alpha):
+                h = h + ma * x[i]
         for bv, arg in zip(beta, args):
             h = h + bv * (1.0 - np.cos(arg))
         return h

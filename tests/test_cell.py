@@ -95,6 +95,20 @@ def test_objective_requires_mean_zero():
         objective(prob, ScalarField.constant(grid, 1.0))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_objective_rejects_nonfinite_v(bad):
+    # the raw gradient and divergence do not check their input; an objective
+    # evaluation checks v once
+    grid = TorusGrid(n=1, m=0, N_x=32)
+    prob = CellProblem(make_pendulum(1.0), [0.3], 4.0, grid)
+    values = np.zeros(grid.shape)
+    values[5] = bad
+    v = ScalarField.constant(grid, 0.0)
+    object.__setattr__(v, "values", values)     # past the constructor's check
+    with pytest.raises(ValueError, match="non-finite"):
+        objective(prob, v)
+
+
 def test_objective_value_equals_field_op(pendulum):
     # at v = 0 the objective is exactly the log-mean-exp of H(x, P, .)
     grid = TorusGrid(n=1, m=0, N_x=128)
@@ -346,6 +360,15 @@ def _count_dense_factors(monkeypatch):
     return built
 
 
+def _count_rfp_factors(monkeypatch):
+    """Count the packed Cholesky factorizations of the n=2 exact step."""
+    import scipy.linalg.lapack as lapack
+    factored = []
+    dpftrf = lapack.dpftrf
+    monkeypatch.setattr(lapack, "dpftrf", lambda *a, **k: factored.append(1) or dpftrf(*a, **k))
+    return factored
+
+
 def _count_pcg_applies(monkeypatch):
     """Count the Newton-operator applies of every PCG solve."""
     from weakkam import cell
@@ -392,8 +415,10 @@ def test_stalled_cg_switches_to_exact_step(pendulum, grid256, pendulum_sweep,
 
 def test_ladder_2d_converges(monkeypatch):
     # spectral n=2 at k up to 32: every stage, the tau stages included,
-    # converges within 20 Newton steps
+    # converges within 20 Newton steps; the exact factor is kept across steps
+    # (a factor per step is 51 over the six stages)
     from weakkam import cell
+    factored = _count_rfp_factors(monkeypatch)
     stages = []
     solve = cell.solve_cell
 
@@ -407,6 +432,7 @@ def test_ladder_2d_converges(monkeypatch):
                               TorusGrid(n=2, m=0, N_x=32), SolverOptions(max_iter=350))
     assert len(stages) == 6
     assert all(conv and iters <= 20 for _, _, iters, conv in stages), stages
+    assert len(factored) <= 25, len(factored)
     assert [s.k for s in sols] == [8.0, 16.0, 32.0]
     # Hbar_8 and Hbar_16 of an independent quasi-Newton solve of the same stages
     assert sols[0].Hbar_k == pytest.approx(1.7414913211180434, abs=1e-10)
@@ -470,15 +496,30 @@ def test_fiber_two_drive_angles():
     assert abs(joint.Hbar_k - fib.Hbar_k) <= 1e-8
 
 
-def test_fiber_two_rotors_one_drive():
-    # n = 2, m = 1: coupled pair under one drive
+def test_fiber_two_rotors_one_drive(monkeypatch):
+    # n = 2, m = 1: coupled pair under one drive.  The joint grid's fibers
+    # share one factor buffer, so a factor kept across Newton steps would
+    # factor every fiber again at each PCG iteration: at most one factor per
+    # fiber per step
+    from weakkam import cell
     b00 = TrigPoly(0.6, (((1,), 0.2, 0.0),))
     model = make_swing(SwingParams(
         alpha=[0.0, 0.0],
         beta=((b00, TrigPoly(0.3)), (TrigPoly(0.0), TrigPoly(0.4))),
         lam=[1.0, 1.0], omega=[1.0]))
     grid = TorusGrid(n=2, m=1, N_x=24, N_phi=6)
+    factored = _count_rfp_factors(monkeypatch)
+    steps = []
+    solve = cell.solve_cell
+
+    def recording(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        steps.append(sol.iterations)
+        return sol
+
+    monkeypatch.setattr(cell, "solve_cell", recording)
     joint = continuation_solve(model, [0.3, 0.8], [6.0], 3, grid)[-1]
+    assert len(steps) == 3 and 0 < len(factored) <= grid.N_phi * sum(steps)
     fib = fiber_decomposed_solve(CellProblem(model, [0.3, 0.8], 6.0, grid))
     assert abs(joint.Hbar_k - fib.Hbar_k) <= 1e-8
 
