@@ -13,6 +13,7 @@ constant is 1 and the Legendre transform (``lagrangian``) is closed-form.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -176,17 +177,34 @@ class SwingModel:
             "beta": [[b.to_dict() for b in row] for row in params.beta],
         }
         # the active terms (i, j, lam_i, lam_j, 2 lam_i, beta_ij): nonzero
-        # beta only.  The wavenumbers are 0-d arrays: numpy multiplies a small
-        # array by a 0-d array about twice as fast as by a Python float, which
-        # the simulator's per-step force feels
+        # beta only
         self._terms = tuple(
-            (i, j, np.array(params.lam[i]), np.array(params.lam[j]),
-             np.array(2.0 * params.lam[i]), params.beta[i][j])
+            (i, j, float(params.lam[i]), float(params.lam[j]), 2.0 * float(params.lam[i]),
+             params.beta[i][j])
             for i in range(self.n) for j in range(self.n)
             if not params.beta[i][j].is_zero())
         self.tilted = params.tilted
-        # -alpha, the tilt's constant force; None when untilted
-        self._minus_alpha = -params.alpha if self.tilted else None
+        # The formula is written over per-axis rows: a row is a Python float
+        # for one orbit or point, an ndarray for a batch or a grid.  Each call
+        # picks its math functions and constants from the row kind
+        # (``_rows``).  Floats get ``math`` and float constants: numpy spends
+        # ~1 us on any call, math ~60 ns, and the two must round alike, so
+        # that one orbit gives the bits of a batch column (the tests compare
+        # both kinds bit for bit).  Arrays get numpy and 0-d constants, which
+        # scale a small array faster than a Python float does (~0.5 against
+        # ~0.8 us).
+        start = -params.alpha if self.tilted else np.zeros(self.n)
+        self._float_rows = self._row_kit(float, math.sin, math.cos, start)
+        self._array_rows = self._row_kit(np.array, np.sin, np.cos, start)
+
+    def _row_kit(self, const, sin, cos, start) -> "_RowKit":
+        terms = tuple((i, j, const(lam_i), const(lam_j), const(lam_ii))
+                      for i, j, lam_i, lam_j, lam_ii, _ in self._terms)
+        return _RowKit(sin, cos, terms, tuple(const(float(a)) for a in start))
+
+    def _rows(self, x) -> "_RowKit":
+        """The kit of the rows ``x``: floats or arrays."""
+        return self._float_rows if type(x[0]) is float else self._array_rows
 
     def x_periodic(self, tol: float = 1e-12) -> bool:
         """Check 2*pi periodicity structurally from the coupling wavenumbers.
@@ -198,7 +216,7 @@ class SwingModel:
         if self.tilted:
             return False
         for i, j, lam_i, lam_j, lam_ii, _ in self._terms:
-            lams = [float(lam_ii)] if i == j else [float(lam_i), float(lam_j)]
+            lams = [lam_ii] if i == j else [lam_i, lam_j]
             if any(abs(lam - round(lam)) > tol for lam in lams):
                 return False
         return True
@@ -228,76 +246,99 @@ class SwingModel:
         """beta_ij(phi) of the active terms; a constant beta stays a float."""
         return tuple(b(phi) if b.modes else b.const for *_, b in self._terms)
 
-    def _coupling_args(self, x: np.ndarray) -> list:
+    @staticmethod
+    def _coupling_args(x, kit: "_RowKit") -> list:
         # lam x + lam x == (2 lam) x exactly: one product on the diagonal
         return [lam_ii * x[i] if i == j else lam_i * x[i] + lam_j * x[j]
-                for i, j, lam_i, lam_j, lam_ii, _ in self._terms]
+                for i, j, lam_i, lam_j, lam_ii in kit.terms]
 
-    def coupling_sines(self, x: np.ndarray) -> list:
-        """sin(lam_i x_i + lam_j x_j) of the active terms: the part of the
-        force that depends on the position only (see ``coupling_force``)."""
-        return [np.sin(arg) for arg in self._coupling_args(x)]
+    def coupling_sines(self, x) -> list:
+        """sin(lam_i x_i + lam_j x_j) of the active terms, one row each, for
+        the n rows ``x``: the part of the force that depends on the position
+        only (see ``coupling_force``)."""
+        kit = self._rows(x)
+        return list(map(kit.sin, self._coupling_args(x, kit)))
 
-    def coupling_force(self, sines: list, beta: tuple, shape: tuple) -> np.ndarray:
-        """D_x V of shape ``shape`` = x.shape from ``coupling_sines(x)`` and
-        the coupling values ``beta = drive(phi)``; equal, bit for bit, to the
-        force ``potential_force(x, beta)`` returns."""
-        if self._minus_alpha is None:
-            dx = np.zeros(shape)
-        else:
-            dx = np.empty(shape)
-            dx.T[...] = self._minus_alpha     # broadcast along axis 0 of dx
-        # row views: an in-place add on a view is cheaper than dx[i] += ...
-        rows = [dx[i] for i in range(self.n)]
-        for (i, j, lam_i, lam_j, *_), bv, sn in zip(self._terms, beta, sines):
+    def coupling_force(self, sines: list, beta, x) -> list:
+        """The n rows of D_x V at the rows ``x``, from ``coupling_sines(x)``
+        and the coupling values ``beta = drive(phi)``; equal, bit for bit, to
+        the force ``potential_force(x, beta)`` returns."""
+        kit = self._rows(x)
+        rows = list(kit.start)
+        for (i, j, lam_i, lam_j, _), bv, sn in zip(kit.terms, beta, sines):
             s = bv * sn
             si = lam_i * s
-            rows[i] += si
-            rows[j] += si if i == j else lam_j * s
-        return dx
+            rows[i] = rows[i] + si
+            rows[j] = rows[j] + (si if i == j else lam_j * s)
+        return rows
 
-    def _add_potential(self, h, x: np.ndarray, args: list, beta: tuple):
-        """h + V(x) from the coupling arguments ``args = _coupling_args(x)``."""
-        if self._minus_alpha is not None:
-            for i, ma in enumerate(self._minus_alpha):
-                h = h + ma * x[i]
+    def _add_potential(self, h, x, args: list, beta, kit: "_RowKit"):
+        """The row h + V(x) from the rows ``x`` and their coupling arguments
+        ``args = _coupling_args(x, kit)``."""
+        if self.tilted:
+            for minus_alpha, xi in zip(kit.start, x):
+                h = h + minus_alpha * xi
+        cos = kit.cos
         for bv, arg in zip(beta, args):
-            h = h + bv * (1.0 - np.cos(arg))
+            h = h + bv * (1.0 - cos(arg))
         return h
 
-    def potential_force(self, x: np.ndarray, beta: tuple, h=None):
+    @staticmethod
+    def _kinetic(y):
+        """|y|^2 / 2 of the rows ``y``, summed row by row."""
+        squares = y[0] * y[0]
+        for yi in y[1:]:
+            squares = squares + yi * yi
+        return 0.5 * squares
+
+    def potential_force(self, x: np.ndarray, beta, h=None):
         """(h + V(x), D_x V(x)) for the coupling values ``beta = drive(phi)``.
 
         The one place the swing potential and force are written (through
         ``_add_potential`` and ``coupling_force``); ``evaluate``,
         ``potential``, ``energy`` and the simulator call it or its parts.
-        With ``h`` None only the force is computed.  ``x`` has shape (n, ...)
-        and each beta value broadcasts against ``x[i]``.
+        With ``h`` None only the force is computed.  ``x`` has shape (n, ...),
+        each beta value broadcasts against ``x[i]``, and the force rows are
+        stacked into an array of the shape of ``x``.
         """
-        args = self._coupling_args(x)
+        kit = self._rows(x)
+        args = self._coupling_args(x, kit)
         if h is not None:
-            h = self._add_potential(h, x, args, beta)
-        return h, self.coupling_force([np.sin(arg) for arg in args], beta, x.shape)
+            h = self._add_potential(h, x, args, beta, kit)
+        dx = np.empty(x.shape)
+        for i, row in enumerate(self.coupling_force(list(map(kit.sin, args)), beta, x)):
+            dx[i] = row
+        return h, dx
 
-    def energy(self, x: np.ndarray, y: np.ndarray, beta: tuple) -> np.ndarray:
-        """|y|^2/2 + V(x) for ``beta = drive(phi)``, without the force; equal,
-        bit for bit, to ``evaluate(x, y, phi).h``."""
-        kinetic = 0.5 * np.einsum("i...,i...->...", y, y)
-        return self._add_potential(kinetic, x, self._coupling_args(x), beta)
+    def energy(self, x, y, beta):
+        """|y|^2/2 + V(x) of the rows ``x`` and ``y`` (an (n, ...) array is n
+        rows) for ``beta = drive(phi)``, without the force; equal, bit for
+        bit, to ``evaluate(x, y, phi).h``."""
+        kit = self._rows(x)
+        return self._add_potential(self._kinetic(y), x, self._coupling_args(x, kit), beta, kit)
 
     def potential(self, x, phi) -> np.ndarray:
         """V(x, phi) = H(x, 0, phi), without the force or the kinetic term's
         arrays; equal, bit for bit, to ``evaluate(x, 0, phi).h``."""
         x = np.asarray(x, dtype=float)
-        return self._add_potential(np.zeros(x.shape[1:]), x, self._coupling_args(x),
-                                   self.drive(phi))
+        kit = self._rows(x)
+        return self._add_potential(np.zeros(x.shape[1:]), x, self._coupling_args(x, kit),
+                                   self.drive(phi), kit)
 
     def evaluate(self, x, y, phi) -> HamEval:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        kinetic = 0.5 * np.einsum("i...,i...->...", y, y)
-        h, dx = self.potential_force(x, self.drive(phi), kinetic)
+        h, dx = self.potential_force(x, self.drive(phi), self._kinetic(y))
         return HamEval(h, dx, y.copy(), _identity_dyy(self.n, x.shape[1:]))
+
+
+class _RowKit(NamedTuple):
+    """What the swing formula needs for one kind of row."""
+
+    sin: object
+    cos: object
+    terms: tuple    # (i, j, lam_i, lam_j, 2 lam_i) of the active terms
+    start: tuple    # the force rows before the coupling terms: -alpha, or 0
 
 
 def make_integrable(n: int, m: int = 0) -> SwingModel:

@@ -9,6 +9,7 @@ finding, fully independent of the variational solver it validates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,7 +83,7 @@ def momentum_of_energy(pot: Potential1D, E: float) -> float:
 
     if E < pot.v_max - 1e-12:
         raise ValueError(f"energy {E!r} below the potential maximum {pot.v_max!r}")
-    f = lambda x: np.sqrt(max(2.0 * (E - float(pot.v(x))), 0.0))
+    f = lambda x: math.sqrt(max(2.0 * (E - float(pot.v(x))), 0.0))
     points = [x for x in pot.x_max if 0.0 < x < PERIOD] or None
     val, _ = _si.quad(f, 0.0, PERIOD, points=points, limit=400,
                       epsabs=1e-12, epsrel=1e-12)
@@ -128,12 +129,15 @@ def potential_from_model(model: SwingModel, samples: int = 64) -> Potential1D:
     if np.max(np.abs(ev.h - 0.5 * ys**2 - v0)) > 1e-10:
         raise ValueError("Hamiltonian is not kinetic-plus-potential; oracle refuses")
 
+    beta = model.drive(np.zeros(0))
+    at_rest = (0.0,)
+
     def V(xx):
-        """V at a point, or at every point of an array."""
-        xx = np.asarray(xx, dtype=float)
-        pts = xx.reshape(1, -1)
-        h = model.potential(pts, np.zeros((0, pts.shape[1])))
-        return h.reshape(xx.shape) if xx.ndim else float(h[0])
+        """V at every point of an array, or at a point: the energy at rest
+        H(x, 0), a float evaluated on the model's float rows."""
+        if isinstance(xx, np.ndarray) and xx.ndim:
+            return model.potential(np.asarray(xx, dtype=float)[None], np.zeros((0,) + xx.shape))
+        return model.energy((float(xx),), at_rest, beta)
 
     return Potential1D.from_callable(V)
 

@@ -57,6 +57,16 @@ class SwingTrajectory:
         return np.mod(self.x, PERIOD)
 
 
+def _drive_steps(model, phi: np.ndarray, floats: bool) -> list:
+    """The drive values of the active terms at each column of ``phi``: a
+    list of floats per column for float rows, a tuple of 0-d arrays for
+    array rows."""
+    cols = phi.shape[1]
+    table = np.array([np.broadcast_to(b, (cols,)) for b in model.drive(phi)])
+    steps = table.reshape(-1, cols).T.tolist()
+    return steps if floats else [tuple(map(np.array, beta)) for beta in steps]
+
+
 def integrate_swing(p: SwingParams, x0, y0, T: float, dt: float,
                     record_every: int = 1) -> SwingTrajectory:
     """Kick-drift-kick integration with the force clock held at midstep.
@@ -64,15 +74,19 @@ def integrate_swing(p: SwingParams, x0, y0, T: float, dt: float,
     Both half-kicks of a step evaluate beta at t + dt/2, which keeps the map
     symmetric (hence 2nd order) in the quasi-periodic case and reduces to
     classic velocity Verlet when autonomous.  ``x0`` and ``y0`` have shape
-    (n,) for one orbit or (n, B) for a batch of B orbits stepped together.
-    The force is ``SwingModel.potential_force``, split so that each step
-    costs one coupling evaluation: the drive coefficients are tabulated in
-    one ``drive`` call per block of ``DRIVE_BLOCK`` steps, and the coupling
+    (n,) or (n, 1) for one orbit, or (n, B) for a batch of B orbits stepped
+    together.  The state is kept as n per-axis rows: Python floats for one
+    orbit, (B,) arrays for a batch (see ``SwingModel.__init__``); a single
+    orbit steps on floats because numpy's per-call cost is most of a step on
+    length-1 arrays, and ``math`` rounds like numpy.  The force is
+    ``SwingModel.potential_force``, split so that each step costs one
+    coupling evaluation: the drive coefficients are tabulated in one
+    ``drive`` call per block of ``DRIVE_BLOCK`` steps, and the coupling
     sines at the new position are carried from the second half-kick of a
     step to the first half-kick of the next (the whole force, when
     autonomous); the trajectory is bit for bit the one of a per-step
-    ``potential_force`` loop.  Deterministic; raises NonFiniteStateError if
-    any orbit blows up.
+    ``potential_force`` loop on arrays.  Deterministic; raises
+    NonFiniteStateError if any orbit blows up.
     """
     if dt <= 0 or T < dt:
         raise ValueError("need dt > 0 and T >= dt")
@@ -83,63 +97,65 @@ def integrate_swing(p: SwingParams, x0, y0, T: float, dt: float,
     y = np.array(y0, dtype=float, ndmin=1)
     if x.shape != y.shape or x.ndim > 2 or x.shape[0] != p.n:
         raise ValueError(f"x0 and y0 must share the shape ({p.n},) or ({p.n}, B)")
-    single = x.ndim == 1
-    if single:
-        x, y = x[:, None], y[:, None]
 
     model = make_swing(p)
     autonomous = p.m == 0
-    shape = x.shape
-    # constants as 0-d arrays, not floats: numpy scales a small array by them
-    # about twice as fast (see SwingModel.__init__)
-    half, step_dt = np.array(0.5 * dt), np.array(dt)
-    beta = tuple(map(np.asarray, model.drive(np.zeros((0, 1))))) if autonomous else None
+    batch = x.shape[1:]
+    # the row kind follows SwingModel's rule: float rows and float constants
+    # for one orbit, (B,) rows and 0-d constants for a batch
+    floats = x.size == p.n
+    if floats:
+        x, y = x.ravel().tolist(), y.ravel().tolist()
+        half, step_dt = 0.5 * dt, dt
+    else:
+        x, y = list(x), list(y)
+        half, step_dt = np.array(0.5 * dt), np.array(dt)
 
-    # total energy on the covering space, recorded when autonomous
-    times, xs, ys, es = [0.0], [x], [y], []
-    if autonomous:
-        es.append(model.energy(x, y, beta))
-    # a blow-up is reported as NonFiniteStateError, not as overflow warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        sines = model.coupling_sines(x)
-        if autonomous:
-            kick = half * model.coupling_force(sines, beta, shape)
-        for first in range(0, n_steps, DRIVE_BLOCK):
-            steps = range(first, min(first + DRIVE_BLOCK, n_steps))
+    # sample r holds x, y and, when autonomous, the total energy on the
+    # covering space
+    n_samples = n_steps // record_every + 1
+    samples = np.empty((n_samples, 2 * p.n + autonomous) + (() if floats else batch))
+    beta = _drive_steps(model, np.zeros((0, 1)), floats)[0] if autonomous else None
+    r = 1
+    # a blow-up is reported as NonFiniteStateError, not as overflow warnings;
+    # math.sin and math.cos raise ValueError at +-inf, where the state turned
+    # non-finite after sample r - 1
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            samples[0] = x + y + [model.energy(x, y, beta)] if autonomous else x + y
+            sines = model.coupling_sines(x)
             if autonomous:
-                betas = [beta] * len(steps)
-            else:
-                # beta at the midstep times (step + 1/2) dt of the block, one
-                # (1,) row per step
-                phi = p.omega[:, None] * ((np.arange(steps.start, steps.stop) + 0.5) * dt)
-                betas = zip(*(np.broadcast_to(b, (len(steps),))[:, None]
-                              for b in model.drive(phi)))
-            for step, beta in zip(steps, betas):
-                if not autonomous:
-                    kick = half * model.coupling_force(sines, beta, shape)
-                y = y - kick
-                x = x + step_dt * y
-                sines = model.coupling_sines(x)
-                kick = half * model.coupling_force(sines, beta, shape)
-                y = y - kick
-                if (step + 1) % record_every == 0:
-                    e = model.energy(x, y, beta) if autonomous else 0.0
-                    if not (np.isfinite(x).all() and np.isfinite(y).all()
-                            and np.isfinite(e).all()):
-                        raise NonFiniteStateError(len(times) - 1)
-                    times.append((step + 1) * dt)
-                    xs.append(x)
-                    ys.append(y)
-                    if autonomous:
-                        es.append(e)
+                force = model.coupling_force(sines, beta, x)
+            for first in range(0, n_steps, DRIVE_BLOCK):
+                steps = range(first, min(first + DRIVE_BLOCK, n_steps))
+                if autonomous:
+                    betas = [beta] * len(steps)
+                else:
+                    # beta at the midstep times (step + 1/2) dt of the block
+                    betas = _drive_steps(model, p.omega[:, None] * (
+                        (np.arange(steps.start, steps.stop) + 0.5) * dt), floats)
+                for step, beta in zip(steps, betas):
+                    if not autonomous:
+                        force = model.coupling_force(sines, beta, x)
+                    y = [yi - half * fi for yi, fi in zip(y, force)]
+                    x = [xi + step_dt * yi for xi, yi in zip(x, y)]
+                    sines = model.coupling_sines(x)
+                    force = model.coupling_force(sines, beta, x)
+                    y = [yi - half * fi for yi, fi in zip(y, force)]
+                    if (step + 1) % record_every == 0:
+                        sample = samples[r]
+                        sample[...] = (x + y + [model.energy(x, y, beta)] if autonomous
+                                       else x + y)
+                        if not np.isfinite(sample).all():
+                            raise NonFiniteStateError(r - 1)
+                        r += 1
+    except ValueError:
+        raise NonFiniteStateError(r - 1) from None
 
-    times = np.asarray(times)
-    xs = np.asarray(xs)
-    ys = np.asarray(ys)
-    es = np.asarray(es) if autonomous else None
-    if single:
-        xs, ys = xs[..., 0], ys[..., 0]
-        es = es[:, 0] if autonomous else es
+    samples = samples.reshape((n_samples, -1) + batch)
+    times = np.arange(n_samples) * record_every * dt
+    xs, ys = samples[:, :p.n], samples[:, p.n:2 * p.n]
+    es = samples[:, 2 * p.n] if autonomous else None
     rotation = (xs[-1] - xs[0]) / times[-1]
     return SwingTrajectory(times=times, x=xs, y=ys, energy=es,
                            rotation_estimate=rotation)

@@ -179,6 +179,16 @@ def test_potential_and_energy_match_evaluate(model):
     assert np.array_equal(model.energy(x, y, model.drive(phi)), model.evaluate(x, y, phi).h)
     one = model.potential(x[:, :1], phi[:, :1])
     assert one.shape == (1,) and one[0] == model.evaluate(x[:, :1], 0 * y[:, :1], phi[:, :1]).h[0]
+    # one point on float rows (math) gives the bits of the array rows (numpy)
+    ev = model.evaluate(x, y, phi)
+    beta = np.broadcast_arrays(*model.drive(phi), x[0])[:-1]
+    for s in range(0, x.shape[1], 7):
+        xs, ys, bs = x[:, s].tolist(), y[:, s].tolist(), [float(b[s]) for b in beta]
+        h = model.energy(xs, ys, bs)
+        force = model.coupling_force(model.coupling_sines(xs), bs, xs)
+        assert type(h) is float and all(type(f) is float for f in force)
+        assert np.array_equal(np.array([h, *force]).view(np.int64),
+                              np.array([ev.h[s], *ev.dx[:, s]]).view(np.int64))
 
 
 @pytest.mark.parametrize("model", ALL_MODELS, ids=MODEL_IDS)

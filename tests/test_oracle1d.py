@@ -105,6 +105,34 @@ def test_potential_from_model_samples_in_one_call(monkeypatch):
     assert isinstance(pot.v(1.0), float)
 
 
+def test_potential_from_model_point_is_a_float_row():
+    # a point is evaluated on the model's float rows: a Python float, equal
+    # bit for bit to the array evaluation
+    model = make_pendulum(0.7)
+    pot = potential_from_model(model)
+    xs = np.random.default_rng(7).uniform(-10.0, 10.0, 1000)
+    want = model.potential(xs[None], np.zeros((0, xs.size)))
+    got = [pot.v(x) for x in xs.tolist()]
+    assert all(type(v) is float for v in got)
+    assert np.array_equal(np.array(got).view(np.int64), want.view(np.int64))
+
+
+def test_oracle_table_matches_array_point_path():
+    # the table equals the one of a V that evaluates each point as a
+    # length-1 array
+    model = make_pendulum(1.0)
+
+    def v_array(x):
+        x = np.asarray(x, dtype=float)
+        h = model.potential(x.reshape(1, -1), np.zeros((0, x.size)))
+        return h.reshape(x.shape) if x.ndim else float(h[0])
+
+    ps = np.round(np.arange(0.0, 3.0001, 0.05), 10)
+    got = oracle_table(potential_from_model(model), ps)
+    want = oracle_table(Potential1D.from_callable(v_array), ps)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 class _CrossTermModel:
     """H = y^2/2 + x*y: not kinetic-plus-potential."""
 

@@ -26,6 +26,14 @@ def qp_params():
                        lam=[0.5], omega=[np.sqrt(2.0)])
 
 
+def n2_m2_params():
+    return SwingParams(alpha=[0.0, 0.0],
+                       beta=((TrigPoly(1.0, (((1, 0), 0.3, 0.1),)),
+                              TrigPoly(0.4, (((1, -1), 0.2, 0.0),))),
+                             (TrigPoly(0.0), TrigPoly(0.7, (((0, 2), 0.0, 0.25),)))),
+                       lam=[1.0, 0.5], omega=[1.0, np.sqrt(2.0)])
+
+
 def test_free_motion_exact():
     assert verify.free_motion_error(free_params()) <= verify.FREE_MOTION_TOL
     traj = integrate_swing(free_params(), [0.2], [0.7], 10.0, 1e-3)
@@ -97,16 +105,25 @@ def test_nonfinite_state_aborts():
     with pytest.raises(NonFiniteStateError) as err:
         integrate_swing(free_params(), [[0.0, 0.0]], [[1.0, 1e308]], 200.0, 10.0)
     assert err.value.index == 0
+    # a non-finite start fails at the first recorded sample, without a
+    # ValueError from math.cos in the energy of a single orbit
+    for x0 in ([np.inf], [[np.inf]], [[0.0, np.inf]]):
+        with pytest.raises(NonFiniteStateError) as err:
+            y0 = np.zeros(np.shape(x0))
+            integrate_swing(pendulum_params(), x0, y0, 1.0, 1e-3, record_every=10)
+        assert err.value.index == 0
 
 
-@pytest.mark.parametrize("params", [pendulum_params, qp_params],
-                         ids=["autonomous", "quasi_periodic"])
+@pytest.mark.parametrize("params", [pendulum_params, qp_params, n2_m2_params],
+                         ids=["autonomous", "quasi_periodic", "n2_m2"])
 def test_batch_columns_match_single_runs(params):
-    x0 = np.array([[0.0, 0.5, -1.0, 2.0]])
-    y0 = np.array([[2.6, 0.0, 1.1, -3.0]])
+    # a batch steps on array rows, one orbit on float rows
+    n = params().n
+    x0 = np.array([[0.0, 0.5, -1.0, 2.0], [0.3, -0.7, 1.5, 0.0]])[:n]
+    y0 = np.array([[2.6, 0.0, 1.1, -3.0], [0.4, 1.2, -0.5, 2.0]])[:n]
     batch = integrate_swing(params(), x0, y0, 3.0, 1e-3, record_every=7)
-    assert batch.x.shape == (len(batch.times), 1, 4)
-    assert rotation_number(batch).shape == (1, 4)
+    assert batch.x.shape == (len(batch.times), n, 4)
+    assert rotation_number(batch).shape == (n, 4)
     for b in range(4):
         one = integrate_swing(params(), x0[:, b], y0[:, b], 3.0, 1e-3, record_every=7)
         assert np.array_equal(batch.times, one.times)
@@ -178,19 +195,22 @@ BITWISE_CASES = {
     "pendulum": (pendulum_params(), [0.3], [2.6]),
     "batch_of_3": (pendulum_params(), [[0.0, 0.5, -1.0]], [[2.6, 0.0, 1.1]]),
     "quasi_periodic": (qp_params(), [0.0], [1.5]),
-    "n2_m2": (SwingParams(alpha=[0.0, 0.0],
-                          beta=((TrigPoly(1.0, (((1, 0), 0.3, 0.1),)),
-                                 TrigPoly(0.4, (((1, -1), 0.2, 0.0),))),
-                                (TrigPoly(0.0), TrigPoly(0.7, (((0, 2), 0.0, 0.25),)))),
-                          lam=[1.0, 0.5], omega=[1.0, np.sqrt(2.0)]),
-              [0.1, -0.3], [1.2, 0.4]),
+    "n2_m2": (n2_m2_params(), [0.1, -0.3], [1.2, 0.4]),
+    "n2_m2_batch": (n2_m2_params(), [[0.1, 0.5, -1.0], [-0.3, 0.2, 1.0]],
+                    [[1.2, -0.4, 0.0], [0.4, 1.0, -2.0]]),
     "tilted_autonomous": (SwingParams(alpha=[0.1], beta=((TrigPoly(1.0),),), lam=[0.5]),
                           [0.0], [0.3]),
     "tilted_driven": (SwingParams(alpha=[0.1], beta=((qp_drive(),),), lam=[0.5],
                                   omega=[np.sqrt(2.0)]), [0.0], [0.3]),
+    "tilted_batch": (SwingParams(alpha=[0.1], beta=((TrigPoly(1.0),),), lam=[0.5]),
+                     [[0.0, 0.5, -1.0]], [[0.3, 2.6, -1.1]]),
     # x overflows after ~4600 steps, past the first drive block
     "blow_up": (SwingParams(alpha=[1.7e307], beta=((qp_drive(),),), lam=[0.5],
                             omega=[np.sqrt(2.0)]), [0.0], [0.0]),
+    # the coupling argument 2 lam x overflows after ~4500 steps, past the
+    # first drive block; one orbit's math.sin raises there, numpy's gives nan
+    "blow_up_autonomous": (SwingParams(alpha=[0.0], beta=((TrigPoly(1e-300),),),
+                                       lam=[1e300]), [0.0], [2e7]),
 }
 
 
