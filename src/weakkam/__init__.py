@@ -7,6 +7,7 @@ from .cell import (
     CellProblem,
     CellSolution,
     ContinuationError,
+    NewtonState,
     SolverOptions,
     aronsson_residual,
     continuation_solve,

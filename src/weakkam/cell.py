@@ -22,6 +22,16 @@ which is cheaper to build and near-exact at low k.  At high k it is not: once
 one CG solve on an n=1 grid takes more applies than a dense factor costs, the
 rest of that solve uses the exact step.
 
+The Levenberg shift of a step is lam times each fiber's largest sum_a C_aa,
+the operator's scale on its lowest modes; a shift at its grid-scale ceiling,
+1/dx^2 larger, would make the first steps of every solve damped gradient
+steps.  A solve returns its final lam and step kind as a ``NewtonState``, and
+``solve_cell`` can start from one: the stages of ``continuation_solve`` and
+the fibers of ``fiber_decomposed_solve`` hand theirs on, so a warm start does
+not learn again how much damping the problem needs, or that CG on the FD LU
+stalls.  A carried lam is floored at ``LAM_WARM_FLOOR``.  The state is passed
+only through arguments and return values.
+
 An exact factor is kept from one Newton step to the next as the
 preconditioner of an operator built anew at every step, and factored again
 only after a CG solve on it took more than ``REFACTOR_APPLIES`` applies: a
@@ -30,7 +40,8 @@ is almost all of a step.  Only a preconditioner that holds every fiber's
 factor is kept (n=1 grids, and n=2 grids without fiber axes).  On n=2 grids
 with fiber axes the fibers share one factor buffer, so a kept preconditioner
 would factor every fiber again at each CG iteration; there, as with the FD
-LU, every step builds its own.
+LU, every step builds its own.  A factor is never carried from one solve to
+the next.
 """
 
 from __future__ import annotations
@@ -57,6 +68,7 @@ __all__ = [
     "CellProblem",
     "CellSolution",
     "ContinuationError",
+    "NewtonState",
     "objective",
     "solve_cell",
     "continuation_solve",
@@ -72,9 +84,19 @@ EXACT_MAX_N_X = 64
 TEST_MODES = 8
 # conjugate-gradient iterations per Newton step
 CG_MAX_ITER = 200
+# share of the Gibbs mass that sup_Dxu leaves out: the lightest nodes, where
+# the functional does not pin v
+SUP_TAIL_MASS = 1e-8
 # applies of one CG solve on a kept exact factor above which the next Newton
 # step factors anew
 REFACTOR_APPLIES = 4
+# Levenberg lam of a cold start, in units of each fiber's largest sum_a C_aa
+LAM_COLD = 1e-3
+# smallest lam a solve starts from when it is handed an earlier solve's state
+LAM_WARM_FLOOR = 1e-6
+# bounds of lam, in units of each fiber's largest sum_a C_aa / dx^2 (the
+# operator's grid-scale ceiling)
+LAM_MIN, LAM_MAX = 1e-12, 1e6
 
 
 def _exact_step(grid: TorusGrid) -> bool:
@@ -157,6 +179,15 @@ class CellProblem:
 
 
 @dataclass(frozen=True)
+class NewtonState:
+    """What a Newton solve ends with that a warm start can reuse: the
+    Levenberg ``lam`` (in units of each fiber's largest sum_a C_aa) and
+    whether the step had turned exact (``_dense_pays``)."""
+    lam: float
+    exact: bool
+
+
+@dataclass(frozen=True)
 class CellSolution:
     v: ScalarField
     Hbar_k: float
@@ -173,6 +204,9 @@ class CellSolution:
     objective_history: tuple = field(repr=False, default=())
     warnings: tuple = ()
     wall_time_s: float = 0.0
+    # the Newton state to hand the next warm start (None for an assembled
+    # fiber solution); not part of any record
+    newton_state: NewtonState | None = field(repr=False, default=None)
 
 
 class ContinuationError(RuntimeError):
@@ -269,9 +303,17 @@ def _fiber_values(problem: CellProblem, h: np.ndarray) -> np.ndarray:
     return vals.reshape(grid.shape[grid.n:])
 
 
+def _sup_on_support(speed: np.ndarray, sigma: np.ndarray) -> float:
+    """Max of ``speed`` over the heaviest nodes that together hold all but
+    ``SUP_TAIL_MASS`` of the Gibbs weight ``sigma``."""
+    order = np.argsort(sigma, axis=None, kind="stable")
+    light = np.cumsum(sigma.ravel()[order]) <= SUP_TAIL_MASS * float(np.sum(sigma))
+    return float(np.max(speed.ravel()[order[~light]]))
+
+
 def _finish(problem: CellProblem, v_values: np.ndarray, iterations: int,
             status: str, history: list, opts: SolverOptions,
-            t0: float) -> CellSolution:
+            t0: float, state: NewtonState | None = None) -> CellSolution:
     grid = problem.grid
     v_values = v_values - v_values.mean()
     value, grad, ev, sigma = _evaluate(problem, v_values)
@@ -279,7 +321,7 @@ def _finish(problem: CellProblem, v_values: np.ndarray, iterations: int,
     gnorm = _grid_norm(grad)
     el = _el_residual(problem, sigma, ev.dy)
     dxu = problem.momentum_field(v_values)
-    sup_dxu = float(np.max(np.sqrt(np.einsum("i...,i...->...", dxu, dxu))))
+    sup_dxu = _sup_on_support(np.sqrt(np.einsum("i...,i...->...", dxu, dxu)), sigma)
     warnings = []
     max_force = float(np.max(np.abs(ev.dx))) if ev.dx.size else 0.0
     if problem.k * grid.dx * max_force > 50.0:
@@ -304,6 +346,7 @@ def _finish(problem: CellProblem, v_values: np.ndarray, iterations: int,
         objective_history=tuple(history),
         warnings=tuple(warnings),
         wall_time_s=time.perf_counter() - t0,
+        newton_state=state,
     )
 
 
@@ -518,15 +561,16 @@ def _newton_system(problem, ev, sigma, lam, exact, precond=None):
 
     The operator is w -> -div_x(C D_x w) + shift * w with the pointwise
     tensor C = sigma (D2_yy H + k D_yH D_yH^T), projected off constants.  The
-    Levenberg shift is lam times each fiber's own curvature ceiling.
+    Levenberg shift is lam times each fiber's largest sum_a C_aa: the scale of
+    the operator on its lowest modes, not its grid-scale ceiling, which is
+    1/dx^2 times larger.
     """
     grid, k = problem.grid, problem.k
     dy = ev.dy
     C = sigma * (ev.dyy + k * np.einsum("i...,j...->ij...", dy, dy))
     curvature = sum(C[a, a] for a in range(grid.n))
     shift = lam * np.broadcast_to(
-        curvature.max(axis=tuple(range(grid.n)), keepdims=True) / grid.dx ** 2,
-        grid.shape)
+        curvature.max(axis=tuple(range(grid.n)), keepdims=True), grid.shape)
 
     def apply_A(w: np.ndarray) -> np.ndarray:
         flux = np.einsum("ij...,j...->i...", C, grad_values(w, grid))
@@ -542,16 +586,23 @@ def _newton_system(problem, ev, sigma, lam, exact, precond=None):
     return apply_A, precond
 
 
-def _minimize_newton(problem, v, opts):
+def _minimize_newton(problem, v, opts, state=None):
     """Damped Newton on the divergence-form linearization.
 
     The Levenberg shift, scaled per fiber, tames the near-null directions
     outside the Gibbs support without drowning low-mass fibers; lam relaxes
-    toward 0 as full steps succeed, so the tail is plain Newton.  Below f's
-    rounding floor the gain ratio is noise, so a step there counts as good
-    exactly when the gradient norm fell.  The step starts exact where
-    ``_exact_step`` says so, and turns exact for the rest of the solve once
-    one CG solve costs more than a dense factor (``_dense_pays``).
+    toward 0 as full steps succeed, so the tail is plain Newton.  A cold
+    solve starts at ``LAM_COLD``; handed the ``state`` of an earlier solve, it
+    starts from that solve's final lam, but not below ``LAM_WARM_FLOOR``.  lam
+    stays within ``LAM_MIN`` and ``LAM_MAX`` over dx^2: with a floor of
+    1e-12 on lam itself, and no warm floor, a lam carried along a
+    warm-started P walk at k=64 left the dense n=1 operator numerically
+    indefinite.  Below f's rounding
+    floor the gain ratio is noise, so a step there counts as good exactly
+    when the gradient norm fell.  The step starts exact where ``_exact_step``
+    says so, or on an n=1 grid where the earlier solve had turned exact, and
+    turns exact for the rest of the solve once one CG solve costs more than a
+    dense factor (``_dense_pays``).
 
     The operator is built from the current state at every step.  An exact
     factor is kept from step to step as the preconditioner, and factored
@@ -563,18 +614,27 @@ def _minimize_newton(problem, v, opts):
     axes the fibers share one factor buffer, so every solve on a kept
     preconditioner would factor every fiber again; there, as with the FD LU
     (whose reuse doubled the pendulum's applies), each step factors once.
+    No factor outlives the solve.
+
+    Returns the iterate, the step count, the status, the objective history
+    and the final ``NewtonState``.
     """
     grid = problem.grid
     f, g, ev, sigma = _evaluate(problem, v)
     history = [f]
-    lam = 1e-3
+    lam_min, lam_max = LAM_MIN / grid.dx ** 2, LAM_MAX / grid.dx ** 2
     exact = _exact_step(grid)
+    if state is None:
+        lam = LAM_COLD
+    else:
+        lam = max(state.lam, LAM_WARM_FLOOR, lam_min)
+        exact = exact or (grid.n == 1 and state.exact)
     keeps = grid.n == 1 or grid.m == 0
     precond = None
     for it in range(opts.max_iter):
         gnorm = _grid_norm(g)
         if gnorm <= opts.gtol:
-            return v, it, "converged", history
+            return v, it, "converged", history, NewtonState(lam, exact)
         apply_A, precond = _newton_system(problem, ev, sigma, lam, exact, precond)
         d, applies = _pcg(apply_A, -g, rtol=min(0.5, np.sqrt(gnorm)),
                           max_iter=CG_MAX_ITER, precond=precond,
@@ -587,7 +647,7 @@ def _minimize_newton(problem, v, opts):
             d, slope = -g, -_grid_inner(g, g)
         hit = _line_search(problem, v, f, g, d, slope, gnorm)
         if hit is None:
-            return v, it, "line_search", history
+            return v, it, "line_search", history, NewtonState(lam, exact)
         t, v, f_new, g, ev, sigma = hit
         if f - f_new <= _rounding_floor(f):
             ratio = 1.0 if _grid_norm(g) < gnorm else 0.0
@@ -595,14 +655,14 @@ def _minimize_newton(problem, v, opts):
             # gain ratio against the damped quadratic model (pred ~ -slope/2)
             ratio = (f - f_new) / max(-0.5 * t * slope, 1e-300)
         if ratio > 0.75 and t >= 1.0:
-            lam = max(lam / 3.0, 1e-12)
+            lam = max(lam / 3.0, lam_min)
         elif ratio < 0.25 or t < 0.1:
-            lam = min(lam * 2.0, 1e6)
+            lam = min(lam * 2.0, lam_max)
         # a constant shift of v changes neither f nor g
         v = v - v.mean()
         f = f_new
         history.append(f)
-    return v, opts.max_iter, "max_iter", history
+    return v, opts.max_iter, "max_iter", history, NewtonState(lam, exact)
 
 
 def _pcg(apply_A, b, rtol, max_iter, precond, atol=0.0):
@@ -636,12 +696,17 @@ def _pcg(apply_A, b, rtol, max_iter, precond, atol=0.0):
 
 
 def solve_cell(problem: CellProblem, init: ScalarField | None = None,
-               opts: SolverOptions | None = None) -> CellSolution:
+               opts: SolverOptions | None = None,
+               state: NewtonState | None = None) -> CellSolution:
     """Minimize F_k; returns the corrector and its diagnostics.
 
-    Deterministic given (problem, init, opts).  If the iteration cap is hit
-    or the line search stalls, the best iterate is returned with
-    ``converged=False`` and the reason in ``status``.
+    ``state`` is the ``newton_state`` of an earlier solution, typically the
+    one ``init`` comes from: the solve then starts from that solve's
+    Levenberg lam and step kind instead of learning them again.  It changes
+    the path, not the minimizer.  Deterministic given (problem, init, opts,
+    state).  If the iteration cap is hit or the line search stalls, the best
+    iterate is returned with ``converged=False`` and the reason in
+    ``status``.
     """
     opts = opts or SolverOptions()
     t0 = time.perf_counter()
@@ -653,8 +718,8 @@ def solve_cell(problem: CellProblem, init: ScalarField | None = None,
         if abs(float(np.mean(init.values))) > 1e-8 * (1.0 + float(np.max(np.abs(init.values)))):
             raise ValueError("init must have zero mean")
         v = init.values - init.values.mean()
-    v, iters, status, history = _minimize_newton(problem, v, opts)
-    return _finish(problem, v, iters, status, history, opts, t0)
+    v, iters, status, history, state = _minimize_newton(problem, v, opts, state)
+    return _finish(problem, v, iters, status, history, opts, t0, state)
 
 
 def continuation_solve(model: SwingModel, P, k_schedule, tau_steps: int,
@@ -663,7 +728,8 @@ def continuation_solve(model: SwingModel, P, k_schedule, tau_steps: int,
 
     Starts from the integrable endpoint tau=0 where v=0 is exact, walks tau to
     1 in ``tau_steps`` uniform steps at k_schedule[0], then re-solves at each
-    larger k initializing from the previous solution.  Returns one solution
+    larger k initializing from the previous solution.  Each stage starts from
+    the Newton state the stage before it ended with.  Returns one solution
     per k; their Hbar_k values are checked to be nondecreasing (slack 1e-8).
     """
     opts = opts or SolverOptions()
@@ -674,26 +740,26 @@ def continuation_solve(model: SwingModel, P, k_schedule, tau_steps: int,
         raise ValueError("tau_steps must be >= 1")
 
     results: list[CellSolution] = []
-    init = None
+    init, state = None, None
     for i in range(1, tau_steps + 1):
         tau = i / tau_steps
-        sol = solve_cell(CellProblem(model, P, k_schedule[0], grid, tau), init, opts)
+        sol = solve_cell(CellProblem(model, P, k_schedule[0], grid, tau), init, opts, state)
         if not sol.converged:
             raise ContinuationError(
                 f"stage (tau={tau:g}, k={k_schedule[0]:g}) did not converge "
                 f"({_unconverged_reason(sol, opts)})", results, tau, k_schedule[0])
-        init = sol.v
+        init, state = sol.v, sol.newton_state
     results.append(sol)
 
     for k in k_schedule[1:]:
-        sol = solve_cell(CellProblem(model, P, k, grid, 1.0), init, opts)
+        sol = solve_cell(CellProblem(model, P, k, grid, 1.0), init, opts, state)
         if not sol.converged:
             raise ContinuationError(
                 f"stage (tau=1, k={k:g}) did not converge "
                 f"({_unconverged_reason(sol, opts)})",
                 results, 1.0, k)
         results.append(sol)
-        init = sol.v
+        init, state = sol.v, sol.newton_state
 
     hbars = [s.Hbar_k for s in results]
     for a, b in zip(hbars, hbars[1:]):
@@ -717,8 +783,9 @@ def fiber_decomposed_solve(problem: CellProblem,
     the fibers that dominate the mass are polished to gtol over their weight,
     which keeps the assembled joint gradient at the requested level without
     asking low-mass fibers for precision below the round-off floor.  Each
-    fiber but the first starts from the solution of the fiber before it in
-    grid order, which the drive's continuity in phi keeps close.
+    fiber but the first starts from the solution and the Newton state of the
+    fiber before it in grid order, which the drive's continuity in phi keeps
+    close; a polish starts from its fiber's own.
     """
     if problem.grid.m < 1:
         raise ValueError("fiber decomposition needs m >= 1")
@@ -730,13 +797,13 @@ def fiber_decomposed_solve(problem: CellProblem,
 
     fibers = []
     iters = 0
-    init = None
+    init, state = None, None
     for idx in np.ndindex(*(grid.N_phi,) * grid.m):
         phi_val = np.array([phi_axis[i] for i in idx])
         sub = CellProblem(problem.model.at_phase(phi_val), problem.P,
                           problem.k, grid_x, problem.tau)
-        sol = solve_cell(sub, init, opts)
-        init = sol.v
+        sol = solve_cell(sub, init, opts, state)
+        init, state = sol.v, sol.newton_state
         iters += sol.iterations
         if not sol.converged:
             raise ContinuationError(
@@ -752,7 +819,7 @@ def fiber_decomposed_solve(problem: CellProblem,
         target = opts.gtol / weight
         if weight > 1.0 and sol.grad_norm > target:
             polish = replace(opts, gtol=max(target, 1e-12))
-            again = solve_cell(sub, sol.v, polish)
+            again = solve_cell(sub, sol.v, polish, sol.newton_state)
             iters += again.iterations
             if again.grad_norm < sol.grad_norm:
                 sol = again

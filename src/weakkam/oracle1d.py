@@ -50,15 +50,28 @@ class Potential1D:
 
 
 def _refine_extrema(V, xs, vals, sign):
-    """Locate extrema by dense sampling plus bounded local refinement."""
+    """Locate extrema by dense sampling plus bounded local refinement.
+
+    Samples within 1e-9 of the best one are tied.  Each cyclic run of tied
+    samples is refined once, at its best sample.  When all samples lie within
+    1e-9 of each other, V is flat at the sampling resolution: its value is
+    the best sample and it has no extremum locations."""
     from scipy import optimize as _so
 
-    f = lambda x: -sign * float(V(x))
+    tie = 1e-9
     target = sign * vals
     best = float(np.max(target))
+    if best - float(np.min(target)) < tie:
+        return sign * best, []
+    f = lambda x: -sign * float(V(x))
     h = xs[1] - xs[0]
+    tied = target >= best - tie
+    # start the cycle on an untied sample, so no run wraps around
+    cycle = np.roll(np.arange(xs.size), -int(np.argmin(tied)))
+    runs = np.split(cycle, np.flatnonzero(np.diff(tied[cycle])) + 1)
     locations, value = [], -np.inf
-    for i in np.flatnonzero(target >= best - 1e-9):
+    for run in (r for r in runs if tied[r[0]]):
+        i = run[np.argmax(target[run])]
         res = _so.minimize_scalar(f, bounds=(xs[i] - h, xs[i] + h), method="bounded",
                                   options={"xatol": 1e-12})
         value = max(value, -res.fun)

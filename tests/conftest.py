@@ -40,19 +40,21 @@ def pendulum_sweep(pendulum, grid256):
 def hbar64_table(pendulum, grid256, pendulum_sweep):
     """(P, Hbar^64) on a step-0.05 grid over [0, 3], warm-started across P.
 
-    The functional is strictly convex in the corrector gradient, so the
-    minimizer is independent of the initialization; warm starts only cut
-    the iteration count.
+    Each row starts from the corrector and the Newton state of the row
+    before it.  The functional is strictly convex in the corrector gradient,
+    so the minimizer is independent of the initialization; warm starts only
+    cut the iteration count.
     """
     ps = np.round(np.arange(0.0, 3.0 + 1e-9, 0.05), 10)
-    init = pendulum_sweep["solutions"][0.0][-1].v
+    start = pendulum_sweep["solutions"][0.0][-1]
+    init, state = start.v, start.newton_state
     rows = []
     for P in ps:
         sol = solve_cell(CellProblem(pendulum, [P], 64.0, grid256), init,
-                         SolverOptions(max_iter=4000))
+                         SolverOptions(max_iter=4000), state)
         assert sol.converged, f"table solve failed at P={P}"
         rows.append((float(P), sol.Hbar_k))
-        init = sol.v
+        init, state = sol.v, sol.newton_state
     return rows
 
 

@@ -393,6 +393,47 @@ def test_pendulum_sweep_stays_on_fd_lu(pendulum, grid256, monkeypatch):
     assert not built
 
 
+def _record_stages(monkeypatch, carry=True):
+    """Record (tau, k, iterations) of every solve_cell call; with
+    ``carry=False`` each call drops the Newton state it is handed."""
+    from weakkam import cell
+    stages = []
+    solve = cell.solve_cell
+
+    def recording(problem, init=None, opts=None, state=None):
+        sol = solve(problem, init, opts, state if carry else None)
+        stages.append((sol.tau, sol.k, sol.iterations))
+        return sol
+
+    monkeypatch.setattr(cell, "solve_cell", recording)
+    return stages
+
+
+def test_carried_state_cuts_newton_steps(pendulum, grid256, monkeypatch):
+    # the tau and k stages hand their Levenberg lam on: 56 Newton steps when
+    # every stage started at the cold lam with the grid-scale shift, 25 now
+    stages = _record_stages(monkeypatch)
+    sols = continuation_solve(pendulum, [0.5], [8.0, 16.0, 32.0, 64.0], 4, grid256)
+    assert all(s.converged for s in sols) and len(stages) == 7
+    assert sum(it for *_, it in stages) <= 42, stages
+
+
+def test_carried_state_keeps_the_minimizer(pendulum, grid256, monkeypatch):
+    # the state changes the path, not the solution
+    carried = continuation_solve(pendulum, [0.5], [8.0, 16.0, 32.0, 64.0], 4, grid256)
+    _record_stages(monkeypatch, carry=False)
+    fresh = continuation_solve(pendulum, [0.5], [8.0, 16.0, 32.0, 64.0], 4, grid256)
+    for a, b in zip(carried, fresh):
+        assert abs(a.Hbar_k - b.Hbar_k) <= 1e-10
+
+
+def test_continuation_repeats_exactly(pendulum, grid256):
+    # no solver state outlives a call: a second run takes the same path
+    runs = [continuation_solve(pendulum, [1.5], [8.0, 16.0], 2, grid256) for _ in range(2)]
+    assert [(s.Hbar_k, s.iterations) for s in runs[0]] == \
+        [(s.Hbar_k, s.iterations) for s in runs[1]]
+
+
 def test_stalled_cg_switches_to_exact_step(pendulum, grid256, pendulum_sweep,
                                            monkeypatch):
     # one row of the Hbar^64 table: warm-started from P=0, CG on the FD LU

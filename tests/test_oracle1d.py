@@ -37,6 +37,26 @@ def test_momentum_free_particle():
     assert momentum_of_energy(pot, 0.5) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_flat_potential_refines_nothing(monkeypatch):
+    # all 4096 samples tie on a constant potential: none is refined, and it
+    # has no maximum locations to split the quadrature at.  Otherwise each
+    # run of tied samples is refined once: the pendulum has one maximum and
+    # one minimum, cos(2x) two of each
+    from scipy import optimize
+    calls = []
+    minimize_scalar = optimize.minimize_scalar
+    monkeypatch.setattr(optimize, "minimize_scalar",
+                        lambda *a, **k: calls.append(a) or minimize_scalar(*a, **k))
+    pot = Potential1D.from_callable(lambda x: 0.0)
+    assert not calls
+    assert (pot.v_max, pot.v_min, pot.x_max) == (0.0, 0.0, ())
+    Potential1D.from_callable(lambda x: 1.0 - np.cos(x))
+    assert len(calls) == 2
+    pot = Potential1D.from_callable(lambda x: np.cos(2.0 * x))
+    assert len(calls) == 6
+    assert np.allclose(pot.x_max, [0.0, np.pi], atol=1e-6)
+
+
 def test_momentum_separatrix_closed_form(pend_pot):
     # int sqrt(2(2 - V)) dx / 2pi = 4/pi
     assert momentum_of_energy(pend_pot, 2.0) == pytest.approx(4.0 / np.pi, abs=1e-10)
