@@ -13,14 +13,15 @@ preconditioned conjugate gradients.  Each solve starts on the preconditioner
 that ``_exact_step`` picks from the grid.  Where the grid has fiber axes and
 one spatial axis (spectral or fd2), or two spatial axes and the spectral
 derivative, it is an exact Cholesky solve of the operator itself, fiber by
-fiber, so each step costs one operator apply (with the FD LU, one CG across
-fibers whose Gibbs masses differ by many orders runs close to its iteration
-cap).  One-dimensional grids without fiber axes (the pendulum, the
+fiber, so each step costs one operator apply (with the FD factor, one CG
+across fibers whose Gibbs masses differ by many orders runs close to its
+iteration cap).  One-dimensional grids without fiber axes (the pendulum, the
 subproblems of the fiber decomposition) and fd2 grids in two dimensions start
-on a sparse LU of a finite-difference stencil with the same coefficients,
-which is cheaper to build and near-exact at low k.  At high k it is not: once
-one CG solve on an n=1 grid takes more applies than a dense factor costs, the
-rest of that solve uses the exact step.
+on a factor of a finite-difference stencil with the same coefficients, which
+is cheaper to build and near-exact at low k: in one dimension a cyclic
+tridiagonal, factored in O(N_x); in two, a sparse LU.  At high k it is not
+near-exact: once one CG solve on an n=1 grid takes more applies than a dense
+factor costs, the rest of that solve uses the exact step.
 
 The Levenberg shift of a step is lam times each fiber's largest sum_a C_aa,
 the operator's scale on its lowest modes; a shift at its grid-scale ceiling,
@@ -28,9 +29,9 @@ the operator's scale on its lowest modes; a shift at its grid-scale ceiling,
 steps.  A solve returns its final lam and step kind as a ``NewtonState``, and
 ``solve_cell`` can start from one: the stages of ``continuation_solve`` and
 the fibers of ``fiber_decomposed_solve`` hand theirs on, so a warm start does
-not learn again how much damping the problem needs, or that CG on the FD LU
-stalls.  A carried lam is floored at ``LAM_WARM_FLOOR``.  The state is passed
-only through arguments and return values.
+not learn again how much damping the problem needs, or that CG on the FD
+factor stalls.  A carried lam is floored at ``LAM_WARM_FLOOR``.  The state is
+passed only through arguments and return values.
 
 An exact factor is kept from one Newton step to the next as the
 preconditioner of an operator built anew at every step, and factored again
@@ -40,8 +41,8 @@ is almost all of a step.  Only a preconditioner that holds every fiber's
 factor is kept (n=1 grids, and n=2 grids without fiber axes).  On n=2 grids
 with fiber axes the fibers share one factor buffer, so a kept preconditioner
 would factor every fiber again at each CG iteration; there, as with the FD
-LU, every step builds its own.  A factor is never carried from one solve to
-the next.
+factor, every step builds its own.  A factor is never carried from one solve
+to the next.
 """
 
 from __future__ import annotations
@@ -102,9 +103,9 @@ LAM_MIN, LAM_MAX = 1e-12, 1e6
 def _exact_step(grid: TorusGrid) -> bool:
     """Whether a solve on this grid starts with an exact (Cholesky) Newton
     step: on spectral n=2 grids, and on n=1 grids with fiber axes (spectral or
-    fd2), whose fibers the FD LU fits one by one but one CG cannot treat
-    together.  n=1 grids without fiber axes start on the cheaper FD LU and
-    move to the exact step when CG stalls (``_dense_pays``)."""
+    fd2), whose fibers the FD factor fits one by one but one CG cannot treat
+    together.  n=1 grids without fiber axes start on the cheaper FD factor
+    and move to the exact step when CG stalls (``_dense_pays``)."""
     return (grid.n == 2 and grid.diff_mode == "spectral") or (grid.n == 1 and grid.m >= 1)
 
 
@@ -112,12 +113,14 @@ def _dense_pays(grid: TorusGrid, applies: int) -> bool:
     """Whether a CG solve that took ``applies`` operator applies on this grid
     cost more than the exact step would have.  Only n=1 grids have a dense
     step to move to.  Its build and factor grow as N_x^3, one apply as
-    N_x log N_x: on 2 cores the dense system takes 0.28 ms at N_x=128 and
-    1.4 ms at N_x=256, the FD system 0.3 ms and one apply with its FD solve
-    about 0.1 ms at either size.  The threshold, 4 applies at N_x=128 and 32
-    at N_x=256, is at or above that break-even, so a solve whose CG stays
-    near-exact keeps the FD LU (and the process skips the first dense
-    factor's BLAS buffers), while one whose CG stalls switches."""
+    N_x log N_x: on 2 cores the dense system takes 0.30 ms at N_x=128 and
+    2.0 ms at N_x=256, the tridiagonal FD system 0.06 and 0.12 ms, one apply
+    with its FD solve 0.075 and 0.10 ms.  A dense step that factors once
+    breaks even with about 5 FD applies at N_x=128 and 20 at N_x=256, and a
+    factor kept over several steps with fewer.  The threshold, 4 applies at
+    N_x=128 and 32 at N_x=256, sits near that break-even, so a solve whose CG
+    stays near-exact keeps the FD factor (and the process skips the first
+    dense factor's BLAS buffers), while one whose CG stalls switches."""
     return grid.n == 1 and applies > 4 * (grid.N_x / 128) ** 3
 
 
@@ -313,10 +316,15 @@ def _sup_on_support(speed: np.ndarray, sigma: np.ndarray) -> float:
 
 def _finish(problem: CellProblem, v_values: np.ndarray, iterations: int,
             status: str, history: list, opts: SolverOptions,
-            t0: float, state: NewtonState | None = None) -> CellSolution:
+            t0: float, state: NewtonState | None = None,
+            evaluated: tuple | None = None) -> CellSolution:
+    """The solution at ``v_values`` with its diagnostics.  ``evaluated`` is
+    the ``_evaluate`` output the solver already holds for this iterate (taken
+    before v was re-centered, which moves f and g only by rounding); without
+    it the iterate is evaluated here."""
     grid = problem.grid
     v_values = v_values - v_values.mean()
-    value, grad, ev, sigma = _evaluate(problem, v_values)
+    value, grad, ev, sigma = evaluated or _evaluate(problem, v_values)
     hbar = log_mean_exp_values(ev.h, problem.k)   # == value; reported via the field op
     gnorm = _grid_norm(grad)
     el = _el_residual(problem, sigma, ev.dy)
@@ -399,13 +407,11 @@ def _fd_preconditioner(grid: TorusGrid, C: np.ndarray, shift: np.ndarray):
 
     Assembles the 2nd-order flux-form stencil with the exact (nonnegative)
     diagonal coefficients ``C[a, a]`` per spatial axis plus a nodewise
-    diagonal shift, then LU-factorizes; the result is spectrally close to the
-    Newton operator on each fiber, even when the Gibbs weight spans many
-    orders of magnitude.  It serves fd2 n=2 grids, and n=1 grids without fiber
-    axes until one CG solve takes more applies than a dense factor costs
-    (``_dense_pays``; at high k it is far from exact there).  On n=1 grids
-    with fiber axes one CG across fibers whose masses differ by many orders
-    ran near its iteration cap with it, hence the exact step there.
+    diagonal shift, then LU-factorizes it; the result is spectrally close to
+    the Newton operator on each fiber, even when the Gibbs weight spans many
+    orders of magnitude.  The sparse LU serves fd2 n=2 grids, whose 5-point
+    stencil is not banded; on n=1 grids the same stencil is a cyclic
+    tridiagonal, factored in O(N_x) by ``_fd_preconditioner_1d``.
     """
     from scipy.sparse import csc_matrix
     from scipy.sparse.linalg import splu
@@ -428,6 +434,48 @@ def _fd_preconditioner(grid: TorusGrid, C: np.ndarray, shift: np.ndarray):
 
     def solve(r: np.ndarray) -> np.ndarray:
         z = lu.solve(r.ravel()).reshape(grid.shape)
+        return z - z.mean()
+
+    return solve
+
+
+def _fd_preconditioner_1d(grid: TorusGrid, C: np.ndarray, shift: np.ndarray):
+    """The stencil of ``_fd_preconditioner`` on n=1 grids, factored in O(N_x).
+
+    Same coefficients, shift and floor.  On one spatial axis the cyclic
+    stencil is tridiagonal but for the corner link between nodes N_x-1 and 0,
+    of weight c.  The stencil without that link, T, is factored by LAPACK's
+    positive-definite tridiagonal ``dpttrf``, and the link, c w w^T with
+    w = e_0 - e_{N_x-1}, comes back as a rank-one Sherman-Morrison correction
+    along the precomputed T^-1 w.  The cut diagonal is assembled without the
+    link, not by subtracting it, so nothing cancels.  The stencil is positive
+    definite exactly when T is and 1 + c w^T T^-1 w > 0.  It serves n=1 grids
+    without fiber axes (those with fiber axes start exact) until one CG solve
+    takes more applies than a dense factor costs (``_dense_pays``; at high k
+    the stencil is far from the operator).
+    """
+    from scipy.linalg.lapack import dpttrf, dpttrs
+
+    c = C[0, 0]
+    c_half = 0.5 * (c + np.roll(c, -1)) / grid.dx ** 2   # link i -- i+1
+    diag = c_half + np.roll(c_half, 1)
+    top = float(diag.max())
+    eps = 1e-12 * top + 1e-40 * top + 1e-290            # the floor of _fd_preconditioner
+    diag[0], diag[-1] = c_half[0], c_half[-2]           # cut the corner link
+    d, e, info = dpttrf(diag + shift + eps, -c_half[:-1])
+    if info != 0:
+        raise np.linalg.LinAlgError(f"FD stencil not positive definite ({info})")
+    w = np.zeros((grid.N_x, 1))
+    w[0], w[-1] = 1.0, -1.0
+    q = dpttrs(d, e, w)[0][:, 0]
+    denom = 1.0 + c_half[-1] * (q[0] - q[-1])
+    if not denom > 0.0:
+        raise np.linalg.LinAlgError("FD stencil not positive definite (corner link)")
+    coef = c_half[-1] / denom
+
+    def solve(r: np.ndarray) -> np.ndarray:
+        y = dpttrs(d, e, r[:, None])[0][:, 0]
+        z = y - (coef * (y[0] - y[-1])) * q
         return z - z.mean()
 
     return solve
@@ -557,7 +605,7 @@ def _exact_preconditioner_1d(grid: TorusGrid, C: np.ndarray, shift: np.ndarray):
 def _newton_system(problem, ev, sigma, lam, exact, precond=None):
     """The Newton operator at a state, matrix-free, and its preconditioner:
     ``precond`` if given (a factor kept from an earlier step), else a new
-    exact (Cholesky) solve if ``exact``, else a new FD LU.
+    exact (Cholesky) solve if ``exact``, else a new FD factor.
 
     The operator is w -> -div_x(C D_x w) + shift * w with the pointwise
     tensor C = sigma (D2_yy H + k D_yH D_yH^T), projected off constants.  The
@@ -578,10 +626,10 @@ def _newton_system(problem, ev, sigma, lam, exact, precond=None):
         return out - out.mean()
 
     if precond is None:
-        if not exact:
-            make = _fd_preconditioner
+        if grid.n == 1:
+            make = _exact_preconditioner_1d if exact else _fd_preconditioner_1d
         else:
-            make = _exact_preconditioner_1d if grid.n == 1 else _exact_preconditioner
+            make = _exact_preconditioner if exact else _fd_preconditioner
         precond = make(grid, C, shift)
     return apply_A, precond
 
@@ -612,12 +660,13 @@ def _minimize_newton(problem, v, opts, state=None):
     every fiber's factor is kept: the dense stack of n=1 grids and the
     single factor of n=2 grids without fiber axes.  On n=2 grids with fiber
     axes the fibers share one factor buffer, so every solve on a kept
-    preconditioner would factor every fiber again; there, as with the FD LU
-    (whose reuse doubled the pendulum's applies), each step factors once.
-    No factor outlives the solve.
+    preconditioner would factor every fiber again; there, as with the FD
+    factor (whose reuse doubled the pendulum's applies), each step factors
+    once.  No factor outlives the solve.
 
-    Returns the iterate, the step count, the status, the objective history
-    and the final ``NewtonState``.
+    Returns the iterate, the step count, the status, the objective history,
+    the final ``NewtonState`` and the iterate's evaluation (value, gradient,
+    Hamiltonian, Gibbs weight), which ``_finish`` reuses.
     """
     grid = problem.grid
     f, g, ev, sigma = _evaluate(problem, v)
@@ -634,7 +683,7 @@ def _minimize_newton(problem, v, opts, state=None):
     for it in range(opts.max_iter):
         gnorm = _grid_norm(g)
         if gnorm <= opts.gtol:
-            return v, it, "converged", history, NewtonState(lam, exact)
+            return v, it, "converged", history, NewtonState(lam, exact), (f, g, ev, sigma)
         apply_A, precond = _newton_system(problem, ev, sigma, lam, exact, precond)
         d, applies = _pcg(apply_A, -g, rtol=min(0.5, np.sqrt(gnorm)),
                           max_iter=CG_MAX_ITER, precond=precond,
@@ -647,7 +696,7 @@ def _minimize_newton(problem, v, opts, state=None):
             d, slope = -g, -_grid_inner(g, g)
         hit = _line_search(problem, v, f, g, d, slope, gnorm)
         if hit is None:
-            return v, it, "line_search", history, NewtonState(lam, exact)
+            return v, it, "line_search", history, NewtonState(lam, exact), (f, g, ev, sigma)
         t, v, f_new, g, ev, sigma = hit
         if f - f_new <= _rounding_floor(f):
             ratio = 1.0 if _grid_norm(g) < gnorm else 0.0
@@ -662,7 +711,8 @@ def _minimize_newton(problem, v, opts, state=None):
         v = v - v.mean()
         f = f_new
         history.append(f)
-    return v, opts.max_iter, "max_iter", history, NewtonState(lam, exact)
+    return (v, opts.max_iter, "max_iter", history, NewtonState(lam, exact),
+            (f, g, ev, sigma))
 
 
 def _pcg(apply_A, b, rtol, max_iter, precond, atol=0.0):
@@ -718,8 +768,8 @@ def solve_cell(problem: CellProblem, init: ScalarField | None = None,
         if abs(float(np.mean(init.values))) > 1e-8 * (1.0 + float(np.max(np.abs(init.values)))):
             raise ValueError("init must have zero mean")
         v = init.values - init.values.mean()
-    v, iters, status, history, state = _minimize_newton(problem, v, opts, state)
-    return _finish(problem, v, iters, status, history, opts, t0, state)
+    v, iters, status, history, state, evaluated = _minimize_newton(problem, v, opts, state)
+    return _finish(problem, v, iters, status, history, opts, t0, state, evaluated)
 
 
 def continuation_solve(model: SwingModel, P, k_schedule, tau_steps: int,

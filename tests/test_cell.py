@@ -350,6 +350,100 @@ def test_exact_step_inverts_operator(n, m, mode):
         assert np.max(np.abs(precond(apply_A(z)) - z)) <= 1e-12 * np.max(np.abs(z))
 
 
+def _corner_peaked_coefficient(grid, k, rng):
+    """The n=1 Newton coefficient C = sigma (H_yy + k H_y^2) of the pendulum at
+    P = 0.7 and a band-limited v, rolled by N_x/2 so that the Gibbs peak
+    (x = pi) sits on the corner link N_x-1 -- 0, which the n=1 FD factor cuts
+    and puts back as a rank-one correction.  At k=64 C spans > 50 orders."""
+    from weakkam.cell import _evaluate
+    problem = CellProblem(make_pendulum(1.0), [0.7], k, grid)
+    v = random_band_limited(grid, rng, max_mode=2, amplitude=0.2).values
+    _, _, ev, sigma = _evaluate(problem, v)
+    C = sigma * (ev.dyy + k * ev.dy[:, None] * ev.dy[None])
+    return np.roll(C, grid.N_x // 2, axis=-1)
+
+
+def _dense_fd_stencil(grid, C, shift):
+    """The cyclic flux-form FD stencil on an n=1 grid without fiber axes as a
+    dense matrix, with the floor of weakkam.cell._fd_preconditioner."""
+    c_half = 0.5 * (C[0, 0] + np.roll(C[0, 0], -1)) / grid.dx ** 2
+    diag = c_half + np.roll(c_half, 1)
+    eps = 1e-12 * diag.max() + 1e-40 * diag.max() + 1e-290
+    A = np.diag(diag + shift + eps)
+    i = np.arange(grid.N_x)
+    A[i, (i + 1) % grid.N_x] = A[(i + 1) % grid.N_x, i] = -c_half
+    return A
+
+
+@pytest.mark.parametrize("lam", ["cold", "floor"])
+@pytest.mark.parametrize("k", [4.0, 64.0])
+@pytest.mark.parametrize("N", [16, 256])
+@pytest.mark.parametrize("mode", ["spectral", "fd2"])
+def test_fd_factor_1d_inverts_cyclic_stencil(mode, N, k, lam):
+    # the O(N_x) tridiagonal factor with its rank-one corner correction is
+    # the inverse of the whole cyclic stencil on mean-zero fields.  The
+    # stencil's condition number is ~1e7 at N_x=256 and the cold lam, ~1e12
+    # at the lam floor, so two stable solvers may differ by that times
+    # rounding in the solution itself (against an exactly refined solve, the
+    # dense one is off by 2e-12 and 5e-8 there): the difference from the
+    # dense solve is compared in the stencil's image, relative to
+    # ||A|| ||z||, where both are exact to rounding
+    from weakkam.cell import LAM_COLD, LAM_MIN, _fd_preconditioner_1d
+    grid = TorusGrid(n=1, m=0, N_x=N, diff_mode=mode)
+    rng = np.random.default_rng(N + int(k))
+    C = _corner_peaked_coefficient(grid, k, rng)
+    scale = LAM_COLD if lam == "cold" else LAM_MIN / grid.dx ** 2
+    shift = np.full(grid.shape, scale * C[0, 0].max())
+    A = _dense_fd_stencil(grid, C, shift)
+    norm_A = np.max(np.sum(np.abs(A), axis=1))
+    solve = _fd_preconditioner_1d(grid, C, shift)
+    for _ in range(3):
+        r = rng.normal(size=grid.shape)
+        r -= r.mean()
+        ref = np.linalg.solve(A, r)
+        ref -= ref.mean()
+        z = solve(r)
+        assert abs(z.mean()) <= 1e-12 * np.max(np.abs(ref))
+        assert np.max(np.abs(A @ (z - ref))) <= 1e-12 * norm_A * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("defect", ["shift", "corner"])
+def test_fd_factor_1d_rejects_indefinite_stencil(defect):
+    # a negative shift fails the tridiagonal factor itself; a negative corner
+    # link leaves the cut stencil definite but the cyclic one indefinite,
+    # which the Sherman-Morrison denominator shows
+    from weakkam.cell import _fd_preconditioner_1d
+    grid = TorusGrid(n=1, m=0, N_x=16)
+    C = np.full((1, 1) + grid.shape, 4.0)
+    shift = np.zeros(grid.shape)
+    if defect == "shift":
+        shift -= 4.0 * 4.0 / grid.dx ** 2
+    else:
+        C[0, 0, 0] = C[0, 0, -1] = -2.0
+        assert np.linalg.eigvalsh(_dense_fd_stencil(grid, C, shift))[0] < 0
+    with pytest.raises(np.linalg.LinAlgError):
+        _fd_preconditioner_1d(grid, C, shift)
+
+
+def test_pendulum_solves_without_sparse_lu(pendulum, grid256, monkeypatch):
+    # the n=1 FD stencil is factored as a cyclic tridiagonal: a pendulum
+    # continuation calls no sparse LU, while an fd2 n=2 solve still does
+    import scipy.sparse.linalg as sla
+    splu = sla.splu
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("splu called on an n=1 grid")
+
+    monkeypatch.setattr(sla, "splu", refuse)
+    sols = continuation_solve(pendulum, [0.5], [8.0, 16.0], 2, grid256)
+    assert all(s.converged for s in sols)
+    factored = []
+    monkeypatch.setattr(sla, "splu", lambda *a, **kw: factored.append(1) or splu(*a, **kw))
+    grid = TorusGrid(n=2, m=0, N_x=16, diff_mode="fd2")
+    sol = solve_cell(CellProblem(_ladder_model(), [0.3, 0.6], 8.0, grid))
+    assert sol.converged and factored
+
+
 def _count_dense_factors(monkeypatch):
     """Count the calls of the n=1 exact step's factorization."""
     from weakkam import cell
@@ -385,8 +479,8 @@ def _count_pcg_applies(monkeypatch):
 
 
 def test_pendulum_sweep_stays_on_fd_lu(pendulum, grid256, monkeypatch):
-    # n=1 without fiber axes at N_x=256: CG on the FD LU stays well below the
-    # cost of a dense factor along a k continuation, so none is built
+    # n=1 without fiber axes at N_x=256: CG on the FD factor stays well below
+    # the cost of a dense factor along a k continuation, so none is built
     built = _count_dense_factors(monkeypatch)
     sols = continuation_solve(pendulum, [0.5], [8.0, 16.0, 32.0, 64.0], 4, grid256)
     assert all(s.converged for s in sols)
@@ -436,9 +530,9 @@ def test_continuation_repeats_exactly(pendulum, grid256):
 
 def test_stalled_cg_switches_to_exact_step(pendulum, grid256, pendulum_sweep,
                                            monkeypatch):
-    # one row of the Hbar^64 table: warm-started from P=0, CG on the FD LU
-    # runs into its cap (the FD-only solve takes 19 steps and 1807 applies);
-    # the solve moves to the dense step (17 steps, 77 applies), same Hbar_k
+    # one row of the Hbar^64 table: warm-started from P=0, CG on the FD factor
+    # runs into its cap (the FD-only solve takes 17 steps and 2515 applies);
+    # the solve moves to the dense step (12 steps, 95 applies), same Hbar_k
     from weakkam import cell
     init = pendulum_sweep["solutions"][0.0][-1].v
     problem = CellProblem(pendulum, [0.05], 64.0, grid256)
@@ -589,8 +683,8 @@ def test_fiber_pass_converges_past_rounding_floor(monkeypatch):
     assert fib.converged, (fib.grad_norm, fib.status)
     assert all(status == "converged" for *_, status in stages), stages
     assert abs(joint.Hbar_k - fib.Hbar_k) <= 1e-8
-    # the n=1 fiber subproblems leave the FD LU once CG stalls (5513 applies
-    # on the FD LU alone)
+    # the n=1 fiber subproblems leave the FD factor once CG stalls (531
+    # applies against 3680 on the FD factor alone)
     assert sum(applies) <= 1000, sum(applies)
 
 
