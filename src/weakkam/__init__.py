@@ -9,7 +9,6 @@ from .cell import (
     ContinuationError,
     NewtonState,
     SolverOptions,
-    aronsson_residual,
     continuation_solve,
     fiber_decomposed_solve,
     fiber_jump,
