@@ -48,6 +48,14 @@ to the next.
 gtol / sqrt(N): the joint gradient weighs each fiber's gradient by its share
 w of the Gibbs mass, with mean(w) = 1 and so max(w) <= N, which bounds the
 assembled joint gradient norm by gtol.
+
+A warm start begins at a prediction that costs no solve or evaluation: the
+secant extrapolation of the last two solutions along the one parameter being
+walked (tau at one k, 1/k at tau = 1, the drive angle along one grid line of
+the last phi axis), re-centred to mean zero.  Where the last two solutions do
+not lie on the walked parameter's line, the start is the last solution.  The
+first fiber of the fiber pass climbs a k ladder of ``FIBER_LADDER`` doublings
+up to its k instead of starting cold there.
 """
 
 from __future__ import annotations
@@ -102,6 +110,8 @@ LAM_WARM_FLOOR = 1e-6
 # bounds of lam, in units of each fiber's largest sum_a C_aa / dx^2 (the
 # operator's grid-scale ceiling)
 LAM_MIN, LAM_MAX = 1e-12, 1e6
+# doublings of k the first fiber of the fiber pass climbs to its k
+FIBER_LADDER = 3
 
 
 def _exact_step(grid: TorusGrid) -> bool:
@@ -715,7 +725,9 @@ def _minimize_newton(problem, v, opts, state=None):
         v = v - v.mean()
         f = f_new
         history.append(f)
-    return (v, opts.max_iter, "max_iter", history, NewtonState(lam, exact),
+    # the last allowed step may have met gtol
+    status = "converged" if _grid_norm(g) <= opts.gtol else "max_iter"
+    return (v, opts.max_iter, status, history, NewtonState(lam, exact),
             (f, g, ev, sigma))
 
 
@@ -776,15 +788,32 @@ def solve_cell(problem: CellProblem, init: ScalarField | None = None,
     return _finish(problem, v, iters, status, history, opts, t0, state, evaluated)
 
 
+def _secant(points: list, s: float) -> np.ndarray:
+    """The start of a solve at parameter ``s`` from ``points``, the (s_i, v_i)
+    of the last one or two solves along that parameter: from two, their
+    secant extrapolation v1 + (s - s1) / (s1 - s0) (v1 - v0), re-centred to
+    mean zero; from one, its v."""
+    s1, v1 = points[-1]
+    if len(points) < 2:
+        return v1
+    s0, v0 = points[-2]
+    v = v1 + ((s - s1) / (s1 - s0)) * (v1 - v0)
+    return v - v.mean()
+
+
 def continuation_solve(model: SwingModel, P, k_schedule, tau_steps: int,
                        grid: TorusGrid, opts: SolverOptions | None = None) -> list:
     """Homotopy in tau at the first k, then warm-started continuation in k.
 
     Starts from the integrable endpoint tau=0 where v=0 is exact, walks tau to
     1 in ``tau_steps`` uniform steps at k_schedule[0], then re-solves at each
-    larger k initializing from the previous solution.  Each stage starts from
-    the Newton state the stage before it ended with.  Returns one solution
-    per k; their Hbar_k values are checked to be nondecreasing (slack 1e-8).
+    larger k.  Each stage starts from the Newton state the stage before it
+    ended with, and from the secant extrapolation of the last two stages'
+    solutions: in tau while they share the next stage's k (the walk is seeded
+    with v = 0 at tau = 0), in 1/k once they lie at tau = 1.  The first k
+    stage after the tau walk starts from the last solution.  Returns one
+    solution per k; their Hbar_k values are checked to be nondecreasing
+    (slack 1e-8).
     """
     opts = opts or SolverOptions()
     k_schedule = [float(k) for k in k_schedule]
@@ -796,16 +825,25 @@ def continuation_solve(model: SwingModel, P, k_schedule, tau_steps: int,
     stages = [(i / tau_steps, k_schedule[0]) for i in range(1, tau_steps + 1)]
     stages += [(1.0, k) for k in k_schedule[1:]]
     results: list[CellSolution] = []
-    init, state = None, None
+    # (tau, 1/k, v) of the last two solved stages
+    walk = [(0.0, 1.0 / k_schedule[0], np.zeros(grid.shape))]
+    state = None
     for tau, k in stages:
-        sol = solve_cell(CellProblem(model, P, k, grid, tau), init, opts, state)
+        s = 1.0 / k
+        if walk[-1][1] == s:        # a step in tau at one k
+            init = _secant([(t, v) for t, s_i, v in walk if s_i == s], tau)
+        else:                       # a step in 1/k at tau = 1
+            init = _secant([(s_i, v) for t, s_i, v in walk if t == 1.0], s)
+        sol = solve_cell(CellProblem(model, P, k, grid, tau), ScalarField(grid, init),
+                         opts, state)
         if not sol.converged:
             raise ContinuationError(
                 f"stage (tau={tau:g}, k={k:g}) did not converge "
                 f"({_unconverged_reason(sol, opts)})", results, tau, k)
         if tau == 1.0:
             results.append(sol)
-        init, state = sol.v, sol.newton_state
+        walk = [walk[-1], (tau, s, sol.v.values)]
+        state = sol.newton_state
 
     hbars = [s.Hbar_k for s in results]
     for a, b in zip(hbars, hbars[1:]):
@@ -828,10 +866,15 @@ def fiber_decomposed_solve(problem: CellProblem,
     gtol_f = max(gtol / sqrt(N), 1e-12).  The joint gradient on fiber phi is
     w_phi g_phi with Gibbs mass share w_phi = exp(k (h_phi - Hbar_k)) and
     mean(w) = 1, so ||g_joint||^2 = mean(w^2 ||g||^2) <= max(w) gtol_f^2 <=
-    N gtol_f^2 = gtol^2.  Each fiber but the first starts from the solution
-    and the Newton state of the fiber before it in grid order, which the
-    drive's continuity in phi keeps close.  The assembled v is evaluated on
-    the joint problem, so ``converged`` certifies the joint gradient.
+    N gtol_f^2 = gtol^2.  The first fiber climbs the k ladder k / 2^d,
+    d = ``FIBER_LADDER``, ..., 0, through ``continuation_solve`` (tau_steps
+    = 1).  Each later fiber starts from the Newton state of the fiber before
+    it in grid order and, where it and the two fibers before it lie
+    consecutively on one grid line of the last phi axis, from their secant
+    extrapolation 2 v_prev - v_prevprev; elsewhere (after a row wrap) from
+    v_prev.  The drive's continuity in phi keeps these starts close.  The
+    assembled v is evaluated on the joint problem, so ``converged`` certifies
+    the joint gradient; ``iterations`` counts every Newton step of the pass.
     """
     if problem.grid.m < 1:
         raise ValueError("fiber decomposition needs m >= 1")
@@ -842,21 +885,36 @@ def fiber_decomposed_solve(problem: CellProblem,
     phi_axis = grid.phi_axis()
     n_fibers = grid.N_phi ** grid.m
     fiber_opts = replace(opts, gtol=max(opts.gtol / n_fibers ** 0.5, 1e-12))
+    ladder = [problem.k / 2 ** d for d in range(FIBER_LADDER, -1, -1)]
 
     v_joint = np.zeros(grid.shape)
     iters = 0
-    init, state = None, None
+    done, state = [], None          # (index, v) of the last two fibers solved
     for idx in np.ndindex(*(grid.N_phi,) * grid.m):
         phi_val = np.array([phi_axis[i] for i in idx])
-        sub = CellProblem(problem.model.at_phase(phi_val), problem.P,
-                          problem.k, grid_x, problem.tau)
-        sol = solve_cell(sub, init, fiber_opts, state)
-        init, state = sol.v, sol.newton_state
-        iters += sol.iterations
-        if not sol.converged:
-            raise ContinuationError(
-                f"fiber {idx} did not converge ({_unconverged_reason(sol, fiber_opts)})",
-                [], problem.tau, problem.k)
+        fiber_model = problem.ham.at_phase(phi_val)
+        if not done:
+            try:
+                sols = continuation_solve(fiber_model, problem.P, ladder, 1, grid_x,
+                                          fiber_opts)
+            except ContinuationError as err:
+                raise ContinuationError(
+                    f"fiber {idx} did not converge on its k ladder at gtol_f "
+                    f"{fiber_opts.gtol:g}: {err}", [], problem.tau, problem.k) from err
+            sol = sols[-1]
+            iters += sum(s.iterations for s in sols)
+        else:
+            line = [(i[-1], v) for i, v in done if i[:-1] == idx[:-1]]
+            init = _secant(line, idx[-1]) if line else done[-1][1]
+            sol = solve_cell(CellProblem(fiber_model, problem.P, problem.k, grid_x),
+                             ScalarField(grid_x, init), fiber_opts, state)
+            iters += sol.iterations
+            if not sol.converged:
+                raise ContinuationError(
+                    f"fiber {idx} did not converge ({_unconverged_reason(sol, fiber_opts)})",
+                    [], problem.tau, problem.k)
+        done = [*done[-1:], (idx, sol.v.values)]
+        state = sol.newton_state
         v_joint[(Ellipsis,) + idx] = sol.v.values
 
     return _finish(problem, v_joint, iters, "converged", [], opts, t0)

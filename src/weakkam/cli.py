@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -383,7 +384,10 @@ def cmd_report(manifest_path: Path, out_dir: Path) -> tuple[int, dict]:
 
 # entry point ----------------------------------------------------------------
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: ``parse_args``
+    returns a fresh namespace on every call, so ``main`` can reuse it."""
     parser = argparse.ArgumentParser(
         prog="weakkam",
         description="Effective Hamiltonians, correctors and minimal-measure "

@@ -4,6 +4,7 @@ from scipy.optimize import brentq
 
 from weakkam import verify
 from weakkam.cell import (
+    FIBER_LADDER,
     CellProblem,
     ContinuationError,
     SolverOptions,
@@ -233,6 +234,18 @@ def test_nonconverged_flagged(pendulum, grid256):
     assert sol.iterations == 3
 
 
+def test_last_allowed_step_can_converge(pendulum, grid256):
+    # an iterate that meets gtol on the last step the budget allows is
+    # converged, not max_iter
+    problem = CellProblem(pendulum, [1.5], 8.0, grid256, 0.5)
+    free = solve_cell(problem)
+    assert free.converged and free.iterations > 0
+    capped = solve_cell(problem, opts=SolverOptions(max_iter=free.iterations))
+    assert capped.converged and capped.status == "converged"
+    assert capped.iterations == free.iterations
+    assert capped.Hbar_k == free.Hbar_k
+
+
 def test_nonconverged_has_larger_el_residual(pendulum, grid256, pendulum_sweep):
     bad = solve_cell(CellProblem(pendulum, [1.5], 64.0, grid256),
                      opts=SolverOptions(max_iter=3))
@@ -247,7 +260,8 @@ def test_continuation_error_carries_partial(pendulum, grid256):
         # a tau stage: the first one takes 8 steps
         (SolverOptions(max_iter=7), 2, 0.5, 8.0, 0,
          "stage (tau=0.5, k=8) did not converge (max_iter"),
-        # a k stage: the four tau stages take 6 steps each, k=64 takes 8
+        # a k stage: the four tau stages take 6, 4, 4 and 4 steps (the last
+        # three from secant starts), k=64 takes 8
         (SolverOptions(max_iter=7), 4, 1.0, 64.0, 1,
          "stage (tau=1, k=64) did not converge (max_iter"),
         # the gradient meets the loose gtol; the message names the criterion
@@ -516,13 +530,14 @@ def _record_solves(monkeypatch, carry=True):
 
 
 def test_carried_state_cuts_newton_steps(pendulum, grid256, monkeypatch):
-    # the tau and k stages hand their Levenberg lam on: 56 Newton steps when
-    # every stage started at the cold lam with the grid-scale shift, 25 now
+    # the tau and k stages hand their Levenberg lam on and start from secant
+    # predictions: 56 Newton steps when every stage started at the cold lam
+    # with the grid-scale shift, 25 with the carried lam, 24 now
     solves = _record_solves(monkeypatch)
     sols = continuation_solve(pendulum, [0.5], [8.0, 16.0, 32.0, 64.0], 4, grid256)
     assert all(s.converged for s in sols) and len(solves) == 7
     steps = [sol.iterations for *_, sol in solves]
-    assert sum(steps) <= 42, steps
+    assert sum(steps) <= 24, steps
 
 
 def test_carried_state_keeps_the_minimizer(pendulum, grid256, monkeypatch):
@@ -531,6 +546,24 @@ def test_carried_state_keeps_the_minimizer(pendulum, grid256, monkeypatch):
     _record_solves(monkeypatch, carry=False)
     fresh = continuation_solve(pendulum, [0.5], [8.0, 16.0, 32.0, 64.0], 4, grid256)
     for a, b in zip(carried, fresh):
+        assert abs(a.Hbar_k - b.Hbar_k) <= 1e-10
+
+
+@pytest.mark.parametrize("case", ["pendulum", "ladder_2d"])
+def test_secant_starts_keep_the_minimizer(case, pendulum, grid256, monkeypatch):
+    # the predicted starts change the path, not the solution: the plain warm
+    # start (the last solution) gives the same Hbar_k at every k
+    from weakkam import cell
+    if case == "pendulum":
+        args = (pendulum, [0.5], [8.0, 16.0, 32.0, 64.0], 4, grid256)
+    else:
+        args = (_ladder_model(), [0.3, 0.6], [8.0, 16.0, 32.0], 4,
+                TorusGrid(n=2, m=0, N_x=32), SolverOptions(max_iter=350))
+    predicted = continuation_solve(*args)
+    monkeypatch.setattr(cell, "_secant", lambda points, s: points[-1][1])
+    plain = continuation_solve(*args)
+    assert [s.k for s in predicted] == [s.k for s in plain]
+    for a, b in zip(predicted, plain):
         assert abs(a.Hbar_k - b.Hbar_k) <= 1e-10
 
 
@@ -626,7 +659,8 @@ def test_fiber_constant_when_no_phi_dependence():
 
 def test_fiber_two_drive_angles(monkeypatch):
     # m = 2: two incommensurate drives, mixed fiber modes; each of the 64
-    # fibers is solved once, and the assembled gradient meets gtol
+    # fibers is solved once (the first after its k ladder), and the
+    # assembled gradient meets gtol
     beta = TrigPoly(1.0, (((1, 0), 0.3, 0.0), ((0, 1), 0.0, 0.2), ((1, 1), 0.1, 0.0)))
     model = make_swing(SwingParams(alpha=[0.0], beta=((beta,),), lam=[0.5],
                                    omega=[1.0, np.sqrt(2.0)]))
@@ -634,7 +668,7 @@ def test_fiber_two_drive_angles(monkeypatch):
     joint = continuation_solve(model, [0.5], [8.0], 4, grid)[-1]
     solves = _record_solves(monkeypatch)
     fib = fiber_decomposed_solve(CellProblem(model, [0.5], 8.0, grid))
-    assert len(solves) == 64
+    assert len(solves) == 64 + FIBER_LADDER
     assert fib.converged and fib.grad_norm <= SolverOptions().gtol
     assert fib.fiber_values.shape == (8, 8)
     assert abs(joint.Hbar_k - fib.Hbar_k) <= 1e-8
@@ -665,7 +699,9 @@ def test_fiber_pass_converges_past_rounding_floor(monkeypatch):
     # of gtol over its mass share would sit below f's rounding floor.  Each of
     # the 16 fibers is solved once, to gtol / sqrt(16), and the assembled
     # gradient still meets gtol.  The joint k=16 stage used to take 44 Newton
-    # steps
+    # steps.  The first fiber climbs its k ladder at the same gtol; the pass
+    # took 166 Newton steps with a cold first fiber and plain warm starts,
+    # 92 with the ladder and secant starts
     solves = _record_solves(monkeypatch)
     applies = _count_pcg_applies(monkeypatch)
     model, P = _qp_model(), [0.7886112211144736]
@@ -677,14 +713,15 @@ def test_fiber_pass_converges_past_rounding_floor(monkeypatch):
     applies.clear()
     fib = fiber_decomposed_solve(CellProblem(model, P, 16.0, grid))
     assert fib.converged, (fib.grad_norm, fib.status)
-    assert len(solves) == 16
+    assert len(solves) == 16 + FIBER_LADDER
+    assert fib.iterations == sum(sol.iterations for *_, sol in solves) <= 100
     assert all(opts.gtol == SolverOptions().gtol / 4 for _, opts, _ in solves)
     assert all(sol.status == "converged" for *_, sol in solves), \
         [sol.status for *_, sol in solves]
     assert abs(joint.Hbar_k - fib.Hbar_k) <= 1e-8
-    # the n=1 fiber subproblems leave the FD factor once CG stalls (531
-    # applies against 3680 on the FD factor alone)
-    assert sum(applies) <= 1000, sum(applies)
+    # the n=1 fiber subproblems leave the FD factor once CG stalls (238
+    # applies; 550 with a cold first fiber)
+    assert sum(applies) <= 300, sum(applies)
 
 
 def test_fiber_jump_shrinks_with_refinement(quasi_swing):

@@ -113,6 +113,18 @@ def test_cell_command_and_exit_codes(tmp_path):
     assert (out / "hbar_table.csv").read_text().startswith("P,k,hbar")
 
 
+def test_parser_built_once_per_process():
+    # main reuses one parser; each parse gets a fresh namespace, so flags of
+    # one call do not reach the next
+    from weakkam import cli
+    parser = cli._build_parser()
+    assert cli._build_parser() is parser
+    first = parser.parse_args(["cell", "--dump-sigma", "--jobs", "1"])
+    second = parser.parse_args(["cell"])
+    assert first.dump_sigma and first.jobs == 1
+    assert not second.dump_sigma and second.jobs is None
+
+
 def test_cell_rejects_multiple_P(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(CELL_CFG.replace("P = [0.9]", "P = [0.9, 1.0]"))
