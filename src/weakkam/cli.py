@@ -290,13 +290,8 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
     header = (["t"] + [f"x_{i}" for i in range(params.n)]
               + [f"y_{i}" for i in range(params.n)]
               + (["energy"] if traj.energy is not None else []))
-    rows = []
-    for j, t in enumerate(traj.times):
-        row = [t, *x_out[j], *traj.y[j]]
-        if traj.energy is not None:
-            row.append(traj.energy[j])
-        rows.append(row)
-    _write_csv(out_dir / "trajectory.csv", header, rows)
+    columns = [traj.times, x_out, traj.y] + ([traj.energy] if traj.energy is not None else [])
+    _write_csv(out_dir / "trajectory.csv", header, np.column_stack(columns).tolist())
 
     comparison = None
     if cfg.sim_compare:

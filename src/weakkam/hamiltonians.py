@@ -183,6 +183,9 @@ class SwingModel:
              params.beta[i][j])
             for i in range(self.n) for j in range(self.n)
             if not params.beta[i][j].is_zero())
+        # the term pattern: the (i, j) of the active terms, which with n (and
+        # whether the model is driven, or tilted) selects a generated kernel
+        self._pairs = tuple((i, j) for i, j, *_ in self._terms)
         self.tilted = params.tilted
         # The formula is written over per-axis rows: a row is a Python float
         # for one orbit or point, an ndarray for a batch or a grid.  Each call
@@ -192,7 +195,10 @@ class SwingModel:
         # that one orbit gives the bits of a batch column (the tests compare
         # both kinds bit for bit).  Arrays get numpy and 0-d constants, which
         # scale a small array faster than a Python float does (~0.5 against
-        # ~0.8 us).
+        # ~0.8 us).  The generated kernels (``kick_drift_kick``,
+        # ``float_potential``) take every parameter value from a kit as an
+        # argument, so one kernel serves both row kinds and every model of
+        # its term pattern.
         start = -params.alpha if self.tilted else np.zeros(self.n)
         self._float_rows = self._row_kit(float, math.sin, math.cos, start)
         self._array_rows = self._row_kit(np.array, np.sin, np.cos, start)
@@ -252,17 +258,12 @@ class SwingModel:
         return [lam_ii * x[i] if i == j else lam_i * x[i] + lam_j * x[j]
                 for i, j, lam_i, lam_j, lam_ii in kit.terms]
 
-    def coupling_sines(self, x) -> list:
-        """sin(lam_i x_i + lam_j x_j) of the active terms, one row each, for
-        the n rows ``x``: the part of the force that depends on the position
-        only (see ``coupling_force``)."""
-        kit = self._rows(x)
-        return list(map(kit.sin, self._coupling_args(x, kit)))
-
     def coupling_force(self, sines: list, beta, x) -> list:
-        """The n rows of D_x V at the rows ``x``, from ``coupling_sines(x)``
-        and the coupling values ``beta = drive(phi)``; equal, bit for bit, to
-        the force ``potential_force(x, beta)`` returns."""
+        """The n rows of D_x V at the rows ``x``, from the sines
+        sin(lam_i x_i + lam_j x_j) of the active terms (one row each) and the
+        coupling values ``beta = drive(phi)``; equal, bit for bit, to the force
+        ``potential_force(x, beta)`` returns.  ``_kick_drift_kick_source``
+        writes the same operations out in line."""
         kit = self._rows(x)
         rows = list(kit.start)
         for (i, j, lam_i, lam_j, _), bv, sn in zip(kit.terms, beta, sines):
@@ -317,6 +318,24 @@ class SwingModel:
         kit = self._rows(x)
         return self._add_potential(self._kinetic(y), x, self._coupling_args(x, kit), beta, kit)
 
+    def kick_drift_kick(self, x, y, betas, half, dt) -> tuple[list, list]:
+        """``len(betas)`` kick-drift-kick steps of the n rows ``x`` and ``y``:
+        ``y -= half D_x V(x)``, ``x += dt y``, ``y -= half D_x V(x)``, with
+        ``betas`` the drive values of the active terms at each step (one
+        ``drive(phi)`` per step; an autonomous model reads only the first).
+        ``half`` and ``dt`` are constants of the row kind.  Returns the new
+        rows ``(x, y)``; each force equals ``coupling_force``'s bit for bit.
+        A single orbit's rows raise ValueError where ``math.sin`` meets an
+        infinite coupling argument."""
+        kernel = _kick_drift_kick_kernel(self.n, self._pairs, self.m == 0)
+        return kernel(x, y, betas, half, dt, self._rows(x))
+
+    def float_potential(self, beta):
+        """V as a function of the n coordinates of one point, given as Python
+        floats, for the coupling values ``beta = drive(phi)`` (floats); equal,
+        bit for bit, to ``energy(x, 0, beta)``."""
+        return _potential_binder(self.n, self._pairs, self.tilted)(self._float_rows, beta)
+
     def potential(self, x, phi) -> np.ndarray:
         """V(x, phi) = H(x, 0, phi), without the force or the kinetic term's
         arrays; equal, bit for bit, to ``evaluate(x, 0, phi).h``."""
@@ -339,6 +358,96 @@ class _RowKit(NamedTuple):
     cos: object
     terms: tuple    # (i, j, lam_i, lam_j, 2 lam_i) of the active terms
     start: tuple    # the force rows before the coupling terms: -alpha, or 0
+
+
+def _coupling_arg(t: int, i: int, j: int) -> str:
+    # lam x + lam x == (2 lam) x exactly: one product on the diagonal
+    return f"lam{t}_ii * x{i}" if i == j else f"lam{t}_i * x{i} + lam{t}_j * x{j}"
+
+
+def _targets(prefix: str, count: int) -> str:
+    """An unpacking target such as ``x0, x1,``; ``_`` when ``count`` is 0."""
+    return "".join(f"{prefix}{k}, " for k in range(count)).rstrip() or "_"
+
+
+def _kit_lines(kit_fn: str, n: int, pairs: tuple, starts: bool) -> list:
+    """Bind a kit's math function and term constants (and row starts) to
+    local names."""
+    lines = [f"{kit_fn} = kit.{kit_fn}"]
+    lines += [f"_, _, lam{t}_i, lam{t}_j, lam{t}_ii = kit.terms[{t}]"
+              for t in range(len(pairs))]
+    if starts:
+        lines.append(f"{_targets('start', n)} = kit.start")
+    return lines
+
+
+def _kick_drift_kick_source(n: int, pairs: tuple, autonomous: bool) -> str:
+    """Source of ``kick_drift_kick(x, y, betas, half, dt, kit)`` for the n
+    rows and the active terms ``pairs``: ``SwingModel.kick_drift_kick``,
+    unrolled over rows and terms.  The coupling sines are taken at the entry
+    position and after each drift; the force is ``coupling_force``'s
+    operations in its order, rebuilt at each half-kick from the step's drive
+    values, or, when autonomous, from the first and carried from the second
+    half-kick of a step to the first of the next.  Parameter values come
+    from ``kit`` and ``betas``, never from the text."""
+    betas = _targets("beta", len(pairs))
+    sines = [f"sin{t} = sin({_coupling_arg(t, i, j)})" for t, (i, j) in enumerate(pairs)]
+    force = [f"f{i} = start{i}" for i in range(n)]
+    for t, (i, j) in enumerate(pairs):
+        force += [f"s = beta{t} * sin{t}", f"si = lam{t}_i * s", f"f{i} = f{i} + si",
+                  f"f{j} = f{j} + " + ("si" if i == j else f"lam{t}_j * s")]
+    kick = [f"y{i} = y{i} - half * f{i}" for i in range(n)]
+    drift = [f"x{i} = x{i} + dt * y{i}" for i in range(n)]
+    head = _kit_lines("sin", n, pairs, starts=True)
+    head += [f"{_targets('x', n)} = x", f"{_targets('y', n)} = y", *sines]
+    if autonomous:
+        head += [f"{betas} = betas[0]", *force, "for _ in range(len(betas)):"]
+        body = kick + drift + sines + force + kick
+    else:
+        head.append(f"for {betas} in betas:")
+        body = force + kick + drift + sines + force + kick
+    rows = lambda prefix: "[" + ", ".join(f"{prefix}{i}" for i in range(n)) + "]"
+    return "\n".join(["def kick_drift_kick(x, y, betas, half, dt, kit):",
+                      *("    " + line for line in head),
+                      *("        " + line for line in body),
+                      f"    return {rows('x')}, {rows('y')}", ""])
+
+
+def _potential_source(n: int, pairs: tuple, tilted: bool) -> str:
+    """Source of ``bind(kit, beta)``, which returns ``potential(x0, ...)``:
+    ``SwingModel._add_potential`` from ``h = 0.0``, unrolled over rows and
+    terms, on the kit's constants and the coupling values ``beta``."""
+    head = _kit_lines("cos", n, pairs, starts=tilted) + [f"{_targets('beta', len(pairs))} = beta"]
+    body = ["h = 0.0"]
+    if tilted:
+        body += [f"h = h + start{i} * x{i}" for i in range(n)]
+    body += [f"h = h + beta{t} * (1.0 - cos({_coupling_arg(t, i, j)}))"
+             for t, (i, j) in enumerate(pairs)]
+    return "\n".join(["def bind(kit, beta):",
+                      *("    " + line for line in head),
+                      f"    def potential({', '.join(f'x{i}' for i in range(n))}):",
+                      *("        " + line for line in body),
+                      "        return h",
+                      "    return potential", ""])
+
+
+def _compiled(source: str, name: str, pattern: tuple):
+    namespace = {}
+    exec(compile(source, f"<weakkam {name} {pattern}>", "exec"), namespace)
+    return namespace[name]
+
+
+@functools.lru_cache(maxsize=64)
+def _kick_drift_kick_kernel(n: int, pairs: tuple, autonomous: bool):
+    """The compiled ``_kick_drift_kick_source``, one per term pattern."""
+    return _compiled(_kick_drift_kick_source(n, pairs, autonomous), "kick_drift_kick",
+                     (n, pairs, autonomous))
+
+
+@functools.lru_cache(maxsize=64)
+def _potential_binder(n: int, pairs: tuple, tilted: bool):
+    """The compiled ``_potential_source``, one per term pattern."""
+    return _compiled(_potential_source(n, pairs, tilted), "bind", (n, pairs, tilted))
 
 
 def make_integrable(n: int, m: int = 0) -> SwingModel:

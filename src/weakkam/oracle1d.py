@@ -142,15 +142,14 @@ def potential_from_model(model: SwingModel, samples: int = 64) -> Potential1D:
     if np.max(np.abs(ev.h - 0.5 * ys**2 - v0)) > 1e-10:
         raise ValueError("Hamiltonian is not kinetic-plus-potential; oracle refuses")
 
-    beta = model.drive(np.zeros(0))
-    at_rest = (0.0,)
+    v_point = model.float_potential(model.drive(np.zeros(0)))
 
     def V(xx):
         """V at every point of an array, or at a point: the energy at rest
-        H(x, 0), a float evaluated on the model's float rows."""
+        H(x, 0), a float evaluated by the model's generated float kernel."""
         if isinstance(xx, np.ndarray) and xx.ndim:
             return model.potential(np.asarray(xx, dtype=float)[None], np.zeros((0,) + xx.shape))
-        return model.energy((float(xx),), at_rest, beta)
+        return v_point(float(xx))
 
     return Potential1D.from_callable(V)
 

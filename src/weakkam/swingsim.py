@@ -78,15 +78,17 @@ def integrate_swing(p: SwingParams, x0, y0, T: float, dt: float,
     together.  The state is kept as n per-axis rows: Python floats for one
     orbit, (B,) arrays for a batch (see ``SwingModel.__init__``); a single
     orbit steps on floats because numpy's per-call cost is most of a step on
-    length-1 arrays, and ``math`` rounds like numpy.  The force is
-    ``SwingModel.potential_force``, split so that each step costs one
-    coupling evaluation: the drive coefficients are tabulated in one
-    ``drive`` call per block of ``DRIVE_BLOCK`` steps, and the coupling
-    sines at the new position are carried from the second half-kick of a
-    step to the first half-kick of the next (the whole force, when
-    autonomous); the trajectory is bit for bit the one of a per-step
-    ``potential_force`` loop on arrays.  Deterministic; raises
-    NonFiniteStateError if any orbit blows up.
+    length-1 arrays, and ``math`` rounds like numpy.  The steps run in
+    ``SwingModel.kick_drift_kick``, a kernel generated once per term pattern
+    and unrolled over rows and terms, called once per record stride (clipped
+    at the edges of the blocks of ``DRIVE_BLOCK`` steps whose drive
+    coefficients are tabulated in one ``drive`` call); between calls the
+    sample is recorded and checked.  Each step costs one coupling evaluation:
+    the kernel carries the coupling sines (the whole force, when autonomous)
+    from the second half-kick of a step to the first of the next.  The
+    trajectory is bit for bit the one of a per-step ``potential_force`` loop
+    on arrays.  Deterministic; raises NonFiniteStateError if any orbit blows
+    up.
     """
     if dt <= 0 or T < dt:
         raise ValueError("need dt > 0 and T >= dt")
@@ -123,26 +125,21 @@ def integrate_swing(p: SwingParams, x0, y0, T: float, dt: float,
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             samples[0] = x + y + [model.energy(x, y, beta)] if autonomous else x + y
-            sines = model.coupling_sines(x)
-            if autonomous:
-                force = model.coupling_force(sines, beta, x)
             for first in range(0, n_steps, DRIVE_BLOCK):
-                steps = range(first, min(first + DRIVE_BLOCK, n_steps))
+                last = min(first + DRIVE_BLOCK, n_steps)
                 if autonomous:
-                    betas = [beta] * len(steps)
+                    betas = [beta] * (last - first)
                 else:
                     # beta at the midstep times (step + 1/2) dt of the block
                     betas = _drive_steps(model, p.omega[:, None] * (
-                        (np.arange(steps.start, steps.stop) + 0.5) * dt), floats)
-                for step, beta in zip(steps, betas):
-                    if not autonomous:
-                        force = model.coupling_force(sines, beta, x)
-                    y = [yi - half * fi for yi, fi in zip(y, force)]
-                    x = [xi + step_dt * yi for xi, yi in zip(x, y)]
-                    sines = model.coupling_sines(x)
-                    force = model.coupling_force(sines, beta, x)
-                    y = [yi - half * fi for yi, fi in zip(y, force)]
-                    if (step + 1) % record_every == 0:
+                        (np.arange(first, last) + 0.5) * dt), floats)
+                step = first
+                while step < last:
+                    stop = min(step - step % record_every + record_every, last)
+                    x, y = model.kick_drift_kick(x, y, betas[step - first:stop - first],
+                                                 half, step_dt)
+                    step = stop
+                    if step % record_every == 0:
                         sample = samples[r]
                         sample[...] = (x + y + [model.energy(x, y, beta)] if autonomous
                                        else x + y)

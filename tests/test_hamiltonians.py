@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -179,16 +180,26 @@ def test_potential_and_energy_match_evaluate(model):
     assert np.array_equal(model.energy(x, y, model.drive(phi)), model.evaluate(x, y, phi).h)
     one = model.potential(x[:, :1], phi[:, :1])
     assert one.shape == (1,) and one[0] == model.evaluate(x[:, :1], 0 * y[:, :1], phi[:, :1]).h[0]
-    # one point on float rows (math) gives the bits of the array rows (numpy)
+    # one point on float rows (math) gives the bits of the array rows (numpy),
+    # in the hand-written formula and in the generated kernels
     ev = model.evaluate(x, y, phi)
+    at_rest = model.evaluate(x, np.zeros_like(y), phi).h
     beta = np.broadcast_arrays(*model.drive(phi), x[0])[:-1]
     for s in range(0, x.shape[1], 7):
         xs, ys, bs = x[:, s].tolist(), y[:, s].tolist(), [float(b[s]) for b in beta]
         h = model.energy(xs, ys, bs)
-        force = model.coupling_force(model.coupling_sines(xs), bs, xs)
-        assert type(h) is float and all(type(f) is float for f in force)
+        sines = [math.sin(arg) for arg in model._coupling_args(xs, model._float_rows)]
+        force = model.coupling_force(sines, bs, xs)
+        # one kernel step from rest with half = 1 and dt = 0 ends at
+        # y = (0 - f) - f = -2 f exactly
+        _, y_end = model.kick_drift_kick(xs, [0.0] * model.n, [bs], 1.0, 0.0)
+        kernel_force = [-0.5 * yi for yi in y_end]
+        v = model.float_potential(bs)(*xs)
+        assert type(h) is float and all(type(f) is float for f in force + kernel_force)
         assert np.array_equal(np.array([h, *force]).view(np.int64),
                               np.array([ev.h[s], *ev.dx[:, s]]).view(np.int64))
+        assert np.array_equal(np.array([v, *kernel_force]).view(np.int64),
+                              np.array([at_rest[s], *ev.dx[:, s]]).view(np.int64))
 
 
 @pytest.mark.parametrize("model", ALL_MODELS, ids=MODEL_IDS)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from weakkam import verify
+from weakkam import hamiltonians, verify
 from weakkam.hamiltonians import SwingParams, TrigPoly, make_pendulum, make_swing
 from weakkam.oracle1d import Potential1D, oracle_table, potential_from_model
 from weakkam.swingsim import (
@@ -235,6 +235,58 @@ def test_matches_per_step_reference_bitwise(case):
         assert traj.energy is None
     else:
         assert np.array_equal(traj.energy, es)
+
+
+# (case, T, record_every): every step recorded, a stride longer than a drive
+# block (chunks end at block edges between records; the last 2000 steps are
+# not recorded), and a stride equal to the step count
+STRIDE_CASES = [
+    ("pendulum", 5.0, 1), ("quasi_periodic", 5.0, 1), ("batch_of_3", 5.0, 1),
+    ("blow_up", 5.0, 1),
+    ("pendulum", 12.0, 5000), ("quasi_periodic", 12.0, 5000), ("n2_m2_batch", 12.0, 5000),
+    ("tilted_driven", 12.0, 5000), ("blow_up_autonomous", 12.0, 5000),
+    ("pendulum", 5.0, 5000), ("tilted_batch", 5.0, 5000),
+]
+
+
+@pytest.mark.parametrize("case, T, every", STRIDE_CASES,
+                         ids=[f"{c}-every{e}" for c, _, e in STRIDE_CASES])
+def test_record_strides_match_per_step_reference(case, T, every):
+    p, x0, y0 = BITWISE_CASES[case]
+    ref = per_step_reference(p, x0, y0, T, 1e-3, every)
+    if isinstance(ref, NonFiniteStateError):
+        with pytest.raises(NonFiniteStateError) as err:
+            integrate_swing(p, x0, y0, T, 1e-3, record_every=every)
+        assert err.value.index == ref.index
+        return
+    traj = integrate_swing(p, x0, y0, T, 1e-3, record_every=every)
+    for got, want in zip((traj.times, traj.x, traj.y, traj.energy), ref):
+        assert (got is None and want is None) or np.array_equal(got, want)
+
+
+def test_models_of_one_term_pattern_share_one_kernel():
+    # distinctive values, so that one printed into the source would show
+    lam, beta, alpha = 0.123456789, 7.654321, 0.0314159
+    driven = TrigPoly(beta, (((1,), 0.5 * beta, 0.25 * beta),))
+    models = [SwingParams(alpha=[0.0], beta=((TrigPoly(1.0),),), lam=[0.5]),
+              SwingParams(alpha=[alpha], beta=((TrigPoly(beta),),), lam=[lam]),
+              SwingParams(alpha=[0.0], beta=((driven,),), lam=[lam], omega=[np.sqrt(2.0)]),
+              SwingParams(alpha=[alpha], beta=((qp_drive(),),), lam=[0.5],
+                          omega=[np.sqrt(3.0)])]
+    hamiltonians._kick_drift_kick_kernel.cache_clear()
+    for p in models:
+        integrate_swing(p, [0.1], [0.5], 0.1, 1e-3)
+        integrate_swing(p, [[0.1, 0.2]], [[0.5, -0.5]], 0.1, 1e-3)
+    # one kernel for the autonomous pattern, one for the driven, each serving
+    # float rows and array rows
+    info = hamiltonians._kick_drift_kick_kernel.cache_info()
+    assert info.currsize == info.misses == 2
+    values = [lam, beta, alpha, 2 * lam, -alpha, 0.5 * beta, 0.25 * beta, 1e-3, 5e-4]
+    for autonomous, tilted in ((True, False), (False, True)):
+        sources = (hamiltonians._kick_drift_kick_source(1, ((0, 0),), autonomous),
+                   hamiltonians._potential_source(1, ((0, 0),), tilted))
+        for source in sources:
+            assert not [v for v in values if repr(v) in source]
 
 
 def test_rotation_window_validation():
