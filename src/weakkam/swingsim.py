@@ -83,12 +83,13 @@ def integrate_swing(p: SwingParams, x0, y0, T: float, dt: float,
     and unrolled over rows and terms, called once per record stride (clipped
     at the edges of the blocks of ``DRIVE_BLOCK`` steps whose drive
     coefficients are tabulated in one ``drive`` call); between calls the
-    sample is recorded and checked.  Each step costs one coupling evaluation:
-    the kernel carries the coupling sines (the whole force, when autonomous)
-    from the second half-kick of a step to the first of the next.  The
-    trajectory is bit for bit the one of a per-step ``potential_force`` loop
-    on arrays.  Deterministic; raises NonFiniteStateError if any orbit blows
-    up.
+    sample is recorded and checked.  Each step costs one coupling evaluation
+    (plus one at each call's entry): the kernel carries the coupling sines
+    (the whole force, when autonomous) from the second half-kick of a step
+    to the first of the next.  Steps after the last sample are not taken.
+    The trajectory is bit for bit the one of a per-step ``potential_force``
+    loop on arrays.  Deterministic; raises NonFiniteStateError if any orbit
+    blows up.
     """
     if dt <= 0 or T < dt:
         raise ValueError("need dt > 0 and T >= dt")
@@ -114,8 +115,9 @@ def integrate_swing(p: SwingParams, x0, y0, T: float, dt: float,
         half, step_dt = np.array(0.5 * dt), np.array(dt)
 
     # sample r holds x, y and, when autonomous, the total energy on the
-    # covering space
+    # covering space; the steps after the last sample are not taken
     n_samples = n_steps // record_every + 1
+    n_steps = (n_samples - 1) * record_every
     samples = np.empty((n_samples, 2 * p.n + autonomous) + (() if floats else batch))
     beta = _drive_steps(model, np.zeros((0, 1)), floats)[0] if autonomous else None
     r = 1

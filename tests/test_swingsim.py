@@ -114,6 +114,15 @@ def test_nonfinite_state_aborts():
         assert err.value.index == 0
 
 
+def test_steps_after_the_last_sample_are_not_taken():
+    # the coupling argument overflows after ~4500 steps, between the last
+    # sample (step 4000) and T (step 4600): one orbit and a batch both return
+    p = SwingParams(alpha=[0.0], beta=((TrigPoly(1e-300),),), lam=[1e300])
+    for x0, y0 in (([0.0], [2e7]), ([[0.0, 0.0]], [[2e7, 1.0]])):
+        traj = integrate_swing(p, x0, y0, 4.6, 1e-3, record_every=4000)
+        assert np.array_equal(traj.times, [0.0, 4.0]) and np.all(np.isfinite(traj.x))
+
+
 @pytest.mark.parametrize("params", [pendulum_params, qp_params, n2_m2_params],
                          ids=["autonomous", "quasi_periodic", "n2_m2"])
 def test_batch_columns_match_single_runs(params):
@@ -239,7 +248,7 @@ def test_matches_per_step_reference_bitwise(case):
 
 # (case, T, record_every): every step recorded, a stride longer than a drive
 # block (chunks end at block edges between records; the last 2000 steps are
-# not recorded), and a stride equal to the step count
+# not taken), and a stride equal to the step count
 STRIDE_CASES = [
     ("pendulum", 5.0, 1), ("quasi_periodic", 5.0, 1), ("batch_of_3", 5.0, 1),
     ("blow_up", 5.0, 1),
