@@ -188,17 +188,15 @@ class SwingModel:
         self._pairs = tuple((i, j) for i, j, *_ in self._terms)
         self.tilted = params.tilted
         # The formula is written over per-axis rows: a row is a Python float
-        # for one orbit or point, an ndarray for a batch or a grid.  Each call
-        # picks its math functions and constants from the row kind
-        # (``_rows``).  Floats get ``math`` and float constants: numpy spends
-        # ~1 us on any call, math ~60 ns, and the two must round alike, so
-        # that one orbit gives the bits of a batch column (the tests compare
-        # both kinds bit for bit).  Arrays get numpy and 0-d constants, which
-        # scale a small array faster than a Python float does (~0.5 against
-        # ~0.8 us).  The generated kernels (``kick_drift_kick``,
-        # ``float_potential``) take every parameter value from a kit as an
-        # argument, so one kernel serves both row kinds and every model of
-        # its term pattern.
+        # for one orbit or point, an ndarray for a grid.  Each call picks its
+        # math functions and constants from the row kind (``_rows``).  Floats
+        # get ``math`` and float constants: numpy spends ~1 us on any call,
+        # math ~60 ns, and the two must round alike, so that an orbit or an
+        # oracle point gives the bits of ``evaluate`` (the tests compare both
+        # kinds bit for bit).  Arrays get numpy and 0-d constants.  The
+        # generated kernels (``kick_drift_kick``, ``float_potential``) run on
+        # float rows and take every parameter value from the float kit as an
+        # argument, so one kernel serves every model of its term pattern.
         start = -params.alpha if self.tilted else np.zeros(self.n)
         self._float_rows = self._row_kit(float, math.sin, math.cos, start)
         self._array_rows = self._row_kit(np.array, np.sin, np.cos, start)
@@ -314,21 +312,26 @@ class SwingModel:
     def energy(self, x, y, beta):
         """|y|^2/2 + V(x) of the rows ``x`` and ``y`` (an (n, ...) array is n
         rows) for ``beta = drive(phi)``, without the force; equal, bit for
-        bit, to ``evaluate(x, y, phi).h``."""
+        bit, to ``evaluate(x, y, phi).h``.  ``_kick_drift_kick_source``
+        writes the same operations out in line."""
         kit = self._rows(x)
         return self._add_potential(self._kinetic(y), x, self._coupling_args(x, kit), beta, kit)
 
-    def kick_drift_kick(self, x, y, betas, half, dt) -> tuple[list, list]:
-        """``len(betas)`` kick-drift-kick steps of the n rows ``x`` and ``y``:
-        ``y -= half D_x V(x)``, ``x += dt y``, ``y -= half D_x V(x)``, with
-        ``betas`` the drive values of the active terms at each step (one
-        ``drive(phi)`` per step; an autonomous model reads only the first).
-        ``half`` and ``dt`` are constants of the row kind.  Returns the new
-        rows ``(x, y)``; each force equals ``coupling_force``'s bit for bit.
-        A single orbit's rows raise ValueError where ``math.sin`` meets an
-        infinite coupling argument."""
+    def kick_drift_kick(self, x, y, betas, half, dt, every, left,
+                        samples: list) -> tuple[list, list]:
+        """``len(betas)`` kick-drift-kick steps of one orbit's n float rows
+        ``x`` and ``y``: ``y -= half D_x V(x)``, ``x += dt y``,
+        ``y -= half D_x V(x)``, with ``betas`` the drive values of the
+        active terms at each step (one ``drive(phi)`` per step, as floats; an
+        autonomous model reads only the first).  After ``left`` steps, and
+        then after every ``every`` steps, the tuple ``(x..., y...)`` is
+        appended to ``samples``, followed, when autonomous, by the energy.
+        Returns the new rows ``(x, y)``; each force equals
+        ``coupling_force``'s and each energy ``energy``'s bit for bit.
+        Raises ValueError where ``math.sin`` or ``math.cos`` meets an
+        infinite coupling argument, with the samples before it appended."""
         kernel = _kick_drift_kick_kernel(self.n, self._pairs, self.m == 0)
-        return kernel(x, y, betas, half, dt, self._rows(x))
+        return kernel(x, y, betas, half, dt, every, left, self._float_rows, samples)
 
     def float_potential(self, beta):
         """V as a function of the n coordinates of one point, given as Python
@@ -382,14 +385,19 @@ def _kit_lines(kit_fn: str, n: int, pairs: tuple, starts: bool) -> list:
 
 
 def _kick_drift_kick_source(n: int, pairs: tuple, autonomous: bool) -> str:
-    """Source of ``kick_drift_kick(x, y, betas, half, dt, kit)`` for the n
-    rows and the active terms ``pairs``: ``SwingModel.kick_drift_kick``,
-    unrolled over rows and terms.  The coupling sines are taken at the entry
-    position and after each drift; the force is ``coupling_force``'s
-    operations in its order, rebuilt at each half-kick from the step's drive
-    values, or, when autonomous, from the first and carried from the second
-    half-kick of a step to the first of the next.  Parameter values come
-    from ``kit`` and ``betas``, never from the text."""
+    """Source of ``kick_drift_kick(x, y, betas, half, dt, every, left, kit,
+    samples)`` for the n rows and the active terms ``pairs``:
+    ``SwingModel.kick_drift_kick``, unrolled over rows and terms.  The
+    coupling sines are taken at the entry position and after each drift; the
+    force is ``coupling_force``'s operations in its order, rebuilt at each
+    half-kick from the step's drive values, or, when autonomous, from the
+    first and carried from the second half-kick of a step to the first of the
+    next.  A sample is appended after ``left`` steps and then every
+    ``every`` steps; when autonomous it ends with the energy, written as
+    ``_kinetic`` and then ``_add_potential``'s operations in their order.
+    The tilt lines run for every model: an untilted kit's starts are 0.0, and
+    ``h + 0.0 * x`` is ``h`` at any finite x.  Parameter values come from
+    ``kit`` and ``betas``, never from the text."""
     betas = _targets("beta", len(pairs))
     sines = [f"sin{t} = sin({_coupling_arg(t, i, j)})" for t, (i, j) in enumerate(pairs)]
     force = [f"f{i} = start{i}" for i in range(n)]
@@ -398,18 +406,32 @@ def _kick_drift_kick_source(n: int, pairs: tuple, autonomous: bool) -> str:
                   f"f{j} = f{j} + " + ("si" if i == j else f"lam{t}_j * s")]
     kick = [f"y{i} = y{i} - half * f{i}" for i in range(n)]
     drift = [f"x{i} = x{i} + dt * y{i}" for i in range(n)]
+    row = [f"x{i}" for i in range(n)] + [f"y{i}" for i in range(n)]
+    record = ["left = every"]
+    if autonomous:
+        record += ["h = y0 * y0", *(f"h = h + y{i} * y{i}" for i in range(1, n)),
+                   "h = 0.5 * h", *(f"h = h + start{i} * x{i}" for i in range(n)),
+                   *(f"h = h + beta{t} * (1.0 - cos({_coupling_arg(t, i, j)}))"
+                     for t, (i, j) in enumerate(pairs))]
+        row.append("h")
+    record.append(f"append(({', '.join(row)}))")
     head = _kit_lines("sin", n, pairs, starts=True)
-    head += [f"{_targets('x', n)} = x", f"{_targets('y', n)} = y", *sines]
+    if autonomous:
+        head.append("cos = kit.cos")
+    head += ["append = samples.append", f"{_targets('x', n)} = x", f"{_targets('y', n)} = y",
+             *sines]
     if autonomous:
         head += [f"{betas} = betas[0]", *force, "for _ in range(len(betas)):"]
         body = kick + drift + sines + force + kick
     else:
         head.append(f"for {betas} in betas:")
         body = force + kick + drift + sines + force + kick
+    body += ["left -= 1", "if not left:"]
     rows = lambda prefix: "[" + ", ".join(f"{prefix}{i}" for i in range(n)) + "]"
-    return "\n".join(["def kick_drift_kick(x, y, betas, half, dt, kit):",
+    return "\n".join(["def kick_drift_kick(x, y, betas, half, dt, every, left, kit, samples):",
                       *("    " + line for line in head),
                       *("        " + line for line in body),
+                      *("            " + line for line in record),
                       f"    return {rows('x')}, {rows('y')}", ""])
 
 

@@ -57,14 +57,12 @@ class SwingTrajectory:
         return np.mod(self.x, PERIOD)
 
 
-def _drive_steps(model, phi: np.ndarray, floats: bool) -> list:
-    """The drive values of the active terms at each column of ``phi``: a
-    list of floats per column for float rows, a tuple of 0-d arrays for
-    array rows."""
+def _drive_steps(model, phi: np.ndarray) -> list:
+    """The drive values of the active terms at each column of ``phi``, a
+    list of floats per column."""
     cols = phi.shape[1]
     table = np.array([np.broadcast_to(b, (cols,)) for b in model.drive(phi)])
-    steps = table.reshape(-1, cols).T.tolist()
-    return steps if floats else [tuple(map(np.array, beta)) for beta in steps]
+    return table.reshape(-1, cols).T.tolist()
 
 
 def integrate_swing(p: SwingParams, x0, y0, T: float, dt: float,
@@ -74,22 +72,22 @@ def integrate_swing(p: SwingParams, x0, y0, T: float, dt: float,
     Both half-kicks of a step evaluate beta at t + dt/2, which keeps the map
     symmetric (hence 2nd order) in the quasi-periodic case and reduces to
     classic velocity Verlet when autonomous.  ``x0`` and ``y0`` have shape
-    (n,) or (n, 1) for one orbit, or (n, B) for a batch of B orbits stepped
-    together.  The state is kept as n per-axis rows: Python floats for one
-    orbit, (B,) arrays for a batch (see ``SwingModel.__init__``); a single
-    orbit steps on floats because numpy's per-call cost is most of a step on
-    length-1 arrays, and ``math`` rounds like numpy.  The steps run in
-    ``SwingModel.kick_drift_kick``, a kernel generated once per term pattern
-    and unrolled over rows and terms, called once per record stride (clipped
-    at the edges of the blocks of ``DRIVE_BLOCK`` steps whose drive
-    coefficients are tabulated in one ``drive`` call); between calls the
-    sample is recorded and checked.  Each step costs one coupling evaluation
-    (plus one at each call's entry): the kernel carries the coupling sines
-    (the whole force, when autonomous) from the second half-kick of a step
-    to the first of the next.  Steps after the last sample are not taken.
-    The trajectory is bit for bit the one of a per-step ``potential_force``
-    loop on arrays.  Deterministic; raises NonFiniteStateError if any orbit
-    blows up.
+    (n,) or (n, 1) for one orbit, or (n, B) for a batch of B orbits.  Every
+    orbit is stepped on its own, as n per-axis rows of Python floats: numpy's
+    per-call cost is most of a step on short arrays, and ``math`` rounds like
+    numpy, so a batch costs B single orbits and each column carries the bits
+    of that orbit run alone.  The steps run in ``SwingModel.kick_drift_kick``,
+    a kernel generated once per term pattern and unrolled over rows and
+    terms, called once per orbit for each block of ``DRIVE_BLOCK`` steps
+    whose drive coefficients are tabulated in one ``drive`` call; the kernel
+    records the samples of the block itself, and they are copied and checked
+    once per block.  Each step costs one coupling evaluation (plus one at
+    each call's entry): the kernel carries the coupling sines (the whole
+    force, when autonomous) from the second half-kick of a step to the first
+    of the next.  Steps after the last sample are not taken.  The trajectory
+    is bit for bit the one of a per-step ``potential_force`` loop on arrays.
+    Deterministic; raises NonFiniteStateError if any orbit blows up, with the
+    earliest index over the orbits.
     """
     if dt <= 0 or T < dt:
         raise ValueError("need dt > 0 and T >= dt")
@@ -104,52 +102,55 @@ def integrate_swing(p: SwingParams, x0, y0, T: float, dt: float,
     model = make_swing(p)
     autonomous = p.m == 0
     batch = x.shape[1:]
-    # the row kind follows SwingModel's rule: float rows and float constants
-    # for one orbit, (B,) rows and 0-d constants for a batch
-    floats = x.size == p.n
-    if floats:
-        x, y = x.ravel().tolist(), y.ravel().tolist()
-        half, step_dt = 0.5 * dt, dt
-    else:
-        x, y = list(x), list(y)
-        half, step_dt = np.array(0.5 * dt), np.array(dt)
+    # one (x rows, y rows) pair of float lists per orbit
+    orbits = list(zip(x.reshape(p.n, -1).T.tolist(), y.reshape(p.n, -1).T.tolist()))
 
-    # sample r holds x, y and, when autonomous, the total energy on the
-    # covering space; the steps after the last sample are not taken
+    # sample r of orbit b, samples[r, :, b], holds x, y and, when autonomous,
+    # the total energy on the covering space; the steps after the last
+    # sample are not taken
     n_samples = n_steps // record_every + 1
     n_steps = (n_samples - 1) * record_every
-    samples = np.empty((n_samples, 2 * p.n + autonomous) + (() if floats else batch))
-    beta = _drive_steps(model, np.zeros((0, 1)), floats)[0] if autonomous else None
-    r = 1
+    samples = np.empty((n_samples, 2 * p.n + autonomous, len(orbits)))
+    beta = _drive_steps(model, np.zeros((0, 1)))[0] if autonomous else None
+    half = 0.5 * dt
     # a blow-up is reported as NonFiniteStateError, not as overflow warnings;
-    # math.sin and math.cos raise ValueError at +-inf, where the state turned
-    # non-finite after sample r - 1
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            samples[0] = x + y + [model.energy(x, y, beta)] if autonomous else x + y
-            for first in range(0, n_steps, DRIVE_BLOCK):
-                last = min(first + DRIVE_BLOCK, n_steps)
-                if autonomous:
-                    betas = [beta] * (last - first)
-                else:
-                    # beta at the midstep times (step + 1/2) dt of the block
-                    betas = _drive_steps(model, p.omega[:, None] * (
-                        (np.arange(first, last) + 0.5) * dt), floats)
-                step = first
-                while step < last:
-                    stop = min(step - step % record_every + record_every, last)
-                    x, y = model.kick_drift_kick(x, y, betas[step - first:stop - first],
-                                                 half, step_dt)
-                    step = stop
-                    if step % record_every == 0:
-                        sample = samples[r]
-                        sample[...] = (x + y + [model.energy(x, y, beta)] if autonomous
-                                       else x + y)
-                        if not np.isfinite(sample).all():
-                            raise NonFiniteStateError(r - 1)
-                        r += 1
-    except ValueError:
-        raise NonFiniteStateError(r - 1) from None
+    # math.sin and math.cos raise ValueError at +-inf, where the orbit turned
+    # non-finite after its last recorded sample
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b, (xb, yb) in enumerate(orbits):
+            try:
+                samples[0, :, b] = xb + yb + ([model.energy(xb, yb, beta)] if autonomous else [])
+            except ValueError:
+                raise NonFiniteStateError(0) from None
+        for first in range(0, n_steps, DRIVE_BLOCK):
+            last = min(first + DRIVE_BLOCK, n_steps)
+            if autonomous:
+                betas = [beta] * (last - first)
+            else:
+                # beta at the midstep times (step + 1/2) dt of the block
+                betas = _drive_steps(model, p.omega[:, None] * (
+                    (np.arange(first, last) + 0.5) * dt))
+            r = first // record_every + 1       # the block's first sample
+            left = record_every - first % record_every
+            failed = []
+            for b, (xb, yb) in enumerate(orbits):
+                rows, raised = [], False
+                try:
+                    orbits[b] = model.kick_drift_kick(xb, yb, betas, half, dt, record_every,
+                                                      left, rows)
+                except ValueError:
+                    raised = True
+                block = samples[r:r + len(rows), :, b]
+                if rows:
+                    block[...] = rows
+                bad = np.flatnonzero(~np.isfinite(block).all(axis=1))
+                if bad.size:
+                    failed.append(r + int(bad[0]) - 1)
+                elif raised:
+                    failed.append(r + len(rows) - 1)
+            # an orbit failing in a later block would report a later index
+            if failed:
+                raise NonFiniteStateError(min(failed))
 
     samples = samples.reshape((n_samples, -1) + batch)
     times = np.arange(n_samples) * record_every * dt

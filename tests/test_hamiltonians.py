@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from weakkam import verify
+from weakkam import hamiltonians, verify
 from weakkam.fields import PERIOD
 from weakkam.hamiltonians import (
     SwingParams,
@@ -192,12 +192,20 @@ def test_potential_and_energy_match_evaluate(model):
         force = model.coupling_force(sines, bs, xs)
         # one kernel step from rest with half = 1 and dt = 0 ends at
         # y = (0 - f) - f = -2 f exactly
-        _, y_end = model.kick_drift_kick(xs, [0.0] * model.n, [bs], 1.0, 0.0)
+        _, y_end = model.kick_drift_kick(xs, [0.0] * model.n, [bs], 1.0, 0.0, 1, 1, [])
         kernel_force = [-0.5 * yi for yi in y_end]
+        # a step with half = dt = 0 stays at (x, y) and records the energy
+        # there; a driven model's pattern is run through the autonomous
+        # kernel, the one that writes the energy lines
+        recorded = []
+        hamiltonians._kick_drift_kick_kernel(model.n, model._pairs, True)(
+            xs, ys, [bs], 0.0, 0.0, 1, 1, model._float_rows, recorded)
+        kernel_energy = recorded[0][-1]
         v = model.float_potential(bs)(*xs)
         assert type(h) is float and all(type(f) is float for f in force + kernel_force)
-        assert np.array_equal(np.array([h, *force]).view(np.int64),
-                              np.array([ev.h[s], *ev.dx[:, s]]).view(np.int64))
+        assert type(kernel_energy) is float
+        assert np.array_equal(np.array([h, kernel_energy, *force]).view(np.int64),
+                              np.array([ev.h[s], ev.h[s], *ev.dx[:, s]]).view(np.int64))
         assert np.array_equal(np.array([v, *kernel_force]).view(np.int64),
                               np.array([at_rest[s], *ev.dx[:, s]]).view(np.int64))
 

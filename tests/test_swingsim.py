@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -273,6 +275,30 @@ def test_record_strides_match_per_step_reference(case, T, every):
         assert (got is None and want is None) or np.array_equal(got, want)
 
 
+# driven, so that no energy is recorded, but with no coupling term
+BLOW_UP_FREE = SwingParams(alpha=[1.7e307], beta=((TrigPoly(0.0),),), lam=[0.5],
+                           omega=[np.sqrt(2.0)])
+
+
+@pytest.mark.parametrize("p", [BITWISE_CASES["blow_up"][0], BLOW_UP_FREE],
+                         ids=["coupled", "uncoupled"])
+def test_batch_reports_the_earliest_blow_up(p):
+    # x overflows ~4600 steps in (past the first drive block) from rest,
+    # ~3200 steps in at y0 = 5e307 and ~1800 steps in at y0 = 1e308: the
+    # last column fails first.  With a coupling term math.sin raises there;
+    # without one only the recorded rows show it
+    x0, y0 = [[0.0, 0.0, 0.0]], [[0.0, 5e307, 1e308]]
+    T, dt, every = 5.0, 1e-3, 7
+    ref = per_step_reference(p, x0, y0, T, dt, every)
+    alone = [per_step_reference(p, [0.0], [v], T, dt, every) for v in y0[0][:2]]
+    assert all(isinstance(e, NonFiniteStateError) for e in [ref, *alone])
+    assert 0 < ref.index < alone[1].index < alone[0].index
+    assert alone[0].index > DRIVE_BLOCK // every
+    with pytest.raises(NonFiniteStateError) as err:
+        integrate_swing(p, x0, y0, T, dt, record_every=every)
+    assert err.value.index == ref.index
+
+
 def test_models_of_one_term_pattern_share_one_kernel():
     # distinctive values, so that one printed into the source would show
     lam, beta, alpha = 0.123456789, 7.654321, 0.0314159
@@ -287,7 +313,7 @@ def test_models_of_one_term_pattern_share_one_kernel():
         integrate_swing(p, [0.1], [0.5], 0.1, 1e-3)
         integrate_swing(p, [[0.1, 0.2]], [[0.5, -0.5]], 0.1, 1e-3)
     # one kernel for the autonomous pattern, one for the driven, each serving
-    # float rows and array rows
+    # one orbit and every column of a batch, tilted or not
     info = hamiltonians._kick_drift_kick_kernel.cache_info()
     assert info.currsize == info.misses == 2
     values = [lam, beta, alpha, 2 * lam, -alpha, 0.5 * beta, 0.25 * beta, 1e-3, 5e-4]
@@ -336,18 +362,24 @@ def test_compare_matches_per_sample_loop():
     idx = np.unique(np.linspace(1, len(table) - 2, 5).round().astype(int))
     assert [r["P"] for r in rows] == [float(table[i, 0]) for i in idx]
     v_x0 = float(pot.v(0.0))
-    for r, i in zip(rows, idx):
+    orbits, predicted = [], []
+    for i in idx:
         P, E = table[i]
-        predicted = (table[i + 1, 1] - table[i - 1, 1]) / (table[i + 1, 0] - table[i - 1, 0])
+        predicted.append((table[i + 1, 1] - table[i - 1, 1]) / (table[i + 1, 0] - table[i - 1, 0]))
         if E > pot.v_max + 1e-9:
             y0 = np.sign(P) * np.sqrt(2.0 * (E - v_x0))
         else:
             y0 = np.sqrt(max(2.0 * (0.5 * (pot.v_min + pot.v_max) - v_x0), 0.0))
-        traj = integrate_swing(pendulum_params(), [0.0], [y0], T, dt, record_every=10)
-        measured = float(rotation_number(traj, burn_in)[0])
-        assert r["rotation_predicted"] == float(predicted)
-        assert abs(r["rotation_measured"] - measured) <= 1e-15
-        assert abs(r["gap"] - abs(measured - predicted)) <= 1e-15
+        orbits.append(integrate_swing(pendulum_params(), [0.0], [y0], T, dt, record_every=10))
+    # the comparison fits its orbits in one least-squares call, which rounds
+    # unlike one call per orbit (by ~1e-19 on the trapped orbits here): the
+    # orbits run alone are stacked and fitted the same way
+    stacked = replace(orbits[0], x=np.stack([o.x for o in orbits], axis=-1))
+    measured = rotation_number(stacked, burn_in)[0]
+    for r, m, pr in zip(rows, measured, predicted):
+        assert r["rotation_predicted"] == float(pr)
+        assert r["rotation_measured"] == float(m)
+        assert r["gap"] == abs(float(m) - float(pr))
 
 
 def test_compare_requires_autonomous():
