@@ -224,6 +224,11 @@ class CellSolution:
     # the Newton state to hand the next warm start (None for an assembled
     # fiber solution); not part of any record
     newton_state: NewtonState | None = field(repr=False, default=None)
+    # the final evaluation's H, D_yH (n, *grid.shape) and Gibbs weight
+    # exp(k (H - Hbar_k)), which ``gibbs_measure`` reads; not part of any record
+    h: np.ndarray | None = field(repr=False, default=None)
+    dy: np.ndarray | None = field(repr=False, default=None)
+    sigma: np.ndarray | None = field(repr=False, default=None)
 
 
 class ContinuationError(RuntimeError):
@@ -292,12 +297,11 @@ def objective(problem: CellProblem, v: ScalarField):
     return value, ScalarField(problem.grid, grad)
 
 
-def _el_residual(problem: CellProblem, sigma: np.ndarray, dy: np.ndarray) -> float:
+def _el_residual(grid: TorusGrid, sigma: np.ndarray, dy: np.ndarray) -> float:
     """Weak stationarity: max_w |mean(sigma * D_yH . grad w)| over trig fields
     w = sin(q x_a), cos(q x_a), q = 1..TEST_MODES, per spatial axis.  That is
     the derivative's symbol at q times a Fourier coefficient of the flux
     sigma * D_yH_a averaged over the other axes: one rFFT per axis."""
-    grid = problem.grid
     modes = min(TEST_MODES, grid.N_x // 2 - 1)
     q = np.arange(1, modes + 1)
     symbol = q if grid.diff_mode == "spectral" else np.sin(q * grid.dx) / grid.dx
@@ -335,13 +339,14 @@ def _finish(problem: CellProblem, v_values: np.ndarray, iterations: int,
     """The solution at ``v_values`` with its diagnostics.  ``evaluated`` is
     the ``_evaluate`` output the solver already holds for this iterate (taken
     before v was re-centered, which moves f and g only by rounding); without
-    it the iterate is evaluated here."""
+    it the iterate is evaluated here.  The solution keeps that evaluation's
+    H, D_yH and Gibbs weight, from which its measure is built."""
     grid = problem.grid
     v_values = v_values - v_values.mean()
     value, grad, ev, sigma = evaluated or _evaluate(problem, v_values)
     hbar = log_mean_exp_values(ev.h, problem.k)   # == value; reported via the field op
     gnorm = _grid_norm(grad)
-    el = _el_residual(problem, sigma, ev.dy)
+    el = _el_residual(grid, sigma, ev.dy)
     dxu = problem.momentum_field(v_values)
     sup_dxu = _sup_on_support(np.sqrt(np.einsum("i...,i...->...", dxu, dxu)), sigma)
     warnings = []
@@ -368,7 +373,7 @@ def _finish(problem: CellProblem, v_values: np.ndarray, iterations: int,
         objective_history=tuple(history),
         warnings=tuple(warnings),
         wall_time_s=time.perf_counter() - t0,
-        newton_state=state,
+        newton_state=state, h=ev.h, dy=ev.dy, sigma=sigma,
     )
 
 

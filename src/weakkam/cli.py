@@ -21,12 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cell import (
-    CellProblem,
-    ContinuationError,
-    SolverOptions,
-    continuation_solve,
-)
+from .cell import ContinuationError, SolverOptions, continuation_solve
 from .config import (
     ConfigError,
     RunConfig,
@@ -135,8 +130,8 @@ def _config_echo(cfg: RunConfig) -> dict:
 
 # subcommands ----------------------------------------------------------------
 
-def _sigma_dump(measure, problem) -> dict:
-    x, phi = problem.grid.meshes()
+def _sigma_dump(measure) -> dict:
+    x, phi = measure.sigma.grid.meshes()
     coords = [c.ravel().tolist() for c in x] + [c.ravel().tolist() for c in phi]
     return {"coords": coords, "density": measure.sigma.values.ravel().tolist()}
 
@@ -151,11 +146,9 @@ def _run_one_P(cfg: RunConfig, model, grid, opts, P):
             records.append(_solve_record(sol))
         return records, f"stage (tau={exc.tau:g}, k={exc.k:g}): {exc}"
     for sol in sols:
-        problem = CellProblem(model, P, sol.k, grid)
-        measure = gibbs_measure(sol, problem)
-        stats = measure_stats(measure, sol, problem,
-                              speed_threshold=default_speed_threshold(sol, problem))
-        dump = _sigma_dump(measure, problem) if cfg.dump_sigma else None
+        measure = gibbs_measure(sol)
+        stats = measure_stats(measure, speed_threshold=default_speed_threshold(measure))
+        dump = _sigma_dump(measure) if cfg.dump_sigma else None
         records.append(_solve_record(sol, stats, dump))
     return records, None
 
@@ -354,10 +347,11 @@ def cmd_report(manifest_path: Path, out_dir: Path) -> tuple[int, dict]:
 
     solves = manifest.get("solves") or []
     if solves:
-        rows = sorted(((tuple(r["P"]), r["k"], r["Hbar_k"]) for r in solves))
-        flat = [(p[0] if len(p) == 1 else p, k, h) for p, k, h in rows]
-        _write_csv(out_dir / "Hbar_vs_k.csv", ["P", "k", "hbar"], flat)
-        _write_csv(out_dir / "Hbar_vs_P.csv", ["P", "k", "hbar"], flat)
+        rows = [(p[0] if len(p) == 1 else p, k, h) for p, k, h in
+                sorted((tuple(r["P"]), r["k"], r["Hbar_k"]) for r in solves)]
+        _write_csv(out_dir / "Hbar_vs_k.csv", ["P", "k", "hbar"], rows)
+        _write_csv(out_dir / "Hbar_vs_P.csv", ["P", "k", "hbar"],
+                   sorted(rows, key=lambda row: (row[1], row[0])))
         dumped = [r for r in solves if "sigma" in r]
         if dumped:
             best = max(dumped, key=lambda r: r["k"])

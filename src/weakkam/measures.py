@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cell import CellProblem, CellSolution, _el_residual, _evaluate
+from .cell import CellSolution, _el_residual
 from .fields import ScalarField
 
 __all__ = [
@@ -35,6 +35,7 @@ class GibbsMeasure:
     sigma: ScalarField          # nonnegative, integrates to 1
     k: float
     Hbar_k: float
+    P: np.ndarray
     renorm_factor: float        # raw mass before renormalization; ~1
     h: np.ndarray = field(repr=False)    # H(x, D_x u, phi) at every node
     dy: np.ndarray = field(repr=False)   # velocity D_yH(x, D_x u, phi), (n, *grid.shape)
@@ -69,50 +70,36 @@ class EffectiveLagrangian:
     at_boundary: bool           # supremum attained at the table edge: unreliable
 
 
-def gibbs_measure(solution: CellSolution, problem: CellProblem) -> GibbsMeasure:
-    """Normalized density exp(k (H - Hbar_k)); underflow clamps to zero.
-
-    The solution is evaluated once; the measure keeps the node energies and
-    velocities, which every diagnostic below reads.  The raw mass must come
-    out within 1e-4 of 1 (it is 1 up to round-off when solution and problem
-    are consistent); the residual factor is divided out so the returned
-    density integrates to 1 exactly.
-    """
+def gibbs_measure(solution: CellSolution) -> GibbsMeasure:
+    """Normalized density exp(k (H - Hbar_k)) of the solve's final
+    evaluation, whose node energies and velocities the measure keeps for the
+    diagnostics below; evaluates nothing.  The raw mass, 1 up to round-off,
+    is divided out so the density integrates to 1 exactly."""
     if not solution.converged:
         raise ValueError("gibbs_measure needs a converged solution")
-    ev = _evaluate(problem, solution.v.values)[2]
-    with np.errstate(under="ignore"):
-        raw = np.exp(problem.k * (ev.h - solution.Hbar_k))
-    mass = float(np.mean(raw))
-    if not 1.0 - 1e-4 <= mass <= 1.0 + 1e-4:
-        raise ValueError(
-            f"inconsistent (solution, problem) pair: raw gibbs mass {mass!r}")
-    sigma = ScalarField(problem.grid, raw / mass)
-    return GibbsMeasure(sigma=sigma, k=problem.k, Hbar_k=solution.Hbar_k,
-                        renorm_factor=mass, h=ev.h, dy=ev.dy)
+    mass = float(np.mean(solution.sigma))
+    sigma = ScalarField(solution.v.grid, solution.sigma / mass)
+    return GibbsMeasure(sigma=sigma, k=solution.k, Hbar_k=solution.Hbar_k,
+                        P=solution.P, renorm_factor=mass, h=solution.h,
+                        dy=solution.dy)
 
 
-def rotation_vector(measure: GibbsMeasure, solution: CellSolution,
-                    problem: CellProblem) -> np.ndarray:
+def rotation_vector(measure: GibbsMeasure) -> np.ndarray:
     """Q_i = integrate(sigma * D_yH_i(x, P + D_xv, phi))."""
-    return np.array([
-        float(np.mean(measure.sigma.values * measure.dy[i])) for i in range(problem.grid.n)
-    ])
+    return np.array([float(np.mean(measure.sigma.values * dy)) for dy in measure.dy])
 
 
-def closedness_residual(measure: GibbsMeasure, solution: CellSolution,
-                        problem: CellProblem) -> float:
+def closedness_residual(measure: GibbsMeasure) -> float:
     """Max over trig test fields w of |integrate(sigma * D_yH . grad_x w)|,
     ``cell.TEST_MODES`` modes per spatial axis.
 
     At a converged solution this equals the solver's weak stationarity
     residual by construction.
     """
-    return _el_residual(problem, measure.sigma.values, measure.dy)
+    return _el_residual(measure.sigma.grid, measure.sigma.values, measure.dy)
 
 
-def energy_statistics(measure: GibbsMeasure, solution: CellSolution,
-                      problem: CellProblem) -> tuple[float, float]:
+def energy_statistics(measure: GibbsMeasure) -> tuple[float, float]:
     """Mean and variance of H(x, D_x u, phi) under sigma."""
     s = measure.sigma.values
     mean = float(np.mean(s * measure.h))
@@ -120,8 +107,7 @@ def energy_statistics(measure: GibbsMeasure, solution: CellSolution,
     return mean, var
 
 
-def tail_mass(measure: GibbsMeasure, solution: CellSolution,
-              problem: CellProblem, M: float) -> float:
+def tail_mass(measure: GibbsMeasure, M: float) -> float:
     """sigma-mass of the region where the velocity |D_yH| is at least M.
 
     M = 0 returns 1 exactly (speeds are nonnegative)."""
@@ -152,26 +138,27 @@ def effective_lagrangian(hbar_table, Q) -> EffectiveLagrangian:
     return EffectiveLagrangian(values[best], P_star, at_boundary)
 
 
-def default_speed_threshold(solution: CellSolution, problem: CellProblem) -> float:
+def default_speed_threshold(measure: GibbsMeasure) -> float:
     """1 + the classical speed ceiling sqrt(2 (Hbar_k - min V)) at energy
-    Hbar_k."""
-    v_min = float(np.min(problem.ham.potential(problem.x_mesh, problem.phi_mesh)))
-    return 1.0 + float(np.sqrt(max(2.0 * (solution.Hbar_k - v_min), 0.0)))
+    Hbar_k.  Every swing model has D_yH = y, so V = H - |D_yH|^2 / 2 at every
+    node."""
+    kinetic = 0.5 * np.einsum("i...,i...->...", measure.dy, measure.dy)
+    v_min = float(np.min(measure.h - kinetic))
+    return 1.0 + float(np.sqrt(max(2.0 * (measure.Hbar_k - v_min), 0.0)))
 
 
-def measure_stats(measure: GibbsMeasure, solution: CellSolution,
-                  problem: CellProblem, speed_threshold: float,
+def measure_stats(measure: GibbsMeasure, speed_threshold: float,
                   hbar_table=None) -> MeasureStats:
     """Assemble the full diagnostics row for one converged solve."""
-    Q = rotation_vector(measure, solution, problem)
-    mean, var = energy_statistics(measure, solution, problem)
-    closed = closedness_residual(measure, solution, problem)
-    tail = tail_mass(measure, solution, problem, speed_threshold)
+    Q = rotation_vector(measure)
+    mean, var = energy_statistics(measure)
+    closed = closedness_residual(measure)
+    tail = tail_mass(measure, speed_threshold)
     lbar = gap = None
     if hbar_table is not None:
         eff = effective_lagrangian(hbar_table, Q)
         lbar = eff.value
-        gap = lbar + solution.Hbar_k - float(np.dot(solution.P, Q))
+        gap = lbar + measure.Hbar_k - float(np.dot(measure.P, Q))
     return MeasureStats(Q=Q, energy_mean=mean, energy_var=var, closedness=closed,
                         tail_mass=tail, tail_threshold=float(speed_threshold),
                         Lbar_Q=lbar, duality_gap=gap)

@@ -28,10 +28,12 @@ __all__ = [
 
 
 class NonFiniteStateError(RuntimeError):
-    """Integration produced a non-finite state; carries the last valid index."""
+    """Integration produced a non-finite state; carries the last valid index
+    (-1: the start)."""
 
     def __init__(self, index: int):
-        super().__init__(f"non-finite state; last valid sample index {index}")
+        super().__init__("non-finite start; no valid sample" if index < 0 else
+                         f"non-finite state; last valid sample index {index}")
         self.index = index
 
 
@@ -87,7 +89,7 @@ def integrate_swing(p: SwingParams, x0, y0, T: float, dt: float,
     of the next.  Steps after the last sample are not taken.  The trajectory
     is bit for bit the one of a per-step ``potential_force`` loop on arrays.
     Deterministic; raises NonFiniteStateError if any orbit blows up, with the
-    earliest index over the orbits.
+    earliest index over the orbits, or -1 if the start is not finite.
     """
     if dt <= 0 or T < dt:
         raise ValueError("need dt > 0 and T >= dt")
@@ -98,6 +100,8 @@ def integrate_swing(p: SwingParams, x0, y0, T: float, dt: float,
     y = np.array(y0, dtype=float, ndmin=1)
     if x.shape != y.shape or x.ndim > 2 or x.shape[0] != p.n:
         raise ValueError(f"x0 and y0 must share the shape ({p.n},) or ({p.n}, B)")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise NonFiniteStateError(-1)
 
     model = make_swing(p)
     autonomous = p.m == 0
@@ -121,7 +125,7 @@ def integrate_swing(p: SwingParams, x0, y0, T: float, dt: float,
             try:
                 samples[0, :, b] = xb + yb + ([model.energy(xb, yb, beta)] if autonomous else [])
             except ValueError:
-                raise NonFiniteStateError(0) from None
+                raise NonFiniteStateError(-1) from None
         for first in range(0, n_steps, DRIVE_BLOCK):
             last = min(first + DRIVE_BLOCK, n_steps)
             if autonomous:
@@ -163,7 +167,8 @@ def integrate_swing(p: SwingParams, x0, y0, T: float, dt: float,
 
 def rotation_number(traj: SwingTrajectory, burn_in: float = 0.0) -> np.ndarray:
     """Least-squares slope of unwrapped x against t after the burn-in window,
-    one per column: shape (n,) or (n, B) like ``traj.x[0]``."""
+    one per column: shape (n,) or (n, B) like ``traj.x[0]``.  Each column is
+    fitted alone, so a batch column's slope is bit for bit its orbit's."""
     if not 0.0 <= burn_in <= 0.9:
         raise ValueError("burn_in must lie in [0, 0.9]")
     start = int(np.ceil(burn_in * (len(traj.times) - 1)))
@@ -171,7 +176,8 @@ def rotation_number(traj: SwingTrajectory, burn_in: float = 0.0) -> np.ndarray:
     if t.size < MIN_FIT_SAMPLES:
         raise ValueError(f"post-burn-in window shorter than {MIN_FIT_SAMPLES} samples")
     cols = traj.x[start:].reshape(t.size, -1)
-    return np.polyfit(t, cols, 1)[0].reshape(traj.x.shape[1:])
+    slopes = [np.polyfit(t, cols[:, j:j + 1], 1)[0, 0] for j in range(cols.shape[1])]
+    return np.array(slopes).reshape(traj.x.shape[1:])
 
 
 def compare_with_homogenization(p: SwingParams, hbar_table, samples: int,

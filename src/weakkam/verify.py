@@ -194,15 +194,15 @@ def run_checks(cfg: RunConfig | None = None) -> list[CheckResult]:
               mass <= MASS_TOL and ident <= DENSITY_IDENTITY_TOL and renorm <= RENORM_TOL,
               f"norm defect {mass:.1e}, identity defect {ident:.1e}, renorm {renorm:.1e}"))
     check("measure.closedness",
-          lambda: closedness(*pendulum()),
+          lambda: closedness(pendulum()[1]),
           lambda r: (r <= rtol, f"max closedness {r:.2e} (tol {rtol:g})"))
     check("measure.energy-bounds-envelope",
-          lambda: energy_envelope_defects(*pendulum()),
+          lambda: energy_envelope_defects(pendulum()[1]),
           lambda top, lo, hi: (max(top, lo, hi) <= 0.0,
                                f"max-H defect {top:.1e}, mean bounds defects "
                                f"{lo:.1e}/{hi:.1e}"))
     check("measure.energy-concentration-in-k",
-          lambda: energy_concentration(*pendulum()),
+          lambda: energy_concentration(pendulum()[1]),
           lambda var, speed: (var[-1] < var[0] and speed <= SPEED_SLACK,
                               f"var k={pendulum()[1][0].k:g}: {var[0]:.2e} -> "
                               f"k={pendulum()[1][-1].k:g}: {var[-1]:.2e}"))
@@ -419,20 +419,17 @@ def stationarity_residual(solutions) -> float:
 
 # measures -------------------------------------------------------------------
 
-def _gibbs(model, solutions):
-    for s in solutions:
-        problem = cell.CellProblem(model, s.P, s.k, s.v.grid)
-        yield s, problem, measures.gibbs_measure(s, problem)
-
-
 def measure_identity_defects(model, solutions):
     """(normalization, density identity, renormalization) defects of the Gibbs
     measures: the largest |integral sigma - 1|, |log(raw density) - k (H -
-    Hbar_k)| where the density is positive, and |raw mass - 1|."""
+    Hbar_k)| where the density is positive, and |exp(k (F_k[v] - Hbar_k)) - 1|
+    with the returned corrector v evaluated afresh on ``model``."""
     mass = ident = renorm = 0.0
-    for s, _, mu in _gibbs(model, solutions):
+    for s in solutions:
+        mu = measures.gibbs_measure(s)
         mass = max(mass, abs(fields.integrate(mu.sigma) - 1.0))
-        renorm = max(renorm, abs(mu.renorm_factor - 1.0))
+        f, _ = cell.objective(cell.CellProblem(model, s.P, s.k, s.v.grid), s.v)
+        renorm = max(renorm, abs(np.exp(s.k * (f - s.Hbar_k)) - 1.0))
         dens = mu.sigma.values * mu.renorm_factor
         live = dens > 1e-300
         ident = max(ident, float(np.max(np.abs(
@@ -440,33 +437,33 @@ def measure_identity_defects(model, solutions):
     return mass, ident, renorm
 
 
-def closedness(model, solutions) -> float:
+def closedness(solutions) -> float:
     """Largest closedness residual of the Gibbs measures over
     ``cell.TEST_MODES`` trig test fields per axis."""
-    return max(measures.closedness_residual(mu, s, p)
-               for s, p, mu in _gibbs(model, solutions))
+    return max(measures.closedness_residual(measures.gibbs_measure(s)) for s in solutions)
 
 
-def energy_envelope_defects(model, solutions):
+def energy_envelope_defects(solutions):
     """(max-H, lower mean, upper mean) defects of the energy envelope, each
     <= 0 when it holds: max H <= Hbar_k + C log(k)/k and Hbar_k <= mean H <=
     Hbar_k + A log(k)/k under the Gibbs measure."""
     top = lo = hi = -np.inf
-    for s, p, mu in _gibbs(model, solutions):
-        mean, _ = measures.energy_statistics(mu, s, p)
-        bound = np.log(s.k) / s.k
-        top = max(top, float(mu.h.max()) - s.Hbar_k - ENERGY_BOUND_C * bound)
-        lo = max(lo, s.Hbar_k - mean - ENERGY_MEAN_SLACK)
-        hi = max(hi, mean - s.Hbar_k - ENERGY_MEAN_A * bound)
+    for mu in map(measures.gibbs_measure, solutions):
+        mean, _ = measures.energy_statistics(mu)
+        bound = np.log(mu.k) / mu.k
+        top = max(top, float(mu.h.max()) - mu.Hbar_k - ENERGY_BOUND_C * bound)
+        lo = max(lo, mu.Hbar_k - mean - ENERGY_MEAN_SLACK)
+        hi = max(hi, mean - mu.Hbar_k - ENERGY_MEAN_A * bound)
     return top, lo, hi
 
 
-def energy_concentration(model, solutions):
+def energy_concentration(solutions):
     """(energy variance under each Gibbs measure, largest |Q| - sup|D_x u|)."""
     variances, speed = [], -np.inf
-    for s, p, mu in _gibbs(model, solutions):
-        variances.append(measures.energy_statistics(mu, s, p)[1])
-        q = measures.rotation_vector(mu, s, p)
+    for s in solutions:
+        mu = measures.gibbs_measure(s)
+        variances.append(measures.energy_statistics(mu)[1])
+        q = measures.rotation_vector(mu)
         speed = max(speed, float(np.linalg.norm(q)) - s.sup_Dxu)
     return variances, speed
 

@@ -69,8 +69,8 @@ def test_criterion_3_monotonicity_in_k(pendulum_sweep):
           "(slack 1e-8)")
 
 
-def test_criterion_4_weak_euler_lagrange(pendulum, pendulum_sweep):
-    worst = max(verify.closedness(pendulum, sols)
+def test_criterion_4_weak_euler_lagrange(pendulum_sweep):
+    worst = max(verify.closedness(sols)
                 for sols in pendulum_sweep["solutions"].values())
     assert worst <= verify.STATIONARITY_TOL
     print(f"\n[PASS] criterion 4 (weak stationarity/closedness): max residual "
@@ -92,22 +92,20 @@ def test_criterion_5_gradient_correctness():
           f"defect {worst:.2e} over 20 directions x 3 models")
 
 
-def test_criterion_6_energy_concentration(pendulum, pendulum_sweep):
+def test_criterion_6_energy_concentration(pendulum_sweep):
     sols = pendulum_sweep["solutions"][0.0]
-    variances, speed = verify.energy_concentration(pendulum, sols)
+    variances, speed = verify.energy_concentration(sols)
     assert variances[-1] < variances[0] and speed <= verify.SPEED_SLACK
-    envelope = verify.energy_envelope_defects(pendulum, sols)
+    envelope = verify.energy_envelope_defects(sols)
     assert max(envelope) <= 0.0
     print(f"\n[PASS] criterion 6 (energy concentration): var {variances[0]:.2e} "
           f"-> {variances[-1]:.2e}; max-H envelope slack {-envelope[0]:.3f} "
           f"at C_env={verify.ENERGY_BOUND_C}")
 
 
-def test_criterion_7_duality(pendulum, pendulum_sweep, hbar64_table):
+def test_criterion_7_duality(pendulum_sweep, hbar64_table):
     sol = pendulum_sweep["solutions"][2.0][-1]
-    prob = CellProblem(pendulum, sol.P, sol.k, sol.v.grid)
-    mu = gibbs_measure(sol, prob)
-    Q = rotation_vector(mu, sol, prob)[0]
+    Q = rotation_vector(gibbs_measure(sol))[0]
     lbar = effective_lagrangian(hbar64_table, Q)
     assert not lbar.at_boundary
     resolution = 0.05 ** 2 / 2.0
@@ -117,11 +115,9 @@ def test_criterion_7_duality(pendulum, pendulum_sweep, hbar64_table):
           f"{abs(gap):.2e} <= {0.02 + resolution:.4f}")
 
 
-def test_criterion_8_rotation_consistency(pendulum, pendulum_sweep, hbar64_table,
-                                          pendulum_pot):
+def test_criterion_8_rotation_consistency(pendulum_sweep, hbar64_table, pendulum_pot):
     sol = pendulum_sweep["solutions"][2.0][-1]
-    prob = CellProblem(pendulum, sol.P, sol.k, sol.v.grid)
-    Q = rotation_vector(gibbs_measure(sol, prob), sol, prob)[0]
+    Q = rotation_vector(gibbs_measure(sol))[0]
     table = dict(hbar64_table)
     fd = (table[2.05] - table[1.95]) / 0.1
     rel_q = abs(Q - fd) / abs(fd)

@@ -277,6 +277,26 @@ def test_report_on_cell_manifest(tmp_path):
     assert ps == sorted(ps)
 
 
+def test_report_on_sweep_manifest(tmp_path):
+    # Hbar_vs_k.csv runs through k at each P, Hbar_vs_P.csv through P at each k
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP_CFG)
+    out = tmp_path / "out"
+    assert run(["sweep", "--config", cfg, "--out", out, "--jobs", 1]) == 0
+    rep = tmp_path / "rep"
+    assert run(["report", out / "manifest.json", "--out", rep]) == 0
+    tables = {}
+    for name in ("Hbar_vs_k.csv", "Hbar_vs_P.csv"):
+        lines = (rep / name).read_text().strip().splitlines()
+        assert lines[0] == "P,k,hbar"
+        tables[name] = [tuple(float(x) for x in line.split(",")) for line in lines[1:]]
+    by_k, by_P = tables["Hbar_vs_k.csv"], tables["Hbar_vs_P.csv"]
+    assert len(by_k) == 10 and sorted(by_k) == sorted(by_P)
+    assert [(p, k) for p, k, _ in by_k] == sorted((p, k) for p, k, _ in by_k)
+    assert [(k, p) for p, k, _ in by_P] == sorted((k, p) for p, k, _ in by_P)
+    assert [p for p, _, _ in by_P[:5]] == [1.6, 1.8, 2.0, 2.2, 2.4]
+
+
 def test_report_missing_manifest(tmp_path):
     assert run(["report", tmp_path / "nope.json", "--out", tmp_path / "r"]) == 1
 
@@ -426,6 +446,41 @@ def test_bundled_pendulum_config(tmp_path):
     assert all(rec["converged"] for rec in manifest["solves"])
     hb = [rec["Hbar_k"] for rec in manifest["solves"]]
     assert hb == sorted(hb)
+
+
+def test_cell_measures_evaluate_nothing(tmp_path, monkeypatch):
+    # the measure of every record is built from its solve's final evaluation:
+    # no Hamiltonian evaluation happens outside solve_cell
+    from pathlib import Path
+    from weakkam import cell
+    from weakkam.hamiltonians import SwingModel
+    depth, outside = [0], []
+    solve = cell.solve_cell
+
+    def counted_solve(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return solve(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def watched(name):
+        original = getattr(SwingModel, name)
+
+        def wrapper(*args, **kwargs):
+            if not depth[0]:
+                outside.append(name)
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cell, "solve_cell", counted_solve)
+    for name in ("evaluate", "potential"):
+        monkeypatch.setattr(SwingModel, name, watched(name))
+    bundled = Path(__file__).resolve().parents[1] / "configs" / "pendulum_cell.cfg"
+    assert run(["cell", "--config", bundled, "--out", tmp_path / "o"]) == 0
+    manifest = json.loads((tmp_path / "o/manifest.json").read_text())
+    assert len(manifest["solves"]) == 4 and all("measure" in r for r in manifest["solves"])
+    assert outside == []
 
 
 def test_verify_negative_control(tmp_path, capsys):

@@ -22,13 +22,12 @@ def integrable_pieces():
     model = make_integrable(1)
     prob = CellProblem(model, [0.7], 8.0, grid)
     sol = solve_cell(prob)
-    return prob, sol, gibbs_measure(sol, prob)
+    return prob, sol, gibbs_measure(sol)
 
 
-def _solution_at(pendulum, sweep, P, k):
+def _solution_at(sweep, P, k):
     sol = next(s for s in sweep["solutions"][P] if s.k == k)
-    prob = CellProblem(pendulum, sol.P, k, sol.v.grid)
-    return prob, sol, gibbs_measure(sol, prob)
+    return sol, gibbs_measure(sol)
 
 
 def test_gibbs_integrable_uniform(integrable_pieces):
@@ -51,19 +50,12 @@ def test_gibbs_density_identity(pendulum, pendulum_sweep):
     assert defect <= verify.DENSITY_IDENTITY_TOL
 
 
-def test_gibbs_concentrates_at_potential_max(pendulum, pendulum_sweep):
+def test_gibbs_concentrates_at_potential_max(pendulum_sweep):
     # P=0 corrector vanishes, so sigma(pi)/sigma(0) = exp(k (V(pi) - V(0)))
-    prob, sol, mu = _solution_at(pendulum, pendulum_sweep, 0.0, 64.0)
+    sol, mu = _solution_at(pendulum_sweep, 0.0, 64.0)
     i_pi = sol.v.grid.N_x // 2
     ratio = mu.sigma.values[i_pi] / mu.sigma.values[0]
     assert ratio >= np.exp(64.0 * 1.9)
-
-
-def test_gibbs_requires_consistency(pendulum, pendulum_sweep, grid256):
-    sol = pendulum_sweep["solutions"][2.0][-1]
-    wrong = CellProblem(pendulum, [0.0], sol.k, grid256)   # different P
-    with pytest.raises(ValueError, match="inconsistent"):
-        gibbs_measure(sol, wrong)
 
 
 def test_gibbs_requires_converged(pendulum, grid256):
@@ -71,22 +63,22 @@ def test_gibbs_requires_converged(pendulum, grid256):
     bad = solve_cell(CellProblem(pendulum, [1.5], 64.0, grid256),
                      opts=SolverOptions(max_iter=3))
     with pytest.raises(ValueError, match="converged"):
-        gibbs_measure(bad, CellProblem(pendulum, [1.5], 64.0, grid256))
+        gibbs_measure(bad)
 
 
 def test_rotation_integrable(integrable_pieces):
     prob, sol, mu = integrable_pieces
-    assert rotation_vector(mu, sol, prob)[0] == pytest.approx(0.7, abs=1e-12)
+    assert rotation_vector(mu)[0] == pytest.approx(0.7, abs=1e-12)
 
 
-def test_rotation_pendulum_symmetry(pendulum, pendulum_sweep):
-    prob, sol, mu = _solution_at(pendulum, pendulum_sweep, 0.0, 64.0)
-    assert abs(rotation_vector(mu, sol, prob)[0]) <= 1e-8
+def test_rotation_pendulum_symmetry(pendulum_sweep):
+    sol, mu = _solution_at(pendulum_sweep, 0.0, 64.0)
+    assert abs(rotation_vector(mu)[0]) <= 1e-8
 
 
-def test_rotation_matches_slope(pendulum, pendulum_sweep, hbar64_table):
-    prob, sol, mu = _solution_at(pendulum, pendulum_sweep, 2.0, 64.0)
-    q = rotation_vector(mu, sol, prob)[0]
+def test_rotation_matches_slope(pendulum_sweep, hbar64_table):
+    sol, mu = _solution_at(pendulum_sweep, 2.0, 64.0)
+    q = rotation_vector(mu)[0]
     table = dict(hbar64_table)
     fd = (table[2.05] - table[1.95]) / 0.1
     assert abs(q - fd) <= 0.05 * abs(fd)
@@ -94,45 +86,45 @@ def test_rotation_matches_slope(pendulum, pendulum_sweep, hbar64_table):
 
 def test_closedness_integrable_zero(integrable_pieces):
     prob, sol, mu = integrable_pieces
-    assert closedness_residual(mu, sol, prob) <= 1e-14
+    assert closedness_residual(mu) <= 1e-14
 
 
-def test_closedness_below_tolerance(pendulum, pendulum_sweep):
+def test_closedness_below_tolerance(pendulum_sweep):
     sols = [pendulum_sweep["solutions"][P][-1] for P in (0.5, 1.5, 2.5)]
-    assert verify.closedness(pendulum, sols) <= verify.STATIONARITY_TOL
+    assert verify.closedness(sols) <= verify.STATIONARITY_TOL
 
 
 def test_energy_statistics_integrable(integrable_pieces):
     prob, sol, mu = integrable_pieces
-    mean, var = energy_statistics(mu, sol, prob)
+    mean, var = energy_statistics(mu)
     assert mean == pytest.approx(0.5 * 0.49, abs=1e-12)
     assert var <= 1e-20
 
 
-def test_tail_mass_bounds(pendulum, pendulum_sweep):
-    prob, sol, mu = _solution_at(pendulum, pendulum_sweep, 2.0, 64.0)
-    assert tail_mass(mu, sol, prob, 0.0) == pytest.approx(1.0, abs=1e-12)
-    assert tail_mass(mu, sol, prob, 100.0) == 0.0
+def test_tail_mass_bounds(pendulum_sweep):
+    sol, mu = _solution_at(pendulum_sweep, 2.0, 64.0)
+    assert tail_mass(mu, 0.0) == pytest.approx(1.0, abs=1e-12)
+    assert tail_mass(mu, 100.0) == 0.0
     with pytest.raises(ValueError):
-        tail_mass(mu, sol, prob, -1.0)
+        tail_mass(mu, -1.0)
 
 
-def test_tail_mass_decreases_with_k(pendulum, pendulum_sweep):
+def test_tail_mass_decreases_with_k(pendulum_sweep):
     # flat-piece corrector: velocity mass above 1 dies off as k grows
     tails = []
     for k in (8.0, 16.0, 32.0, 64.0):
-        prob, sol, mu = _solution_at(pendulum, pendulum_sweep, 0.5, k)
-        tails.append(tail_mass(mu, sol, prob, 1.0))
+        sol, mu = _solution_at(pendulum_sweep, 0.5, k)
+        tails.append(tail_mass(mu, 1.0))
     assert all(b <= a + 1e-12 for a, b in zip(tails, tails[1:]))
     assert tails[-1] < tails[0]
 
 
-def test_tail_mass_above_energy_ceiling(pendulum, pendulum_sweep):
+def test_tail_mass_above_energy_ceiling(pendulum_sweep):
     # threshold 1 + max classical speed at the attained energy: mass vanishes
     for k in (8.0, 16.0, 32.0, 64.0):
-        prob, sol, mu = _solution_at(pendulum, pendulum_sweep, 0.0, k)
+        sol, mu = _solution_at(pendulum_sweep, 0.0, k)
         M = 1.0 + np.sqrt(2.0 * max(sol.Hbar_k, 0.0))
-        assert tail_mass(mu, sol, prob, M) == 0.0
+        assert tail_mass(mu, M) == 0.0
 
 
 def test_effective_lagrangian_quadratic_table():
@@ -157,9 +149,9 @@ def test_effective_lagrangian_flags_boundary():
         effective_lagrangian([], 1.0)
 
 
-def test_duality_gap_nonnegative(pendulum, pendulum_sweep, hbar64_table):
-    prob, sol, mu = _solution_at(pendulum, pendulum_sweep, 2.0, 64.0)
-    stats = measure_stats(mu, sol, prob, speed_threshold=1.0,
+def test_duality_gap_nonnegative(pendulum_sweep, hbar64_table):
+    sol, mu = _solution_at(pendulum_sweep, 2.0, 64.0)
+    stats = measure_stats(mu, speed_threshold=1.0,
                           hbar_table=hbar64_table)
     assert stats.duality_gap >= -1e-8
     assert stats.Lbar_Q is not None
@@ -167,7 +159,7 @@ def test_duality_gap_nonnegative(pendulum, pendulum_sweep, hbar64_table):
 
 def test_measure_stats_row(integrable_pieces):
     prob, sol, mu = integrable_pieces
-    stats = measure_stats(mu, sol, prob, speed_threshold=2.0)
+    stats = measure_stats(mu, speed_threshold=2.0)
     assert stats.energy_var >= 0.0
     assert 0.0 <= stats.tail_mass <= 1.0
     assert stats.Lbar_Q is None and stats.duality_gap is None

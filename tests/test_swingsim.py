@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -107,13 +105,17 @@ def test_nonfinite_state_aborts():
     with pytest.raises(NonFiniteStateError) as err:
         integrate_swing(free_params(), [[0.0, 0.0]], [[1.0, 1e308]], 200.0, 10.0)
     assert err.value.index == 0
-    # a non-finite start fails at the first recorded sample, without a
-    # ValueError from math.cos in the energy of a single orbit
-    for x0 in ([np.inf], [[np.inf]], [[0.0, np.inf]]):
-        with pytest.raises(NonFiniteStateError) as err:
+    # a non-finite start leaves no valid sample, without a ValueError from
+    # math.cos in the energy of a single orbit
+    for x0 in ([np.inf], [[np.inf]], [[0.0, np.inf]], [np.nan], [[0.0, np.nan]]):
+        with pytest.raises(NonFiniteStateError, match="no valid sample") as err:
             y0 = np.zeros(np.shape(x0))
             integrate_swing(pendulum_params(), x0, y0, 1.0, 1e-3, record_every=10)
-        assert err.value.index == 0
+        assert err.value.index == -1
+    # a NaN start velocity of a driven orbit, which records no energy
+    with pytest.raises(NonFiniteStateError) as err:
+        integrate_swing(qp_params(), [0.0], [np.nan], 1.0, 1e-3, record_every=10)
+    assert err.value.index == -1
 
 
 def test_steps_after_the_last_sample_are_not_taken():
@@ -144,6 +146,7 @@ def test_batch_columns_match_single_runs(params):
             assert batch.energy is None
         else:
             assert np.array_equal(batch.energy[:, b], one.energy)
+        assert np.array_equal(rotation_number(batch, 0.1)[:, b], rotation_number(one, 0.1))
 
 
 def per_step_reference(p, x0, y0, T, dt, record_every):
@@ -371,11 +374,7 @@ def test_compare_matches_per_sample_loop():
         else:
             y0 = np.sqrt(max(2.0 * (0.5 * (pot.v_min + pot.v_max) - v_x0), 0.0))
         orbits.append(integrate_swing(pendulum_params(), [0.0], [y0], T, dt, record_every=10))
-    # the comparison fits its orbits in one least-squares call, which rounds
-    # unlike one call per orbit (by ~1e-19 on the trapped orbits here): the
-    # orbits run alone are stacked and fitted the same way
-    stacked = replace(orbits[0], x=np.stack([o.x for o in orbits], axis=-1))
-    measured = rotation_number(stacked, burn_in)[0]
+    measured = [rotation_number(o, burn_in)[0] for o in orbits]
     for r, m, pr in zip(rows, measured, predicted):
         assert r["rotation_predicted"] == float(pr)
         assert r["rotation_measured"] == float(m)
