@@ -3,8 +3,8 @@ simulation, verification and report extraction.
 
 Outputs are machine-readable: one ``manifest.json`` per run plus CSV tables
 (schemas documented in the README).  Exit codes: 0 success, 1 configuration
-error, 2 solver non-convergence or a problem outside the solver's envelope,
-3 verification failure.
+error, 2 solver non-convergence, a problem outside the solver's envelope or a
+simulated orbit that blows up, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ from .config import (
 from .fields import TorusGrid
 from .measures import default_speed_threshold, gibbs_measure, measure_stats
 from .oracle1d import oracle_table, potential_from_model
-from .swingsim import compare_with_homogenization, integrate_swing, rotation_number
+from .swingsim import (NonFiniteStateError, compare_with_homogenization, integrate_swing,
+                       rotation_number)
 from .verify import run_checks
 
 OUT_ENV_VAR = "WEAKKAM_OUT"
@@ -445,6 +446,9 @@ def main(argv=None) -> int:
         return 1
     except ContinuationError as exc:
         print(f"solver did not converge: {exc}", file=sys.stderr)
+        return 2
+    except NonFiniteStateError as exc:
+        print(f"simulation blew up: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:           # a problem the solver refuses up front
         print(f"problem outside the solver's envelope: {exc}", file=sys.stderr)

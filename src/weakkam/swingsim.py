@@ -47,13 +47,13 @@ COMPARE_RECORD_EVERY = 10
 
 @dataclass(frozen=True)
 class SwingTrajectory:
-    """Recorded samples; a batch of B orbits adds a trailing axis of size B."""
+    """Recorded samples of one orbit."""
 
     times: np.ndarray        # (S,)
-    x: np.ndarray            # (S, n) or (S, n, B) unwrapped positions
-    y: np.ndarray            # (S, n) or (S, n, B) velocities
-    energy: np.ndarray | None   # (S,) or (S, B) total energy; autonomous case only
-    rotation_estimate: np.ndarray  # (n,) or (n, B) = (x(T) - x(0)) / T
+    x: np.ndarray            # (S, n) unwrapped positions
+    y: np.ndarray            # (S, n) velocities
+    energy: np.ndarray | None   # (S,) total energy; autonomous case only
+    rotation_estimate: np.ndarray  # (n,) = (x(T) - x(0)) / T
 
     def wrapped_x(self) -> np.ndarray:
         return np.mod(self.x, PERIOD)
@@ -69,115 +69,98 @@ def _drive_steps(model, phi: np.ndarray) -> list:
 
 def integrate_swing(p: SwingParams, x0, y0, T: float, dt: float,
                     record_every: int = 1) -> SwingTrajectory:
-    """Kick-drift-kick integration with the force clock held at midstep.
+    """Kick-drift-kick integration of one orbit, the force clock held at
+    midstep.
 
     Both half-kicks of a step evaluate beta at t + dt/2, which keeps the map
     symmetric (hence 2nd order) in the quasi-periodic case and reduces to
     classic velocity Verlet when autonomous.  ``x0`` and ``y0`` have shape
-    (n,) or (n, 1) for one orbit, or (n, B) for a batch of B orbits.  Every
-    orbit is stepped on its own, as n per-axis rows of Python floats: numpy's
+    (n,).  The orbit is stepped as n per-axis rows of Python floats: numpy's
     per-call cost is most of a step on short arrays, and ``math`` rounds like
-    numpy, so a batch costs B single orbits and each column carries the bits
-    of that orbit run alone.  The steps run in ``SwingModel.kick_drift_kick``,
-    a kernel generated once per term pattern and unrolled over rows and
-    terms, called once per orbit for each block of ``DRIVE_BLOCK`` steps
-    whose drive coefficients are tabulated in one ``drive`` call; the kernel
-    records the samples of the block itself, and they are copied and checked
-    once per block.  Each step costs one coupling evaluation (plus one at
-    each call's entry): the kernel carries the coupling sines (the whole
-    force, when autonomous) from the second half-kick of a step to the first
-    of the next.  Steps after the last sample are not taken.  The trajectory
-    is bit for bit the one of a per-step ``potential_force`` loop on arrays.
-    Deterministic; raises NonFiniteStateError if any orbit blows up, with the
-    earliest index over the orbits, or -1 if the start is not finite.
+    numpy.  The steps run in ``SwingModel.kick_drift_kick``, a kernel
+    generated once per term pattern and unrolled over rows and terms, called
+    for each block of ``DRIVE_BLOCK`` steps whose drive coefficients are
+    tabulated in one ``drive`` call; the kernel records the samples of the
+    block itself, and they are copied and checked once per block.  Each step
+    costs one coupling evaluation (plus one at each call's entry): the kernel
+    carries the coupling sines (the whole force, when autonomous) from the
+    second half-kick of a step to the first of the next.  Steps after the
+    last sample are not taken.  The trajectory is bit for bit the one of a
+    per-step ``potential_force`` loop on arrays.  Deterministic; raises
+    NonFiniteStateError at the first non-finite sample, with the last valid
+    index, or -1 if the start (its energy included) is not finite.
     """
     if dt <= 0 or T < dt:
         raise ValueError("need dt > 0 and T >= dt")
     n_steps = int(round(T / dt))
     if not 1 <= record_every <= n_steps:
         raise ValueError(f"record_every must lie in [1, {n_steps}] (the step count)")
-    x = np.array(x0, dtype=float, ndmin=1)
-    y = np.array(y0, dtype=float, ndmin=1)
-    if x.shape != y.shape or x.ndim > 2 or x.shape[0] != p.n:
-        raise ValueError(f"x0 and y0 must share the shape ({p.n},) or ({p.n}, B)")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise NonFiniteStateError(-1)
+    x, y = np.asarray(x0, dtype=float), np.asarray(y0, dtype=float)
+    if x.shape != (p.n,) or y.shape != (p.n,):
+        raise ValueError(f"x0 and y0 must have the shape ({p.n},)")
+    xs, ys = x.tolist(), y.tolist()
 
     model = make_swing(p)
     autonomous = p.m == 0
-    batch = x.shape[1:]
-    # one (x rows, y rows) pair of float lists per orbit
-    orbits = list(zip(x.reshape(p.n, -1).T.tolist(), y.reshape(p.n, -1).T.tolist()))
-
-    # sample r of orbit b, samples[r, :, b], holds x, y and, when autonomous,
-    # the total energy on the covering space; the steps after the last
-    # sample are not taken
+    # sample r, samples[r], holds x, y and, when autonomous, the total
+    # energy on the covering space; the steps after the last sample are not
+    # taken
     n_samples = n_steps // record_every + 1
     n_steps = (n_samples - 1) * record_every
-    samples = np.empty((n_samples, 2 * p.n + autonomous, len(orbits)))
+    samples = np.empty((n_samples, 2 * p.n + autonomous))
     beta = _drive_steps(model, np.zeros((0, 1)))[0] if autonomous else None
     half = 0.5 * dt
-    # a blow-up is reported as NonFiniteStateError, not as overflow warnings;
     # math.sin and math.cos raise ValueError at +-inf, where the orbit turned
     # non-finite after its last recorded sample
-    with np.errstate(over="ignore", invalid="ignore"):
-        for b, (xb, yb) in enumerate(orbits):
-            try:
-                samples[0, :, b] = xb + yb + ([model.energy(xb, yb, beta)] if autonomous else [])
-            except ValueError:
-                raise NonFiniteStateError(-1) from None
-        for first in range(0, n_steps, DRIVE_BLOCK):
-            last = min(first + DRIVE_BLOCK, n_steps)
-            if autonomous:
-                betas = [beta] * (last - first)
-            else:
-                # beta at the midstep times (step + 1/2) dt of the block
-                betas = _drive_steps(model, p.omega[:, None] * (
-                    (np.arange(first, last) + 0.5) * dt))
-            r = first // record_every + 1       # the block's first sample
-            left = record_every - first % record_every
-            failed = []
-            for b, (xb, yb) in enumerate(orbits):
-                rows, raised = [], False
-                try:
-                    orbits[b] = model.kick_drift_kick(xb, yb, betas, half, dt, record_every,
-                                                      left, rows)
-                except ValueError:
-                    raised = True
-                block = samples[r:r + len(rows), :, b]
-                if rows:
-                    block[...] = rows
-                bad = np.flatnonzero(~np.isfinite(block).all(axis=1))
-                if bad.size:
-                    failed.append(r + int(bad[0]) - 1)
-                elif raised:
-                    failed.append(r + len(rows) - 1)
-            # an orbit failing in a later block would report a later index
-            if failed:
-                raise NonFiniteStateError(min(failed))
+    try:
+        samples[0] = xs + ys + ([model.energy(xs, ys, beta)] if autonomous else [])
+    except ValueError:
+        raise NonFiniteStateError(-1) from None
+    if not np.isfinite(samples[0]).all():
+        raise NonFiniteStateError(-1)
+    for first in range(0, n_steps, DRIVE_BLOCK):
+        last = min(first + DRIVE_BLOCK, n_steps)
+        if autonomous:
+            betas = [beta] * (last - first)
+        else:
+            # beta at the midstep times (step + 1/2) dt of the block
+            betas = _drive_steps(model, p.omega[:, None] * (
+                (np.arange(first, last) + 0.5) * dt))
+        r = first // record_every + 1       # the block's first sample
+        rows, raised = [], False
+        try:
+            xs, ys = model.kick_drift_kick(xs, ys, betas, half, dt, record_every,
+                                           record_every - first % record_every, rows)
+        except ValueError:
+            raised = True
+        block = samples[r:r + len(rows)]
+        if rows:
+            block[...] = rows
+        bad = np.flatnonzero(~np.isfinite(block).all(axis=1))
+        if bad.size:
+            raise NonFiniteStateError(r + int(bad[0]) - 1)
+        if raised:
+            raise NonFiniteStateError(r + len(rows) - 1)
 
-    samples = samples.reshape((n_samples, -1) + batch)
     times = np.arange(n_samples) * record_every * dt
-    xs, ys = samples[:, :p.n], samples[:, p.n:2 * p.n]
-    es = samples[:, 2 * p.n] if autonomous else None
-    rotation = (xs[-1] - xs[0]) / times[-1]
-    return SwingTrajectory(times=times, x=xs, y=ys, energy=es,
+    x_out, y_out = samples[:, :p.n], samples[:, p.n:2 * p.n]
+    energy = samples[:, 2 * p.n] if autonomous else None
+    rotation = (x_out[-1] - x_out[0]) / times[-1]
+    return SwingTrajectory(times=times, x=x_out, y=y_out, energy=energy,
                            rotation_estimate=rotation)
 
 
 def rotation_number(traj: SwingTrajectory, burn_in: float = 0.0) -> np.ndarray:
     """Least-squares slope of unwrapped x against t after the burn-in window,
-    one per column: shape (n,) or (n, B) like ``traj.x[0]``.  Each column is
-    fitted alone, so a batch column's slope is bit for bit its orbit's."""
+    one per axis: shape (n,).  Each axis is fitted alone."""
     if not 0.0 <= burn_in <= 0.9:
         raise ValueError("burn_in must lie in [0, 0.9]")
     start = int(np.ceil(burn_in * (len(traj.times) - 1)))
     t = traj.times[start:]
     if t.size < MIN_FIT_SAMPLES:
         raise ValueError(f"post-burn-in window shorter than {MIN_FIT_SAMPLES} samples")
-    cols = traj.x[start:].reshape(t.size, -1)
-    slopes = [np.polyfit(t, cols[:, j:j + 1], 1)[0, 0] for j in range(cols.shape[1])]
-    return np.array(slopes).reshape(traj.x.shape[1:])
+    x = traj.x[start:]
+    return np.array([np.polyfit(t, x[:, i:i + 1], 1)[0, 0] for i in range(x.shape[1])])
 
 
 def compare_with_homogenization(p: SwingParams, hbar_table, samples: int,
@@ -188,9 +171,10 @@ def compare_with_homogenization(p: SwingParams, hbar_table, samples: int,
 
     For each sampled momentum P the launched orbit sits on the energy level
     Hbar(P): rotating (above the potential ceiling) when the table slope is
-    nonzero there, a trapped librating orbit inside the flat piece.  All
-    sampled orbits are integrated as one batch.  Each row reports (P,
-    rotation measured, centered-difference slope of the table, absolute gap).
+    nonzero there, a trapped librating orbit inside the flat piece.  Each
+    sampled orbit is integrated by its own ``integrate_swing`` call and
+    fitted by ``rotation_number``.  Each row reports (P, rotation measured,
+    centered-difference slope of the table, absolute gap).
     ``pot`` is the 1-D potential of ``p`` when the caller has already built
     it; otherwise it is built here.
     """
@@ -210,12 +194,12 @@ def compare_with_homogenization(p: SwingParams, hbar_table, samples: int,
     predicted = (table[idx + 1, 1] - table[idx - 1, 1]) / (table[idx + 1, 0] - table[idx - 1, 0])
     # flat piece: any librating orbit has rotation 0, matching slope 0
     e_trap = 0.5 * (pot.v_min + pot.v_max)
-    y0 = np.array([np.sign(Pi) * np.sqrt(2.0 * (Ei - v_x0)) if Ei > pot.v_max + 1e-9
-                   else np.sqrt(max(2.0 * (e_trap - v_x0), 0.0))
-                   for Pi, Ei in zip(P, E)])
-    traj = integrate_swing(p, np.zeros((1, idx.size)), y0[None, :], T, dt,
-                           record_every=COMPARE_RECORD_EVERY)
-    measured = rotation_number(traj, burn_in)[0]
+    y0 = [np.sign(Pi) * np.sqrt(2.0 * (Ei - v_x0)) if Ei > pot.v_max + 1e-9
+          else np.sqrt(max(2.0 * (e_trap - v_x0), 0.0))
+          for Pi, Ei in zip(P, E)]
+    measured = [rotation_number(integrate_swing(p, [0.0], [y], T, dt,
+                                                record_every=COMPARE_RECORD_EVERY),
+                                burn_in)[0] for y in y0]
     return [{
         "P": float(Pi),
         "rotation_measured": float(mi),

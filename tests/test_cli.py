@@ -261,6 +261,21 @@ def test_simulate_window_boundary(tmp_path, capsys):
     assert "'sim.record_every'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra, reason", [
+    ('model.name = "swing"\nmodel.alpha = [1e300]\nsim.dt = 10.0\nsim.T = 200.0\n'
+     'sim.record_every = 1', "last valid sample index 0"),
+    ('model.name = "pendulum"\nsim.T = 1.0\nsim.y0 = [2e154]\nsim.record_every = 10',
+     "no valid sample"),
+], ids=["blow_up", "infinite_energy_start"])
+def test_simulate_non_finite_orbit_exits_2(tmp_path, capsys, extra, reason):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(extra + "\n")
+    assert run(["simulate", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert "simulation blew up" in err and reason in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_report_on_cell_manifest(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(CELL_CFG)

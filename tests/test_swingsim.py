@@ -83,13 +83,12 @@ def test_integrate_validation():
         integrate_swing(free_params(), [0.0, 0.0], [1.0], 1.0, 1e-3)
     with pytest.raises(ValueError):
         integrate_swing(free_params(), [0.0], [1.0], 1e-4, 1e-3)
-    # batch states: x0 and y0 must share one (n, B) shape
-    with pytest.raises(ValueError):
-        integrate_swing(free_params(), np.zeros((1, 2)), np.zeros((1, 3)), 1.0, 1e-3)
-    with pytest.raises(ValueError):
-        integrate_swing(free_params(), [0.0], np.zeros((1, 2)), 1.0, 1e-3)
-    with pytest.raises(ValueError):
-        integrate_swing(free_params(), np.zeros((2, 2)), np.zeros((2, 2)), 1.0, 1e-3)
+    # one orbit per call: x0 and y0 both have the shape (n,)
+    for x0, y0 in ((0.0, 0.0), (np.zeros((1, 1)), np.zeros((1, 1))),
+                   (np.zeros((1, 2)), np.zeros((1, 2))), ([0.0], np.zeros((1, 2))),
+                   (np.zeros((2, 2)), np.zeros((2, 2)))):
+        with pytest.raises(ValueError, match="shape"):
+            integrate_swing(free_params(), x0, y0, 1.0, 1e-3)
     # a record stride coarser than the horizon would leave one sample
     with pytest.raises(ValueError, match="record_every"):
         integrate_swing(free_params(), [0.0], [1.0], 1.0, 1e-3, record_every=1001)
@@ -101,17 +100,18 @@ def test_nonfinite_state_aborts():
     with pytest.raises(NonFiniteStateError) as err:
         integrate_swing(p, [0.0], [0.0], 200.0, 10.0)
     assert err.value.index >= 0
-    # one orbit of a batch blowing up aborts the whole batch
-    with pytest.raises(NonFiniteStateError) as err:
-        integrate_swing(free_params(), [[0.0, 0.0]], [[1.0, 1e308]], 200.0, 10.0)
-    assert err.value.index == 0
     # a non-finite start leaves no valid sample, without a ValueError from
-    # math.cos in the energy of a single orbit
-    for x0 in ([np.inf], [[np.inf]], [[0.0, np.inf]], [np.nan], [[0.0, np.nan]]):
+    # math.cos in the energy
+    for x0 in ([np.inf], [np.nan]):
         with pytest.raises(NonFiniteStateError, match="no valid sample") as err:
-            y0 = np.zeros(np.shape(x0))
-            integrate_swing(pendulum_params(), x0, y0, 1.0, 1e-3, record_every=10)
+            integrate_swing(pendulum_params(), x0, [0.0], 1.0, 1e-3, record_every=10)
         assert err.value.index == -1
+    # a finite start whose energy y^2/2 overflows is no valid sample either
+    for p, y0 in ((free_params(), [1e308]), (pendulum_params(), [2e154])):
+        with pytest.raises(NonFiniteStateError, match="no valid sample") as err:
+            integrate_swing(p, [0.0], y0, 1.0, 1e-3, record_every=10)
+        assert err.value.index == -1
+        assert isinstance(per_step_reference(p, [0.0], y0, 1.0, 1e-3, 10), NonFiniteStateError)
     # a NaN start velocity of a driven orbit, which records no energy
     with pytest.raises(NonFiniteStateError) as err:
         integrate_swing(qp_params(), [0.0], [np.nan], 1.0, 1e-3, record_every=10)
@@ -120,43 +120,18 @@ def test_nonfinite_state_aborts():
 
 def test_steps_after_the_last_sample_are_not_taken():
     # the coupling argument overflows after ~4500 steps, between the last
-    # sample (step 4000) and T (step 4600): one orbit and a batch both return
+    # sample (step 4000) and T (step 4600): the orbit returns
     p = SwingParams(alpha=[0.0], beta=((TrigPoly(1e-300),),), lam=[1e300])
-    for x0, y0 in (([0.0], [2e7]), ([[0.0, 0.0]], [[2e7, 1.0]])):
-        traj = integrate_swing(p, x0, y0, 4.6, 1e-3, record_every=4000)
-        assert np.array_equal(traj.times, [0.0, 4.0]) and np.all(np.isfinite(traj.x))
-
-
-@pytest.mark.parametrize("params", [pendulum_params, qp_params, n2_m2_params],
-                         ids=["autonomous", "quasi_periodic", "n2_m2"])
-def test_batch_columns_match_single_runs(params):
-    # a batch steps on array rows, one orbit on float rows
-    n = params().n
-    x0 = np.array([[0.0, 0.5, -1.0, 2.0], [0.3, -0.7, 1.5, 0.0]])[:n]
-    y0 = np.array([[2.6, 0.0, 1.1, -3.0], [0.4, 1.2, -0.5, 2.0]])[:n]
-    batch = integrate_swing(params(), x0, y0, 3.0, 1e-3, record_every=7)
-    assert batch.x.shape == (len(batch.times), n, 4)
-    assert rotation_number(batch).shape == (n, 4)
-    for b in range(4):
-        one = integrate_swing(params(), x0[:, b], y0[:, b], 3.0, 1e-3, record_every=7)
-        assert np.array_equal(batch.times, one.times)
-        assert np.array_equal(batch.x[:, :, b], one.x)
-        assert np.array_equal(batch.y[:, :, b], one.y)
-        if one.energy is None:
-            assert batch.energy is None
-        else:
-            assert np.array_equal(batch.energy[:, b], one.energy)
-        assert np.array_equal(rotation_number(batch, 0.1)[:, b], rotation_number(one, 0.1))
+    traj = integrate_swing(p, [0.0], [2e7], 4.6, 1e-3, record_every=4000)
+    assert np.array_equal(traj.times, [0.0, 4.0]) and np.all(np.isfinite(traj.x))
 
 
 def per_step_reference(p, x0, y0, T, dt, record_every):
     """Reference integrator: drive and force evaluated afresh at every
-    half-kick.  Returns (times, x, y, energy) or the NonFiniteStateError."""
-    x = np.array(x0, dtype=float, ndmin=1)
-    y = np.array(y0, dtype=float, ndmin=1)
-    single = x.ndim == 1
-    if single:
-        x, y = x[:, None], y[:, None]
+    half-kick, on (n, 1) arrays.  Returns (times, x, y, energy) or the
+    NonFiniteStateError."""
+    x = np.array(x0, dtype=float)[:, None]
+    y = np.array(y0, dtype=float)[:, None]
 
     model = make_swing(p)
     n_steps = int(round(T / dt))
@@ -167,12 +142,13 @@ def per_step_reference(p, x0, y0, T, dt, record_every):
         """Total energy on the covering space; meaningful when autonomous."""
         return model.potential_force(x, beta, 0.5 * np.einsum("i...,i...->...", y, y))[0]
 
-    times, xs, ys, es = [0.0], [x], [y], []
-    if autonomous:
-        es.append(energy())
     half = 0.5 * dt
     # a blow-up is reported as NonFiniteStateError, not as overflow warnings
     with np.errstate(over="ignore", invalid="ignore"):
+        e = energy() if autonomous else 0.0
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y)) and np.all(np.isfinite(e))):
+            return NonFiniteStateError(-1)
+        times, xs, ys, es = [0.0], [x], [y], [e]
         for step in range(n_steps):
             t_half = (step + 0.5) * dt
             if not autonomous:
@@ -191,14 +167,8 @@ def per_step_reference(p, x0, y0, T, dt, record_every):
                 if autonomous:
                     es.append(e)
 
-    times = np.asarray(times)
-    xs = np.asarray(xs)
-    ys = np.asarray(ys)
-    es = np.asarray(es) if autonomous else None
-    if single:
-        xs, ys = xs[..., 0], ys[..., 0]
-        es = es[:, 0] if autonomous else es
-    return times, xs, ys, es
+    es = np.asarray(es)[:, 0] if autonomous else None
+    return np.asarray(times), np.asarray(xs)[..., 0], np.asarray(ys)[..., 0], es
 
 
 def qp_drive():
@@ -207,17 +177,12 @@ def qp_drive():
 
 BITWISE_CASES = {
     "pendulum": (pendulum_params(), [0.3], [2.6]),
-    "batch_of_3": (pendulum_params(), [[0.0, 0.5, -1.0]], [[2.6, 0.0, 1.1]]),
     "quasi_periodic": (qp_params(), [0.0], [1.5]),
     "n2_m2": (n2_m2_params(), [0.1, -0.3], [1.2, 0.4]),
-    "n2_m2_batch": (n2_m2_params(), [[0.1, 0.5, -1.0], [-0.3, 0.2, 1.0]],
-                    [[1.2, -0.4, 0.0], [0.4, 1.0, -2.0]]),
     "tilted_autonomous": (SwingParams(alpha=[0.1], beta=((TrigPoly(1.0),),), lam=[0.5]),
                           [0.0], [0.3]),
     "tilted_driven": (SwingParams(alpha=[0.1], beta=((qp_drive(),),), lam=[0.5],
                                   omega=[np.sqrt(2.0)]), [0.0], [0.3]),
-    "tilted_batch": (SwingParams(alpha=[0.1], beta=((TrigPoly(1.0),),), lam=[0.5]),
-                     [[0.0, 0.5, -1.0]], [[0.3, 2.6, -1.1]]),
     # x overflows after ~4600 steps, past the first drive block
     "blow_up": (SwingParams(alpha=[1.7e307], beta=((qp_drive(),),), lam=[0.5],
                             omega=[np.sqrt(2.0)]), [0.0], [0.0]),
@@ -255,11 +220,10 @@ def test_matches_per_step_reference_bitwise(case):
 # block (chunks end at block edges between records; the last 2000 steps are
 # not taken), and a stride equal to the step count
 STRIDE_CASES = [
-    ("pendulum", 5.0, 1), ("quasi_periodic", 5.0, 1), ("batch_of_3", 5.0, 1),
-    ("blow_up", 5.0, 1),
-    ("pendulum", 12.0, 5000), ("quasi_periodic", 12.0, 5000), ("n2_m2_batch", 12.0, 5000),
+    ("pendulum", 5.0, 1), ("quasi_periodic", 5.0, 1), ("blow_up", 5.0, 1),
+    ("pendulum", 12.0, 5000), ("quasi_periodic", 12.0, 5000), ("n2_m2", 12.0, 5000),
     ("tilted_driven", 12.0, 5000), ("blow_up_autonomous", 12.0, 5000),
-    ("pendulum", 5.0, 5000), ("tilted_batch", 5.0, 5000),
+    ("pendulum", 5.0, 5000), ("tilted_autonomous", 5.0, 5000),
 ]
 
 
@@ -278,30 +242,6 @@ def test_record_strides_match_per_step_reference(case, T, every):
         assert (got is None and want is None) or np.array_equal(got, want)
 
 
-# driven, so that no energy is recorded, but with no coupling term
-BLOW_UP_FREE = SwingParams(alpha=[1.7e307], beta=((TrigPoly(0.0),),), lam=[0.5],
-                           omega=[np.sqrt(2.0)])
-
-
-@pytest.mark.parametrize("p", [BITWISE_CASES["blow_up"][0], BLOW_UP_FREE],
-                         ids=["coupled", "uncoupled"])
-def test_batch_reports_the_earliest_blow_up(p):
-    # x overflows ~4600 steps in (past the first drive block) from rest,
-    # ~3200 steps in at y0 = 5e307 and ~1800 steps in at y0 = 1e308: the
-    # last column fails first.  With a coupling term math.sin raises there;
-    # without one only the recorded rows show it
-    x0, y0 = [[0.0, 0.0, 0.0]], [[0.0, 5e307, 1e308]]
-    T, dt, every = 5.0, 1e-3, 7
-    ref = per_step_reference(p, x0, y0, T, dt, every)
-    alone = [per_step_reference(p, [0.0], [v], T, dt, every) for v in y0[0][:2]]
-    assert all(isinstance(e, NonFiniteStateError) for e in [ref, *alone])
-    assert 0 < ref.index < alone[1].index < alone[0].index
-    assert alone[0].index > DRIVE_BLOCK // every
-    with pytest.raises(NonFiniteStateError) as err:
-        integrate_swing(p, x0, y0, T, dt, record_every=every)
-    assert err.value.index == ref.index
-
-
 def test_models_of_one_term_pattern_share_one_kernel():
     # distinctive values, so that one printed into the source would show
     lam, beta, alpha = 0.123456789, 7.654321, 0.0314159
@@ -314,9 +254,7 @@ def test_models_of_one_term_pattern_share_one_kernel():
     hamiltonians._kick_drift_kick_kernel.cache_clear()
     for p in models:
         integrate_swing(p, [0.1], [0.5], 0.1, 1e-3)
-        integrate_swing(p, [[0.1, 0.2]], [[0.5, -0.5]], 0.1, 1e-3)
-    # one kernel for the autonomous pattern, one for the driven, each serving
-    # one orbit and every column of a batch, tilted or not
+    # one kernel for the autonomous pattern, one for the driven, tilted or not
     info = hamiltonians._kick_drift_kick_kernel.cache_info()
     assert info.currsize == info.misses == 2
     values = [lam, beta, alpha, 2 * lam, -alpha, 0.5 * beta, 0.25 * beta, 1e-3, 5e-4]
