@@ -115,6 +115,13 @@ def _write_csv(path: Path, header: list, rows) -> None:
             fh.write(",".join(str(x) for x in row) + "\n")
 
 
+def _hbar_table(records, n: int) -> tuple[list, list]:
+    """Header and rows of the Hbar table of solve records: one row (P, k,
+    hbar) each, P in the column ``P`` when n = 1, else in ``P_0..P_{n-1}``."""
+    header = (["P"] if n == 1 else [f"P_{i}" for i in range(n)]) + ["k", "hbar"]
+    return header, [(*r["P"], r["k"], r["Hbar_k"]) for r in records]
+
+
 def _grid(cfg: RunConfig, model) -> TorusGrid:
     return TorusGrid(n=model.n, m=model.m, N_x=cfg.N_x, N_phi=cfg.N_phi,
                      diff_mode=cfg.diff_mode)
@@ -171,9 +178,7 @@ def cmd_cell(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
         "wall_time_s": time.perf_counter() - t0,
     }
     _write_manifest(out_dir, manifest)
-    _write_csv(out_dir / "hbar_table.csv", ["P", "k", "hbar"],
-               [(r["P"][0] if len(r["P"]) == 1 else tuple(r["P"]), r["k"], r["Hbar_k"])
-                for r in records])
+    _write_csv(out_dir / "hbar_table.csv", *_hbar_table(records, model.n))
     if cfg.dump_sigma:
         for r in records:
             if "sigma" in r:
@@ -236,21 +241,19 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
         "wall_time_s": time.perf_counter() - t0,
     }
     _write_manifest(out_dir, manifest)
-    _write_csv(out_dir / "hbar_table.csv", ["P", "k", "hbar"],
-               [(r["P"][0] if len(r["P"]) == 1 else tuple(r["P"]), r["k"], r["Hbar_k"])
-                for r in solves])
+    _write_csv(out_dir / "hbar_table.csv", *_hbar_table(solves, P_sorted[0].size))
     return (2 if failures else 0), manifest
 
 
-def _oracle_potential(cfg: RunConfig):
+def _oracle_potential(model):
     try:
-        return potential_from_model(model_from_config(cfg))
+        return potential_from_model(model)
     except ValueError as exc:
         raise ConfigError(f"model unsuitable for the 1-D oracle: {exc}") from None
 
 
 def cmd_oracle(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
-    pot = _oracle_potential(cfg)
+    pot = _oracle_potential(model_from_config(cfg))
     start, stop, step = cfg.oracle_P
     ps = np.arange(start, stop + 0.5 * step, step)
     t0 = time.perf_counter()
@@ -268,32 +271,33 @@ def cmd_oracle(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
 
 
 def cmd_simulate(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
-    params = model_from_config(cfg).params
+    model = model_from_config(cfg)
     for key, value in (("sim.x0", cfg.sim_x0), ("sim.y0", cfg.sim_y0)):
         try:
-            ok = np.asarray(value, dtype=float).shape == (params.n,)
+            ok = np.asarray(value, dtype=float).shape == (model.n,)
         except (TypeError, ValueError):
             ok = False
         if not ok:
-            raise ConfigError(f"field {key!r}: expected {params.n} numbers, got {value!r}")
+            raise ConfigError(f"field {key!r}: expected {model.n} numbers, got {value!r}")
     t0 = time.perf_counter()
-    traj = integrate_swing(params, cfg.sim_x0, cfg.sim_y0, cfg.sim_T, cfg.sim_dt,
+    # a model the comparison cannot take is a configuration error before any step
+    pot = _oracle_potential(model) if cfg.sim_compare else None
+    traj = integrate_swing(model, cfg.sim_x0, cfg.sim_y0, cfg.sim_T, cfg.sim_dt,
                            record_every=cfg.sim_record_every)
     rot = rotation_number(traj, cfg.sim_burn_in)
     x_out = traj.x if cfg.unwrap else traj.wrapped_x()
-    header = (["t"] + [f"x_{i}" for i in range(params.n)]
-              + [f"y_{i}" for i in range(params.n)]
+    header = (["t"] + [f"x_{i}" for i in range(model.n)]
+              + [f"y_{i}" for i in range(model.n)]
               + (["energy"] if traj.energy is not None else []))
     columns = [traj.times, x_out, traj.y] + ([traj.energy] if traj.energy is not None else [])
     _write_csv(out_dir / "trajectory.csv", header, np.column_stack(columns).tolist())
 
     comparison = None
     if cfg.sim_compare:
-        pot = _oracle_potential(cfg)
         start, stop, step = cfg.oracle_P
         table = oracle_table(pot, np.arange(start, stop + 0.5 * step, step))
         comparison = compare_with_homogenization(
-            params, table, samples=cfg.sim_samples, T=cfg.sim_T, dt=cfg.sim_dt,
+            model, table, samples=cfg.sim_samples, T=cfg.sim_T, dt=cfg.sim_dt,
             burn_in=cfg.sim_burn_in, pot=pot)
         _write_csv(out_dir / "rotation_comparison.csv",
                    ["P", "rotation_measured", "rotation_predicted", "gap"],
@@ -348,11 +352,12 @@ def cmd_report(manifest_path: Path, out_dir: Path) -> tuple[int, dict]:
 
     solves = manifest.get("solves") or []
     if solves:
-        rows = [(p[0] if len(p) == 1 else p, k, h) for p, k, h in
-                sorted((tuple(r["P"]), r["k"], r["Hbar_k"]) for r in solves)]
-        _write_csv(out_dir / "Hbar_vs_k.csv", ["P", "k", "hbar"], rows)
-        _write_csv(out_dir / "Hbar_vs_P.csv", ["P", "k", "hbar"],
-                   sorted(rows, key=lambda row: (row[1], row[0])))
+        n = len(solves[0]["P"])
+        header, rows = _hbar_table(solves, n)
+        rows.sort()
+        _write_csv(out_dir / "Hbar_vs_k.csv", header, rows)
+        _write_csv(out_dir / "Hbar_vs_P.csv", header,
+                   sorted(rows, key=lambda row: (row[n], row[:n])))
         dumped = [r for r in solves if "sigma" in r]
         if dumped:
             best = max(dumped, key=lambda r: r["k"])

@@ -12,14 +12,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .hamiltonians import (
-    SwingModel,
-    SwingParams,
-    TrigPoly,
-    make_integrable,
-    make_pendulum,
-    make_swing,
-)
+from .hamiltonians import SwingModel, TrigPoly, make_integrable, make_pendulum
 from .swingsim import COMPARE_RECORD_EVERY, MIN_FIT_SAMPLES
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "load_config",
@@ -208,9 +201,8 @@ def model_from_config(cfg: RunConfig) -> SwingModel:
         n = cfg.model_n
         beta_rows = cfg.model_beta or [[{"const": 0.0}] * n for _ in range(n)]
         beta = tuple(tuple(TrigPoly.from_dict(d) for d in row) for row in beta_rows)
-        params = SwingParams(alpha=cfg.model_alpha, beta=beta, lam=cfg.model_lam,
-                             omega=cfg.model_omega)
-        return make_swing(params)
+        return SwingModel(alpha=cfg.model_alpha, beta=beta, lam=cfg.model_lam,
+                          omega=cfg.model_omega)
     except (TypeError, ValueError, KeyError) as exc:
         raise ConfigError(f"field 'model.*': {exc}") from None
 

@@ -1,7 +1,8 @@
 """Hamiltonian evaluators: the coupled-swing model and its special cases.
 
-``SwingModel`` is the one model type; ``make_pendulum`` and
-``make_integrable`` build the pendulum and the free rotor as swing models,
+``SwingModel`` is the one model type: it holds the swing parameters and
+evaluates them.  ``make_pendulum`` and ``make_integrable`` build the
+pendulum and the free rotor as swing models,
 ``SwingModel.scaled`` the tau-deformation toward the free rotor and
 ``SwingModel.at_phase`` the autonomous model of one frozen-drive fiber.
 Every model evaluates ``H(x, y, phi)`` together with its first derivatives in
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -81,19 +82,43 @@ class TrigPoly:
         return cls(d.get("const", 0.0), tuple((tuple(k), a, b) for k, a, b in d.get("modes", [])))
 
 
-@dataclass(frozen=True)
-class SwingParams:
-    """Parameters of the coupled swing model.
+class HamEval(NamedTuple):
+    h: np.ndarray      # (...,)
+    dx: np.ndarray     # (n, ...)
+    dy: np.ndarray     # (n, ...)
+    dyy: np.ndarray    # (n, n, ...)
 
-    alpha: power input per rotor (nonnegative); lam: coupling
-    wavenumbers; beta: n x n table of TrigPoly coefficient functions of the
-    fiber angle; omega: rationally independent drive frequencies (length m).
+
+@functools.lru_cache(maxsize=64)
+def _identity_dyy(n: int, batch_shape: tuple) -> np.ndarray:
+    """Read-only (n, n, *batch_shape) identity, shared between calls."""
+    eye = np.eye(n).reshape((n, n) + (1,) * len(batch_shape))
+    return np.broadcast_to(eye, (n, n) + batch_shape)
+
+
+@dataclass(frozen=True, eq=False)
+class SwingModel:
+    """H = |y|^2/2 - <alpha, x> + sum_ij beta_ij(phi) (1 - cos(lam_i x_i + lam_j x_j)).
+
+    alpha: power input per rotor (nonnegative); lam: coupling wavenumbers;
+    beta: n x n table of TrigPoly coefficient functions of the fiber angle;
+    omega: rationally independent drive frequencies (length m).  The double
+    sum runs over both (i, j) and (j, i); the spatial force picks up both
+    occurrences of x_i, giving
+    dH/dx_i = -alpha_i + lam_i * sum_j (beta_ij + beta_ji)(phi) sin(lam_i x_i + lam_j x_j).
+    This is the only model type: the pendulum and the free rotor are its
+    special cases (``make_pendulum``, ``make_integrable``).
+
+    Models are immutable and pure: concurrent use is safe.  Construction
+    normalizes and validates the parameters once; equality and hashing are
+    by identity.  ``x`` and ``y`` must have shape (n, ...) and ``phi`` shape
+    (m, ...); all batch shapes must agree.
     """
 
     alpha: np.ndarray
     beta: tuple            # n x n nested tuple of TrigPoly
     lam: np.ndarray
-    omega: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    omega: np.ndarray = ()
 
     def __post_init__(self):
         alpha = np.atleast_1d(np.asarray(self.alpha, dtype=float))
@@ -116,95 +141,40 @@ class SwingParams:
                         "beta mode wave-vectors must have length m = len(omega)")
         for arr in (alpha, lam, omega):
             arr.setflags(write=False)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "omega", omega)
-
-    @property
-    def n(self) -> int:
-        return self.alpha.size
-
-    @property
-    def m(self) -> int:
-        return self.omega.size
-
-    @property
-    def tilted(self) -> bool:
-        """True when alpha != 0; the torus Hamiltonian is then multivalued."""
-        return bool(np.any(self.alpha != 0.0))
-
-
-class HamEval(NamedTuple):
-    h: np.ndarray      # (...,)
-    dx: np.ndarray     # (n, ...)
-    dy: np.ndarray     # (n, ...)
-    dyy: np.ndarray    # (n, n, ...)
-
-
-@functools.lru_cache(maxsize=64)
-def _identity_dyy(n: int, batch_shape: tuple) -> np.ndarray:
-    """Read-only (n, n, *batch_shape) identity, shared between calls."""
-    eye = np.eye(n).reshape((n, n) + (1,) * len(batch_shape))
-    return np.broadcast_to(eye, (n, n) + batch_shape)
-
-
-class SwingModel:
-    """H = |y|^2/2 - <alpha, x> + sum_ij beta_ij(phi) (1 - cos(lam_i x_i + lam_j x_j)).
-
-    The double sum runs over both (i, j) and (j, i); the spatial force picks
-    up both occurrences of x_i, giving
-    dH/dx_i = -alpha_i + lam_i * sum_j (beta_ij + beta_ji)(phi) sin(lam_i x_i + lam_j x_j).
-    This is the only model type: the pendulum and the free rotor are its
-    special cases (``make_pendulum``, ``make_integrable``).
-
-    Models are immutable and pure: concurrent use is safe.  ``x`` and ``y``
-    must have shape (n, ...) and ``phi`` shape (m, ...); all batch shapes
-    must agree.
-    """
-
-    def __init__(self, params: SwingParams):
-        self.params = params
-        self.n, self.m = params.n, params.m
-        self.gamma = 1.0
-        self.descriptor = {
-            "name": "swing",
-            "n": self.n,
-            "m": self.m,
-            "alpha": params.alpha.tolist(),
-            "lam": params.lam.tolist(),
-            "omega": params.omega.tolist(),
-            "beta": [[b.to_dict() for b in row] for row in params.beta],
-        }
+        # tilted: alpha != 0, the torus Hamiltonian is then multivalued
+        tilted = bool(np.any(alpha != 0.0))
         # the active terms (i, j, lam_i, lam_j, 2 lam_i, beta_ij): nonzero
         # beta only
-        self._terms = tuple(
-            (i, j, float(params.lam[i]), float(params.lam[j]), 2.0 * float(params.lam[i]),
-             params.beta[i][j])
-            for i in range(self.n) for j in range(self.n)
-            if not params.beta[i][j].is_zero())
-        # the term pattern: the (i, j) of the active terms, which with n (and
-        # whether the model is driven, or tilted) selects a generated kernel
-        self._pairs = tuple((i, j) for i, j, *_ in self._terms)
-        self.tilted = params.tilted
+        terms = tuple((i, j, float(lam[i]), float(lam[j]), 2.0 * float(lam[i]), beta[i][j])
+                      for i in range(n) for j in range(n) if not beta[i][j].is_zero())
         # The formula is written over per-axis rows: a row is a Python float
         # for one orbit or point, an ndarray for a grid.  Each call picks its
-        # math functions and constants from the row kind (``_rows``).  Floats
-        # get ``math`` and float constants: numpy spends ~1 us on any call,
-        # math ~60 ns, and the two must round alike, so that an orbit or an
-        # oracle point gives the bits of ``evaluate`` (the tests compare both
-        # kinds bit for bit).  Arrays get numpy and 0-d constants.  The
-        # generated kernels (``kick_drift_kick``, ``float_potential``) run on
-        # float rows and take every parameter value from the float kit as an
-        # argument, so one kernel serves every model of its term pattern.
-        start = -params.alpha if self.tilted else np.zeros(self.n)
-        self._float_rows = self._row_kit(float, math.sin, math.cos, start)
-        self._array_rows = self._row_kit(np.array, np.sin, np.cos, start)
-
-    def _row_kit(self, const, sin, cos, start) -> "_RowKit":
-        terms = tuple((i, j, const(lam_i), const(lam_j), const(lam_ii))
-                      for i, j, lam_i, lam_j, lam_ii, _ in self._terms)
-        return _RowKit(sin, cos, terms, tuple(const(float(a)) for a in start))
+        # math functions from the row kind (``_rows``): floats get ``math``,
+        # arrays numpy, and both share one set of float constants.  numpy
+        # spends ~1 us on any call, math ~60 ns, and the two round alike, so
+        # that an orbit or an oracle point gives the bits of ``evaluate`` (the
+        # tests compare both kinds bit for bit).  The generated kernels
+        # (``kick_drift_kick``, ``float_potential``) run on float rows and take
+        # every parameter value from the kit as an argument, so one kernel
+        # serves every model of its term pattern.
+        consts = tuple(t[:5] for t in terms)
+        start = tuple(float(a) for a in (-alpha if tilted else np.zeros(n)))
+        for name, value in {
+            "alpha": alpha, "beta": beta, "lam": lam, "omega": omega,
+            "n": n, "m": omega.size, "gamma": 1.0, "tilted": tilted,
+            "descriptor": {"name": "swing", "n": n, "m": omega.size,
+                           "alpha": alpha.tolist(), "lam": lam.tolist(),
+                           "omega": omega.tolist(),
+                           "beta": [[b.to_dict() for b in row] for row in beta]},
+            "_terms": terms,
+            # the term pattern: the (i, j) of the active terms, which with n
+            # (and whether the model is driven, or tilted) selects a
+            # generated kernel
+            "_pairs": tuple((i, j) for i, j, *_ in terms),
+            "_float_rows": _RowKit(math.sin, math.cos, consts, start),
+            "_array_rows": _RowKit(np.sin, np.cos, consts, start),
+        }.items():
+            object.__setattr__(self, name, value)
 
     def _rows(self, x) -> "_RowKit":
         """The kit of the rows ``x``: floats or arrays."""
@@ -231,20 +201,17 @@ class SwingModel:
         That is tau H + (1 - tau) |y|^2/2, the deformation toward the free
         rotor that ``continuation_solve`` walks; ``scaled(1.0)`` evaluates
         bit for bit like this model."""
-        p = self.params
         beta = tuple(tuple(TrigPoly(tau * b.const,
                                     tuple((kvec, tau * a, tau * s) for kvec, a, s in b.modes))
-                           for b in row) for row in p.beta)
-        return SwingModel(SwingParams(alpha=tau * p.alpha, beta=beta, lam=p.lam,
-                                      omega=p.omega))
+                           for b in row) for row in self.beta)
+        return SwingModel(alpha=tau * self.alpha, beta=beta, lam=self.lam, omega=self.omega)
 
     def at_phase(self, phi) -> "SwingModel":
         """The autonomous model (m = 0) of one fiber: the drive frozen at the
         angle ``phi`` of shape (m,), each beta_ij the constant beta_ij(phi)."""
         phi = np.asarray(phi, dtype=float).reshape(self.m)
-        p = self.params
-        beta = tuple(tuple(TrigPoly(b(phi)) for b in row) for row in p.beta)
-        return SwingModel(SwingParams(alpha=p.alpha, beta=beta, lam=p.lam))
+        beta = tuple(tuple(TrigPoly(b(phi)) for b in row) for row in self.beta)
+        return SwingModel(alpha=self.alpha, beta=beta, lam=self.lam)
 
     def drive(self, phi) -> tuple:
         """beta_ij(phi) of the active terms; a constant beta stays a float."""
@@ -477,20 +444,24 @@ def make_integrable(n: int, m: int = 0) -> SwingModel:
     if n < 1:
         raise ValueError("n must be >= 1")
     zero = TrigPoly(0.0)
-    return SwingModel(SwingParams(alpha=[0.0] * n,
-                                  beta=tuple((zero,) * n for _ in range(n)),
-                                  lam=[1.0] * n, omega=[0.0] * m))
+    return SwingModel(alpha=[0.0] * n, beta=tuple((zero,) * n for _ in range(n)),
+                      lam=[1.0] * n, omega=[0.0] * m)
 
 
 def make_pendulum(a: float) -> SwingModel:
     """H = y^2/2 + a (1 - cos x): the swing model with beta11 = a, lam = 1/2."""
     if a <= 0:
         raise ValueError("pendulum amplitude must be positive")
-    return SwingModel(SwingParams(alpha=[0.0], beta=((TrigPoly(a),),), lam=[0.5]))
+    return SwingModel(alpha=[0.0], beta=((TrigPoly(a),),), lam=[0.5])
 
 
-def make_swing(params: SwingParams) -> SwingModel:
-    return SwingModel(params)
+# kept for bench/workloads.py, which runs unchanged on every revision it compares
+SwingParams = SwingModel
+
+
+def make_swing(model: SwingModel) -> SwingModel:
+    # kept for bench/workloads.py, which passes a SwingParams(...) here
+    return model
 
 
 def lagrangian(model: SwingModel, x, vel, phi=None) -> float:

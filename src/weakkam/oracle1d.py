@@ -126,9 +126,9 @@ def effective_hamiltonian_1d(pot: Potential1D, P: float) -> float:
 
 
 def potential_from_model(model: SwingModel, samples: int = 64) -> Potential1D:
-    """Extract V from a 1-D autonomous model; refuse cross terms."""
-    if model.n != 1 or model.m != 0:
-        raise ValueError("oracle supports n=1, m=0 models only")
+    """Extract V from a 1-D autonomous, untilted model; refuse cross terms."""
+    if model.n != 1 or model.m != 0 or model.tilted:
+        raise ValueError("oracle supports n=1, m=0, alpha=0 models only")
     rng = np.random.default_rng(12345)
     xs = rng.uniform(0.0, PERIOD, samples)
     ys = rng.normal(0.0, 2.0, samples)

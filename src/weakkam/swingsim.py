@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import PERIOD
-from .hamiltonians import SwingParams, make_swing
+from .hamiltonians import SwingModel
 from .oracle1d import Potential1D, potential_from_model
 
 __all__ = [
@@ -67,7 +67,7 @@ def _drive_steps(model, phi: np.ndarray) -> list:
     return table.reshape(-1, cols).T.tolist()
 
 
-def integrate_swing(p: SwingParams, x0, y0, T: float, dt: float,
+def integrate_swing(model: SwingModel, x0, y0, T: float, dt: float,
                     record_every: int = 1) -> SwingTrajectory:
     """Kick-drift-kick integration of one orbit, the force clock held at
     midstep.
@@ -96,18 +96,18 @@ def integrate_swing(p: SwingParams, x0, y0, T: float, dt: float,
     if not 1 <= record_every <= n_steps:
         raise ValueError(f"record_every must lie in [1, {n_steps}] (the step count)")
     x, y = np.asarray(x0, dtype=float), np.asarray(y0, dtype=float)
-    if x.shape != (p.n,) or y.shape != (p.n,):
-        raise ValueError(f"x0 and y0 must have the shape ({p.n},)")
+    n = model.n
+    if x.shape != (n,) or y.shape != (n,):
+        raise ValueError(f"x0 and y0 must have the shape ({n},)")
     xs, ys = x.tolist(), y.tolist()
 
-    model = make_swing(p)
-    autonomous = p.m == 0
+    autonomous = model.m == 0
     # sample r, samples[r], holds x, y and, when autonomous, the total
     # energy on the covering space; the steps after the last sample are not
     # taken
     n_samples = n_steps // record_every + 1
     n_steps = (n_samples - 1) * record_every
-    samples = np.empty((n_samples, 2 * p.n + autonomous))
+    samples = np.empty((n_samples, 2 * n + autonomous))
     beta = _drive_steps(model, np.zeros((0, 1)))[0] if autonomous else None
     half = 0.5 * dt
     # math.sin and math.cos raise ValueError at +-inf, where the orbit turned
@@ -124,7 +124,7 @@ def integrate_swing(p: SwingParams, x0, y0, T: float, dt: float,
             betas = [beta] * (last - first)
         else:
             # beta at the midstep times (step + 1/2) dt of the block
-            betas = _drive_steps(model, p.omega[:, None] * (
+            betas = _drive_steps(model, model.omega[:, None] * (
                 (np.arange(first, last) + 0.5) * dt))
         r = first // record_every + 1       # the block's first sample
         rows, raised = [], False
@@ -143,8 +143,8 @@ def integrate_swing(p: SwingParams, x0, y0, T: float, dt: float,
             raise NonFiniteStateError(r + len(rows) - 1)
 
     times = np.arange(n_samples) * record_every * dt
-    x_out, y_out = samples[:, :p.n], samples[:, p.n:2 * p.n]
-    energy = samples[:, 2 * p.n] if autonomous else None
+    x_out, y_out = samples[:, :n], samples[:, n:2 * n]
+    energy = samples[:, 2 * n] if autonomous else None
     rotation = (x_out[-1] - x_out[0]) / times[-1]
     return SwingTrajectory(times=times, x=x_out, y=y_out, energy=energy,
                            rotation_estimate=rotation)
@@ -163,7 +163,7 @@ def rotation_number(traj: SwingTrajectory, burn_in: float = 0.0) -> np.ndarray:
     return np.array([np.polyfit(t, x[:, i:i + 1], 1)[0, 0] for i in range(x.shape[1])])
 
 
-def compare_with_homogenization(p: SwingParams, hbar_table, samples: int,
+def compare_with_homogenization(model: SwingModel, hbar_table, samples: int,
                                 T: float = 200.0, dt: float = 1e-3,
                                 burn_in: float = 0.1,
                                 pot: Potential1D | None = None) -> list[dict]:
@@ -175,10 +175,10 @@ def compare_with_homogenization(p: SwingParams, hbar_table, samples: int,
     sampled orbit is integrated by its own ``integrate_swing`` call and
     fitted by ``rotation_number``.  Each row reports (P, rotation measured,
     centered-difference slope of the table, absolute gap).
-    ``pot`` is the 1-D potential of ``p`` when the caller has already built
-    it; otherwise it is built here.
+    ``pot`` is the 1-D potential of ``model`` when the caller has already
+    built it; otherwise it is built here.
     """
-    if p.n != 1 or p.m != 0 or p.tilted:
+    if model.n != 1 or model.m != 0 or model.tilted:
         raise ValueError("homogenization comparison needs n=1, m=0, alpha=0")
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -186,7 +186,7 @@ def compare_with_homogenization(p: SwingParams, hbar_table, samples: int,
     if table.shape[0] < 3:
         raise ValueError("table needs at least 3 rows for centered differences")
     if pot is None:
-        pot = potential_from_model(make_swing(p))
+        pot = potential_from_model(model)
     v_x0 = float(pot.v(0.0))
 
     idx = np.unique(np.linspace(1, table.shape[0] - 2, samples).round().astype(int))
@@ -197,7 +197,7 @@ def compare_with_homogenization(p: SwingParams, hbar_table, samples: int,
     y0 = [np.sign(Pi) * np.sqrt(2.0 * (Ei - v_x0)) if Ei > pot.v_max + 1e-9
           else np.sqrt(max(2.0 * (e_trap - v_x0), 0.0))
           for Pi, Ei in zip(P, E)]
-    measured = [rotation_number(integrate_swing(p, [0.0], [y], T, dt,
+    measured = [rotation_number(integrate_swing(model, [0.0], [y], T, dt,
                                                 record_every=COMPARE_RECORD_EVERY),
                                 burn_in)[0] for y in y0]
     return [{

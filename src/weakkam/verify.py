@@ -82,8 +82,7 @@ class CheckResult:
 
 def _models():
     beta = ((hamiltonians.TrigPoly(0.8, (((1,), 0.3, 0.1),)),),)
-    swing = hamiltonians.make_swing(hamiltonians.SwingParams(
-        alpha=[0.0], beta=beta, lam=[0.5], omega=[np.sqrt(2.0)]))
+    swing = hamiltonians.SwingModel(alpha=[0.0], beta=beta, lam=[0.5], omega=[np.sqrt(2.0)])
     return [hamiltonians.make_integrable(2), hamiltonians.make_pendulum(1.0), swing]
 
 
@@ -151,14 +150,14 @@ def run_checks(cfg: RunConfig | None = None) -> list[CheckResult]:
                             f"inequality defect {ineq:.1e}, matched-pair gap {eq:.1e}"))
     check("hamiltonian.swing-torus-periodicity",
           lambda: max(periodicity_defect(m, rng, points=40) for m in (
-              hamiltonians.make_swing(hamiltonians.SwingParams(
+              hamiltonians.SwingModel(
                   alpha=[0.0], beta=((hamiltonians.TrigPoly(1.0, (((1,), 0.5, 0.0),)),),),
-                  lam=[0.5], omega=[1.0])),
-              hamiltonians.make_swing(hamiltonians.SwingParams(
+                  lam=[0.5], omega=[1.0]),
+              hamiltonians.SwingModel(
                   alpha=[0.0, 0.0],
                   beta=((hamiltonians.TrigPoly(0.7), hamiltonians.TrigPoly(0.4)),
                         (hamiltonians.TrigPoly(0.0), hamiltonians.TrigPoly(0.3))),
-                  lam=[1.0, 2.0])))),
+                  lam=[1.0, 2.0]))),
           lambda d: (d <= PERIODICITY_TOL, f"max |H(x+2pi e) - H| = {d:.2e}"))
     check("solver.objective-gradient-vs-central-differences",
           lambda: max(objective_gradient_defect(
@@ -213,14 +212,14 @@ def run_checks(cfg: RunConfig | None = None) -> list[CheckResult]:
               and gain >= SUPERLINEAR_GAIN and step > 0,
               f"evenness {even:.1e}, flat defect {flat:.1e}, convexity defect {convex:.1e}"))
     check("sim.free-motion-rotation-exact",
-          lambda: free_motion_error(hamiltonians.make_integrable(1).params),
+          lambda: free_motion_error(hamiltonians.make_integrable(1)),
           lambda err: (err <= FREE_MOTION_TOL, f"rotation error {err:.2e}"))
     check("sim.energy-drift-and-2nd-order",
-          lambda: drift_and_order(hamiltonians.make_pendulum(1.0).params),
+          lambda: drift_and_order(hamiltonians.make_pendulum(1.0)),
           lambda drift, r1, r2: (drift <= DRIFT_TOL and min(r1, r2) >= HALVING_RATIO,
                                  f"drift {drift:.2e}, halving ratios {r1:.2f}, {r2:.2f}"))
     check("sim.time-reversibility",
-          lambda: reversibility_error(hamiltonians.make_pendulum(1.0).params),
+          lambda: reversibility_error(hamiltonians.make_pendulum(1.0)),
           lambda err: (err <= REVERSIBILITY_TOL, f"return error {err:.2e}"))
     return out
 
@@ -487,28 +486,28 @@ def oracle_shape(pot: oracle1d.Potential1D, even_ps=(0.3, 1.1, 2.4),
 
 # simulator ------------------------------------------------------------------
 
-def free_motion_error(params) -> float:
+def free_motion_error(model) -> float:
     """|rotation estimate - 0.7| of an orbit from x=0.2, y=0.7 under a force-free model."""
-    traj = swingsim.integrate_swing(params, [0.2], [0.7], 10.0, 1e-3)
+    traj = swingsim.integrate_swing(model, [0.2], [0.7], 10.0, 1e-3)
     return abs(float(traj.rotation_estimate[0]) - 0.7)
 
 
-def drift_and_order(params):
+def drift_and_order(model):
     """(relative energy drift over 1e4 steps from x=1, y=0; ratios of the
     energy error from x=1, y=0.3 over T=8 as dt halves from 4e-3 to 1e-3)."""
-    traj = swingsim.integrate_swing(params, [1.0], [0.0], 10.0, 1e-3)
+    traj = swingsim.integrate_swing(model, [1.0], [0.0], 10.0, 1e-3)
     drift = float(np.max(np.abs(traj.energy - traj.energy[0]))) / abs(traj.energy[0])
     errs = []
     for dt in (4e-3, 2e-3, 1e-3):
-        t = swingsim.integrate_swing(params, [1.0], [0.3], 8.0, dt)
+        t = swingsim.integrate_swing(model, [1.0], [0.3], 8.0, dt)
         errs.append(float(np.max(np.abs(t.energy - t.energy[0]))))
     return drift, errs[0] / errs[1], errs[1] / errs[2]
 
 
-def reversibility_error(params) -> float:
+def reversibility_error(model) -> float:
     """Distance from the start after 12 time units forward from x=0.5, y=1.1
     and 12 back with reversed velocity."""
-    fwd = swingsim.integrate_swing(params, [0.5], [1.1], 12.0, 1e-3)
-    back = swingsim.integrate_swing(params, fwd.x[-1], -fwd.y[-1], 12.0, 1e-3)
+    fwd = swingsim.integrate_swing(model, [0.5], [1.1], 12.0, 1e-3)
+    back = swingsim.integrate_swing(model, fwd.x[-1], -fwd.y[-1], 12.0, 1e-3)
     return max(float(np.max(np.abs(back.x[-1] - 0.5))),
                float(np.max(np.abs(-back.y[-1] - 1.1))))

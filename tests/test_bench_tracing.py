@@ -1,26 +1,30 @@
 """The benchmark tracer rebinds weakkam's module-level names by attribute
-name; a rename or removal in the package breaks it without failing a test
-of the package itself.  These guards enter and leave its ``installed``, and
-check that it counts every orbit the simulator steps."""
+name, and the benchmark workloads call weakkam's public API; a rename or
+removal in the package breaks them without failing a test of the package
+itself.  These guards enter and leave the tracer's ``installed``, check that
+it counts every orbit the simulator steps, and set up every workload."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 from weakkam import cli
 from weakkam.hamiltonians import SwingModel
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def _tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
+def _load(name):
+    """The module bench/<name>.py, loaded by path (and registered, as
+    ``dataclass`` looks its module up)."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_tracer_wraps_and_restores_every_name():
-    tracing = _tracing()
+    tracing = _load("tracing")
     names = tracing.wrapped_names([SwingModel])
     assert names
     # every wrapped name resolves before the tracer is installed
@@ -36,7 +40,7 @@ def test_tracer_wraps_and_restores_every_name():
 def test_tracer_counts_the_steps_of_every_orbit(tmp_path):
     # the trajectory and each compared momentum are one integrate_swing call
     # of T/dt steps apiece
-    tracing = _tracing()
+    tracing = _load("tracing")
     cfg = tmp_path / "sim.cfg"
     cfg.write_text('model.name = "pendulum"\nsim.T = 2.0\nsim.dt = 0.001\n'
                    'sim.compare = true\nsim.samples = 3\noracle.P_range = [0.0, 3.0, 0.5]\n')
@@ -47,3 +51,16 @@ def test_tracer_counts_the_steps_of_every_orbit(tmp_path):
     assert len(rows) == 3
     steps = tracing.layer_metrics(tracer.spans, 1)["swingsim.steps"]
     assert steps == (1 + len(rows)) * 2000
+
+
+def test_every_workload_builds_and_warms(tmp_path):
+    # build and warm are what each benchmark run pays first; SwingSim.warm
+    # passes a SwingParams to integrate_swing
+    workloads = _load("workloads")
+    for name, cls in workloads.WORKLOADS.items():
+        work = tmp_path / name
+        work.mkdir()
+        workload = cls(7, work)
+        workload.build()
+        workload.warm()
+        assert workload.model_classes() == [SwingModel]

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -240,8 +241,17 @@ def test_simulate_builds_oracle_potential_once(tmp_path, monkeypatch):
     "sim.compare = true\nsim.samples = 0",
     "sim.record_every = 200",
     "sim.dt = 0.02\nsim.record_every = 1\nsim.compare = true",
+    # the comparison needs an autonomous, untilted rotor: refused before any step
+    'model.name = "swing"\nmodel.m = 1\nmodel.omega = [1.0]\n'
+    'model.beta = [[{"const": 1.0, "modes": [[[1], 0.5, 0.0]]}]]\nsim.compare = true',
+    'model.name = "swing"\nmodel.alpha = [0.1]\nmodel.beta = [[{"const": 1.0}]]\n'
+    'sim.compare = true',
+    # a tilt too small to break V's periodicity check
+    'model.name = "swing"\nmodel.alpha = [1e-14]\nmodel.beta = [[{"const": 1.0}]]\n'
+    'sim.compare = true',
 ], ids=["record_every_zero", "x0_length", "y0_length", "compare_without_samples",
-        "record_every_beyond_window", "compare_window"])
+        "record_every_beyond_window", "compare_window", "compare_driven", "compare_tilted",
+        "compare_barely_tilted"])
 def test_simulate_config_errors_exit_1(tmp_path, capsys, extra):
     cfg = tmp_path / "sim.cfg"
     cfg.write_text(f'model.name = "pendulum"\nsim.T = 1.0\n{extra}\n')
@@ -290,6 +300,41 @@ def test_report_on_cell_manifest(tmp_path):
     pcsv = (rep / "Hbar_vs_P.csv").read_text().strip().splitlines()
     ps = [float(r.split(",")[0]) for r in pcsv[1:]]
     assert ps == sorted(ps)
+
+
+def test_cell_table_has_a_column_per_component_of_P(tmp_path):
+    cfg = tmp_path / "n2.cfg"
+    cfg.write_text('model.name = "integrable"\nmodel.n = 2\nmodel.alpha = [0.0, 0.0]\n'
+                   'model.lam = [1.0, 1.0]\ngrid.N_x = 16\nP = [[0.3, 0.6]]\n'
+                   'k_schedule = [4, 8]\ntau_steps = 1\n')
+    out = tmp_path / "o"
+    assert run(["cell", "--config", cfg, "--out", out]) == 0
+    with open(out / "hbar_table.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["P_0", "P_1", "k", "hbar"]
+    assert [r[:3] for r in rows[1:]] == [["0.3", "0.6", "4.0"], ["0.3", "0.6", "8.0"]]
+    for r in rows[1:]:
+        assert abs(float(r[3]) - 0.5 * (0.3 ** 2 + 0.6 ** 2)) <= 1e-10
+
+
+def test_report_on_two_dimensional_manifest(tmp_path):
+    solves = [{"P": P, "k": k, "Hbar_k": h} for P, k, h in (
+        ([0.5, -0.2], 8.0, 0.3), ([0.1, 0.4], 16.0, 0.2), ([0.1, 0.4], 8.0, 0.1),
+        ([0.5, -0.2], 16.0, 0.4))]
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"command": "sweep", "solves": solves}))
+    rep = tmp_path / "rep"
+    assert run(["report", manifest, "--out", rep]) == 0
+    tables = {}
+    for name in ("Hbar_vs_k.csv", "Hbar_vs_P.csv"):
+        with open(rep / name, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["P_0", "P_1", "k", "hbar"]
+        tables[name] = [tuple(float(x) for x in r) for r in rows[1:]]
+    assert tables["Hbar_vs_k.csv"] == [(0.1, 0.4, 8.0, 0.1), (0.1, 0.4, 16.0, 0.2),
+                                       (0.5, -0.2, 8.0, 0.3), (0.5, -0.2, 16.0, 0.4)]
+    assert tables["Hbar_vs_P.csv"] == [(0.1, 0.4, 8.0, 0.1), (0.5, -0.2, 8.0, 0.3),
+                                       (0.1, 0.4, 16.0, 0.2), (0.5, -0.2, 16.0, 0.4)]
 
 
 def test_report_on_sweep_manifest(tmp_path):

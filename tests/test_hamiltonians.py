@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -7,6 +7,7 @@ import pytest
 from weakkam import hamiltonians, verify
 from weakkam.fields import PERIOD
 from weakkam.hamiltonians import (
+    SwingModel,
     SwingParams,
     TrigPoly,
     lagrangian,
@@ -119,6 +120,23 @@ def test_swing_params_validation():
     p = SwingParams(alpha=[0.2], beta=((TrigPoly(1.0),),), lam=[0.5])
     assert p.tilted
     assert make_swing(p).tilted
+
+
+def test_model_holds_its_parameters():
+    # one class holds the parameters and evaluates them; the old parameter
+    # class name builds the same model, and make_swing hands it back
+    model = SwingParams(alpha=[0.0], beta=((TrigPoly(1.0),),), lam=[0.5])
+    assert type(model) is SwingModel and make_swing(model) is model
+    assert (model.n, model.m, model.tilted) == (1, 0, False)
+    assert model.lam.tolist() == [0.5] and not model.lam.flags.writeable
+    # replace validates again, and a model is frozen
+    with pytest.raises(ValueError, match="nonnegative"):
+        replace(model, alpha=[-1.0])
+    with pytest.raises(FrozenInstanceError):
+        model.alpha = np.array([0.5])
+    # equality and hashing by identity
+    twin = SwingModel(alpha=[0.0], beta=((TrigPoly(1.0),),), lam=[0.5])
+    assert model != twin and len({model, twin}) == 2
 
 
 def test_swing_periodicity_half_integer_diagonal():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from weakkam import verify
-from weakkam.hamiltonians import HamEval, make_integrable, make_pendulum
+from weakkam.hamiltonians import HamEval, SwingModel, make_integrable, make_pendulum
 from weakkam.oracle1d import (
     Potential1D,
     effective_hamiltonian_1d,
@@ -112,12 +112,14 @@ def test_potential_from_model():
 
 
 def test_potential_from_model_samples_in_one_call(monkeypatch):
-    # the dense sampling is one array evaluation, bitwise equal to point by point
+    # the dense sampling is one array evaluation, bitwise equal to point by point;
+    # a model is frozen, so its class is patched
     model = make_pendulum(0.7)
     calls = []
     for name in ("evaluate", "potential"):
-        method = getattr(model, name)
-        monkeypatch.setattr(model, name, lambda *a, _m=method: calls.append(a) or _m(*a))
+        method = getattr(SwingModel, name)
+        monkeypatch.setattr(SwingModel, name,
+                            lambda self, *a, _m=method: calls.append(a) or _m(self, *a))
     pot = potential_from_model(model)
     assert len(calls) < 100
     xs = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
@@ -157,7 +159,7 @@ class _CrossTermModel:
     """H = y^2/2 + x*y: not kinetic-plus-potential."""
 
     def __init__(self):
-        self.n, self.m, self.gamma = 1, 0, 1.0
+        self.n, self.m, self.gamma, self.tilted = 1, 0, 1.0, False
         self.descriptor = {"name": "cross"}
 
     def evaluate(self, x, y, phi):

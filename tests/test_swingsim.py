@@ -265,6 +265,21 @@ def test_models_of_one_term_pattern_share_one_kernel():
             assert not [v for v in values if repr(v) in source]
 
 
+def test_integrates_fiber_and_scaled_models():
+    # the simulator takes any model: a frozen-drive fiber and a scaled model
+    # give the trajectories of the models they equal
+    phi = np.array([0.3])
+    fiber = qp_params().at_phase(phi)
+    frozen = SwingParams(alpha=[0.0], beta=((TrigPoly(float(qp_drive()(phi[:, None])[0])),),),
+                         lam=[0.5])
+    for model, same in ((fiber, frozen), (make_pendulum(1.0).scaled(0.5), make_pendulum(0.5))):
+        got = integrate_swing(model, [0.1], [1.2], 2.0, 1e-3, record_every=10)
+        want = integrate_swing(same, [0.1], [1.2], 2.0, 1e-3, record_every=10)
+        assert got.energy is not None
+        for a, b in zip((got.x, got.y, got.energy), (want.x, want.y, want.energy)):
+            assert np.array_equal(a, b)
+
+
 def test_rotation_window_validation():
     traj = integrate_swing(free_params(), [0.0], [1.0], 1.0, 1e-3, record_every=200)
     with pytest.raises(ValueError):
