@@ -3,8 +3,8 @@ simulation, verification and report extraction.
 
 Outputs are machine-readable: one ``manifest.json`` per run plus CSV tables
 (schemas documented in the README).  Exit codes: 0 success, 1 configuration
-error, 2 solver non-convergence, a problem outside the solver's envelope or a
-simulated orbit that blows up, 3 verification failure.
+or usage error, 2 solver non-convergence, a problem outside the solver's
+envelope or a simulated orbit that blows up, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ import json
 import os
 import sys
 import time
-from functools import lru_cache
+from dataclasses import replace
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -25,11 +26,13 @@ from .cell import ContinuationError, SolverOptions, continuation_solve
 from .config import (
     ConfigError,
     RunConfig,
+    config_items,
+    field_error,
     load_config,
     model_from_config,
+    oracle_P_values,
     p_vectors,
-    parse_config,
-    serialize_config,
+    validate_config,
 )
 from .fields import TorusGrid
 from .measures import default_speed_threshold, gibbs_measure, measure_stats
@@ -122,18 +125,15 @@ def _hbar_table(records, n: int) -> tuple[list, list]:
     return header, [(*r["P"], r["k"], r["Hbar_k"]) for r in records]
 
 
-def _grid(cfg: RunConfig, model) -> TorusGrid:
-    return TorusGrid(n=model.n, m=model.m, N_x=cfg.N_x, N_phi=cfg.N_phi,
-                     diff_mode=cfg.diff_mode)
-
-
-def _opts(cfg: RunConfig) -> SolverOptions:
-    return SolverOptions(gtol=cfg.gtol, rtol=cfg.rtol, max_iter=cfg.max_iter)
-
-
-def _config_echo(cfg: RunConfig) -> dict:
-    return {line.split(" = ")[0]: json.loads(line.split(" = ", 1)[1])
-            for line in serialize_config(cfg).strip().splitlines()}
+def _write_tables(out_dir: Path, manifest: dict) -> None:
+    """The oracle table and the rotation comparison a manifest holds, as CSV."""
+    if manifest.get("oracle_table"):
+        _write_csv(out_dir / "oracle_table.csv", ["P", "hbar"], manifest["oracle_table"])
+    if manifest.get("comparison"):
+        _write_csv(out_dir / "rotation_comparison.csv",
+                   ["P", "rotation_measured", "rotation_predicted", "gap"],
+                   [(r["P"], r["rotation_measured"], r["rotation_predicted"], r["gap"])
+                    for r in manifest["comparison"]])
 
 
 # subcommands ----------------------------------------------------------------
@@ -144,8 +144,13 @@ def _sigma_dump(measure) -> dict:
     return {"coords": coords, "density": measure.sigma.values.ravel().tolist()}
 
 
-def _run_one_P(cfg: RunConfig, model, grid, opts, P):
-    """Continuation schedule at one P; returns (records, error_message)."""
+def _run_one_P(cfg: RunConfig, P):
+    """Continuation schedule at one P on the config's model, grid and
+    tolerances; returns (records, error_message)."""
+    model = model_from_config(cfg)
+    grid = TorusGrid(n=model.n, m=model.m, N_x=cfg.N_x, N_phi=cfg.N_phi,
+                     diff_mode=cfg.diff_mode)
+    opts = SolverOptions(gtol=cfg.gtol, rtol=cfg.rtol, max_iter=cfg.max_iter)
     records = []
     try:
         sols = continuation_solve(model, P, cfg.k_schedule, cfg.tau_steps, grid, opts)
@@ -164,54 +169,43 @@ def _run_one_P(cfg: RunConfig, model, grid, opts, P):
 def cmd_cell(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
     P_list = p_vectors(cfg)
     if len(P_list) != 1:
-        raise ConfigError("field 'P': the cell command takes exactly one P")
-    model = model_from_config(cfg)
-    grid = _grid(cfg, model)
+        raise field_error("P", "the cell command takes exactly one P")
+    n, m = cfg.model_n, cfg.model_m         # model_from_config holds them to the model's
     t0 = time.perf_counter()
-    records, error = _run_one_P(cfg, model, grid, _opts(cfg), P_list[0])
+    records, error = _run_one_P(cfg, P_list[0])
     manifest = {
         "command": "cell",
-        "config": _config_echo(cfg),
+        "config": config_items(cfg),
         "versions": _versions(),
         "solves": records,
         "error": error,
         "wall_time_s": time.perf_counter() - t0,
     }
     _write_manifest(out_dir, manifest)
-    _write_csv(out_dir / "hbar_table.csv", *_hbar_table(records, model.n))
+    _write_csv(out_dir / "hbar_table.csv", *_hbar_table(records, n))
     if cfg.dump_sigma:
         for r in records:
             if "sigma" in r:
                 cols = r["sigma"]["coords"]
                 rows = zip(*cols, r["sigma"]["density"])
-                names = [f"x_{i}" for i in range(model.n)] + \
-                        [f"phi_{l}" for l in range(model.m)] + ["sigma"]
+                names = [f"x_{i}" for i in range(n)] + \
+                        [f"phi_{l}" for l in range(m)] + ["sigma"]
                 _write_csv(out_dir / f"sigma_k{r['k']:g}.csv", names, rows)
     return (2 if error else 0), manifest
-
-
-def _sweep_worker(args):
-    text, P = args
-    cfg = parse_config(text)
-    model = model_from_config(cfg)
-    grid = _grid(cfg, model)
-    records, error = _run_one_P(cfg, model, grid, _opts(cfg), np.asarray(P))
-    return records, error
 
 
 def cmd_sweep(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
     P_list = p_vectors(cfg)
     if len(P_list) < 3:
-        raise ConfigError("field 'P': a sweep needs at least 3 values")
+        raise field_error("P", "a sweep needs at least 3 values")
     P_sorted = sorted(P_list, key=tuple)
-    text = serialize_config(cfg)
-    tasks = [(text, p.tolist()) for p in P_sorted]
+    run = partial(_run_one_P, cfg)
     t0 = time.perf_counter()
     if cfg.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(_sweep_worker, tasks))
+            results = list(pool.map(run, P_sorted))
     else:
-        results = [_sweep_worker(t) for t in tasks]
+        results = list(map(run, P_sorted))
 
     solves, failures = [], []
     for p, (records, error) in zip(P_sorted, results):
@@ -233,7 +227,7 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
 
     manifest = {
         "command": "sweep",
-        "config": _config_echo(cfg),
+        "config": config_items(cfg),
         "versions": _versions(),
         "solves": solves,
         "failures": failures,
@@ -254,31 +248,30 @@ def _oracle_potential(model):
 
 def cmd_oracle(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
     pot = _oracle_potential(model_from_config(cfg))
-    start, stop, step = cfg.oracle_P
-    ps = np.arange(start, stop + 0.5 * step, step)
     t0 = time.perf_counter()
-    table = oracle_table(pot, ps)
+    table = oracle_table(pot, oracle_P_values(cfg))
     manifest = {
         "command": "oracle",
-        "config": _config_echo(cfg),
+        "config": config_items(cfg),
         "versions": _versions(),
         "oracle_table": [[float(p), float(h)] for p, h in table],
         "wall_time_s": time.perf_counter() - t0,
     }
     _write_manifest(out_dir, manifest)
-    _write_csv(out_dir / "oracle_table.csv", ["P", "hbar"], manifest["oracle_table"])
+    _write_tables(out_dir, manifest)
     return 0, manifest
 
 
 def cmd_simulate(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
     model = model_from_config(cfg)
-    for key, value in (("sim.x0", cfg.sim_x0), ("sim.y0", cfg.sim_y0)):
+    for name in ("sim_x0", "sim_y0"):
+        value = getattr(cfg, name)
         try:
             ok = np.asarray(value, dtype=float).shape == (model.n,)
         except (TypeError, ValueError):
             ok = False
         if not ok:
-            raise ConfigError(f"field {key!r}: expected {model.n} numbers, got {value!r}")
+            raise field_error(name, f"expected {model.n} numbers, got {value!r}")
     t0 = time.perf_counter()
     # a model the comparison cannot take is a configuration error before any step
     pot = _oracle_potential(model) if cfg.sim_compare else None
@@ -294,15 +287,9 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
 
     comparison = None
     if cfg.sim_compare:
-        start, stop, step = cfg.oracle_P
-        table = oracle_table(pot, np.arange(start, stop + 0.5 * step, step))
         comparison = compare_with_homogenization(
-            model, table, samples=cfg.sim_samples, T=cfg.sim_T, dt=cfg.sim_dt,
-            burn_in=cfg.sim_burn_in, pot=pot)
-        _write_csv(out_dir / "rotation_comparison.csv",
-                   ["P", "rotation_measured", "rotation_predicted", "gap"],
-                   [(r["P"], r["rotation_measured"], r["rotation_predicted"], r["gap"])
-                    for r in comparison])
+            model, oracle_table(pot, oracle_P_values(cfg)), samples=cfg.sim_samples,
+            T=cfg.sim_T, dt=cfg.sim_dt, burn_in=cfg.sim_burn_in, pot=pot)
 
     drift = None
     if traj.energy is not None and abs(traj.energy[0]) > 0:
@@ -310,7 +297,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
                       / abs(traj.energy[0]))
     manifest = {
         "command": "simulate",
-        "config": _config_echo(cfg),
+        "config": config_items(cfg),
         "versions": _versions(),
         "rotation_estimate": [float(r) for r in traj.rotation_estimate],
         "rotation_lsq": [float(r) for r in rot],
@@ -321,6 +308,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
         "wall_time_s": time.perf_counter() - t0,
     }
     _write_manifest(out_dir, manifest)
+    _write_tables(out_dir, manifest)
     return 0, manifest
 
 
@@ -333,7 +321,7 @@ def cmd_verify(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
     print(f"{len(results) - n_fail}/{len(results)} invariants passed")
     manifest = {
         "command": "verify",
-        "config": _config_echo(cfg),
+        "config": config_items(cfg),
         "versions": _versions(),
         "checks": [{"name": r.name, "passed": r.passed, "detail": r.detail}
                    for r in results],
@@ -366,35 +354,46 @@ def cmd_report(manifest_path: Path, out_dir: Path) -> tuple[int, dict]:
             names = [f"c_{i}" for i in range(n_coords)] + ["sigma"]
             _write_csv(out_dir / "sigma_profile.csv", names,
                        zip(*cols, best["sigma"]["density"]))
-    if manifest.get("comparison"):
-        _write_csv(out_dir / "rotation_comparison.csv",
-                   ["P", "rotation_measured", "rotation_predicted", "gap"],
-                   [(r["P"], r["rotation_measured"], r["rotation_predicted"], r["gap"])
-                    for r in manifest["comparison"]])
-    if manifest.get("oracle_table"):
-        _write_csv(out_dir / "oracle_table.csv", ["P", "hbar"],
-                   manifest["oracle_table"])
+    _write_tables(out_dir, manifest)
     return 0, manifest
 
 
 # entry point ----------------------------------------------------------------
 
+# flags that override the config field of the same name, with their argparse settings
+_OVERRIDES = {
+    "jobs": dict(type=int, help="worker processes (default: all cores)"),
+    "seed": dict(type=int, help="seed for randomized checks"),
+    "dump_sigma": dict(action="store_const", const=True,
+                       help="dump Gibbs densities into the manifest and CSVs"),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error, as on any other configuration error."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 @lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: ``parse_args``
-    returns a fresh namespace on every call, so ``main`` can reuse it."""
-    parser = argparse.ArgumentParser(
+    returns a fresh namespace on every call, so ``main`` can reuse it.
+    Each subcommand takes only the overriding flags it reads."""
+    parser = _Parser(
         prog="weakkam",
         description="Effective Hamiltonians, correctors and minimal-measure "
                     "diagnostics on the torus; swing-equation simulation.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_ in [
-        ("cell", "continuation solve at a single P with full diagnostics"),
-        ("sweep", "parallel cell solves over a list of P values"),
-        ("oracle", "1-D effective Hamiltonian table by quadrature"),
-        ("simulate", "integrate the swing equation and extract rotations"),
-        ("verify", "run every module invariant suite"),
-        ("report", "extract plot-ready CSV tables from a manifest"),
+    for name, flags, help_ in [
+        ("cell", ["dump_sigma"], "continuation solve at a single P with full diagnostics"),
+        ("sweep", ["jobs", "dump_sigma"], "parallel cell solves over a list of P values"),
+        ("oracle", [], "1-D effective Hamiltonian table by quadrature"),
+        ("simulate", [], "integrate the swing equation and extract rotations"),
+        ("verify", ["seed"], "run every module invariant suite"),
+        ("report", [], "extract plot-ready CSV tables from a manifest"),
     ]:
         p = sub.add_parser(name, help=help_)
         if name == "report":
@@ -404,36 +403,24 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="run configuration file (defaults used if omitted)")
         p.add_argument("--out", type=Path, default=None,
                        help=f"output directory (overrides config and ${OUT_ENV_VAR})")
-        p.add_argument("--jobs", type=int, default=None,
-                       help="worker processes for sweeps (default: all cores)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="seed for randomized checks")
-        p.add_argument("--dump-sigma", action="store_true",
-                       help="dump Gibbs densities into the manifest and CSVs")
+        for flag in flags:
+            p.add_argument("--" + flag.replace("_", "-"), **_OVERRIDES[flag])
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "report":
-            cfg = RunConfig()
-        elif args.config is not None:
-            cfg = load_config(args.config)
-        else:
-            cfg = RunConfig()
-        if args.jobs is not None:
-            if args.jobs < 0:
-                raise ConfigError("--jobs must be >= 0 (0 = one worker per core)")
-            cfg.jobs = args.jobs
+        config = getattr(args, "config", None)      # report reads a manifest instead
+        cfg = RunConfig() if config is None else load_config(config)
+        overrides = {name: value for name in _OVERRIDES
+                     if (value := getattr(args, name, None)) is not None}
+        if overrides:
+            cfg = replace(cfg, **overrides)
+            validate_config(cfg, "command line")
         if cfg.jobs == 0:
             cfg.jobs = os.cpu_count() or 1
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.dump_sigma:
-            cfg.dump_sigma = True
         out_dir = args.out or Path(os.environ.get(OUT_ENV_VAR) or cfg.out)
-        out_dir = Path(out_dir)
 
         if args.command == "report":
             code, _ = cmd_report(args.manifest, out_dir)

@@ -43,6 +43,8 @@ DRIVE_BLOCK = 4096
 MIN_FIT_SAMPLES = 10
 # record stride of the orbits compare_with_homogenization integrates
 COMPARE_RECORD_EVERY = 10
+# rows compare_with_homogenization needs for its centered differences
+MIN_TABLE_ROWS = 3
 
 
 @dataclass(frozen=True)
@@ -183,8 +185,8 @@ def compare_with_homogenization(model: SwingModel, hbar_table, samples: int,
     if samples < 1:
         raise ValueError("samples must be >= 1")
     table = np.asarray(sorted((float(pp), float(h)) for pp, h in hbar_table))
-    if table.shape[0] < 3:
-        raise ValueError("table needs at least 3 rows for centered differences")
+    if table.shape[0] < MIN_TABLE_ROWS:
+        raise ValueError(f"table needs at least {MIN_TABLE_ROWS} rows for centered differences")
     if pot is None:
         pot = potential_from_model(model)
     v_x0 = float(pot.v(0.0))

@@ -309,8 +309,7 @@ def test_problem_validation():
         continuation_solve(model, [0.0], [8.0], 0, grid)
 
 
-@pytest.mark.parametrize("method", ["newton"])
-def test_methods_agree(pendulum, method):
+def test_methods_agree(pendulum):
     grid = TorusGrid(n=1, m=0, N_x=128)
     opts = SolverOptions(max_iter=4000)
     sols = continuation_solve(pendulum, [2.0], [8.0, 16.0], 2, grid, opts)

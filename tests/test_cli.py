@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
@@ -46,6 +47,54 @@ def test_config_roundtrip_identity():
     again = parse_config(serialize_config(cfg))
     assert again == cfg
     assert parse_config(serialize_config(RunConfig())) == RunConfig()
+
+
+NON_DEFAULT_CFG = """
+model.name = "swing"
+model.a = 2.0
+model.n = 2
+model.m = 1
+model.alpha = [0.1, 0.0]
+model.lam = [1.0, 1.0]
+model.omega = [1.5]
+model.beta = [[{"const": 1.0}, {"const": 0.0}], [{"const": 0.0}, {"const": 0.5}]]
+grid.N_x = 64
+grid.N_phi = 4
+grid.diff = "fd2"
+P = [[0.3, 0.6]]
+k_schedule = [4.0, 8.0]
+tau_steps = 2
+tol.gtol = 1e-9
+tol.rtol = 1e-7
+tol.max_iter = 50
+sim.T = 10.0
+sim.dt = 0.01
+sim.x0 = [0.5, 0.0]
+sim.y0 = [1.0, 2.0]
+sim.record_every = 5
+sim.burn_in = 0.2
+sim.compare = true
+sim.samples = 3
+oracle.P_range = [0.0, 2.0, 0.1]
+out = "elsewhere"
+seed = 11
+jobs = 3
+flags.dump_sigma = true
+flags.unwrap = false
+"""
+
+
+def test_every_field_has_one_key_and_round_trips():
+    keys = [f.metadata["key"] for f in fields(RunConfig)]
+    assert all(isinstance(k, str) and k for k in keys)
+    assert len(set(keys)) == len(keys)
+    assert [line.split(" = ")[0] for line in serialize_config(RunConfig()).splitlines()] == keys
+    # a config that sets every field, each to a value other than its default
+    cfg = parse_config(NON_DEFAULT_CFG)
+    default = RunConfig()
+    assert [f.name for f in fields(RunConfig)
+            if getattr(cfg, f.name) == getattr(default, f.name)] == []
+    assert parse_config(serialize_config(cfg)) == cfg
 
 
 def test_config_rejects_unknown_key():
@@ -120,10 +169,54 @@ def test_parser_built_once_per_process():
     from weakkam import cli
     parser = cli._build_parser()
     assert cli._build_parser() is parser
-    first = parser.parse_args(["cell", "--dump-sigma", "--jobs", "1"])
-    second = parser.parse_args(["cell"])
+    first = parser.parse_args(["sweep", "--dump-sigma", "--jobs", "1"])
+    second = parser.parse_args(["sweep"])
     assert first.dump_sigma and first.jobs == 1
     assert not second.dump_sigma and second.jobs is None
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["cell", "--bogus"], 1),
+    (["cell", "--help"], 0),
+    (["sweep", "--help"], 0),
+    (["frobnicate"], 1),
+], ids=["unknown_flag", "cell_help", "sweep_help", "unknown_command"])
+def test_usage_errors_exit_1(argv, code, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code
+    if code:
+        assert "usage: weakkam" in capsys.readouterr().err
+
+
+def test_each_flag_only_where_it_is_read(capsys):
+    # the subcommands that read each overriding flag; every other one refuses it
+    takers = {("--jobs", "2"): {"sweep"}, ("--seed", "3"): {"verify"},
+              ("--dump-sigma",): {"cell", "sweep"}}
+    from weakkam import cli
+    parser = cli._build_parser()
+    refused = 0
+    for command in ("cell", "sweep", "oracle", "simulate", "verify", "report"):
+        head = [command] + (["manifest.json"] if command == "report" else [])
+        for args, commands in takers.items():
+            args = list(args)
+            if command in commands:
+                assert parser.parse_args(head + args)
+                continue
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(head + args)
+            assert exc.value.code == 1
+            assert f"unrecognized arguments: {' '.join(args)}" in capsys.readouterr().err
+            refused += 1
+    assert refused == 14
+
+
+def test_negative_jobs_flag_is_a_configuration_error(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP_CFG)
+    assert run(["sweep", "--config", cfg, "--out", tmp_path / "o", "--jobs", -1]) == 1
+    assert "command line: field 'jobs': must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cell_rejects_multiple_P(tmp_path):
@@ -197,6 +290,33 @@ def test_oracle_command(tmp_path):
     assert float(rows[1].split(",")[1]) == 2.0
 
 
+def test_oracle_rejects_an_empty_table(tmp_path, capsys):
+    cfg = tmp_path / "o.cfg"
+    cfg.write_text('model.name = "pendulum"\noracle.P_range = [3.0, 0.0, 0.05]\n')
+    assert run(["oracle", "--config", cfg, "--out", tmp_path / "o"]) == 1
+    assert "'oracle.P_range': gives 0 rows" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("text, name", [
+    ('model.name = "swing"\nmodel.n = 2\nmodel.m = 3\nmodel.alpha = [0.0]\n'
+     'model.omega = [1.0]\nmodel.beta = [[{"const": 1.0, "modes": [[[1], 0.5, 0.0]]}]]',
+     "model.n"),
+    ('model.name = "swing"\nmodel.m = 3\nmodel.omega = [1.0]\n'
+     'model.beta = [[{"const": 1.0, "modes": [[[1], 0.5, 0.0]]}]]', "model.m"),
+    ('model.name = "pendulum"\nmodel.n = 3', "model.n"),
+    ('model.name = "pendulum"\nmodel.m = 1', "model.m"),
+], ids=["swing_n", "swing_m", "pendulum_n", "pendulum_m"])
+def test_model_dimensions_must_match_the_model(tmp_path, capsys, text, name):
+    with pytest.raises(ConfigError, match=f"field '{name}'"):
+        model_from_config(parse_config(text))
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text(text + "\n")
+    assert run(["cell", "--config", cfg, "--out", tmp_path / "o"]) == 1
+    assert f"field '{name}'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_simulate_and_report(tmp_path):
     cfg = tmp_path / "sim.cfg"
     cfg.write_text("""
@@ -249,9 +369,11 @@ def test_simulate_builds_oracle_potential_once(tmp_path, monkeypatch):
     # a tilt too small to break V's periodicity check
     'model.name = "swing"\nmodel.alpha = [1e-14]\nmodel.beta = [[{"const": 1.0}]]\n'
     'sim.compare = true',
+    # a table of 2 rows leaves no centered difference: refused before any step
+    "sim.compare = true\noracle.P_range = [0.0, 0.05, 0.05]",
 ], ids=["record_every_zero", "x0_length", "y0_length", "compare_without_samples",
         "record_every_beyond_window", "compare_window", "compare_driven", "compare_tilted",
-        "compare_barely_tilted"])
+        "compare_barely_tilted", "compare_two_row_table"])
 def test_simulate_config_errors_exit_1(tmp_path, capsys, extra):
     cfg = tmp_path / "sim.cfg"
     cfg.write_text(f'model.name = "pendulum"\nsim.T = 1.0\n{extra}\n')

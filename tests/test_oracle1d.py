@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from weakkam import verify
-from weakkam.hamiltonians import HamEval, SwingModel, make_integrable, make_pendulum
+from weakkam.hamiltonians import SwingModel, make_integrable, make_pendulum
 from weakkam.oracle1d import (
     Potential1D,
     effective_hamiltonian_1d,
@@ -153,26 +153,6 @@ def test_oracle_table_matches_array_point_path():
     got = oracle_table(potential_from_model(model), ps)
     want = oracle_table(Potential1D.from_callable(v_array), ps)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
-
-
-class _CrossTermModel:
-    """H = y^2/2 + x*y: not kinetic-plus-potential."""
-
-    def __init__(self):
-        self.n, self.m, self.gamma, self.tilted = 1, 0, 1.0, False
-        self.descriptor = {"name": "cross"}
-
-    def evaluate(self, x, y, phi):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        h = 0.5 * y[0] ** 2 + x[0] * y[0]
-        eye = np.ones((1, 1) + y.shape[1:])
-        return HamEval(h, y.copy(), y + x, eye)
-
-
-def test_oracle_refuses_cross_terms():
-    with pytest.raises(ValueError, match="refuses"):
-        potential_from_model(_CrossTermModel())
 
 
 def test_oracle_table_shape(pend_pot):
