@@ -73,6 +73,7 @@ from .fields import (
     _diff_x,
     div_values,
     grad_values,
+    grid_mean,
     log_mean_exp_values,
 )
 from .hamiltonians import SwingModel
@@ -257,11 +258,11 @@ def _unconverged_reason(sol: CellSolution, opts: SolverOptions) -> str:
 
 
 def _grid_norm(values: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(values * values)))
+    return float(np.sqrt(grid_mean(values * values)))
 
 
 def _grid_inner(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.mean(a * b))
+    return float(grid_mean(a * b))
 
 
 def _evaluate(problem: CellProblem, v_values: np.ndarray):
@@ -278,7 +279,7 @@ def _evaluate(problem: CellProblem, v_values: np.ndarray):
     with np.errstate(under="ignore"):
         sigma = np.exp(problem.k * (ev.h - value))
     grad = -div_values(sigma * ev.dy, problem.grid)
-    grad -= grad.mean()
+    grad -= grid_mean(grad)
     return value, grad, ev, sigma
 
 
@@ -342,7 +343,7 @@ def _finish(problem: CellProblem, v_values: np.ndarray, iterations: int,
     it the iterate is evaluated here.  The solution keeps that evaluation's
     H, D_yH and Gibbs weight, from which its measure is built."""
     grid = problem.grid
-    v_values = v_values - v_values.mean()
+    v_values = v_values - grid_mean(v_values)
     value, grad, ev, sigma = evaluated or _evaluate(problem, v_values)
     hbar = log_mean_exp_values(ev.h, problem.k)   # == value; reported via the field op
     gnorm = _grid_norm(grad)
@@ -453,7 +454,7 @@ def _fd_preconditioner(grid: TorusGrid, C: np.ndarray, shift: np.ndarray):
 
     def solve(r: np.ndarray) -> np.ndarray:
         z = lu.solve(r.ravel()).reshape(grid.shape)
-        return z - z.mean()
+        return z - grid_mean(z)
 
     return solve
 
@@ -476,8 +477,12 @@ def _fd_preconditioner_1d(grid: TorusGrid, C: np.ndarray, shift: np.ndarray):
     from scipy.linalg.lapack import dpttrf, dpttrs
 
     c = C[0, 0]
-    c_half = 0.5 * (c + np.roll(c, -1)) / grid.dx ** 2   # link i -- i+1
-    diag = c_half + np.roll(c_half, 1)
+    up = np.empty_like(c)                               # c at node i+1, cyclically
+    up[:-1], up[-1] = c[1:], c[0]
+    c_half = 0.5 * (c + up) / grid.dx ** 2              # link i -- i+1
+    diag = np.empty_like(c_half)                        # links i-1 -- i and i -- i+1
+    diag[1:] = c_half[1:] + c_half[:-1]
+    diag[0] = c_half[0] + c_half[-1]
     top = float(diag.max())
     eps = 1e-12 * top + 1e-40 * top + 1e-290            # the floor of _fd_preconditioner
     diag[0], diag[-1] = c_half[0], c_half[-2]           # cut the corner link
@@ -495,7 +500,7 @@ def _fd_preconditioner_1d(grid: TorusGrid, C: np.ndarray, shift: np.ndarray):
     def solve(r: np.ndarray) -> np.ndarray:
         y = dpttrs(d, e, r[:, None])[0][:, 0]
         z = y - (coef * (y[0] - y[-1])) * q
-        return z - z.mean()
+        return z - grid_mean(z)
 
     return solve
 
@@ -533,7 +538,9 @@ def _exact_preconditioner(grid: TorusGrid, C: np.ndarray, shift: np.ndarray):
     (``_minimize_newton`` drops it before building this one).  Without fiber
     axes the buffer holds the one factor for good, so the solve can be kept
     across Newton steps.  With fiber axes each solve factors every fiber
-    again, in turn, so the solve is built anew at every step.
+    again, in turn, so the solve is built anew at every step.  A fiber's
+    A^-1 1, which the mean-zero correction needs, is solved once, right after
+    its first factor: a factor built again is the same factor.
     """
     from scipy.linalg.lapack import dpftrf, dpftrs
 
@@ -543,6 +550,8 @@ def _exact_preconditioner(grid: TorusGrid, C: np.ndarray, shift: np.ndarray):
     D = _diff_matrix(N, "spectral")
     upper = np.arange(half)[:, None]
     buf, held = None, None          # the shared RFP buffer and whose factor it holds
+    ones = np.empty(grid.shape)     # A^-1 1, fiber by fiber
+    unsolved = set(np.ndindex(grid.shape[2:]))   # fibers whose A^-1 1 is not in ones
 
     def factor(fiber: tuple) -> None:
         nonlocal buf, held
@@ -564,19 +573,25 @@ def _exact_preconditioner(grid: TorusGrid, C: np.ndarray, shift: np.ndarray):
         if info != 0:
             raise np.linalg.LinAlgError(f"Newton operator not positive definite ({info})")
         held = fiber
+        if fiber in unsolved:
+            ones[(Ellipsis,) + fiber] = fiber_solve(np.ones((n, 1)))
+            unsolved.remove(fiber)
+
+    def fiber_solve(b: np.ndarray) -> np.ndarray:
+        # dpftrs copies b (overwrite_b off): b may be a view of the caller's r
+        x, _ = dpftrs(n, buf, b, transr="N", uplo="L")
+        return x.reshape(N, N)
 
     def solve(r: np.ndarray) -> np.ndarray:
-        z, ones = np.empty_like(r), np.empty_like(r)
+        z = np.empty_like(r)
         for fiber in np.ndindex(grid.shape[2:]):
             if held != fiber:
                 factor(fiber)
             at = (Ellipsis,) + fiber
-            rhs = np.stack([r[at].ravel(), np.ones(n)], axis=1)
-            x, _ = dpftrs(n, buf, rhs, transr="N", uplo="L", overwrite_b=1)
-            z[at], ones[at] = x[:, 0].reshape(N, N), x[:, 1].reshape(N, N)
+            z[at] = fiber_solve(r[at].reshape(n, 1))
         # on mean-zero fields the operator is A followed by the projection off
         # constants; its exact inverse is A^-1 (r + mu 1), mu fixed by mean zero
-        return z - (z.mean() / ones.mean()) * ones
+        return z - (grid_mean(z) / grid_mean(ones)) * ones
 
     return solve
 
@@ -587,7 +602,8 @@ def _exact_preconditioner_1d(grid: TorusGrid, C: np.ndarray, shift: np.ndarray):
     Per fiber the operator is D^T diag(C_00) D + shift, an N_x x N_x matrix
     with D the grid's own derivative matrix; a grid without fiber axes is a
     stack of one fiber.  All fibers go into one stack,
-    Cholesky-factored in place, so PCG takes one step.  BLAS and LAPACK read
+    Cholesky-factored in place, so PCG takes one step; the mean-zero
+    correction's A^-1 1 is solved once, after the factor.  BLAS and LAPACK read
     each C-ordered matrix as its transpose, which is the same symmetric
     matrix.  Products and factors both come from scipy's BLAS: interleaved
     with numpy's (a second OpenBLAS, with its own threads) they ran ~10x
@@ -609,14 +625,21 @@ def _exact_preconditioner_1d(grid: TorusGrid, C: np.ndarray, shift: np.ndarray):
         if info != 0:
             raise np.linalg.LinAlgError(f"Newton operator not positive definite ({info})")
 
-    def solve(r: np.ndarray) -> np.ndarray:
-        rhs = np.ones((len(A), 2, N))
-        rhs[:, 0] = r.reshape(N, -1).T
+    def stack_solve(rhs: np.ndarray) -> np.ndarray:
+        """A^-1 of a (fibers, 1, N) stack, solved in place, as a grid field."""
         for Af, b in zip(A, rhs):
             dpotrs(Af.T, b.T, lower=1, overwrite_b=1)
-        z, ones = (rhs[:, j].T.reshape(grid.shape) for j in (0, 1))
+        return rhs[:, 0].T.reshape(grid.shape)
+
+    ones = stack_solve(np.ones((len(A), 1, N)))
+    ones_mean = grid_mean(ones)
+
+    def solve(r: np.ndarray) -> np.ndarray:
+        rhs = np.empty((len(A), 1, N))
+        rhs[:, 0] = r.reshape(N, -1).T          # a copy: r stays PCG's residual
+        z = stack_solve(rhs)
         # the mean-zero correction of _exact_preconditioner
-        return z - (z.mean() / ones.mean()) * ones
+        return z - (grid_mean(z) / ones_mean) * ones
 
     return solve
 
@@ -640,9 +663,12 @@ def _newton_system(problem, ev, sigma, lam, exact, precond=None):
         curvature.max(axis=tuple(range(grid.n)), keepdims=True), grid.shape)
 
     def apply_A(w: np.ndarray) -> np.ndarray:
-        flux = np.einsum("ij...,j...->i...", C, grad_values(w, grid))
+        g = grad_values(w, grid)
+        flux = C[:, 0] * g[0]               # sum_b C[:, b] g[b]
+        for b in range(1, grid.n):
+            flux += C[:, b] * g[b]
         out = -div_values(flux, grid) + shift * w
-        return out - out.mean()
+        return out - grid_mean(out)
 
     if precond is None:
         if grid.n == 1:
@@ -727,7 +753,7 @@ def _minimize_newton(problem, v, opts, state=None):
         elif ratio < 0.25 or t < 0.1:
             lam = min(lam * 2.0, lam_max)
         # a constant shift of v changes neither f nor g
-        v = v - v.mean()
+        v = v - grid_mean(v)
         f = f_new
         history.append(f)
     # the last allowed step may have met gtol

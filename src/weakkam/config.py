@@ -8,7 +8,7 @@ failures.  The same schema round-trips through ``serialize_config``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -74,6 +74,8 @@ class RunConfig:
 
 _KEYS = {f.name: f.metadata["key"] for f in fields(RunConfig)}   # field -> dotted key
 _FIELDS = {key: name for name, key in _KEYS.items()}                 # dotted key -> field
+_DEFAULTS = {f.name: f.default_factory() if f.default is MISSING else f.default
+             for f in fields(RunConfig)}
 
 
 def parse_config(text: str, source: str = "<config>") -> RunConfig:
@@ -128,8 +130,31 @@ def oracle_P_values(cfg: RunConfig) -> np.ndarray:
     return np.arange(start, stop + 0.5 * step, step)
 
 
+def _type_needed(default, value) -> str | None:
+    """What a field whose default is ``default`` needs, if ``value`` is not of
+    its type: an int stands for a float, a bool never for a number."""
+    if isinstance(default, bool):
+        ok, need = isinstance(value, bool), "true or false"
+    elif isinstance(default, (int, float)):
+        number = (int, float) if isinstance(default, float) else int
+        ok = isinstance(value, number) and not isinstance(value, bool)
+        need = "a number" if isinstance(default, float) else "an integer"
+    elif isinstance(default, list):
+        ok, need = isinstance(value, list), "a list"
+    else:
+        ok, need = isinstance(value, str), "a string"
+    return None if ok else need
+
+
 def validate_config(cfg: RunConfig, source: str) -> None:
-    """Raise a ConfigError, prefixed by ``source``, for the first bad value."""
+    """Raise a ConfigError, prefixed by ``source``, for the first bad value.
+    Types are checked first, against each field's default; no value is
+    converted, so an int stays an int wherever it stands."""
+    for name, default in _DEFAULTS.items():
+        value = getattr(cfg, name)
+        need = _type_needed(default, value)
+        if need is not None:
+            raise field_error(name, f"must be {need}, not {json.dumps(value)}", source)
     if cfg.model_name not in ("pendulum", "integrable", "swing"):
         raise field_error("model_name", f"unknown model {cfg.model_name!r}", source)
     if cfg.model_name == "pendulum" and cfg.model_a <= 0:

@@ -9,6 +9,7 @@ the normalized measure, i.e. ``integrate(1) == 1``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -140,14 +141,24 @@ class VectorField:
         object.__setattr__(self, "components", comps)
 
 
-def _spectral_diff(values: np.ndarray, axis: int, N: int) -> np.ndarray:
-    # Integer wavenumbers for period 2*pi; the Nyquist mode is zeroed so the
-    # derivative of a real field is real and the operator is exactly skew.
-    hat = np.fft.rfft(values, axis=axis)
-    q = np.arange(hat.shape[axis])
+@lru_cache(maxsize=32)
+def _spectral_symbol(N: int, axis: int, ndim: int) -> np.ndarray:
+    """The multiplier i q of the derivative along ``axis`` on the rFFT of an
+    ``ndim``-dimensional field with N points there, shaped to broadcast.
+    Integer wavenumbers for period 2*pi; the Nyquist mode is zeroed so the
+    derivative of a real field is real and the operator is exactly skew.
+    Built once per (N, axis, ndim) and read-only, since every caller shares
+    it."""
+    q = np.arange(N // 2 + 1)
     q[-1] = 0 if N % 2 == 0 else q[-1]
-    mult = 1j * q.reshape([-1 if a == axis else 1 for a in range(values.ndim)])
-    return np.fft.irfft(hat * mult, n=N, axis=axis)
+    mult = 1j * q.reshape([-1 if a == axis else 1 for a in range(ndim)])
+    mult.setflags(write=False)
+    return mult
+
+
+def _spectral_diff(values: np.ndarray, axis: int, N: int) -> np.ndarray:
+    hat = np.fft.rfft(values, axis=axis)
+    return np.fft.irfft(hat * _spectral_symbol(N, axis, values.ndim), n=N, axis=axis)
 
 
 def _fd2_diff(values: np.ndarray, axis: int, h: float) -> np.ndarray:
@@ -171,7 +182,10 @@ def grad_values(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """``gradient_x`` on a raw array, unchecked: the solver calls it inside
     every Newton-operator apply and checks finiteness once per objective
     evaluation instead (``weakkam.cell._evaluate``)."""
-    return np.stack([_diff_x(values, grid, a) for a in range(grid.n)])
+    out = np.empty((grid.n,) + values.shape)
+    for a in range(grid.n):
+        out[a] = _diff_x(values, grid, a)
+    return out
 
 
 def divergence_x(F: VectorField) -> ScalarField:
@@ -185,6 +199,13 @@ def div_values(components: np.ndarray, grid: TorusGrid) -> np.ndarray:
     for a in range(grid.n):
         out += _diff_x(components[a], grid, a)
     return out
+
+
+def grid_mean(values: np.ndarray) -> float:
+    """The mean over every node, with the bits of ``np.mean`` (one
+    ``add.reduce`` and one division) but without its wrapper, which costs
+    more than the sum itself on the solver's grids."""
+    return values.sum() / values.size
 
 
 def integrate(f: ScalarField) -> float:
@@ -211,7 +232,7 @@ def log_mean_exp_values(values: np.ndarray, k: float) -> float:
         raise ValueError("k must be positive")
     M = float(np.max(values))
     with np.errstate(under="ignore"):
-        return M + float(np.log(np.mean(np.exp(k * (values - M))))) / k
+        return M + float(np.log(grid_mean(np.exp(k * (values - M))))) / k
 
 
 def random_band_limited(grid: TorusGrid, rng: np.random.Generator,

@@ -450,6 +450,136 @@ def test_fd_factor_1d_rejects_indefinite_stencil(defect):
         _fd_preconditioner_1d(grid, C, shift)
 
 
+def _spd_coefficients(grid, rng):
+    """Random pointwise SPD Newton coefficients C (n, n, *shape) and a positive
+    shift per fiber, constant along x like the solver's."""
+    n = grid.n
+    G = rng.normal(size=(n, n) + grid.shape)
+    C = np.einsum("ik...,jk...->ij...", G, G)
+    C += 0.1 * np.eye(n).reshape((n, n) + (1,) * len(grid.shape))
+    per_fiber = rng.uniform(0.01, 0.1, size=(1,) * n + grid.shape[n:])
+    return C, np.broadcast_to(per_fiber, grid.shape)
+
+
+def _two_column_exact(grid, C, shift, r):
+    """What the exact preconditioners returned while every apply solved the
+    constant vector again: per fiber, one solve of [r, 1] on a factor of the
+    same matrix, then z - (mean z / mean A^-1 1) A^-1 1 with np.mean.  The
+    n=2 factor is built from the dense operator through LAPACK's own RFP
+    packing (``dtrttf``)."""
+    from scipy.linalg.blas import dgemm
+    from scipy.linalg.lapack import dpftrf, dpftrs, dpotrf, dpotrs, dtrttf
+
+    from weakkam.cell import _diff_matrix, _operator_rows
+    N = grid.N_x
+    D = _diff_matrix(N, grid.diff_mode)
+    if grid.n == 1:
+        # the (fibers, 2, N) stack, viewed as fields in the same memory order,
+        # so that np.mean sums in the same order
+        c = C[0, 0].reshape(N, -1)
+        rhs = np.ones((c.shape[1], 2, N))
+        rhs[:, 0] = r.reshape(N, -1).T
+        for f, b in enumerate(rhs):
+            A = np.empty((N, N))
+            dgemm(1.0, (c[:, f, None] * D).T, D.T, trans_b=1, c=A.T, overwrite_c=1)
+            A.flat[::N + 1] += shift[0].reshape(-1)[f] + 1e-290
+            dpotrf(A.T, lower=1, overwrite_a=1, clean=0)
+            dpotrs(A.T, b.T, lower=1, overwrite_b=1)
+        z, ones = (rhs[:, j].T.reshape(grid.shape) for j in (0, 1))
+        return z - (z.mean() / ones.mean()) * ones
+    z, ones = np.empty_like(r), np.empty_like(r)
+    for fiber in np.ndindex(grid.shape[2:]):
+        at = (Ellipsis,) + fiber
+        s = float(shift[(0, 0) + fiber]) + 1e-290
+        A = np.concatenate([_operator_rows(D, C[at], i1, s) for i1 in range(N)])
+        arf, _ = dtrttf(A, transr="N", uplo="L")
+        dpftrf(N * N, arf, transr="N", uplo="L", overwrite_a=1)
+        x, _ = dpftrs(N * N, arf, np.stack([r[at].ravel(), np.ones(N * N)], axis=1),
+                      transr="N", uplo="L")
+        z[at], ones[at] = x[:, 0].reshape(N, N), x[:, 1].reshape(N, N)
+    return z - (z.mean() / ones.mean()) * ones
+
+
+PRECONDITIONERS = {
+    # id: (maker name, grid)
+    "fd": ("_fd_preconditioner", TorusGrid(n=2, m=0, N_x=8, diff_mode="fd2")),
+    "fd_1d": ("_fd_preconditioner_1d", TorusGrid(n=1, m=0, N_x=16)),
+    "exact_1d-m0": ("_exact_preconditioner_1d", TorusGrid(n=1, m=0, N_x=16)),
+    "exact_1d-m1": ("_exact_preconditioner_1d", TorusGrid(n=1, m=1, N_x=16, N_phi=3)),
+    "exact-m0": ("_exact_preconditioner", TorusGrid(n=2, m=0, N_x=8)),
+    "exact-m1": ("_exact_preconditioner", TorusGrid(n=2, m=1, N_x=8, N_phi=3)),
+}
+
+
+@pytest.mark.parametrize("case", list(PRECONDITIONERS))
+def test_preconditioners_leave_their_input_alone(case):
+    # PCG hands each preconditioner its live residual; one written in place
+    # (an in-place LAPACK solve on a view of r) would corrupt the CG recurrence
+    from weakkam import cell
+    maker, grid = PRECONDITIONERS[case]
+    rng = np.random.default_rng(5)
+    C, shift = _spd_coefficients(grid, rng)
+    solve = getattr(cell, maker)(grid, C, shift)
+    for _ in range(2):
+        r = rng.normal(size=grid.shape)
+        r -= r.mean()
+        kept = r.copy()
+        z = solve(r)
+        assert np.array_equal(r, kept)
+        assert z.shape == grid.shape and abs(z.mean()) <= 1e-12 * np.max(np.abs(z))
+
+
+@pytest.mark.parametrize("grid", [
+    TorusGrid(n=1, m=0, N_x=16), TorusGrid(n=1, m=0, N_x=128),
+    TorusGrid(n=1, m=0, N_x=256), TorusGrid(n=1, m=0, N_x=64, diff_mode="fd2"),
+    TorusGrid(n=1, m=1, N_x=16, N_phi=3), TorusGrid(n=1, m=1, N_x=128, N_phi=16),
+    TorusGrid(n=2, m=0, N_x=8), TorusGrid(n=2, m=0, N_x=32),
+    TorusGrid(n=2, m=1, N_x=8, N_phi=3)],
+    ids=["1d-16", "1d-128", "1d-256", "1d-fd2-64", "1d-m1-16", "1d-m1-128",
+         "2d-8", "2d-32", "2d-m1-8"])
+def test_exact_preconditioner_caches_the_constant_solve_exactly(grid):
+    # A^-1 1 is solved once per factor instead of as a second column of every
+    # apply: a one-column triangular solve gives each column the bits of the
+    # two-column one, so every apply, also after a fiber is factored again,
+    # returns what the two-column solve did
+    from weakkam.cell import _exact_preconditioner, _exact_preconditioner_1d
+    rng = np.random.default_rng(grid.N_x + grid.m)
+    C, shift = _spd_coefficients(grid, rng)
+    make = _exact_preconditioner_1d if grid.n == 1 else _exact_preconditioner
+    solve = make(grid, C, shift)
+    for _ in range(2):
+        r = rng.normal(size=grid.shape)
+        r -= r.mean()
+        assert np.array_equal(solve(r), _two_column_exact(grid, C, shift, r))
+
+
+@pytest.mark.parametrize("grid", [
+    TorusGrid(n=1, m=0, N_x=256), TorusGrid(n=1, m=1, N_x=128, N_phi=16),
+    TorusGrid(n=2, m=0, N_x=32), TorusGrid(n=2, m=1, N_x=24, N_phi=6)],
+    ids=["1x1x256", "1x1x128x16", "2x2x32x32", "2x2x24x24x6"])
+def test_operator_apply_matches_einsum_contraction(grid):
+    # apply_A contracts C with the gradient axis by axis; the einsum it
+    # replaced gives the same bits
+    from types import SimpleNamespace
+
+    from weakkam.cell import _newton_system
+    from weakkam.fields import div_values, grad_values
+    n, grid_shape = grid.n, grid.shape
+    rng = np.random.default_rng(grid.N_x)
+    dyy, _ = _spd_coefficients(grid, rng)
+    ev = SimpleNamespace(dy=rng.normal(size=(n,) + grid_shape), dyy=dyy)
+    sigma, k, lam = rng.uniform(0.5, 1.0, size=grid_shape), 4.0, 1e-3
+    apply_A, _ = _newton_system(SimpleNamespace(grid=grid, k=k), ev, sigma, lam,
+                                exact=False, precond=lambda r: r)
+    C = sigma * (ev.dyy + k * np.einsum("i...,j...->ij...", ev.dy, ev.dy))
+    shift = lam * sum(C[a, a] for a in range(n)).max(axis=tuple(range(n)), keepdims=True)
+    for _ in range(2):
+        w = rng.normal(size=grid_shape)
+        flux = np.einsum("ij...,j...->i...", C, grad_values(w, grid))
+        ref = -div_values(flux, grid) + shift * w
+        assert np.array_equal(apply_A(w), ref - ref.mean())
+
+
 def test_pendulum_solves_without_sparse_lu(pendulum, grid256, monkeypatch):
     # the n=1 FD stencil is factored as a cyclic tridiagonal: a pendulum
     # continuation calls no sparse LU, while an fd2 n=2 solve still does

@@ -131,6 +131,34 @@ def test_config_names_bad_field():
         parse_config("tau_steps = 0\n")
 
 
+@pytest.mark.parametrize("line, key, need", [
+    ('model.n = "2"', "model.n", "an integer"),
+    ("k_schedule = 8", "k_schedule", "a list"),
+    ("model.a = true", "model.a", "a number"),
+    ("tau_steps = 4.0", "tau_steps", "an integer"),
+    ("flags.unwrap = 1", "flags.unwrap", "true or false"),
+    ("grid.diff = 2", "grid.diff", "a string"),
+], ids=["str-for-int", "int-for-list", "bool-for-float", "float-for-int", "int-for-bool",
+        "int-for-str"])
+def test_config_rejects_a_value_of_the_wrong_type(tmp_path, capsys, line, key, need):
+    # each value is checked against its default's JSON type before any
+    # comparison, so a wrong type is a configuration error (exit 1), not a
+    # TypeError traceback
+    with pytest.raises(ConfigError, match=f"field '{key}': must be {need}"):
+        parse_config(line + "\n")
+    cfg = tmp_path / "typed.cfg"
+    cfg.write_text(line + "\n")
+    assert run(["cell", "--config", cfg, "--out", tmp_path / "o"]) == 1
+    assert f"field '{key}'" in capsys.readouterr().err
+
+
+def test_config_types_accept_an_int_for_a_float_and_store_it_as_written():
+    cfg = parse_config("model.a = 2\nk_schedule = [8, 16]\nsim.T = 20\n")
+    assert cfg.model_a == 2 and type(cfg.model_a) is int
+    assert cfg.k_schedule == [8, 16] and all(type(k) is int for k in cfg.k_schedule)
+    assert "k_schedule = [8, 16]\n" in serialize_config(cfg)
+
+
 def test_swing_model_descriptor_roundtrip():
     text = """
 model.name = "swing"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from weakkam import verify
+from weakkam import fields, verify
 from weakkam.fields import (
     ScalarField,
     TorusGrid,
@@ -76,6 +76,44 @@ def test_gradient_leaves_fiber_axes_alone():
     x, phi = g.meshes()
     expected = 3 * np.cos(3 * x[0]) * np.cos(2 * phi[0])
     assert np.max(np.abs(gradient_x(f).components[0] - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("shape, axis", [((256,), 0), ((128, 16), 0), ((32, 32), 0),
+                                         ((32, 32), 1), ((24, 24, 6), 0), ((24, 24, 6), 1)])
+def test_cached_spectral_symbol_matches_uncached_formula(shape, axis):
+    # the derivative symbol is built once per (N, axis, ndim); the result keeps
+    # the bits of the symbol built on every call
+    from weakkam.fields import _spectral_diff
+    values = np.random.default_rng(len(shape) + axis).normal(size=shape)
+    N = shape[axis]
+    hat = np.fft.rfft(values, axis=axis)
+    q = np.arange(hat.shape[axis])
+    q[-1] = 0 if N % 2 == 0 else q[-1]
+    mult = 1j * q.reshape([-1 if a == axis else 1 for a in range(values.ndim)])
+    expected = np.fft.irfft(hat * mult, n=N, axis=axis)
+    assert np.array_equal(_spectral_diff(values, axis, N), expected)
+
+
+def test_cached_spectral_symbol_is_read_only():
+    from weakkam.fields import _spectral_symbol
+    symbol = _spectral_symbol(32, 1, 2)
+    assert _spectral_symbol(32, 1, 2) is symbol
+    with pytest.raises(ValueError):
+        symbol[0, 1] = 5.0
+
+
+def test_grad_values_stacks_each_axis():
+    g = TorusGrid(n=2, m=1, N_x=16, N_phi=4)
+    values = np.random.default_rng(2).normal(size=g.shape)
+    stacked = np.stack([fields._diff_x(values, g, a) for a in range(g.n)])
+    assert np.array_equal(fields.grad_values(values, g), stacked)
+
+
+@pytest.mark.parametrize("shape", [(256,), (128, 16), (32, 32), (24, 24, 6)])
+def test_grid_mean_has_the_bits_of_np_mean(shape):
+    values = np.random.default_rng(len(shape)).normal(size=shape)
+    for a in (values, values[::-1], np.exp(values)):
+        assert fields.grid_mean(a) == np.mean(a)
 
 
 def test_divergence_simple(mode):
