@@ -539,8 +539,8 @@ def _exact_preconditioner(grid: TorusGrid, C: np.ndarray, shift: np.ndarray):
     axes the buffer holds the one factor for good, so the solve can be kept
     across Newton steps.  With fiber axes each solve factors every fiber
     again, in turn, so the solve is built anew at every step.  A fiber's
-    A^-1 1, which the mean-zero correction needs, is solved once, right after
-    its first factor: a factor built again is the same factor.
+    A^-1 1, which the mean-zero correction needs, is solved right after each
+    factor, so an apply solves only its residual.
     """
     from scipy.linalg.lapack import dpftrf, dpftrs
 
@@ -551,7 +551,6 @@ def _exact_preconditioner(grid: TorusGrid, C: np.ndarray, shift: np.ndarray):
     upper = np.arange(half)[:, None]
     buf, held = None, None          # the shared RFP buffer and whose factor it holds
     ones = np.empty(grid.shape)     # A^-1 1, fiber by fiber
-    unsolved = set(np.ndindex(grid.shape[2:]))   # fibers whose A^-1 1 is not in ones
 
     def factor(fiber: tuple) -> None:
         nonlocal buf, held
@@ -573,9 +572,7 @@ def _exact_preconditioner(grid: TorusGrid, C: np.ndarray, shift: np.ndarray):
         if info != 0:
             raise np.linalg.LinAlgError(f"Newton operator not positive definite ({info})")
         held = fiber
-        if fiber in unsolved:
-            ones[(Ellipsis,) + fiber] = fiber_solve(np.ones((n, 1)))
-            unsolved.remove(fiber)
+        ones[(Ellipsis,) + fiber] = fiber_solve(np.ones((n, 1)))
 
     def fiber_solve(b: np.ndarray) -> np.ndarray:
         # dpftrs copies b (overwrite_b off): b may be a view of the caller's r

@@ -210,15 +210,15 @@ def grid_mean(values: np.ndarray) -> float:
 
 def integrate(f: ScalarField) -> float:
     """Quadrature-weighted mean: the normalized-measure integral (integrate(1)=1)."""
-    return float(np.mean(f.values))
+    return float(grid_mean(f.values))
 
 
 def inner(a, b) -> float:
     """Grid inner product <a, b> = integrate(a*b); vectors contract components."""
     if isinstance(a, VectorField) and isinstance(b, VectorField):
-        return float(np.mean(np.einsum("i...,i...->...", a.components, b.components)))
+        return float(grid_mean(np.einsum("i...,i...->...", a.components, b.components)))
     if isinstance(a, ScalarField) and isinstance(b, ScalarField):
-        return float(np.mean(a.values * b.values))
+        return float(grid_mean(a.values * b.values))
     raise TypeError("inner expects two ScalarFields or two VectorFields")
 
 

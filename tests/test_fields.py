@@ -102,13 +102,6 @@ def test_cached_spectral_symbol_is_read_only():
         symbol[0, 1] = 5.0
 
 
-def test_grad_values_stacks_each_axis():
-    g = TorusGrid(n=2, m=1, N_x=16, N_phi=4)
-    values = np.random.default_rng(2).normal(size=g.shape)
-    stacked = np.stack([fields._diff_x(values, g, a) for a in range(g.n)])
-    assert np.array_equal(fields.grad_values(values, g), stacked)
-
-
 @pytest.mark.parametrize("shape", [(256,), (128, 16), (32, 32), (24, 24, 6)])
 def test_grid_mean_has_the_bits_of_np_mean(shape):
     values = np.random.default_rng(len(shape)).normal(size=shape)
