@@ -37,7 +37,6 @@ from .hamiltonians import (
 from .measures import (
     GibbsMeasure,
     MeasureStats,
-    closedness_residual,
     effective_lagrangian,
     energy_statistics,
     gibbs_measure,

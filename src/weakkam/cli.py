@@ -90,7 +90,6 @@ def _solve_record(sol, stats=None, sigma_dump=None) -> dict:
             "Q": [float(q) for q in stats.Q],
             "energy_mean": stats.energy_mean,
             "energy_var": stats.energy_var,
-            "closedness": stats.closedness,
             "tail_mass": stats.tail_mass,
             "tail_threshold": stats.tail_threshold,
             "Lbar_Q": stats.Lbar_Q,
@@ -150,7 +149,7 @@ def _run_one_P(cfg: RunConfig, P):
     model = model_from_config(cfg)
     grid = TorusGrid(n=model.n, m=model.m, N_x=cfg.N_x, N_phi=cfg.N_phi,
                      diff_mode=cfg.diff_mode)
-    opts = SolverOptions(gtol=cfg.gtol, rtol=cfg.rtol, max_iter=cfg.max_iter)
+    opts = SolverOptions(gtol=cfg.gtol, max_iter=cfg.max_iter)
     records = []
     try:
         sols = continuation_solve(model, P, cfg.k_schedule, cfg.tau_steps, grid, opts)

@@ -51,7 +51,6 @@ class RunConfig:
     k_schedule: list = _key("k_schedule", [8.0, 16.0, 32.0, 64.0])
     tau_steps: int = _key("tau_steps", 4)
     gtol: float = _key("tol.gtol", 1e-8)
-    rtol: float = _key("tol.rtol", 1e-6)
     max_iter: int = _key("tol.max_iter", 2000)
     # simulator
     sim_T: float = _key("sim.T", 100.0)
@@ -146,13 +145,29 @@ def _type_needed(default, value) -> str | None:
     return None if ok else need
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _elements_needed(name: str, value) -> str | None:
+    """What the list field ``name`` needs if an element of ``value`` is not a
+    number (for ``P``, a number or a list of numbers); ``model_from_config``
+    checks the TrigPoly dicts of ``model.beta``."""
+    if name == "model_beta" or not isinstance(value, list):
+        return None
+    if name == "P":
+        ok = all(_is_number(p) or isinstance(p, list) and all(map(_is_number, p)) for p in value)
+        return None if ok else "a list of numbers or of lists of numbers"
+    return None if all(map(_is_number, value)) else "a list of numbers"
+
+
 def validate_config(cfg: RunConfig, source: str) -> None:
     """Raise a ConfigError, prefixed by ``source``, for the first bad value.
     Types are checked first, against each field's default; no value is
     converted, so an int stays an int wherever it stands."""
     for name, default in _DEFAULTS.items():
         value = getattr(cfg, name)
-        need = _type_needed(default, value)
+        need = _type_needed(default, value) or _elements_needed(name, value)
         if need is not None:
             raise field_error(name, f"must be {need}, not {json.dumps(value)}", source)
     if cfg.model_name not in ("pendulum", "integrable", "swing"):
@@ -168,9 +183,8 @@ def validate_config(cfg: RunConfig, source: str) -> None:
         raise field_error("P", "must be non-empty", source)
     if cfg.tau_steps < 1:
         raise field_error("tau_steps", "must be >= 1", source)
-    for name in ("gtol", "rtol"):
-        if getattr(cfg, name) <= 0:
-            raise field_error(name, "must be positive", source)
+    if cfg.gtol <= 0:
+        raise field_error("gtol", "must be positive", source)
     if cfg.max_iter < 1:
         raise field_error("max_iter", "must be >= 1", source)
     if cfg.diff_mode not in ("spectral", "fd2"):

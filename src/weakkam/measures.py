@@ -5,6 +5,10 @@ density w.r.t. the normalized grid measure.  Lifted averages (rotation
 vector, kinetic tails) never materialize a measure on momentum space: every
 integral reduces to a sigma-weighted grid integral through the velocity field
 beta = D_y H(x, D_x u, phi).
+
+The closedness of the measure, integrate(sigma * D_yH . grad_x w) = 0 for all
+test fields w, is the weak Euler-Lagrange equation of the functional: the
+solver reports its residual as ``CellSolution.el_residual``.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cell import CellSolution, _el_residual
+from .cell import CellSolution
 from .fields import ScalarField
 
 __all__ = [
@@ -22,7 +26,6 @@ __all__ = [
     "EffectiveLagrangian",
     "gibbs_measure",
     "rotation_vector",
-    "closedness_residual",
     "energy_statistics",
     "tail_mass",
     "effective_lagrangian",
@@ -50,7 +53,6 @@ class MeasureStats:
     Q: np.ndarray
     energy_mean: float
     energy_var: float
-    closedness: float
     tail_mass: float
     tail_threshold: float
     Lbar_Q: float | None = None
@@ -87,16 +89,6 @@ def gibbs_measure(solution: CellSolution) -> GibbsMeasure:
 def rotation_vector(measure: GibbsMeasure) -> np.ndarray:
     """Q_i = integrate(sigma * D_yH_i(x, P + D_xv, phi))."""
     return np.array([float(np.mean(measure.sigma.values * dy)) for dy in measure.dy])
-
-
-def closedness_residual(measure: GibbsMeasure) -> float:
-    """Max over trig test fields w of |integrate(sigma * D_yH . grad_x w)|,
-    ``cell.TEST_MODES`` modes per spatial axis.
-
-    At a converged solution this equals the solver's weak stationarity
-    residual by construction.
-    """
-    return _el_residual(measure.sigma.grid, measure.sigma.values, measure.dy)
 
 
 def energy_statistics(measure: GibbsMeasure) -> tuple[float, float]:
@@ -152,13 +144,12 @@ def measure_stats(measure: GibbsMeasure, speed_threshold: float,
     """Assemble the full diagnostics row for one converged solve."""
     Q = rotation_vector(measure)
     mean, var = energy_statistics(measure)
-    closed = closedness_residual(measure)
     tail = tail_mass(measure, speed_threshold)
     lbar = gap = None
     if hbar_table is not None:
         eff = effective_lagrangian(hbar_table, Q)
         lbar = eff.value
         gap = lbar + measure.Hbar_k - float(np.dot(measure.P, Q))
-    return MeasureStats(Q=Q, energy_mean=mean, energy_var=var, closedness=closed,
-                        tail_mass=tail, tail_threshold=float(speed_threshold),
-                        Lbar_Q=lbar, duality_gap=gap)
+    return MeasureStats(Q=Q, energy_mean=mean, energy_var=var, tail_mass=tail,
+                        tail_threshold=float(speed_threshold), Lbar_Q=lbar,
+                        duality_gap=gap)

