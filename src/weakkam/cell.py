@@ -8,7 +8,7 @@ with (1/k) log of the exponential functional keeps every quantity bounded:
 no k cap is needed.
 
 The optimizer is damped Newton.  Its linear systems use the symmetric
-elliptic operator w -> -div_x(sigma (D2_yy + k D_yH D_yH^T) D_x w), solved by
+elliptic operator w -> -div_x(sigma (I + k D_yH D_yH^T) D_x w), solved by
 preconditioned conjugate gradients.  Each solve starts on the preconditioner
 that ``_exact_step`` picks from the grid.  Where the grid has fiber axes and
 one spatial axis (spectral or fd2), or two spatial axes and the spectral
@@ -642,14 +642,18 @@ def _newton_system(problem, ev, sigma, lam, exact, precond=None):
     exact (Cholesky) solve if ``exact``, else a new FD factor.
 
     The operator is w -> -div_x(C D_x w) + shift * w with the pointwise
-    tensor C = sigma (D2_yy H + k D_yH D_yH^T), projected off constants.  The
-    Levenberg shift is lam times each fiber's largest sum_a C_aa: the scale of
-    the operator on its lowest modes, not its grid-scale ceiling, which is
-    1/dx^2 times larger.
+    tensor C = sigma (I + k D_yH D_yH^T), projected off constants; the
+    identity is the y-Hessian of every swing model.  The Levenberg shift is
+    lam times each fiber's largest sum_a C_aa: the scale of the operator on
+    its lowest modes, not its grid-scale ceiling, which is 1/dx^2 times
+    larger.
     """
     grid, k = problem.grid, problem.k
     dy = ev.dy
-    C = sigma * (ev.dyy + k * np.einsum("i...,j...->ij...", dy, dy))
+    C = k * np.einsum("i...,j...->ij...", dy, dy)
+    for a in range(grid.n):
+        C[a, a] += 1.0
+    C *= sigma
     curvature = sum(C[a, a] for a in range(grid.n))
     shift = lam * np.broadcast_to(
         curvature.max(axis=tuple(range(grid.n)), keepdims=True), grid.shape)
@@ -868,12 +872,11 @@ def continuation_solve(model: SwingModel, P, k_schedule, tau_steps: int,
         walk = [walk[-1], (tau, s, sol.v.values)]
         state = sol.newton_state
 
-    hbars = [s.Hbar_k for s in results]
-    for a, b in zip(hbars, hbars[1:]):
-        if b < a - 1e-8:
+    for a, b in zip(results, results[1:]):
+        if b.Hbar_k < a.Hbar_k - 1e-8:
             raise ContinuationError(
-                f"Hbar_k not monotone along the schedule: {a!r} -> {b!r}",
-                results, 1.0, results[-1].k)
+                f"stage (tau=1, k={b.k:g}): Hbar_k not monotone along the schedule: "
+                f"{a.Hbar_k!r} -> {b.Hbar_k!r}", results, 1.0, b.k)
     return results
 
 

@@ -92,8 +92,6 @@ def _solve_record(sol, stats=None, sigma_dump=None) -> dict:
             "energy_var": stats.energy_var,
             "tail_mass": stats.tail_mass,
             "tail_threshold": stats.tail_threshold,
-            "Lbar_Q": stats.Lbar_Q,
-            "duality_gap": stats.duality_gap,
         }
     if sigma_dump is not None:
         rec["sigma"] = sigma_dump
@@ -156,7 +154,7 @@ def _run_one_P(cfg: RunConfig, P):
     except ContinuationError as exc:
         for sol in exc.partial:
             records.append(_solve_record(sol))
-        return records, f"stage (tau={exc.tau:g}, k={exc.k:g}): {exc}"
+        return records, str(exc)
     for sol in sols:
         measure = gibbs_measure(sol)
         stats = measure_stats(measure, speed_threshold=default_speed_threshold(measure))
@@ -435,9 +433,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
-    except ContinuationError as exc:
-        print(f"solver did not converge: {exc}", file=sys.stderr)
-        return 2
     except NonFiniteStateError as exc:
         print(f"simulation blew up: {exc}", file=sys.stderr)
         return 2

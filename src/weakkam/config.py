@@ -224,6 +224,10 @@ def validate_config(cfg: RunConfig, source: str) -> None:
                           source)
     if cfg.jobs < 0:
         raise field_error("jobs", "must be >= 0 (0 = one worker per core)", source)
+    try:
+        p_vectors(cfg)          # builds the model, which model.n, model.m and P must fit
+    except ConfigError as exc:
+        raise ConfigError(f"{source}: {exc}") from None
 
 
 def model_from_config(cfg: RunConfig) -> SwingModel:
@@ -255,6 +259,6 @@ def p_vectors(cfg: RunConfig) -> list[np.ndarray]:
     for p in cfg.P:
         vec = np.atleast_1d(np.asarray(p, dtype=float))
         if vec.shape != (n,):
-            raise field_error("P", f"entry {p!r} is not an {n}-vector")
+            raise field_error("P", f"entry {p!r} is not a vector of length {n}")
         out.append(vec)
     return out

@@ -70,11 +70,6 @@ class TorusGrid:
     def dx(self) -> float:
         return PERIOD / self.N_x
 
-    @property
-    def volume(self) -> float:
-        """Raw volume (2*pi)^(n+m); raw quadrature weights sum to this."""
-        return PERIOD ** (self.n + self.m)
-
     def x_axis(self) -> np.ndarray:
         return np.arange(self.N_x) * self.dx
 

@@ -6,9 +6,9 @@ pendulum and the free rotor as swing models,
 ``SwingModel.scaled`` the tau-deformation toward the free rotor and
 ``SwingModel.at_phase`` the autonomous model of one frozen-drive fiber.
 Every model evaluates ``H(x, y, phi)`` together with its first derivatives in
-``x`` and ``y`` and the second derivative in ``y``.  The kinetic term is
-``|y|^2 / 2``, so the y-Hessian is the identity, the uniform-convexity
-constant is 1 and the Legendre transform (``lagrangian``) is closed-form.
+``x`` and ``y``.  The kinetic term is ``|y|^2 / 2``, so ``D_yH = y``, the
+y-Hessian is the identity, the uniform-convexity constant is 1 and the
+Legendre transform (``lagrangian``) is closed-form.
 """
 
 from __future__ import annotations
@@ -85,15 +85,7 @@ class TrigPoly:
 class HamEval(NamedTuple):
     h: np.ndarray      # (...,)
     dx: np.ndarray     # (n, ...)
-    dy: np.ndarray     # (n, ...)
-    dyy: np.ndarray    # (n, n, ...)
-
-
-@functools.lru_cache(maxsize=64)
-def _identity_dyy(n: int, batch_shape: tuple) -> np.ndarray:
-    """Read-only (n, n, *batch_shape) identity, shared between calls."""
-    eye = np.eye(n).reshape((n, n) + (1,) * len(batch_shape))
-    return np.broadcast_to(eye, (n, n) + batch_shape)
+    dy: np.ndarray     # (n, ...): the velocity D_yH = y
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,7 +153,7 @@ class SwingModel:
         start = tuple(float(a) for a in (-alpha if tilted else np.zeros(n)))
         for name, value in {
             "alpha": alpha, "beta": beta, "lam": lam, "omega": omega,
-            "n": n, "m": omega.size, "gamma": 1.0, "tilted": tilted,
+            "n": n, "m": omega.size, "tilted": tilted,
             "descriptor": {"name": "swing", "n": n, "m": omega.size,
                            "alpha": alpha.tolist(), "lam": lam.tolist(),
                            "omega": omega.tolist(),
@@ -318,7 +310,7 @@ class SwingModel:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         h, dx = self.potential_force(x, self.drive(phi), self._kinetic(y))
-        return HamEval(h, dx, y.copy(), _identity_dyy(self.n, x.shape[1:]))
+        return HamEval(h, dx, y.copy())
 
 
 class _RowKit(NamedTuple):

@@ -55,8 +55,6 @@ class MeasureStats:
     energy_var: float
     tail_mass: float
     tail_threshold: float
-    Lbar_Q: float | None = None
-    duality_gap: float | None = None
 
     def __post_init__(self):
         if self.energy_var < 0:
@@ -68,7 +66,6 @@ class MeasureStats:
 @dataclass(frozen=True)
 class EffectiveLagrangian:
     value: float
-    P_argmax: np.ndarray
     at_boundary: bool           # supremum attained at the table edge: unreliable
 
 
@@ -127,7 +124,7 @@ def effective_lagrangian(hbar_table, Q) -> EffectiveLagrangian:
     lo = np.min([p for p, _ in rows], axis=0)
     hi = np.max([p for p, _ in rows], axis=0)
     at_boundary = bool(np.any(np.isclose(P_star, lo)) or np.any(np.isclose(P_star, hi)))
-    return EffectiveLagrangian(values[best], P_star, at_boundary)
+    return EffectiveLagrangian(values[best], at_boundary)
 
 
 def default_speed_threshold(measure: GibbsMeasure) -> float:
@@ -139,17 +136,10 @@ def default_speed_threshold(measure: GibbsMeasure) -> float:
     return 1.0 + float(np.sqrt(max(2.0 * (measure.Hbar_k - v_min), 0.0)))
 
 
-def measure_stats(measure: GibbsMeasure, speed_threshold: float,
-                  hbar_table=None) -> MeasureStats:
+def measure_stats(measure: GibbsMeasure, speed_threshold: float) -> MeasureStats:
     """Assemble the full diagnostics row for one converged solve."""
     Q = rotation_vector(measure)
     mean, var = energy_statistics(measure)
     tail = tail_mass(measure, speed_threshold)
-    lbar = gap = None
-    if hbar_table is not None:
-        eff = effective_lagrangian(hbar_table, Q)
-        lbar = eff.value
-        gap = lbar + measure.Hbar_k - float(np.dot(measure.P, Q))
     return MeasureStats(Q=Q, energy_mean=mean, energy_var=var, tail_mass=tail,
-                        tail_threshold=float(speed_threshold), Lbar_Q=lbar,
-                        duality_gap=gap)
+                        tail_threshold=float(speed_threshold))

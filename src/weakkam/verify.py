@@ -38,7 +38,7 @@ GRADIENT_MEAN_TOL = 1e-13
 LOG_MEAN_EXP_TOL = 1e-12        # decrease in k, and mean above the value (Jensen)
 # hamiltonians
 DERIVATIVE_RTOL = 1e-6          # against central differences, relative to max(1, max|H|)
-CONVEXITY_TOL = 1e-10           # midpoint inequality with margin gamma |y1 - y2|^2 / 8
+CONVEXITY_TOL = 1e-10           # midpoint inequality with margin |y1 - y2|^2 / 8
 FENCHEL_TOL = 1e-8              # beta.y <= L(beta) + H(y)
 FENCHEL_EQUALITY_TOL = 1e-10    # equality at beta = D_yH(y)
 PERIODICITY_TOL = 1e-13
@@ -268,13 +268,14 @@ def log_mean_exp_defects(grid: fields.TorusGrid, rng, ks, samples: int):
 # hamiltonians ---------------------------------------------------------------
 
 def derivative_defect(model, rng, points: int = 100, step: float = 1e-5) -> float:
-    """Largest gap between dx, dy, dyy and central differences of h and dy,
-    relative to max(1, max|h|), at random points."""
+    """Largest gap between dx, dy and the identity y-Hessian and central
+    differences of h and dy, relative to max(1, max|h|), at random points."""
     x = rng.uniform(0, fields.PERIOD, (model.n, points))
     y = rng.normal(0, 1.5, (model.n, points))
     phi = rng.uniform(0, fields.PERIOD, (model.m, points))
     ev = model.evaluate(x, y, phi)
     scale = max(1.0, float(np.max(np.abs(ev.h))))
+    eye = np.eye(model.n)[:, :, None]
     worst = 0.0
     for i in range(model.n):
         dx = np.zeros_like(x)
@@ -285,13 +286,14 @@ def derivative_defect(model, rng, points: int = 100, step: float = 1e-5) -> floa
         dy[i] = step
         up, down = model.evaluate(x, y + dy, phi), model.evaluate(x, y - dy, phi)
         worst = max(worst, float(np.max(np.abs((up.h - down.h) / (2 * step) - ev.dy[i]))),
-                    float(np.max(np.abs((up.dy - down.dy) / (2 * step) - ev.dyy[:, i]))))
+                    float(np.max(np.abs((up.dy - down.dy) / (2 * step) - eye[:, i]))))
     return worst / scale
 
 
 def convexity_violation(model, rng, draws: int) -> float:
     """Largest excess of H at a midpoint in y over the chord minus the uniform
-    convexity margin gamma |y1 - y2|^2 / 8, over random draws."""
+    convexity margin |y1 - y2|^2 / 8 (the y-Hessian is the identity), over
+    random draws."""
     worst = -np.inf
     for _ in range(draws):
         x = rng.uniform(0, fields.PERIOD, (model.n, 1))
@@ -301,7 +303,7 @@ def convexity_violation(model, rng, draws: int) -> float:
         hmid = model.evaluate(x, 0.5 * (y1 + y2), phi).h[0]
         h1 = model.evaluate(x, y1, phi).h[0]
         h2 = model.evaluate(x, y2, phi).h[0]
-        margin = model.gamma / 8.0 * float(np.sum((y1 - y2) ** 2))
+        margin = float(np.sum((y1 - y2) ** 2)) / 8.0
         worst = max(worst, hmid - (0.5 * h1 + 0.5 * h2 - margin))
     return worst
 

@@ -5,7 +5,7 @@ import pytest
 
 from weakkam.cell import CellProblem, SolverOptions, continuation_solve, solve_cell
 from weakkam.fields import TorusGrid
-from weakkam.hamiltonians import SwingParams, TrigPoly, make_pendulum, make_swing
+from weakkam.hamiltonians import SwingModel, TrigPoly, make_pendulum
 from weakkam.oracle1d import potential_from_model
 
 K_SCHEDULE = [8.0, 16.0, 32.0, 64.0]
@@ -61,7 +61,6 @@ def hbar64_table(pendulum, grid256, pendulum_sweep):
 @pytest.fixture(scope="session")
 def quasi_swing():
     """Swing model n=1, m=1 with beta11(phi) = 1 + cos(phi)/2, lam = 1/2."""
-    params = SwingParams(alpha=[0.0],
-                         beta=((TrigPoly(1.0, (((1,), 0.5, 0.0),)),),),
-                         lam=[0.5], omega=[1.0])
-    return make_swing(params)
+    return SwingModel(alpha=[0.0],
+                      beta=((TrigPoly(1.0, (((1,), 0.5, 0.0),)),),),
+                      lam=[0.5], omega=[1.0])

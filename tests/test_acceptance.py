@@ -22,11 +22,10 @@ from weakkam.cell import (
 )
 from weakkam.fields import TorusGrid
 from weakkam.hamiltonians import (
-    SwingParams,
+    SwingModel,
     TrigPoly,
     make_integrable,
     make_pendulum,
-    make_swing,
 )
 from weakkam.measures import effective_lagrangian, gibbs_measure, rotation_vector
 from weakkam.oracle1d import effective_hamiltonian_1d, oracle_table
@@ -79,9 +78,9 @@ def test_criterion_4_weak_euler_lagrange(pendulum_sweep):
 
 def test_criterion_5_gradient_correctness():
     rng = np.random.default_rng(123)
-    swing = make_swing(SwingParams(
+    swing = SwingModel(
         alpha=[0.0], beta=((TrigPoly(0.8, (((1,), 0.3, 0.1),)),),),
-        lam=[0.5], omega=[np.sqrt(2.0)]))
+        lam=[0.5], omega=[np.sqrt(2.0)])
     worst = max(verify.objective_gradient_defect(
         CellProblem(model, P, 6.0, TorusGrid(n=model.n, m=model.m, N_x=32, N_phi=4)),
         rng, amplitude=0.4)
@@ -124,12 +123,12 @@ def test_criterion_8_rotation_consistency(pendulum_sweep, hbar64_table, pendulum
     assert rel_q <= 0.05
 
     # rotating orbit at the oracle energy level for P = 2.5
-    params = SwingParams(alpha=[0.0], beta=((TrigPoly(1.0),),), lam=[0.5])
+    model = SwingModel(alpha=[0.0], beta=((TrigPoly(1.0),),), lam=[0.5])
     otable = oracle_table(pendulum_pot, np.round(np.arange(2.3, 2.7001, 0.05), 10))
     i = 4   # P = 2.5
     predicted = (otable[i + 1, 1] - otable[i - 1, 1]) / 0.1
     E = otable[i, 1]
-    traj = integrate_swing(params, [0.0], [np.sqrt(2.0 * E)], 200.0, 1e-3,
+    traj = integrate_swing(model, [0.0], [np.sqrt(2.0 * E)], 200.0, 1e-3,
                            record_every=10)
     measured = rotation_number(traj, 0.1)[0]
     rel_sim = abs(measured - predicted) / abs(predicted)
@@ -139,12 +138,12 @@ def test_criterion_8_rotation_consistency(pendulum_sweep, hbar64_table, pendulum
 
 
 def test_criterion_9_simulator_integrity():
-    params = SwingParams(alpha=[0.0], beta=((TrigPoly(1.0),),), lam=[0.5])
-    drift, r1, r2 = verify.drift_and_order(params)
+    model = SwingModel(alpha=[0.0], beta=((TrigPoly(1.0),),), lam=[0.5])
+    drift, r1, r2 = verify.drift_and_order(model)
     assert drift <= verify.DRIFT_TOL
     assert min(r1, r2) >= verify.HALVING_RATIO
-    ferr = verify.free_motion_error(SwingParams(alpha=[0.0], beta=((TrigPoly(0.0),),),
-                                                lam=[0.5]))
+    ferr = verify.free_motion_error(SwingModel(alpha=[0.0], beta=((TrigPoly(0.0),),),
+                                               lam=[0.5]))
     assert ferr <= verify.FREE_MOTION_TOL
     print(f"\n[PASS] criterion 9 (simulator integrity): drift {drift:.2e}, "
           f"free-motion error {ferr:.1e}, halving ratios {r1:.2f}/{r2:.2f}")

@@ -21,11 +21,10 @@ from weakkam.fields import (
     random_band_limited,
 )
 from weakkam.hamiltonians import (
-    SwingParams,
+    SwingModel,
     TrigPoly,
     make_integrable,
     make_pendulum,
-    make_swing,
 )
 from weakkam.oracle1d import effective_hamiltonian_1d
 
@@ -298,21 +297,41 @@ def test_continuation_error_carries_partial(pendulum, grid256):
         assert all(s.tau == 1.0 and s.converged for s in err.value.partial)
 
 
+def test_continuation_error_names_where_hbar_fell(pendulum, monkeypatch):
+    # a k stage whose Hbar_k falls below the one before it: the error names
+    # that stage, once, and carries every solution of the schedule
+    from dataclasses import replace
+
+    import weakkam.cell
+    solve = weakkam.cell.solve_cell
+
+    def dip_at_16(problem, *args):
+        sol = solve(problem, *args)
+        return replace(sol, Hbar_k=sol.Hbar_k - 1.0) if problem.k == 16.0 else sol
+
+    monkeypatch.setattr(weakkam.cell, "solve_cell", dip_at_16)
+    with pytest.raises(ContinuationError) as err:
+        continuation_solve(pendulum, [0.5], [8.0, 16.0, 32.0], 1, TorusGrid(n=1, m=0, N_x=64))
+    assert (err.value.tau, err.value.k, len(err.value.partial)) == (1.0, 16.0, 3)
+    assert str(err.value).startswith("stage (tau=1, k=16): Hbar_k not monotone")
+    assert str(err.value).count("stage") == 1
+
+
 def test_tilted_model_rejected():
-    p = SwingParams(alpha=[0.3], beta=((TrigPoly(1.0),),), lam=[0.5])
+    p = SwingModel(alpha=[0.3], beta=((TrigPoly(1.0),),), lam=[0.5])
     grid = TorusGrid(n=1, m=0, N_x=32)
     with pytest.raises(ValueError, match="tilted model: simulator-only"):
-        CellProblem(make_swing(p), [0.0], 4.0, grid)
+        CellProblem(p, [0.0], 4.0, grid)
 
 
 def test_nonperiodic_model_rejected():
-    p = SwingParams(alpha=[0.0, 0.0],
-                    beta=((TrigPoly(0.0), TrigPoly(1.0)),
-                          (TrigPoly(0.0), TrigPoly(0.0))),
-                    lam=[0.5, 0.5])
+    p = SwingModel(alpha=[0.0, 0.0],
+                   beta=((TrigPoly(0.0), TrigPoly(1.0)),
+                         (TrigPoly(0.0), TrigPoly(0.0))),
+                   lam=[0.5, 0.5])
     grid = TorusGrid(n=2, m=0, N_x=16)
     with pytest.raises(ValueError, match="periodic"):
-        CellProblem(make_swing(p), [0.0, 0.0], 4.0, grid)
+        CellProblem(p, [0.0, 0.0], 4.0, grid)
 
 
 def test_problem_validation():
@@ -353,16 +372,16 @@ def _ladder_model(beta_phi=None):
     optionally with beta11 driven by the fiber angles."""
     b11 = TrigPoly(0.4, beta_phi or ())
     m = len(beta_phi[0][0]) if beta_phi else 0
-    return make_swing(SwingParams(
+    return SwingModel(
         alpha=[0.0, 0.0], beta=((b11, TrigPoly(0.3)), (TrigPoly(0.0), TrigPoly(0.4))),
-        lam=[1.0, 1.0], omega=[1.0, np.sqrt(2.0)][:m]))
+        lam=[1.0, 1.0], omega=[1.0, np.sqrt(2.0)][:m])
 
 
 def _qp_model():
     """The quasi-periodic rotor of configs/swing_quasiperiodic.cfg."""
-    return make_swing(SwingParams(alpha=[0.0],
-                                  beta=((TrigPoly(1.0, (((1,), 0.5, 0.0),)),),),
-                                  lam=[0.5], omega=[np.sqrt(2.0)]))
+    return SwingModel(alpha=[0.0],
+                      beta=((TrigPoly(1.0, (((1,), 0.5, 0.0),)),),),
+                      lam=[0.5], omega=[np.sqrt(2.0)])
 
 
 @pytest.mark.parametrize("n,m,mode", [(2, 0, "spectral"), (2, 1, "spectral"),
@@ -397,7 +416,7 @@ def test_exact_step_inverts_operator(n, m, mode):
 
 
 def _corner_peaked_coefficient(grid, k, rng):
-    """The n=1 Newton coefficient C = sigma (H_yy + k H_y^2) of the pendulum at
+    """The n=1 Newton coefficient C = sigma (1 + k H_y^2) of the pendulum at
     P = 0.7 and a band-limited v, rolled by N_x/2 so that the Gibbs peak
     (x = pi) sits on the corner link N_x-1 -- 0, which the n=1 FD factor cuts
     and puts back as a rank-one correction.  At k=64 C spans > 50 orders."""
@@ -405,7 +424,7 @@ def _corner_peaked_coefficient(grid, k, rng):
     problem = CellProblem(make_pendulum(1.0), [0.7], k, grid)
     v = random_band_limited(grid, rng, max_mode=2, amplitude=0.2).values
     _, _, ev, sigma = _evaluate(problem, v)
-    C = sigma * (ev.dyy + k * ev.dy[:, None] * ev.dy[None])
+    C = sigma * (1.0 + k * ev.dy[:, None] * ev.dy[None])
     return np.roll(C, grid.N_x // 2, axis=-1)
 
 
@@ -587,12 +606,12 @@ def test_operator_apply_matches_einsum_contraction(grid):
     from weakkam.fields import div_values, grad_values
     n, grid_shape = grid.n, grid.shape
     rng = np.random.default_rng(grid.N_x)
-    dyy, _ = _spd_coefficients(grid, rng)
-    ev = SimpleNamespace(dy=rng.normal(size=(n,) + grid_shape), dyy=dyy)
+    ev = SimpleNamespace(dy=rng.normal(size=(n,) + grid_shape))
     sigma, k, lam = rng.uniform(0.5, 1.0, size=grid_shape), 4.0, 1e-3
     apply_A, _ = _newton_system(SimpleNamespace(grid=grid, k=k), ev, sigma, lam,
                                 exact=False, precond=lambda r: r)
-    C = sigma * (ev.dyy + k * np.einsum("i...,j...->ij...", ev.dy, ev.dy))
+    eye = np.eye(n).reshape((n, n) + (1,) * len(grid_shape))
+    C = sigma * (eye + k * np.einsum("i...,j...->ij...", ev.dy, ev.dy))
     shift = lam * sum(C[a, a] for a in range(n)).max(axis=tuple(range(n)), keepdims=True)
     for _ in range(2):
         w = rng.normal(size=grid_shape)
@@ -798,9 +817,7 @@ def test_fiber_value_identity(quasi_swing):
 
 
 def test_fiber_constant_when_no_phi_dependence():
-    params = SwingParams(alpha=[0.0], beta=((TrigPoly(1.0),),), lam=[0.5],
-                         omega=[1.0])
-    model = make_swing(params)
+    model = SwingModel(alpha=[0.0], beta=((TrigPoly(1.0),),), lam=[0.5], omega=[1.0])
     grid = TorusGrid(n=1, m=1, N_x=64, N_phi=8)
     sol = fiber_decomposed_solve(CellProblem(model, [0.4], 8.0, grid))
     assert np.max(sol.fiber_values) - np.min(sol.fiber_values) <= 1e-10
@@ -812,8 +829,8 @@ def test_fiber_two_drive_angles(monkeypatch):
     # fibers is solved once (the first after its k ladder), and the
     # assembled gradient meets gtol
     beta = TrigPoly(1.0, (((1, 0), 0.3, 0.0), ((0, 1), 0.0, 0.2), ((1, 1), 0.1, 0.0)))
-    model = make_swing(SwingParams(alpha=[0.0], beta=((beta,),), lam=[0.5],
-                                   omega=[1.0, np.sqrt(2.0)]))
+    model = SwingModel(alpha=[0.0], beta=((beta,),), lam=[0.5],
+                       omega=[1.0, np.sqrt(2.0)])
     grid = TorusGrid(n=1, m=2, N_x=64, N_phi=8)
     joint = continuation_solve(model, [0.5], [8.0], 4, grid)[-1]
     solves = _record_solves(monkeypatch)
@@ -830,10 +847,10 @@ def test_fiber_two_rotors_one_drive(monkeypatch):
     # factor every fiber again at each PCG iteration: at most one factor per
     # fiber per step
     b00 = TrigPoly(0.6, (((1,), 0.2, 0.0),))
-    model = make_swing(SwingParams(
+    model = SwingModel(
         alpha=[0.0, 0.0],
         beta=((b00, TrigPoly(0.3)), (TrigPoly(0.0), TrigPoly(0.4))),
-        lam=[1.0, 1.0], omega=[1.0]))
+        lam=[1.0, 1.0], omega=[1.0])
     grid = TorusGrid(n=2, m=1, N_x=24, N_phi=6)
     factored = _count_rfp_factors(monkeypatch)
     solves = _record_solves(monkeypatch)

@@ -286,6 +286,46 @@ def test_nonconvergence_exit_code(tmp_path):
     assert manifest["error"]
 
 
+def test_cell_keeps_the_stages_before_a_failed_one(tmp_path, monkeypatch):
+    # a stage that fails after a converged one: the converged stage is
+    # recorded without a measure block and tabulated, and the error names
+    # the failed stage once
+    from weakkam import cli
+    from weakkam.cell import ContinuationError, continuation_solve
+
+    def fail_at_second_k(model, P, k_schedule, tau_steps, grid, opts):
+        done = continuation_solve(model, P, k_schedule[:1], tau_steps, grid, opts)
+        raise ContinuationError(f"stage (tau=1, k={k_schedule[1]:g}) did not converge (stub)",
+                                done, 1.0, k_schedule[1])
+
+    monkeypatch.setattr(cli, "continuation_solve", fail_at_second_k)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CELL_CFG)
+    out = tmp_path / "out"
+    assert run(["cell", "--config", cfg, "--out", out]) == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    [record] = manifest["solves"]
+    assert record["k"] == 8.0 and record["converged"] and "measure" not in record
+    with open(out / "hbar_table.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [["P", "k", "hbar"], ["0.9", "8.0", repr(record["Hbar_k"])]]
+    assert manifest["error"] == "stage (tau=1, k=16) did not converge (stub)"
+
+
+def test_sweep_reports_every_failed_P_once(tmp_path):
+    # six Newton steps do not reach gtol at the first stage of any P
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("grid.N_x = 64\ntol.max_iter = 6\nP = [0.5, 1.2, 2.0]\n")
+    out = tmp_path / "out"
+    assert run(["sweep", "--config", cfg, "--out", out, "--jobs", 1]) == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert [f["P"] for f in manifest["failures"]] == [[0.5], [1.2], [2.0]]
+    for failure in manifest["failures"]:
+        assert failure["error"].startswith("stage (tau=0.25, k=8) did not converge (max_iter")
+        assert failure["error"].count("stage") == 1
+    assert manifest["solves"] == [] and manifest["sweep_convexity"] is None
+
+
 def test_manifest_determinism(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(CELL_CFG)
@@ -352,14 +392,20 @@ def test_oracle_rejects_an_empty_table(tmp_path, capsys):
      'model.beta = [[{"const": 1.0, "modes": [[[1], 0.5, 0.0]]}]]', "model.m"),
     ('model.name = "pendulum"\nmodel.n = 3', "model.n"),
     ('model.name = "pendulum"\nmodel.m = 1', "model.m"),
-], ids=["swing_n", "swing_m", "pendulum_n", "pendulum_m"])
+    ('model.name = "swing"\nmodel.n = 2\nmodel.beta = [[{"const": 1.0}]]', "model.n"),
+    ("P = [[]]", "P"),
+    ("P = [[0.1, 0.2]]", "P"),
+], ids=["swing_n", "swing_m", "pendulum_n", "pendulum_m", "swing_n_beta_1x1", "P_empty",
+        "P_too_long"])
 def test_model_dimensions_must_match_the_model(tmp_path, capsys, text, name):
-    with pytest.raises(ConfigError, match=f"field '{name}'"):
-        model_from_config(parse_config(text))
+    # loading a config builds its model and checks each P against it, so the
+    # error names the config like every other validation error
+    with pytest.raises(ConfigError, match=f"^<config>: field '{name}'"):
+        parse_config(text)
     cfg = tmp_path / "m.cfg"
     cfg.write_text(text + "\n")
     assert run(["cell", "--config", cfg, "--out", tmp_path / "o"]) == 1
-    assert f"field '{name}'" in capsys.readouterr().err
+    assert f"configuration error: {cfg}: field '{name}'" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -617,6 +663,27 @@ def test_verify_solves_once(monkeypatch):
                         lambda *args, **kwargs: calls.append(args) or solve(*args, **kwargs))
     assert all(r.passed for r in run_checks())
     assert len(calls) == 1
+
+
+def test_verify_fails_the_checks_of_a_solve_that_raised(tmp_path, monkeypatch):
+    # the checks that read the pendulum continuation fail with its error;
+    # every other check still runs and passes
+    from weakkam import verify
+
+    def refuse(cfg):
+        raise RuntimeError("stub solve")
+
+    monkeypatch.setattr(verify, "_pendulum_continuation", refuse)
+    assert run(["verify", "--out", tmp_path / "v"]) == 3
+    manifest = json.loads((tmp_path / "v/manifest.json").read_text())
+    failed = {c["name"]: c["detail"] for c in manifest["checks"] if not c["passed"]}
+    assert sorted(failed) == sorted([
+        "solver.descent-and-mean-zero", "solver.effective-energy-monotone-in-k",
+        "solver.inf-max-upper-bound", "solver.weak-residual-below-gradient",
+        "measure.normalization-and-density-identity", "measure.closedness",
+        "measure.energy-bounds-envelope", "measure.energy-concentration-in-k"])
+    assert set(failed.values()) == {"raised RuntimeError: stub solve"}
+    assert len(manifest["checks"]) - len(failed) == 14
 
 
 def test_verify_empty_config_passes(tmp_path):

@@ -37,14 +37,6 @@ def test_grid_validation():
         TorusGrid(n=0)
     g = TorusGrid(n=2, m=1, N_x=8, N_phi=4)
     assert g.shape == (8, 8, 4)
-    assert g.volume == pytest.approx((2 * np.pi) ** 3)
-
-
-def test_raw_weights_sum_to_volume():
-    g = TorusGrid(n=1, m=1, N_x=16, N_phi=4)
-    raw = np.full(g.shape, g.volume / g.size)
-    assert raw.sum() == pytest.approx(g.volume, rel=1e-14)
-    assert integrate(ScalarField.constant(g, 1.0)) == 1.0
 
 
 def test_nonfinite_rejected():

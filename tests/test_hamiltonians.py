@@ -8,12 +8,10 @@ from weakkam import hamiltonians, verify
 from weakkam.fields import PERIOD
 from weakkam.hamiltonians import (
     SwingModel,
-    SwingParams,
     TrigPoly,
     lagrangian,
     make_integrable,
     make_pendulum,
-    make_swing,
 )
 
 RNG = np.random.default_rng(42)
@@ -26,16 +24,16 @@ def sample_points(model, count=100):
     return x, y, phi
 
 
-def quasi_swing_params():
-    return SwingParams(alpha=[0.0],
-                       beta=((TrigPoly(0.8, (((1,), 0.3, 0.1),)),),),
-                       lam=[0.5], omega=[np.sqrt(2.0)])
+def quasi_swing_model():
+    return SwingModel(alpha=[0.0],
+                      beta=((TrigPoly(0.8, (((1,), 0.3, 0.1),)),),),
+                      lam=[0.5], omega=[np.sqrt(2.0)])
 
 
 ALL_MODELS = [
     make_integrable(2),
     make_pendulum(1.0),
-    make_swing(quasi_swing_params()),
+    quasi_swing_model(),
 ]
 # every model is a SwingModel, so the descriptor name no longer tells them apart
 MODEL_IDS = ["integrable", "pendulum", "swing"]
@@ -46,7 +44,7 @@ def test_integrable_values():
     ev = m.evaluate(np.array([[0.3]]), np.array([[2.0]]), np.zeros((0, 1)))
     assert ev.h[0] == 2.0
     assert np.all(ev.dx == 0.0)
-    assert np.all(ev.dyy[..., 0] == np.eye(1))
+    assert np.all(ev.dy == 2.0)
     x, y, phi = sample_points(m)
     assert np.all(m.evaluate(x, y, phi).dx == 0.0)
 
@@ -57,7 +55,6 @@ def test_integrable_values():
     assert np.max(np.abs(ev.h - 0.5 * (y[0] ** 2 + y[1] ** 2))) <= 1e-14
     assert np.all(ev.dx == 0.0)
     assert np.array_equal(ev.dy, y)
-    assert np.all(ev.dyy == np.eye(2)[..., None])
 
 
 def test_integrable_rejects_bad_n():
@@ -98,8 +95,8 @@ def test_swing_formula_at_pi():
 def test_swing_zero_beta_is_integrable():
     n = 2
     zero = TrigPoly(0.0)
-    sw = make_swing(SwingParams(alpha=[0.0, 0.0],
-                                beta=((zero, zero), (zero, zero)), lam=[1.0, 1.0]))
+    sw = SwingModel(alpha=[0.0, 0.0],
+                    beta=((zero, zero), (zero, zero)), lam=[1.0, 1.0])
     itg = make_integrable(2)
     x, y, phi = sample_points(sw, 50)
     a, b = sw.evaluate(x, y, phi), itg.evaluate(x, y, phi)
@@ -109,24 +106,20 @@ def test_swing_zero_beta_is_integrable():
 
 def test_swing_params_validation():
     with pytest.raises(ValueError):
-        SwingParams(alpha=[-0.1], beta=((TrigPoly(1.0),),), lam=[0.5])
+        SwingModel(alpha=[-0.1], beta=((TrigPoly(1.0),),), lam=[0.5])
     with pytest.raises(ValueError):
-        SwingParams(alpha=[0.0, 0.0], beta=((TrigPoly(1.0),),), lam=[0.5])
+        SwingModel(alpha=[0.0, 0.0], beta=((TrigPoly(1.0),),), lam=[0.5])
     with pytest.raises(ValueError):
         TrigPoly(np.inf)
     with pytest.raises(ValueError, match="wave-vectors"):
-        SwingParams(alpha=[0.0], beta=((TrigPoly(1.0, (((1, 2), 0.5, 0.0),)),),),
-                    lam=[0.5], omega=[1.0])
-    p = SwingParams(alpha=[0.2], beta=((TrigPoly(1.0),),), lam=[0.5])
-    assert p.tilted
-    assert make_swing(p).tilted
+        SwingModel(alpha=[0.0], beta=((TrigPoly(1.0, (((1, 2), 0.5, 0.0),)),),),
+                   lam=[0.5], omega=[1.0])
+    assert SwingModel(alpha=[0.2], beta=((TrigPoly(1.0),),), lam=[0.5]).tilted
 
 
 def test_model_holds_its_parameters():
-    # one class holds the parameters and evaluates them; the old parameter
-    # class name builds the same model, and make_swing hands it back
-    model = SwingParams(alpha=[0.0], beta=((TrigPoly(1.0),),), lam=[0.5])
-    assert type(model) is SwingModel and make_swing(model) is model
+    # one class holds the parameters and evaluates them
+    model = SwingModel(alpha=[0.0], beta=((TrigPoly(1.0),),), lam=[0.5])
     assert (model.n, model.m, model.tilted) == (1, 0, False)
     assert model.lam.tolist() == [0.5] and not model.lam.flags.writeable
     # replace validates again, and a model is frozen
@@ -140,23 +133,22 @@ def test_model_holds_its_parameters():
 
 
 def test_swing_periodicity_half_integer_diagonal():
-    m = make_swing(quasi_swing_params())
+    m = quasi_swing_model()
     assert verify.periodicity_defect(m, RNG, points=60) <= verify.PERIODICITY_TOL
 
 
 def test_swing_periodicity_structural_negative():
     # off-diagonal coupling with half-integer wavenumbers breaks periodicity
-    p = SwingParams(alpha=[0.0, 0.0],
+    m = SwingModel(alpha=[0.0, 0.0],
+                   beta=((TrigPoly(0.0), TrigPoly(1.0)),
+                         (TrigPoly(0.0), TrigPoly(0.0))),
+                   lam=[0.5, 0.5])
+    assert not m.x_periodic()
+    ok = SwingModel(alpha=[0.0, 0.0],
                     beta=((TrigPoly(0.0), TrigPoly(1.0)),
                           (TrigPoly(0.0), TrigPoly(0.0))),
-                    lam=[0.5, 0.5])
-    m = make_swing(p)
-    assert not m.x_periodic()
-    ok = SwingParams(alpha=[0.0, 0.0],
-                     beta=((TrigPoly(0.0), TrigPoly(1.0)),
-                           (TrigPoly(0.0), TrigPoly(0.0))),
-                     lam=[1.0, 2.0])
-    assert make_swing(ok).x_periodic()
+                    lam=[1.0, 2.0])
+    assert ok.x_periodic()
 
 
 def test_trigpoly_roundtrip_and_bound():
@@ -178,18 +170,18 @@ def test_trigpoly_columns_independent_of_batch_shape():
         assert np.array_equal(table[s:s + 1], tp(phi[:, s:s + 1]))
 
 
-def n2_swing_params():
-    return SwingParams(alpha=[0.1, 0.0],
-                       beta=((TrigPoly(1.0, (((1, 0), 0.3, 0.1),)), TrigPoly(0.4)),
-                             (TrigPoly(0.0), TrigPoly(0.7, (((0, 1), 0.0, 0.25),)))),
-                       lam=[1.0, 0.5], omega=[1.0, np.sqrt(2.0)])
+def n2_swing_model():
+    return SwingModel(alpha=[0.1, 0.0],
+                      beta=((TrigPoly(1.0, (((1, 0), 0.3, 0.1),)), TrigPoly(0.4)),
+                            (TrigPoly(0.0), TrigPoly(0.7, (((0, 1), 0.0, 0.25),)))),
+                      lam=[1.0, 0.5], omega=[1.0, np.sqrt(2.0)])
 
 
 @pytest.mark.parametrize("model", [
     make_pendulum(1.0),
-    make_swing(SwingParams(alpha=[0.3], beta=((TrigPoly(1.0),),), lam=[0.5])),
-    make_swing(quasi_swing_params()),
-    make_swing(n2_swing_params()),
+    SwingModel(alpha=[0.3], beta=((TrigPoly(1.0),),), lam=[0.5]),
+    quasi_swing_model(),
+    n2_swing_model(),
 ], ids=["pendulum", "tilted", "quasi_periodic", "n2"])
 def test_potential_and_energy_match_evaluate(model):
     # the force-free shortcuts agree with evaluate bit for bit
@@ -244,7 +236,7 @@ def test_lagrangian_closed_forms():
     assert lagrangian(pend, [np.pi], [0.0]) == pytest.approx(-2.0, abs=1e-14)
 
 
-TILTED = make_swing(replace(quasi_swing_params(), alpha=[0.3]))
+TILTED = replace(quasi_swing_model(), alpha=[0.3])
 
 
 @pytest.mark.parametrize("model", ALL_MODELS + [TILTED], ids=MODEL_IDS + ["tilted"])
@@ -253,11 +245,9 @@ def test_scaled_is_the_homotopy(model):
     ev = model.evaluate(x, y, phi)
     assert all(np.array_equal(a, b) for a, b in zip(model.scaled(1.0).evaluate(x, y, phi), ev))
     kin = 0.5 * np.sum(y * y, axis=0)
-    eye = np.eye(model.n)[..., None]
     for tau in (0.25, 0.5, 0.75):
         # H_tau = tau H + (1 - tau) |y|^2/2, field by field
-        want = (tau * ev.h + (1 - tau) * kin, tau * ev.dx, tau * ev.dy + (1 - tau) * y,
-                tau * ev.dyy + (1 - tau) * eye)
+        want = (tau * ev.h + (1 - tau) * kin, tau * ev.dx, tau * ev.dy + (1 - tau) * y)
         got = model.scaled(tau).evaluate(x, y, phi)
         assert all(np.max(np.abs(g - w)) <= 1e-14 for g, w in zip(got, want))
 
