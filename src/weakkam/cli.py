@@ -57,12 +57,12 @@ def _versions() -> dict:
 
 
 def manifest_fingerprint(manifest: dict) -> dict:
-    """Manifest minus wall-clock, environment and worker-count fields; the
-    fingerprint is byte-reproducible for identical (config, seed)."""
+    """Manifest minus wall-clock and environment fields; the fingerprint
+    is byte-reproducible for identical (config, seed)."""
     def strip(obj):
         if isinstance(obj, dict):
             return {k: strip(v) for k, v in obj.items()
-                    if k not in ("wall_time_s", "versions", "jobs")}
+                    if k not in ("wall_time_s", "versions")}
         if isinstance(obj, list):
             return [strip(x) for x in obj]
         return obj
@@ -122,15 +122,23 @@ def _hbar_table(records, n: int) -> tuple[list, list]:
     return header, [(*r["P"], r["k"], r["Hbar_k"]) for r in records]
 
 
-def _write_tables(out_dir: Path, manifest: dict) -> None:
-    """The oracle table and the rotation comparison a manifest holds, as CSV."""
+def _tables(manifest: dict) -> dict:
+    """``{CSV file name: (header, rows)}`` of the oracle table and the
+    rotation comparison a manifest holds."""
+    tables = {}
     if manifest.get("oracle_table"):
-        _write_csv(out_dir / "oracle_table.csv", ["P", "hbar"], manifest["oracle_table"])
+        tables["oracle_table.csv"] = (["P", "hbar"], [list(r) for r in manifest["oracle_table"]])
     if manifest.get("comparison"):
-        _write_csv(out_dir / "rotation_comparison.csv",
-                   ["P", "rotation_measured", "rotation_predicted", "gap"],
-                   [(r["P"], r["rotation_measured"], r["rotation_predicted"], r["gap"])
-                    for r in manifest["comparison"]])
+        tables["rotation_comparison.csv"] = (
+            ["P", "rotation_measured", "rotation_predicted", "gap"],
+            [(r["P"], r["rotation_measured"], r["rotation_predicted"], r["gap"])
+             for r in manifest["comparison"]])
+    return tables
+
+
+def _write_tables(out_dir: Path, tables: dict) -> None:
+    for name, (header, rows) in tables.items():
+        _write_csv(out_dir / name, header, rows)
 
 
 # subcommands ----------------------------------------------------------------
@@ -197,9 +205,12 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
         raise field_error("P", "a sweep needs at least 3 values")
     P_sorted = sorted(P_list, key=tuple)
     run = partial(_run_one_P, cfg)
+    # one worker per P up to one per core; a single worker runs in-process,
+    # where a pool would only add a fork
+    workers = min(len(P_sorted), os.cpu_count() or 1)
     t0 = time.perf_counter()
-    if cfg.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run, P_sorted))
     else:
         results = list(map(run, P_sorted))
@@ -255,7 +266,7 @@ def cmd_oracle(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
         "wall_time_s": time.perf_counter() - t0,
     }
     _write_manifest(out_dir, manifest)
-    _write_tables(out_dir, manifest)
+    _write_tables(out_dir, _tables(manifest))
     return 0, manifest
 
 
@@ -305,7 +316,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
         "wall_time_s": time.perf_counter() - t0,
     }
     _write_manifest(out_dir, manifest)
-    _write_tables(out_dir, manifest)
+    _write_tables(out_dir, _tables(manifest))
     return 0, manifest
 
 
@@ -335,23 +346,27 @@ def cmd_report(manifest_path: Path, out_dir: Path) -> tuple[int, dict]:
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read manifest {manifest_path}: {exc}") from None
 
-    solves = manifest.get("solves") or []
-    if solves:
-        n = len(solves[0]["P"])
-        header, rows = _hbar_table(solves, n)
-        rows.sort()
-        _write_csv(out_dir / "Hbar_vs_k.csv", header, rows)
-        _write_csv(out_dir / "Hbar_vs_P.csv", header,
-                   sorted(rows, key=lambda row: (row[n], row[:n])))
-        dumped = [r for r in solves if "sigma" in r]
-        if dumped:
-            best = max(dumped, key=lambda r: r["k"])
-            cols = best["sigma"]["coords"]
-            n_coords = len(cols)
-            names = [f"c_{i}" for i in range(n_coords)] + ["sigma"]
-            _write_csv(out_dir / "sigma_profile.csv", names,
-                       zip(*cols, best["sigma"]["density"]))
-    _write_tables(out_dir, manifest)
+    # every table is built before the first is written, so a file that is not
+    # a weakkam manifest is refused with no output
+    try:
+        tables = _tables(manifest)
+        solves = manifest.get("solves") or []
+        if solves:
+            n = len(solves[0]["P"])
+            header, rows = _hbar_table(solves, n)
+            rows.sort()
+            tables["Hbar_vs_k.csv"] = header, rows
+            tables["Hbar_vs_P.csv"] = header, sorted(rows, key=lambda row: (row[n], row[:n]))
+            dumped = [r for r in solves if "sigma" in r]
+            if dumped:
+                best = max(dumped, key=lambda r: r["k"])
+                cols = best["sigma"]["coords"]
+                tables["sigma_profile.csv"] = ([f"c_{i}" for i in range(len(cols))] + ["sigma"],
+                                               list(zip(*cols, best["sigma"]["density"])))
+    except (AttributeError, IndexError, KeyError, TypeError) as exc:
+        raise ConfigError(f"{manifest_path} is not a weakkam manifest: "
+                          f"{type(exc).__name__}: {exc}") from None
+    _write_tables(out_dir, tables)
     return 0, manifest
 
 
@@ -359,7 +374,6 @@ def cmd_report(manifest_path: Path, out_dir: Path) -> tuple[int, dict]:
 
 # flags that override the config field of the same name, with their argparse settings
 _OVERRIDES = {
-    "jobs": dict(type=int, help="worker processes (default: all cores)"),
     "seed": dict(type=int, help="seed for randomized checks"),
     "dump_sigma": dict(action="store_const", const=True,
                        help="dump Gibbs densities into the manifest and CSVs"),
@@ -386,7 +400,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, flags, help_ in [
         ("cell", ["dump_sigma"], "continuation solve at a single P with full diagnostics"),
-        ("sweep", ["jobs", "dump_sigma"], "parallel cell solves over a list of P values"),
+        ("sweep", ["dump_sigma"], "parallel cell solves over a list of P values"),
         ("oracle", [], "1-D effective Hamiltonian table by quadrature"),
         ("simulate", [], "integrate the swing equation and extract rotations"),
         ("verify", ["seed"], "run every module invariant suite"),
@@ -415,8 +429,6 @@ def main(argv=None) -> int:
         if overrides:
             cfg = replace(cfg, **overrides)
             validate_config(cfg, "command line")
-        if cfg.jobs == 0:
-            cfg.jobs = os.cpu_count() or 1
         out_dir = args.out or Path(os.environ.get(OUT_ENV_VAR) or cfg.out)
 
         if args.command == "report":

@@ -8,6 +8,7 @@ failures.  The same schema round-trips through ``serialize_config``.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
@@ -33,7 +34,7 @@ def _key(key: str, default):
 
 @dataclass
 class RunConfig:
-    # model descriptor; model.n and model.m must match the built model
+    # model; model.n and model.m must match the model the other model.* keys build
     model_name: str = _key("model.name", "pendulum")
     model_a: float = _key("model.a", 1.0)            # pendulum amplitude
     model_n: int = _key("model.n", 1)
@@ -66,7 +67,6 @@ class RunConfig:
     # run control
     out: str = _key("out", "runs")
     seed: int = _key("seed", 7)
-    jobs: int = _key("jobs", 0)                      # 0 = one worker per core
     dump_sigma: bool = _key("flags.dump_sigma", False)
     unwrap: bool = _key("flags.unwrap", True)
 
@@ -135,8 +135,7 @@ def _type_needed(default, value) -> str | None:
     if isinstance(default, bool):
         ok, need = isinstance(value, bool), "true or false"
     elif isinstance(default, (int, float)):
-        number = (int, float) if isinstance(default, float) else int
-        ok = isinstance(value, number) and not isinstance(value, bool)
+        ok = _is_number(value, (int, float) if isinstance(default, float) else int)
         need = "a number" if isinstance(default, float) else "an integer"
     elif isinstance(default, list):
         ok, need = isinstance(value, list), "a list"
@@ -145,8 +144,12 @@ def _type_needed(default, value) -> str | None:
     return None if ok else need
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _is_number(value, kind=(int, float)) -> bool:
+    """Whether ``value`` is a finite number of ``kind``: never a bool, and
+    never the NaN or infinity that JSON reads from ``NaN``, ``Infinity`` or
+    ``1e400``."""
+    return (isinstance(value, kind) and not isinstance(value, bool)
+            and (isinstance(value, int) or math.isfinite(value)))
 
 
 def _elements_needed(name: str, value) -> str | None:
@@ -187,6 +190,8 @@ def validate_config(cfg: RunConfig, source: str) -> None:
         raise field_error("gtol", "must be positive", source)
     if cfg.max_iter < 1:
         raise field_error("max_iter", "must be >= 1", source)
+    if cfg.seed < 0:
+        raise field_error("seed", "must be >= 0", source)
     if cfg.diff_mode not in ("spectral", "fd2"):
         raise field_error("diff_mode", f"unknown scheme {cfg.diff_mode!r}", source)
     if cfg.N_x < 4 or cfg.N_x % 2:
@@ -222,8 +227,6 @@ def validate_config(cfg: RunConfig, source: str) -> None:
         raise field_error("oracle_P", f"gives {rows} rows; the "
                           f"{'comparison' if cfg.sim_compare else 'table'} needs >= {need}",
                           source)
-    if cfg.jobs < 0:
-        raise field_error("jobs", "must be >= 0 (0 = one worker per core)", source)
     try:
         p_vectors(cfg)          # builds the model, which model.n, model.m and P must fit
     except ConfigError as exc:

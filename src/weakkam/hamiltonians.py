@@ -67,15 +67,8 @@ class TrigPoly:
             out = out + a * np.cos(arg) + b * np.sin(arg)
         return out
 
-    def bound(self) -> float:
-        """Upper bound for |value| over the torus."""
-        return abs(self.const) + sum(abs(a) + abs(b) for _, a, b in self.modes)
-
     def is_zero(self) -> bool:
         return self.const == 0.0 and all(a == 0.0 and b == 0.0 for _, a, b in self.modes)
-
-    def to_dict(self) -> dict:
-        return {"const": self.const, "modes": [[list(k), a, b] for k, a, b in self.modes]}
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrigPoly":
@@ -154,10 +147,6 @@ class SwingModel:
         for name, value in {
             "alpha": alpha, "beta": beta, "lam": lam, "omega": omega,
             "n": n, "m": omega.size, "tilted": tilted,
-            "descriptor": {"name": "swing", "n": n, "m": omega.size,
-                           "alpha": alpha.tolist(), "lam": lam.tolist(),
-                           "omega": omega.tolist(),
-                           "beta": [[b.to_dict() for b in row] for row in beta]},
             "_terms": terms,
             # the term pattern: the (i, j) of the active terms, which with n
             # (and whether the model is driven, or tilted) selects a

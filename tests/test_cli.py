@@ -1,10 +1,12 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 import weakkam
@@ -78,7 +80,6 @@ sim.samples = 3
 oracle.P_range = [0.0, 2.0, 0.1]
 out = "elsewhere"
 seed = 11
-jobs = 3
 flags.dump_sigma = true
 flags.unwrap = false
 """
@@ -103,10 +104,10 @@ def test_config_rejects_unknown_key():
 
 
 def test_config_rejects_retired_method_key(tmp_path, capsys):
-    # one optimizer remains, and tol.gtol is the one convergence test (it
-    # bounds the weak residual too); an old config naming either retired key
-    # fails on it as an unknown key
-    for key, value in (("solver.method", '"newton"'), ("tol.rtol", "1e-6")):
+    # one optimizer remains, tol.gtol is the one convergence test (it bounds
+    # the weak residual too) and the sweep sizes its own process pool; an old
+    # config naming any retired key fails on it as an unknown key
+    for key, value in (("solver.method", '"newton"'), ("tol.rtol", "1e-6"), ("jobs", "2")):
         with pytest.raises(ConfigError, match=f":3: unknown key '{key}'"):
             parse_config(f"P = [0.9]\n\n{key} = {value}\n")
         cfg = tmp_path / "old.cfg"
@@ -159,6 +160,31 @@ def test_config_rejects_a_value_of_the_wrong_type(tmp_path, capsys, line, key, n
     assert f"field '{key}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, line, key", [
+    ("cell", "sim.dt = NaN", "sim.dt"),
+    ("simulate", "sim.dt = NaN", "sim.dt"),
+    ("oracle", "oracle.P_range = [0, 3, NaN]", "oracle.P_range"),
+    ("simulate", "sim.T = Infinity", "sim.T"),
+    ("simulate", "sim.T = 1e400", "sim.T"),
+    ("cell", "P = [NaN]", "P"),
+    ("cell", "P = [[-Infinity]]", "P"),
+    ("cell", "tol.gtol = NaN", "tol.gtol"),
+    ("verify", "seed = -3", "seed"),
+    ("verify", "--seed -1", "seed"),
+], ids=["dt_nan_cell", "dt_nan_simulate", "nan_in_oracle_range", "T_infinity", "T_overflow",
+        "nan_P", "infinite_P_vector", "gtol_nan", "negative_seed", "negative_seed_flag"])
+def test_config_refuses_numbers_no_command_can_use(tmp_path, capsys, command, line, key):
+    # JSON reads NaN, Infinity and 1e400 (as inf); each is a configuration
+    # error naming its key (exit 1), as is a negative seed, from the config
+    # or from the command line, before any output is written
+    cfg = tmp_path / "bad.cfg"
+    flags = line.split() if line.startswith("--") else []
+    cfg.write_text("grid.N_x = 32\nk_schedule = [4]\n" + ("" if flags else line + "\n"))
+    assert run([command, "--config", cfg, "--out", tmp_path / "o", *flags]) == 1
+    assert f"field '{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_config_types_accept_an_int_for_a_float_and_store_it_as_written():
     cfg = parse_config("model.a = 2\nk_schedule = [8, 16]\nsim.T = 20\n")
     assert cfg.model_a == 2 and type(cfg.model_a) is int
@@ -166,7 +192,8 @@ def test_config_types_accept_an_int_for_a_float_and_store_it_as_written():
     assert "k_schedule = [8, 16]\n" in serialize_config(cfg)
 
 
-def test_swing_model_descriptor_roundtrip():
+def test_swing_model_config_roundtrip():
+    # a swing model's config keys, serialized and parsed again, rebuild it
     text = """
 model.name = "swing"
 model.n = 1
@@ -178,9 +205,10 @@ model.beta = [[{"const": 1.0, "modes": [[[1], 0.5, 0.0]]}]]
 """
     cfg = parse_config(text)
     model = model_from_config(cfg)
-    assert model.descriptor["name"] == "swing"
-    cfg2 = parse_config(serialize_config(cfg))
-    assert model_from_config(cfg2).descriptor == model.descriptor
+    again = model_from_config(parse_config(serialize_config(cfg)))
+    for name in ("alpha", "lam", "omega"):
+        assert np.array_equal(getattr(again, name), getattr(model, name))
+    assert again.beta == model.beta and model.beta[0][0].modes == (((1,), 0.5, 0.0),)
 
 
 def test_every_bundled_config_loads():
@@ -215,10 +243,9 @@ def test_parser_built_once_per_process():
     from weakkam import cli
     parser = cli._build_parser()
     assert cli._build_parser() is parser
-    first = parser.parse_args(["sweep", "--dump-sigma", "--jobs", "1"])
+    first = parser.parse_args(["sweep", "--dump-sigma"])
     second = parser.parse_args(["sweep"])
-    assert first.dump_sigma and first.jobs == 1
-    assert not second.dump_sigma and second.jobs is None
+    assert first.dump_sigma and not second.dump_sigma
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -237,8 +264,7 @@ def test_usage_errors_exit_1(argv, code, capsys):
 
 def test_each_flag_only_where_it_is_read(capsys):
     # the subcommands that read each overriding flag; every other one refuses it
-    takers = {("--jobs", "2"): {"sweep"}, ("--seed", "3"): {"verify"},
-              ("--dump-sigma",): {"cell", "sweep"}}
+    takers = {("--seed", "3"): {"verify"}, ("--dump-sigma",): {"cell", "sweep"}}
     from weakkam import cli
     parser = cli._build_parser()
     refused = 0
@@ -254,15 +280,7 @@ def test_each_flag_only_where_it_is_read(capsys):
             assert exc.value.code == 1
             assert f"unrecognized arguments: {' '.join(args)}" in capsys.readouterr().err
             refused += 1
-    assert refused == 14
-
-
-def test_negative_jobs_flag_is_a_configuration_error(tmp_path, capsys):
-    cfg = tmp_path / "sweep.cfg"
-    cfg.write_text(SWEEP_CFG)
-    assert run(["sweep", "--config", cfg, "--out", tmp_path / "o", "--jobs", -1]) == 1
-    assert "command line: field 'jobs': must be >= 0" in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
+    assert refused == 9
 
 
 def test_cell_rejects_multiple_P(tmp_path):
@@ -317,7 +335,7 @@ def test_sweep_reports_every_failed_P_once(tmp_path):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("grid.N_x = 64\ntol.max_iter = 6\nP = [0.5, 1.2, 2.0]\n")
     out = tmp_path / "out"
-    assert run(["sweep", "--config", cfg, "--out", out, "--jobs", 1]) == 2
+    assert run(["sweep", "--config", cfg, "--out", out]) == 2
     manifest = json.loads((out / "manifest.json").read_text())
     assert [f["P"] for f in manifest["failures"]] == [[0.5], [1.2], [2.0]]
     for failure in manifest["failures"]:
@@ -336,17 +354,54 @@ def test_manifest_determinism(tmp_path):
     assert json.dumps(ma, sort_keys=True) == json.dumps(mb, sort_keys=True)
 
 
-def test_sweep_parallel_independence(tmp_path):
+def test_sweep_parallel_independence(tmp_path, monkeypatch):
+    # the pool's manifest is the in-process one, bit for bit
+    from weakkam import cli
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(SWEEP_CFG)
-    assert run(["sweep", "--config", cfg, "--out", tmp_path / "j1", "--jobs", 1]) == 0
-    assert run(["sweep", "--config", cfg, "--out", tmp_path / "j2", "--jobs", 2]) == 0
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
+    assert run(["sweep", "--config", cfg, "--out", tmp_path / "j1"]) == 0
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    assert run(["sweep", "--config", cfg, "--out", tmp_path / "j2"]) == 0
     m1 = manifest_fingerprint(json.loads((tmp_path / "j1/manifest.json").read_text()))
     m2 = manifest_fingerprint(json.loads((tmp_path / "j2/manifest.json").read_text()))
     assert json.dumps(m1, sort_keys=True) == json.dumps(m2, sort_keys=True)
     # rows are ordered by P then k
     ps = [rec["P"][0] for rec in m1["solves"]]
     assert ps == sorted(ps)
+
+
+@pytest.mark.parametrize("n_P, cores, workers", [
+    (11, 64, 11), (3, 2, 2), (3, 1, None), (3, None, None),
+], ids=["one_per_P", "one_per_core", "one_core_in_process", "unknown_cores_in_process"])
+def test_sweep_sizes_its_own_pool(tmp_path, monkeypatch, n_P, cores, workers):
+    # one worker per P, up to one per core; a single worker runs in-process
+    # and builds no pool.  The fake pool maps in-process and the solves are
+    # stubbed, so no process starts
+    from weakkam import cli
+    built, ran = [], []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            built.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(cli, "_run_one_P", lambda cfg, P: ran.append(P[0]) or ([], None))
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"P = {[i / 10 for i in range(n_P)]}\n")
+    assert run(["sweep", "--config", cfg, "--out", tmp_path / "o"]) == 0
+    assert built == ([] if workers is None else [workers])
+    assert ran == [i / 10 for i in range(n_P)]
 
 
 def test_sweep_convexity_entry(tmp_path):
@@ -556,7 +611,7 @@ def test_report_on_sweep_manifest(tmp_path):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(SWEEP_CFG)
     out = tmp_path / "out"
-    assert run(["sweep", "--config", cfg, "--out", out, "--jobs", 1]) == 0
+    assert run(["sweep", "--config", cfg, "--out", out]) == 0
     rep = tmp_path / "rep"
     assert run(["report", out / "manifest.json", "--out", rep]) == 0
     tables = {}
@@ -573,6 +628,40 @@ def test_report_on_sweep_manifest(tmp_path):
 
 def test_report_missing_manifest(tmp_path):
     assert run(["report", tmp_path / "nope.json", "--out", tmp_path / "r"]) == 1
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("[]", "AttributeError: 'list' object has no attribute 'get'"),
+    ('{"solves": [{"k": 1}]}', "KeyError: 'P'"),
+    ('{"oracle_table": 5}', "TypeError: 'int' object is not iterable"),
+], ids=["list", "solve_without_P", "number_for_oracle_table"])
+def test_report_refuses_a_file_that_is_not_a_manifest(tmp_path, capsys, text, reason):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(text)
+    assert run(["report", manifest, "--out", tmp_path / "r"]) == 1
+    assert f"{manifest} is not a weakkam manifest: {reason}" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+def test_readme_flags_table_matches_the_parser():
+    # each row of the README's flags table lists exactly the options the
+    # parser gives its subcommands; report's manifest argument is MANIFEST
+    import argparse
+    from pathlib import Path
+    from weakkam import cli
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("Flags, each only on the subcommands that read it:")[1].split("\n\n")[1]
+    documented = {}
+    for row in table.splitlines()[2:]:
+        commands, flags = row.strip("|").split("|")
+        for command in re.findall(r"`([^`]+)`", commands):
+            documented[command] = {flag.split()[0] for flag in re.findall(r"`([^`]+)`", flags)}
+    [subcommands] = [a for a in cli._build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    taken = {name: {a.option_strings[0] if a.option_strings else a.dest.upper()
+                    for a in sub._actions if a.dest != "help"}
+             for name, sub in subcommands.choices.items()}
+    assert documented == taken
 
 
 def test_env_var_out_dir(tmp_path, monkeypatch):
@@ -698,7 +787,7 @@ def test_bundled_sweep_shows_flat_region(tmp_path):
     from pathlib import Path
     bundled = Path(__file__).resolve().parents[1] / "configs" / "pendulum_sweep.cfg"
     out = tmp_path / "o"
-    assert run(["sweep", "--config", bundled, "--out", out, "--jobs", 2]) == 0
+    assert run(["sweep", "--config", bundled, "--out", out]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert not manifest["failures"]
     col64 = {rec["P"][0]: rec["Hbar_k"] for rec in manifest["solves"]

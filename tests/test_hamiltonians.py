@@ -35,7 +35,7 @@ ALL_MODELS = [
     make_pendulum(1.0),
     quasi_swing_model(),
 ]
-# every model is a SwingModel, so the descriptor name no longer tells them apart
+# every model is a SwingModel, so no model attribute tells them apart
 MODEL_IDS = ["integrable", "pendulum", "swing"]
 
 
@@ -152,11 +152,13 @@ def test_swing_periodicity_structural_negative():
 
 
 def test_trigpoly_roundtrip_and_bound():
+    # the config spelling of model.beta's entries builds the same polynomial,
+    # whose values stay within the sum of its coefficients' magnitudes
     tp = TrigPoly(1.5, (((1, 0), 0.5, 0.0), ((2, 1), 0.0, -0.25)))
-    back = TrigPoly.from_dict(tp.to_dict())
+    back = TrigPoly.from_dict({"const": 1.5, "modes": [[[1, 0], 0.5, 0.0], [[2, 1], 0.0, -0.25]]})
     assert back == tp
     phi = RNG.uniform(0, PERIOD, (2, 100))
-    assert np.max(np.abs(tp(phi))) <= tp.bound() + 1e-15
+    assert np.max(np.abs(tp(phi))) <= 1.5 + 0.5 + 0.25 + 1e-15
 
 
 def test_trigpoly_columns_independent_of_batch_shape():
