@@ -53,9 +53,11 @@ A warm start begins at a prediction that costs no solve or evaluation: the
 secant extrapolation of the last two solutions along the one parameter being
 walked (tau at one k, 1/k at tau = 1, the drive angle along one grid line of
 the last phi axis), re-centred to mean zero.  Where the last two solutions do
-not lie on the walked parameter's line, the start is the last solution.  The
-first fiber of the fiber pass climbs a k ladder of ``FIBER_LADDER`` doublings
-up to its k instead of starting cold there.
+not lie on the walked parameter's line, the start is the last solution.  A
+tau-homotopy stage at tau < 1 is never returned and only starts the next
+stage, so it stops at the looser ``HOMOTOPY_GTOL``.  The first fiber of the
+fiber pass climbs a k ladder of ``FIBER_LADDER`` doublings up to its k
+instead of starting cold there.
 """
 
 from __future__ import annotations
@@ -113,6 +115,10 @@ LAM_WARM_FLOOR = 1e-6
 LAM_MIN, LAM_MAX = 1e-12, 1e6
 # doublings of k the first fiber of the fiber pass climbs to its k
 FIBER_LADDER = 3
+# gradient-norm tolerance of a continuation stage at tau < 1: such a stage is
+# never returned and only starts the next one, so it stops at this tolerance
+# (or at gtol, if that is looser)
+HOMOTOPY_GTOL = 1e-2
 
 
 def _exact_step(grid: TorusGrid) -> bool:
@@ -838,9 +844,12 @@ def continuation_solve(model: SwingModel, P, k_schedule, tau_steps: int,
     ended with, and from the secant extrapolation of the last two stages'
     solutions: in tau while they share the next stage's k (the walk is seeded
     with v = 0 at tau = 0), in 1/k once they lie at tau = 1.  The first k
-    stage after the tau walk starts from the last solution.  Returns one
-    solution per k; their Hbar_k values are checked to be nondecreasing
-    (slack 1e-8).
+    stage after the tau walk starts from the last solution.  A stage at
+    tau < 1 only starts the next one, so it stops at gtol
+    max(opts.gtol, ``HOMOTOPY_GTOL``); every tau = 1 stage meets opts.gtol,
+    and the strictly convex functional pins its minimizer whatever the start.
+    Returns one solution per k; their Hbar_k values are checked to be
+    nondecreasing (slack 1e-8).
     """
     opts = opts or SolverOptions()
     k_schedule = [float(k) for k in k_schedule]
@@ -855,18 +864,20 @@ def continuation_solve(model: SwingModel, P, k_schedule, tau_steps: int,
     # (tau, 1/k, v) of the last two solved stages
     walk = [(0.0, 1.0 / k_schedule[0], np.zeros(grid.shape))]
     state = None
+    homotopy_opts = replace(opts, gtol=max(opts.gtol, HOMOTOPY_GTOL))
     for tau, k in stages:
+        stage_opts = opts if tau == 1.0 else homotopy_opts
         s = 1.0 / k
         if walk[-1][1] == s:        # a step in tau at one k
             init = _secant([(t, v) for t, s_i, v in walk if s_i == s], tau)
         else:                       # a step in 1/k at tau = 1
             init = _secant([(s_i, v) for t, s_i, v in walk if t == 1.0], s)
         sol = solve_cell(CellProblem(model, P, k, grid, tau), ScalarField(grid, init),
-                         opts, state)
+                         stage_opts, state)
         if not sol.converged:
             raise ContinuationError(
                 f"stage (tau={tau:g}, k={k:g}) did not converge "
-                f"({_unconverged_reason(sol, opts)})", results, tau, k)
+                f"({_unconverged_reason(sol, stage_opts)})", results, tau, k)
         if tau == 1.0:
             results.append(sol)
         walk = [walk[-1], (tau, s, sol.v.values)]

@@ -281,20 +281,60 @@ def test_continuation_error_carries_partial(pendulum, grid256):
     # (opts, tau_steps) -> the failing stage, how many k stages completed
     # before it, and the message prefix
     cases = [
-        # a tau stage: the first one takes 8 steps
-        (SolverOptions(max_iter=7), 2, 0.5, 8.0, 0,
-         "stage (tau=0.5, k=8) did not converge (max_iter"),
-        # a k stage: the four tau stages take 6, 4, 4 and 4 steps (the last
-        # three from secant starts), k=64 takes 8
+        # a tau stage: the first one takes 6 steps to HOMOTOPY_GTOL, and its
+        # message names that tolerance
+        (SolverOptions(max_iter=5), 2, 0.5, 8.0, 0,
+         "stage (tau=0.5, k=8) did not converge (max_iter", "> gtol 0.01"),
+        # a k stage: the three tau stages take 4, 1 and 2 steps (the last two
+        # from secant starts), tau=1 at k=8 takes 4, k=64 takes 8
         (SolverOptions(max_iter=7), 4, 1.0, 64.0, 1,
-         "stage (tau=1, k=64) did not converge (max_iter"),
+         "stage (tau=1, k=64) did not converge (max_iter", "> gtol 1e-08"),
     ]
-    for opts, tau_steps, tau, k, done, prefix in cases:
+    for opts, tau_steps, tau, k, done, prefix, gtol in cases:
         with pytest.raises(ContinuationError) as err:
             continuation_solve(pendulum, [1.5], [8.0, 64.0], tau_steps, grid256, opts)
         assert (err.value.tau, err.value.k, len(err.value.partial)) == (tau, k, done)
         assert str(err.value).startswith(prefix), str(err.value)
+        assert str(err.value).endswith(f"{gtol})"), str(err.value)
         assert all(s.tau == 1.0 and s.converged for s in err.value.partial)
+
+
+def test_homotopy_stages_stop_at_their_own_tolerance(pendulum, grid256, monkeypatch):
+    # tau < 1 stages only start the next stage: they stop at HOMOTOPY_GTOL,
+    # the returned tau = 1 stages meet gtol and match a full-tolerance walk
+    import weakkam.cell
+    solve = weakkam.cell.solve_cell
+    calls = []                      # (tau, gtol, iterations) of each stage
+
+    def counted(problem, init, opts, state):
+        sol = solve(problem, init, opts, state)
+        calls.append((problem.tau, opts.gtol, sol.iterations))
+        return sol
+
+    def walk(opts):
+        calls.clear()
+        sols = continuation_solve(pendulum, [1.5], [8.0, 16.0], 4, grid256, opts)
+        return sols, list(calls)
+
+    def homotopy_steps(stages):
+        return sum(iters for tau, _, iters in stages if tau < 1.0)
+
+    monkeypatch.setattr(weakkam.cell, "solve_cell", counted)
+    opts = SolverOptions()
+    sols, stages = walk(opts)
+    assert [g for _, g, _ in stages] == [weakkam.cell.HOMOTOPY_GTOL] * 3 + [opts.gtol] * 2
+    assert all(s.grad_norm <= opts.gtol for s in sols)
+
+    # a gtol looser than HOMOTOPY_GTOL holds the tau stages too
+    _, loose_stages = walk(SolverOptions(gtol=5e-2))
+    assert [g for _, g, _ in loose_stages] == [5e-2] * 5
+
+    monkeypatch.setattr(weakkam.cell, "HOMOTOPY_GTOL", 0.0)
+    full, full_stages = walk(opts)
+    assert [g for _, g, _ in full_stages] == [opts.gtol] * 5
+    assert homotopy_steps(stages) < homotopy_steps(full_stages)
+    assert len(full) == len(sols) == 2
+    assert all(abs(a.Hbar_k - b.Hbar_k) <= 1e-12 for a, b in zip(sols, full))
 
 
 def test_continuation_error_names_where_hbar_fell(pendulum, monkeypatch):

@@ -331,15 +331,17 @@ def test_cell_keeps_the_stages_before_a_failed_one(tmp_path, monkeypatch):
 
 
 def test_sweep_reports_every_failed_P_once(tmp_path):
-    # six Newton steps do not reach gtol at the first stage of any P
+    # three Newton steps do not reach the homotopy tolerance at the first
+    # stage of any P: it takes 4, 5 and 6 steps at P = 0.5, 1.2 and 2.0
     cfg = tmp_path / "sweep.cfg"
-    cfg.write_text("grid.N_x = 64\ntol.max_iter = 6\nP = [0.5, 1.2, 2.0]\n")
+    cfg.write_text("grid.N_x = 64\ntol.max_iter = 3\nP = [0.5, 1.2, 2.0]\n")
     out = tmp_path / "out"
     assert run(["sweep", "--config", cfg, "--out", out]) == 2
     manifest = json.loads((out / "manifest.json").read_text())
     assert [f["P"] for f in manifest["failures"]] == [[0.5], [1.2], [2.0]]
     for failure in manifest["failures"]:
         assert failure["error"].startswith("stage (tau=0.25, k=8) did not converge (max_iter")
+        assert failure["error"].endswith("> gtol 0.01)")
         assert failure["error"].count("stage") == 1
     assert manifest["solves"] == [] and manifest["sweep_convexity"] is None
 
@@ -662,6 +664,23 @@ def test_readme_flags_table_matches_the_parser():
                     for a in sub._actions if a.dest != "help"}
              for name, sub in subcommands.choices.items()}
     assert documented == taken
+
+
+def test_readme_constants_match_the_code():
+    # each `NAME = value` the README quotes for an upper-case underscored
+    # name is a constant of weakkam.cell or weakkam.verify with that value
+    import ast
+    from pathlib import Path
+    from weakkam import cell, verify
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    quoted = re.findall(r"`([A-Z][A-Z0-9]*(?:_[A-Z0-9]+)+) = ([^`]+)`", readme)
+    assert {name for name, _ in quoted} >= {
+        "REFACTOR_APPLIES", "LAM_WARM_FLOOR", "FIBER_LADDER", "STATIONARITY_TOL",
+        "WEAK_RESIDUAL_SLACK", "HOMOTOPY_GTOL"}
+    for name, value in quoted:
+        owners = [m for m in (cell, verify) if hasattr(m, name)]
+        assert owners, f"{name} is in neither weakkam.cell nor weakkam.verify"
+        assert getattr(owners[0], name) == ast.literal_eval(value), name
 
 
 def test_env_var_out_dir(tmp_path, monkeypatch):
