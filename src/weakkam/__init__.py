@@ -15,16 +15,7 @@ from .cell import (
     objective,
     solve_cell,
 )
-from .fields import (
-    ScalarField,
-    TorusGrid,
-    VectorField,
-    divergence_x,
-    gradient_x,
-    inner,
-    integrate,
-    log_mean_exp,
-)
+from .fields import ScalarField, TorusGrid
 from .hamiltonians import (
     SwingModel,
     SwingParams,

@@ -279,18 +279,18 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
         except (TypeError, ValueError):
             ok = False
         if not ok:
-            raise field_error(name, f"expected {model.n} numbers, got {value!r}")
+            plural = "s" if model.n > 1 else ""
+            raise field_error(name, f"expected {model.n} number{plural}, got {value!r}")
     t0 = time.perf_counter()
     # a model the comparison cannot take is a configuration error before any step
     pot = _oracle_potential(model) if cfg.sim_compare else None
     traj = integrate_swing(model, cfg.sim_x0, cfg.sim_y0, cfg.sim_T, cfg.sim_dt,
                            record_every=cfg.sim_record_every)
     rot = rotation_number(traj, cfg.sim_burn_in)
-    x_out = traj.x if cfg.unwrap else traj.wrapped_x()
     header = (["t"] + [f"x_{i}" for i in range(model.n)]
               + [f"y_{i}" for i in range(model.n)]
               + (["energy"] if traj.energy is not None else []))
-    columns = [traj.times, x_out, traj.y] + ([traj.energy] if traj.energy is not None else [])
+    columns = [traj.times, traj.x, traj.y] + ([traj.energy] if traj.energy is not None else [])
     _write_csv(out_dir / "trajectory.csv", header, np.column_stack(columns).tolist())
 
     comparison = None
@@ -434,13 +434,16 @@ def main(argv=None) -> int:
         if args.command == "report":
             code, _ = cmd_report(args.manifest, out_dir)
         else:
-            code, _ = {
-                "cell": cmd_cell,
-                "sweep": cmd_sweep,
-                "oracle": cmd_oracle,
-                "simulate": cmd_simulate,
-                "verify": cmd_verify,
-            }[args.command](cfg, out_dir)
+            try:
+                code, _ = {
+                    "cell": cmd_cell,
+                    "sweep": cmd_sweep,
+                    "oracle": cmd_oracle,
+                    "simulate": cmd_simulate,
+                    "verify": cmd_verify,
+                }[args.command](cfg, out_dir)
+            except ConfigError as exc:      # name the file, as validate_config does
+                raise exc if config is None else ConfigError(f"{config}: {exc}") from None
         return code
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -68,7 +68,6 @@ class RunConfig:
     out: str = _key("out", "runs")
     seed: int = _key("seed", 7)
     dump_sigma: bool = _key("flags.dump_sigma", False)
-    unwrap: bool = _key("flags.unwrap", True)
 
 
 _KEYS = {f.name: f.metadata["key"] for f in fields(RunConfig)}   # field -> dotted key

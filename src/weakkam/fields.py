@@ -2,8 +2,12 @@
 
 The domain is a product of circles, each of circumference 2*pi.  The first
 ``n`` axes are "spatial" (differentiation acts on them), the last ``m`` axes
-are fiber angles (no differentiation, quadrature only).  All integrals use
-the normalized measure, i.e. ``integrate(1) == 1``.
+are fiber angles (no differentiation, quadrature only).  Fields are raw
+arrays of grid samples here: ``grad_values`` and ``div_values`` differentiate
+them, ``grid_mean`` integrates them against the normalized measure (the mean
+of 1 is 1) and ``log_mean_exp_values`` takes (1/k) log of that mean of
+exp(k f).  ``ScalarField`` is the validated, frozen field the solver takes
+and returns.
 """
 
 from __future__ import annotations
@@ -19,12 +23,10 @@ __all__ = [
     "PERIOD",
     "TorusGrid",
     "ScalarField",
-    "VectorField",
-    "gradient_x",
-    "divergence_x",
-    "integrate",
-    "inner",
-    "log_mean_exp",
+    "grad_values",
+    "div_values",
+    "grid_mean",
+    "log_mean_exp_values",
     "random_band_limited",
 ]
 
@@ -117,25 +119,6 @@ class ScalarField:
         return cls(grid, np.full(grid.shape, float(c)))
 
 
-@dataclass(frozen=True)
-class VectorField:
-    """Samples of a spatial n-vector field; components has shape (n, *shape)."""
-
-    grid: TorusGrid
-    components: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        comps = np.asarray(self.components, dtype=float)
-        if comps.shape != (self.grid.n,) + self.grid.shape:
-            raise ValueError(
-                f"components shape {comps.shape} != {(self.grid.n,) + self.grid.shape}"
-            )
-        _check_finite(comps, "vector field")
-        comps = comps.copy()
-        comps.setflags(write=False)
-        object.__setattr__(self, "components", comps)
-
-
 @lru_cache(maxsize=32)
 def _spectral_symbol(N: int, axis: int, ndim: int) -> np.ndarray:
     """The multiplier i q of the derivative along ``axis`` on the rFFT of an
@@ -168,14 +151,10 @@ def _diff_x(values: np.ndarray, grid: TorusGrid, axis: int) -> np.ndarray:
     return _fd2_diff(values, axis, grid.dx)
 
 
-def gradient_x(f: ScalarField) -> VectorField:
-    """Discrete spatial gradient; fiber (phi) axes are never differentiated."""
-    return VectorField(f.grid, grad_values(f.values, f.grid))
-
-
 def grad_values(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """``gradient_x`` on a raw array, unchecked: the solver calls it inside
-    every Newton-operator apply and checks finiteness once per objective
+    """Discrete spatial gradient, shape (n, *shape); fiber (phi) axes are
+    never differentiated.  Unchecked: the solver calls it inside every
+    Newton-operator apply and checks finiteness once per objective
     evaluation instead (``weakkam.cell._evaluate``)."""
     out = np.empty((grid.n,) + values.shape)
     for a in range(grid.n):
@@ -183,13 +162,9 @@ def grad_values(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
     return out
 
 
-def divergence_x(F: VectorField) -> ScalarField:
-    """Discrete spatial divergence, the exact negative adjoint of gradient_x."""
-    return ScalarField(F.grid, div_values(F.components, F.grid))
-
-
 def div_values(components: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """``divergence_x`` on a raw array, unchecked like ``grad_values``."""
+    """Discrete spatial divergence of an (n, *shape) array, the exact negative
+    adjoint of ``grad_values``; unchecked like it."""
     out = np.zeros(grid.shape)
     for a in range(grid.n):
         out += _diff_x(components[a], grid, a)
@@ -197,32 +172,14 @@ def div_values(components: np.ndarray, grid: TorusGrid) -> np.ndarray:
 
 
 def grid_mean(values: np.ndarray) -> float:
-    """The mean over every node, with the bits of ``np.mean`` (one
-    ``add.reduce`` and one division) but without its wrapper, which costs
-    more than the sum itself on the solver's grids."""
+    """The normalized-measure integral: the mean over every node, with the
+    bits of ``np.mean`` (one ``add.reduce`` and one division) but without
+    its wrapper, which costs more than the sum itself on the solver's grids."""
     return values.sum() / values.size
 
 
-def integrate(f: ScalarField) -> float:
-    """Quadrature-weighted mean: the normalized-measure integral (integrate(1)=1)."""
-    return float(grid_mean(f.values))
-
-
-def inner(a, b) -> float:
-    """Grid inner product <a, b> = integrate(a*b); vectors contract components."""
-    if isinstance(a, VectorField) and isinstance(b, VectorField):
-        return float(grid_mean(np.einsum("i...,i...->...", a.components, b.components)))
-    if isinstance(a, ScalarField) and isinstance(b, ScalarField):
-        return float(grid_mean(a.values * b.values))
-    raise TypeError("inner expects two ScalarFields or two VectorFields")
-
-
-def log_mean_exp(f: ScalarField, k: float) -> float:
-    """(1/k) * log(integrate(exp(k*f))), overflow-free by max subtraction."""
-    return log_mean_exp_values(f.values, k)
-
-
 def log_mean_exp_values(values: np.ndarray, k: float) -> float:
+    """(1/k) * log(grid_mean(exp(k * values))), overflow-free by max subtraction."""
     if k <= 0:
         raise ValueError("k must be positive")
     M = float(np.max(values))

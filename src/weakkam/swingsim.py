@@ -2,8 +2,8 @@
 
 The ODE is xddot = alpha + f(x, t) with f = D_x V and
 V(x, t) = -sum_ij beta_ij(omega t) (1 - cos(lam_i x_i + lam_j x_j)).
-Positions are kept unwrapped (covering space) so rotation numbers are
-well-defined; reduction mod 2*pi happens only at output time behind a flag.
+Positions are kept unwrapped (covering space), in the orbit and in its
+output, so rotation numbers are well-defined.
 This is the one place where alpha != 0 is allowed: the ODE is well-posed even
 though the corresponding torus Hamiltonian is multivalued.
 """
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import PERIOD
 from .hamiltonians import SwingModel
 from .oracle1d import Potential1D, potential_from_model
 
@@ -56,9 +55,6 @@ class SwingTrajectory:
     y: np.ndarray            # (S, n) velocities
     energy: np.ndarray | None   # (S,) total energy; autonomous case only
     rotation_estimate: np.ndarray  # (n,) = (x(T) - x(0)) / T
-
-    def wrapped_x(self) -> np.ndarray:
-        return np.mod(self.x, PERIOD)
 
 
 def _drive_steps(model, phi: np.ndarray) -> list:

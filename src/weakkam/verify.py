@@ -229,39 +229,38 @@ def run_checks(cfg: RunConfig | None = None) -> list[CheckResult]:
 def adjointness_defect(grid: fields.TorusGrid, rng) -> float:
     """|<grad f, G> + <f, div G>| relative to |<grad f, G>| for random
     band-limited f and G: gradient and divergence are adjoint."""
-    f = fields.random_band_limited(grid, rng)
-    G = fields.VectorField(grid, np.stack(
-        [fields.random_band_limited(grid, rng).values for _ in range(grid.n)]))
-    lhs = fields.inner(fields.gradient_x(f), G)
-    rhs = -fields.inner(f, fields.divergence_x(G))
+    f = fields.random_band_limited(grid, rng).values
+    G = np.stack([fields.random_band_limited(grid, rng).values for _ in range(grid.n)])
+    lhs = float(fields.grid_mean(np.einsum("i...,i...->...", fields.grad_values(f, grid), G)))
+    rhs = -float(fields.grid_mean(f * fields.div_values(G, grid)))
     return abs(lhs - rhs) / max(abs(lhs), 1e-300)
 
 
 def constant_gradient(grid: fields.TorusGrid, c: float) -> float:
     """max |grad c| of the constant field c."""
-    g = fields.gradient_x(fields.ScalarField.constant(grid, c))
-    return float(np.max(np.abs(g.components)))
+    g = fields.grad_values(np.full(grid.shape, float(c)), grid)
+    return float(np.max(np.abs(g)))
 
 
 def gradient_mean(grid: fields.TorusGrid, rng, samples: int) -> float:
     """Largest |mean| of a gradient component of random band-limited fields."""
     worst = 0.0
     for _ in range(samples):
-        for comp in fields.gradient_x(fields.random_band_limited(grid, rng)).components:
+        for comp in fields.grad_values(fields.random_band_limited(grid, rng).values, grid):
             worst = max(worst, abs(float(np.mean(comp))))
     return worst
 
 
 def log_mean_exp_defects(grid: fields.TorusGrid, rng, ks, samples: int):
-    """(monotone, Jensen) defects of log_mean_exp over the increasing ks on
+    """(monotone, Jensen) defects of log-mean-exp over the increasing ks on
     random band-limited fields: the largest decrease from one k to the next,
     and the largest excess of the mean of f over a value."""
     mono = jensen = 0.0
     for _ in range(samples):
-        f = fields.random_band_limited(grid, rng)
-        vals = [fields.log_mean_exp(f, k) for k in ks]
+        f = fields.random_band_limited(grid, rng).values
+        vals = [fields.log_mean_exp_values(f, k) for k in ks]
         mono = max(mono, max(a - b for a, b in zip(vals, vals[1:])))
-        jensen = max(jensen, fields.integrate(f) - min(vals))
+        jensen = max(jensen, float(fields.grid_mean(f)) - min(vals))
     return mono, jensen
 
 
@@ -352,19 +351,19 @@ def periodicity_defect(model, rng, points: int) -> float:
 
 def objective_gradient_defect(problem: cell.CellProblem, rng, amplitude: float,
                               directions: int = 20, eps: float = 1e-5) -> float:
-    """Largest relative gap between inner(gradient, w) and the central
+    """Largest relative gap between the mean of gradient * w and the central
     difference of the objective along random directions w, at a random v0."""
     grid = problem.grid
     v0 = fields.random_band_limited(grid, rng, amplitude=amplitude).values
     _, g = cell.objective(problem, fields.ScalarField(grid, v0))
     worst = 0.0
     for _ in range(directions):
-        w = fields.random_band_limited(grid, rng)
-        vp, vm = v0 + eps * w.values, v0 - eps * w.values
+        w = fields.random_band_limited(grid, rng).values
+        vp, vm = v0 + eps * w, v0 - eps * w
         fp, _ = cell.objective(problem, fields.ScalarField(grid, vp - vp.mean()))
         fm, _ = cell.objective(problem, fields.ScalarField(grid, vm - vm.mean()))
         fd = (fp - fm) / (2 * eps)
-        an = fields.inner(g, w)
+        an = float(fields.grid_mean(g.values * w))
         worst = max(worst, abs(fd - an) / max(abs(fd), abs(an), 1e-300))
     return worst
 
@@ -429,7 +428,7 @@ def measure_identity_defects(model, solutions):
     mass = ident = renorm = 0.0
     for s in solutions:
         mu = measures.gibbs_measure(s)
-        mass = max(mass, abs(fields.integrate(mu.sigma) - 1.0))
+        mass = max(mass, abs(float(fields.grid_mean(mu.sigma.values)) - 1.0))
         f, _ = cell.objective(cell.CellProblem(model, s.P, s.k, s.v.grid), s.v)
         renorm = max(renorm, abs(np.exp(s.k * (f - s.Hbar_k)) - 1.0))
         dens = mu.sigma.values * mu.renorm_factor

@@ -81,7 +81,6 @@ oracle.P_range = [0.0, 2.0, 0.1]
 out = "elsewhere"
 seed = 11
 flags.dump_sigma = true
-flags.unwrap = false
 """
 
 
@@ -105,9 +104,11 @@ def test_config_rejects_unknown_key():
 
 def test_config_rejects_retired_method_key(tmp_path, capsys):
     # one optimizer remains, tol.gtol is the one convergence test (it bounds
-    # the weak residual too) and the sweep sizes its own process pool; an old
-    # config naming any retired key fails on it as an unknown key
-    for key, value in (("solver.method", '"newton"'), ("tol.rtol", "1e-6"), ("jobs", "2")):
+    # the weak residual too), the sweep sizes its own process pool and
+    # trajectory.csv always holds the unwrapped x; an old config naming any
+    # retired key fails on it as an unknown key
+    for key, value in (("solver.method", '"newton"'), ("tol.rtol", "1e-6"), ("jobs", "2"),
+                       ("flags.unwrap", "false")):
         with pytest.raises(ConfigError, match=f":3: unknown key '{key}'"):
             parse_config(f"P = [0.9]\n\n{key} = {value}\n")
         cfg = tmp_path / "old.cfg"
@@ -141,7 +142,7 @@ def test_config_names_bad_field():
     ("k_schedule = 8", "k_schedule", "a list"),
     ("model.a = true", "model.a", "a number"),
     ("tau_steps = 4.0", "tau_steps", "an integer"),
-    ("flags.unwrap = 1", "flags.unwrap", "true or false"),
+    ("flags.dump_sigma = 1", "flags.dump_sigma", "true or false"),
     ("grid.diff = 2", "grid.diff", "a string"),
     ('k_schedule = ["8"]', "k_schedule", "a list of numbers"),
     ('oracle.P_range = [0, "3", 0.5]', "oracle.P_range", "a list of numbers"),
@@ -283,10 +284,12 @@ def test_each_flag_only_where_it_is_read(capsys):
     assert refused == 9
 
 
-def test_cell_rejects_multiple_P(tmp_path):
+def test_cell_rejects_multiple_P(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(CELL_CFG.replace("P = [0.9]", "P = [0.9, 1.0]"))
     assert run(["cell", "--config", cfg, "--out", tmp_path / "o"]) == 1
+    assert f"configuration error: {cfg}: field 'P': the cell command takes exactly one P" \
+        in capsys.readouterr().err
 
 
 def test_validation_error_exit_code(tmp_path):
@@ -416,10 +419,12 @@ def test_sweep_convexity_entry(tmp_path):
     assert conv["max_violation"] <= 1e-3
 
 
-def test_sweep_needs_three_points(tmp_path):
+def test_sweep_needs_three_points(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(SWEEP_CFG.replace("P = [2.0, 1.6, 1.8, 2.2, 2.4]", "P = [1.0, 2.0]"))
     assert run(["sweep", "--config", cfg, "--out", tmp_path / "o"]) == 1
+    assert f"configuration error: {cfg}: field 'P': a sweep needs at least 3 values" \
+        in capsys.readouterr().err
 
 
 def test_oracle_command(tmp_path):
@@ -527,7 +532,8 @@ def test_simulate_config_errors_exit_1(tmp_path, capsys, extra):
     cfg = tmp_path / "sim.cfg"
     cfg.write_text(f'model.name = "pendulum"\nsim.T = 1.0\n{extra}\n')
     assert run(["simulate", "--config", cfg, "--out", tmp_path / "o"]) == 1
-    assert "configuration error" in capsys.readouterr().err
+    # every refusal names the config file, whether loading or the command finds it
+    assert f"configuration error: {cfg}: " in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

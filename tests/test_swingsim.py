@@ -72,8 +72,6 @@ def test_quasi_periodic_and_tilted_run():
     traj = integrate_swing(p, [0.0], [1.5], 20.0, 1e-3, record_every=10)
     assert traj.energy is None          # not autonomous
     assert np.all(np.isfinite(traj.x))
-    wrapped = traj.wrapped_x()
-    assert np.all((wrapped >= 0) & (wrapped < 2 * np.pi))
 
 
 def test_integrate_validation():
