@@ -176,8 +176,10 @@ def validate_config(cfg: RunConfig, source: str) -> None:
         raise field_error("model_name", f"unknown model {cfg.model_name!r}", source)
     if cfg.model_name == "pendulum" and cfg.model_a <= 0:
         raise field_error("model_a", "must be positive", source)
-    if cfg.model_n < 1 or cfg.model_m < 0:
-        raise field_error("model_n", "need n >= 1 and m >= 0", source)
+    if cfg.model_n < 1:
+        raise field_error("model_n", "must be >= 1", source)
+    if cfg.model_m < 0:
+        raise field_error("model_m", "must be >= 0", source)
     ks = list(cfg.k_schedule)
     if not ks or any(b <= a for a, b in zip(ks, ks[1:])) or ks[0] <= 0:
         raise field_error("k_schedule", "must be positive and strictly increasing", source)
@@ -240,11 +242,10 @@ def model_from_config(cfg: RunConfig) -> SwingModel:
         elif cfg.model_name == "integrable":
             model = make_integrable(cfg.model_n, cfg.model_m)
         else:
-            n = cfg.model_n
-            beta_rows = cfg.model_beta or [[{"const": 0.0}] * n for _ in range(n)]
-            beta = tuple(tuple(TrigPoly.from_dict(d) for d in row) for row in beta_rows)
-            model = SwingModel(alpha=cfg.model_alpha, beta=beta, lam=cfg.model_lam,
+            model = SwingModel(alpha=cfg.model_alpha, beta=_beta_table(cfg), lam=cfg.model_lam,
                                omega=cfg.model_omega)
+    except ConfigError:
+        raise
     except (TypeError, ValueError, KeyError) as exc:
         raise ConfigError(f"field 'model.*': {exc}") from None
     for name, built in (("model_n", model.n), ("model_m", model.m)):
@@ -252,6 +253,15 @@ def model_from_config(cfg: RunConfig) -> SwingModel:
             raise field_error(name, f"is {getattr(cfg, name)!r}, but the {cfg.model_name} "
                               f"model it describes has {built}")
     return model
+
+
+def _beta_table(cfg: RunConfig) -> tuple:
+    """``model.beta`` as an n x n table of TrigPoly (all zero when unset)."""
+    table = cfg.model_beta or [[{"const": 0.0}] * cfg.model_n for _ in range(cfg.model_n)]
+    try:
+        return tuple(tuple(TrigPoly.from_dict(d) for d in row) for row in table)
+    except (TypeError, ValueError) as exc:
+        raise field_error("model_beta", str(exc)) from None
 
 
 def p_vectors(cfg: RunConfig) -> list[np.ndarray]:

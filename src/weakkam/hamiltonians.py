@@ -5,16 +5,19 @@ evaluates them.  ``make_pendulum`` and ``make_integrable`` build the
 pendulum and the free rotor as swing models,
 ``SwingModel.scaled`` the tau-deformation toward the free rotor and
 ``SwingModel.at_phase`` the autonomous model of one frozen-drive fiber.
-Every model evaluates ``H(x, y, phi)`` together with its first derivatives in
-``x`` and ``y``.  The kinetic term is ``|y|^2 / 2``, so ``D_yH = y``, the
-y-Hessian is the identity, the uniform-convexity constant is 1 and the
-Legendre transform (``lagrangian``) is closed-form.
+``SwingModel.evaluate`` is the one hand-written evaluation of the formula: it
+returns ``H(x, y, phi)`` with its first derivatives in ``x`` and ``y`` on
+arrays.  The kinetic term is ``|y|^2 / 2``, so ``D_yH = y``, the y-Hessian is
+the identity, the uniform-convexity constant is 1 and the Legendre transform
+(``lagrangian``) is closed-form.  One orbit or one point is evaluated on
+Python floats by kernels generated from the same formula, one per term
+pattern (``SwingModel.kick_drift_kick`` and ``SwingModel.float_potential``);
+they repeat ``evaluate``'s operations in its order, so they give its bits.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -38,6 +41,7 @@ class TrigPoly:
 
     ``modes`` is a tuple of (kvec, cos_coef, sin_coef) with integer kvec of
     length m, so values are exact at any phi and 2*pi periodic per component.
+    A kvec component must hold an integer value (2 or 2.0; 2.5 is refused).
     """
 
     const: float = 0.0
@@ -45,13 +49,10 @@ class TrigPoly:
 
     def __post_init__(self):
         object.__setattr__(self, "const", float(self.const))
-        norm = tuple(
-            (tuple(int(k) for k in kvec), float(a), float(b)) for kvec, a, b in self.modes
-        )
+        norm = tuple((tuple(map(_wave_number, kvec)), float(a), float(b))
+                     for kvec, a, b in self.modes)
         object.__setattr__(self, "modes", norm)
-        if not np.isfinite(self.const) or any(
-            not (np.isfinite(a) and np.isfinite(b)) for _, a, b in norm
-        ):
+        if not np.all(np.isfinite([self.const, *(c for _, a, b in norm for c in (a, b))])):
             raise ValueError("trig polynomial coefficients must be finite")
 
     def __call__(self, phi: np.ndarray) -> np.ndarray:
@@ -72,7 +73,21 @@ class TrigPoly:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrigPoly":
+        """The polynomial of an object with the keys ``const`` and ``modes``
+        (each optional), the spelling of ``model.beta``'s entries."""
+        if not isinstance(d, dict) or set(d) - {"const", "modes"}:
+            raise ValueError(f"a trig polynomial is an object with the keys 'const' and "
+                             f"'modes', not {d!r}")
         return cls(d.get("const", 0.0), tuple((tuple(k), a, b) for k, a, b in d.get("modes", [])))
+
+
+def _wave_number(k) -> int:
+    """``k`` as an int: an integer, or a float of integer value; ``int`` alone
+    would truncate 1.5 to 1."""
+    if isinstance(k, bool) or not (isinstance(k, (int, np.integer))
+                                   or isinstance(k, float) and k.is_integer()):
+        raise ValueError(f"wave-vector components must be integers, not {k!r}")
+    return int(k)
 
 
 class HamEval(NamedTuple):
@@ -132,34 +147,18 @@ class SwingModel:
         # beta only
         terms = tuple((i, j, float(lam[i]), float(lam[j]), 2.0 * float(lam[i]), beta[i][j])
                       for i in range(n) for j in range(n) if not beta[i][j].is_zero())
-        # The formula is written over per-axis rows: a row is a Python float
-        # for one orbit or point, an ndarray for a grid.  Each call picks its
-        # math functions from the row kind (``_rows``): floats get ``math``,
-        # arrays numpy, and both share one set of float constants.  numpy
-        # spends ~1 us on any call, math ~60 ns, and the two round alike, so
-        # that an orbit or an oracle point gives the bits of ``evaluate`` (the
-        # tests compare both kinds bit for bit).  The generated kernels
-        # (``kick_drift_kick``, ``float_potential``) run on float rows and take
-        # every parameter value from the kit as an argument, so one kernel
-        # serves every model of its term pattern.
-        consts = tuple(t[:5] for t in terms)
+        # the force rows before the coupling terms: -alpha, or 0
         start = tuple(float(a) for a in (-alpha if tilted else np.zeros(n)))
         for name, value in {
             "alpha": alpha, "beta": beta, "lam": lam, "omega": omega,
             "n": n, "m": omega.size, "tilted": tilted,
-            "_terms": terms,
+            "_terms": terms, "_start": start,
             # the term pattern: the (i, j) of the active terms, which with n
             # (and whether the model is driven, or tilted) selects a
             # generated kernel
             "_pairs": tuple((i, j) for i, j, *_ in terms),
-            "_float_rows": _RowKit(math.sin, math.cos, consts, start),
-            "_array_rows": _RowKit(np.sin, np.cos, consts, start),
         }.items():
             object.__setattr__(self, name, value)
-
-    def _rows(self, x) -> "_RowKit":
-        """The kit of the rows ``x``: floats or arrays."""
-        return self._float_rows if type(x[0]) is float else self._array_rows
 
     def x_periodic(self, tol: float = 1e-12) -> bool:
         """Check 2*pi periodicity structurally from the coupling wavenumbers.
@@ -198,72 +197,37 @@ class SwingModel:
         """beta_ij(phi) of the active terms; a constant beta stays a float."""
         return tuple(b(phi) if b.modes else b.const for *_, b in self._terms)
 
-    @staticmethod
-    def _coupling_args(x, kit: "_RowKit") -> list:
-        # lam x + lam x == (2 lam) x exactly: one product on the diagonal
-        return [lam_ii * x[i] if i == j else lam_i * x[i] + lam_j * x[j]
-                for i, j, lam_i, lam_j, lam_ii in kit.terms]
+    def evaluate(self, x, y, phi) -> HamEval:
+        """H(x, y, phi), D_xH and D_yH: the one hand-written evaluation of the
+        swing formula.
 
-    def coupling_force(self, sines: list, beta, x) -> list:
-        """The n rows of D_x V at the rows ``x``, from the sines
-        sin(lam_i x_i + lam_j x_j) of the active terms (one row each) and the
-        coupling values ``beta = drive(phi)``; equal, bit for bit, to the force
-        ``potential_force(x, beta)`` returns.  ``_kick_drift_kick_source``
-        writes the same operations out in line."""
-        kit = self._rows(x)
-        rows = list(kit.start)
-        for (i, j, lam_i, lam_j, _), bv, sn in zip(kit.terms, beta, sines):
-            s = bv * sn
-            si = lam_i * s
-            rows[i] = rows[i] + si
-            rows[j] = rows[j] + (si if i == j else lam_j * s)
-        return rows
-
-    def _add_potential(self, h, x, args: list, beta, kit: "_RowKit"):
-        """The row h + V(x) from the rows ``x`` and their coupling arguments
-        ``args = _coupling_args(x, kit)``."""
-        if self.tilted:
-            for minus_alpha, xi in zip(kit.start, x):
-                h = h + minus_alpha * xi
-        cos = kit.cos
-        for bv, arg in zip(beta, args):
-            h = h + bv * (1.0 - cos(arg))
-        return h
-
-    @staticmethod
-    def _kinetic(y):
-        """|y|^2 / 2 of the rows ``y``, summed row by row."""
-        squares = y[0] * y[0]
-        for yi in y[1:]:
-            squares = squares + yi * yi
-        return 0.5 * squares
-
-    def potential_force(self, x: np.ndarray, beta, h=None):
-        """(h + V(x), D_x V(x)) for the coupling values ``beta = drive(phi)``.
-
-        The one place the swing potential and force are written (through
-        ``_add_potential`` and ``coupling_force``); ``evaluate``,
-        ``potential``, ``energy`` and the simulator call it or its parts.
-        With ``h`` None only the force is computed.  ``x`` has shape (n, ...),
-        each beta value broadcasts against ``x[i]``, and the force rows are
-        stacked into an array of the shape of ``x``.
+        The kinetic term is summed row by row, then the tilt and, for each
+        active term, ``beta (1 - cos arg)`` are added to ``h`` and the
+        term's force to its rows ``dx[i]`` and ``dx[j]``, each starting at
+        -alpha_i.  The generated kernels (``kick_drift_kick``,
+        ``float_potential``) write these operations out in the same order.
         """
-        kit = self._rows(x)
-        args = self._coupling_args(x, kit)
-        if h is not None:
-            h = self._add_potential(h, x, args, beta, kit)
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        h = y[0] * y[0]
+        for yi in y[1:]:
+            h = h + yi * yi
+        h = 0.5 * h
+        if self.tilted:
+            for minus_alpha, xi in zip(self._start, x):
+                h = h + minus_alpha * xi
         dx = np.empty(x.shape)
-        for i, row in enumerate(self.coupling_force(list(map(kit.sin, args)), beta, x)):
-            dx[i] = row
-        return h, dx
-
-    def energy(self, x, y, beta):
-        """|y|^2/2 + V(x) of the rows ``x`` and ``y`` (an (n, ...) array is n
-        rows) for ``beta = drive(phi)``, without the force; equal, bit for
-        bit, to ``evaluate(x, y, phi).h``.  ``_kick_drift_kick_source``
-        writes the same operations out in line."""
-        kit = self._rows(x)
-        return self._add_potential(self._kinetic(y), x, self._coupling_args(x, kit), beta, kit)
+        for i, minus_alpha in enumerate(self._start):
+            dx[i] = minus_alpha
+        for (i, j, lam_i, lam_j, lam_ii, _), bv in zip(self._terms, self.drive(phi)):
+            # lam x + lam x == (2 lam) x exactly: one product on the diagonal
+            arg = lam_ii * x[i] if i == j else lam_i * x[i] + lam_j * x[j]
+            h = h + bv * (1.0 - np.cos(arg))
+            s = bv * np.sin(arg)
+            si = lam_i * s
+            dx[i] += si
+            dx[j] += si if i == j else lam_j * s
+        return HamEval(h, dx, y.copy())
 
     def kick_drift_kick(self, x, y, betas, half, dt, every, left,
                         samples: list) -> tuple[list, list]:
@@ -274,41 +238,18 @@ class SwingModel:
         autonomous model reads only the first).  After ``left`` steps, and
         then after every ``every`` steps, the tuple ``(x..., y...)`` is
         appended to ``samples``, followed, when autonomous, by the energy.
-        Returns the new rows ``(x, y)``; each force equals
-        ``coupling_force``'s and each energy ``energy``'s bit for bit.
-        Raises ValueError where ``math.sin`` or ``math.cos`` meets an
-        infinite coupling argument, with the samples before it appended."""
+        Returns the new rows ``(x, y)``; each force equals ``evaluate``'s
+        ``dx`` and each energy its ``h`` bit for bit.  Raises ValueError
+        where ``math.sin`` or ``math.cos`` meets an infinite coupling
+        argument, with the samples before it appended."""
         kernel = _kick_drift_kick_kernel(self.n, self._pairs, self.m == 0)
-        return kernel(x, y, betas, half, dt, every, left, self._float_rows, samples)
+        return kernel(x, y, betas, half, dt, every, left, self, samples)
 
     def float_potential(self, beta):
         """V as a function of the n coordinates of one point, given as Python
         floats, for the coupling values ``beta = drive(phi)`` (floats); equal,
-        bit for bit, to ``energy(x, 0, beta)``."""
-        return _potential_binder(self.n, self._pairs, self.tilted)(self._float_rows, beta)
-
-    def potential(self, x, phi) -> np.ndarray:
-        """V(x, phi) = H(x, 0, phi), without the force or the kinetic term's
-        arrays; equal, bit for bit, to ``evaluate(x, 0, phi).h``."""
-        x = np.asarray(x, dtype=float)
-        kit = self._rows(x)
-        return self._add_potential(np.zeros(x.shape[1:]), x, self._coupling_args(x, kit),
-                                   self.drive(phi), kit)
-
-    def evaluate(self, x, y, phi) -> HamEval:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        h, dx = self.potential_force(x, self.drive(phi), self._kinetic(y))
-        return HamEval(h, dx, y.copy())
-
-
-class _RowKit(NamedTuple):
-    """What the swing formula needs for one kind of row."""
-
-    sin: object
-    cos: object
-    terms: tuple    # (i, j, lam_i, lam_j, 2 lam_i) of the active terms
-    start: tuple    # the force rows before the coupling terms: -alpha, or 0
+        bit for bit, to ``evaluate(x, 0, phi).h``."""
+        return _potential_binder(self.n, self._pairs, self.tilted)(self, beta)
 
 
 def _coupling_arg(t: int, i: int, j: int) -> str:
@@ -321,31 +262,33 @@ def _targets(prefix: str, count: int) -> str:
     return "".join(f"{prefix}{k}, " for k in range(count)).rstrip() or "_"
 
 
-def _kit_lines(kit_fn: str, n: int, pairs: tuple, starts: bool) -> list:
-    """Bind a kit's math function and term constants (and row starts) to
-    local names."""
-    lines = [f"{kit_fn} = kit.{kit_fn}"]
-    lines += [f"_, _, lam{t}_i, lam{t}_j, lam{t}_ii = kit.terms[{t}]"
+def _constant_lines(functions: str, n: int, pairs: tuple, starts: bool) -> list:
+    """Import the ``math`` functions ``functions`` and bind the term constants
+    (and force row starts) of the argument ``model`` to local names: every
+    parameter value is read from the model, so one kernel serves every model
+    of its term pattern."""
+    lines = [f"from math import {functions}"]
+    lines += [f"_, _, lam{t}_i, lam{t}_j, lam{t}_ii, _ = model._terms[{t}]"
               for t in range(len(pairs))]
     if starts:
-        lines.append(f"{_targets('start', n)} = kit.start")
+        lines.append(f"{_targets('start', n)} = model._start")
     return lines
 
 
 def _kick_drift_kick_source(n: int, pairs: tuple, autonomous: bool) -> str:
-    """Source of ``kick_drift_kick(x, y, betas, half, dt, every, left, kit,
-    samples)`` for the n rows and the active terms ``pairs``:
+    """Source of ``kick_drift_kick(x, y, betas, half, dt, every, left,
+    model, samples)`` for the n rows and the active terms ``pairs``:
     ``SwingModel.kick_drift_kick``, unrolled over rows and terms.  The
     coupling sines are taken at the entry position and after each drift; the
-    force is ``coupling_force``'s operations in its order, rebuilt at each
-    half-kick from the step's drive values, or, when autonomous, from the
-    first and carried from the second half-kick of a step to the first of the
-    next.  A sample is appended after ``left`` steps and then every
-    ``every`` steps; when autonomous it ends with the energy, written as
-    ``_kinetic`` and then ``_add_potential``'s operations in their order.
-    The tilt lines run for every model: an untilted kit's starts are 0.0, and
+    force is ``SwingModel.evaluate``'s ``dx`` operations in its order,
+    rebuilt at each half-kick from the step's drive values, or, when
+    autonomous, from the first and carried from the second half-kick of a
+    step to the first of the next.  A sample is appended after ``left``
+    steps and then every ``every`` steps; when autonomous it ends with the
+    energy, written as ``evaluate``'s ``h`` operations in their order.  The
+    tilt lines run for every model: an untilted model's starts are 0.0, and
     ``h + 0.0 * x`` is ``h`` at any finite x.  Parameter values come from
-    ``kit`` and ``betas``, never from the text."""
+    ``model`` and ``betas``, never from the text."""
     betas = _targets("beta", len(pairs))
     sines = [f"sin{t} = sin({_coupling_arg(t, i, j)})" for t, (i, j) in enumerate(pairs)]
     force = [f"f{i} = start{i}" for i in range(n)]
@@ -363,9 +306,7 @@ def _kick_drift_kick_source(n: int, pairs: tuple, autonomous: bool) -> str:
                      for t, (i, j) in enumerate(pairs))]
         row.append("h")
     record.append(f"append(({', '.join(row)}))")
-    head = _kit_lines("sin", n, pairs, starts=True)
-    if autonomous:
-        head.append("cos = kit.cos")
+    head = _constant_lines("cos, sin" if autonomous else "sin", n, pairs, starts=True)
     head += ["append = samples.append", f"{_targets('x', n)} = x", f"{_targets('y', n)} = y",
              *sines]
     if autonomous:
@@ -376,7 +317,7 @@ def _kick_drift_kick_source(n: int, pairs: tuple, autonomous: bool) -> str:
         body = force + kick + drift + sines + force + kick
     body += ["left -= 1", "if not left:"]
     rows = lambda prefix: "[" + ", ".join(f"{prefix}{i}" for i in range(n)) + "]"
-    return "\n".join(["def kick_drift_kick(x, y, betas, half, dt, every, left, kit, samples):",
+    return "\n".join(["def kick_drift_kick(x, y, betas, half, dt, every, left, model, samples):",
                       *("    " + line for line in head),
                       *("        " + line for line in body),
                       *("            " + line for line in record),
@@ -384,16 +325,16 @@ def _kick_drift_kick_source(n: int, pairs: tuple, autonomous: bool) -> str:
 
 
 def _potential_source(n: int, pairs: tuple, tilted: bool) -> str:
-    """Source of ``bind(kit, beta)``, which returns ``potential(x0, ...)``:
-    ``SwingModel._add_potential`` from ``h = 0.0``, unrolled over rows and
-    terms, on the kit's constants and the coupling values ``beta``."""
-    head = _kit_lines("cos", n, pairs, starts=tilted) + [f"{_targets('beta', len(pairs))} = beta"]
+    """Source of ``bind(model, beta)``, which returns ``potential(x0, ...)``:
+    the potential part of ``SwingModel.evaluate``'s ``h`` from ``h = 0.0``,
+    unrolled over rows and terms, for the coupling values ``beta``."""
+    head = _constant_lines("cos", n, pairs, starts=tilted) + [f"{_targets('beta', len(pairs))} = beta"]
     body = ["h = 0.0"]
     if tilted:
         body += [f"h = h + start{i} * x{i}" for i in range(n)]
     body += [f"h = h + beta{t} * (1.0 - cos({_coupling_arg(t, i, j)}))"
              for t, (i, j) in enumerate(pairs)]
-    return "\n".join(["def bind(kit, beta):",
+    return "\n".join(["def bind(model, beta):",
                       *("    " + line for line in head),
                       f"    def potential({', '.join(f'x{i}' for i in range(n))}):",
                       *("        " + line for line in body),
@@ -450,11 +391,9 @@ def lagrangian(model: SwingModel, x, vel, phi=None) -> float:
     in closed form |vel|^2/2 - V(x, phi)."""
     x = np.atleast_1d(np.asarray(x, dtype=float)).reshape(model.n, -1)
     vel = np.atleast_1d(np.asarray(vel, dtype=float)).reshape(model.n, -1)
-    if model.m == 0:
-        phi = np.zeros((0, x.shape[1]))
-    else:
-        if phi is None:
-            raise ValueError("phi required when the model has fiber angles")
-        phi = np.atleast_1d(np.asarray(phi, dtype=float)).reshape(model.m, -1)
-    out = 0.5 * np.einsum("i...,i...->...", vel, vel) - model.potential(x, phi)
+    if model.m and phi is None:
+        raise ValueError("phi required when the model has fiber angles")
+    phi = np.zeros((0, x.shape[1])) if model.m == 0 else np.reshape(phi, (model.m, -1))
+    potential = model.evaluate(x, np.zeros_like(x), phi).h
+    out = 0.5 * np.einsum("i...,i...->...", vel, vel) - potential
     return float(out[0]) if out.size == 1 else out

@@ -133,10 +133,12 @@ def potential_from_model(model: SwingModel) -> Potential1D:
     v_point = model.float_potential(model.drive(np.zeros(0)))
 
     def V(xx):
-        """V at every point of an array, or at a point: the energy at rest
-        H(x, 0), a float evaluated by the model's generated float kernel."""
+        """The energy at rest H(x, 0): at every point of an array by
+        ``evaluate``, at a point as a float by the model's generated float
+        kernel, with the same bits."""
         if isinstance(xx, np.ndarray) and xx.ndim:
-            return model.potential(np.asarray(xx, dtype=float)[None], np.zeros((0,) + xx.shape))
+            x = np.asarray(xx, dtype=float)[None]
+            return model.evaluate(x, np.zeros_like(x), np.zeros((0,) + xx.shape)).h
         return v_point(float(xx))
 
     return Potential1D.from_callable(V)

@@ -83,8 +83,10 @@ def integrate_swing(model: SwingModel, x0, y0, T: float, dt: float,
     costs one coupling evaluation (plus one at each call's entry): the kernel
     carries the coupling sines (the whole force, when autonomous) from the
     second half-kick of a step to the first of the next.  Steps after the
-    last sample are not taken.  The trajectory is bit for bit the one of a
-    per-step ``potential_force`` loop on arrays.  Deterministic; raises
+    last sample are not taken.  Sample 0 (its energy, when autonomous) is
+    taken by ``SwingModel.evaluate`` on (n, 1) arrays.  The trajectory is bit
+    for bit the one of a per-step loop that takes every force and energy
+    from ``evaluate`` on (n, 1) arrays.  Deterministic; raises
     NonFiniteStateError at the first non-finite sample, with the last valid
     index, or -1 if the start (its energy included) is not finite.
     """
@@ -108,12 +110,12 @@ def integrate_swing(model: SwingModel, x0, y0, T: float, dt: float,
     samples = np.empty((n_samples, 2 * n + autonomous))
     beta = _drive_steps(model, np.zeros((0, 1)))[0] if autonomous else None
     half = 0.5 * dt
-    # math.sin and math.cos raise ValueError at +-inf, where the orbit turned
-    # non-finite after its last recorded sample
-    try:
-        samples[0] = xs + ys + ([model.energy(xs, ys, beta)] if autonomous else [])
-    except ValueError:
-        raise NonFiniteStateError(-1) from None
+    samples[0, :2 * n] = xs + ys
+    if autonomous:
+        # a non-finite start is reported as NonFiniteStateError, not as
+        # overflow warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            samples[0, 2 * n] = model.evaluate(x[:, None], y[:, None], np.zeros((0, 1))).h[0]
     if not np.isfinite(samples[0]).all():
         raise NonFiniteStateError(-1)
     for first in range(0, n_steps, DRIVE_BLOCK):

@@ -457,11 +457,23 @@ def test_oracle_rejects_an_empty_table(tmp_path, capsys):
     ('model.name = "swing"\nmodel.n = 2\nmodel.beta = [[{"const": 1.0}]]', "model.n"),
     ("P = [[]]", "P"),
     ("P = [[0.1, 0.2]]", "P"),
+    ("model.m = -1", "model.m"),
+    ('model.name = "swing"\nmodel.beta = [[1.0]]', "model.beta"),
+    ('model.name = "swing"\nmodel.beta = [["x"]]', "model.beta"),
+    # a misspelt key would drop the coupling or the drive, a fractional
+    # wave-vector would be truncated
+    ('model.name = "swing"\nmodel.beta = [[{"cosnt": 1.0}]]', "model.beta"),
+    ('model.name = "swing"\nmodel.m = 1\nmodel.omega = [1.0]\n'
+     'model.beta = [[{"const": 1.0, "modse": [[[1], 0.5, 0.0]]}]]', "model.beta"),
+    ('model.name = "swing"\nmodel.m = 1\nmodel.omega = [1.0]\n'
+     'model.beta = [[{"const": 1.0, "modes": [[[1.5], 0.5, 0.0]]}]]', "model.beta"),
 ], ids=["swing_n", "swing_m", "pendulum_n", "pendulum_m", "swing_n_beta_1x1", "P_empty",
-        "P_too_long"])
+        "P_too_long", "negative_m", "beta_number", "beta_string", "beta_unknown_key",
+        "beta_unknown_modes_key", "beta_fractional_wave_vector"])
 def test_model_dimensions_must_match_the_model(tmp_path, capsys, text, name):
-    # loading a config builds its model and checks each P against it, so the
-    # error names the config like every other validation error
+    # loading a config builds its model, from well-formed model.* values,
+    # and checks each P against it, so the error names the config and the
+    # key like every other validation error
     with pytest.raises(ConfigError, match=f"^<config>: field '{name}'"):
         parse_config(text)
     cfg = tmp_path / "m.cfg"
@@ -873,18 +885,15 @@ def test_cell_measures_evaluate_nothing(tmp_path, monkeypatch):
         finally:
             depth[0] -= 1
 
-    def watched(name):
-        original = getattr(SwingModel, name)
+    evaluate = SwingModel.evaluate
 
-        def wrapper(*args, **kwargs):
-            if not depth[0]:
-                outside.append(name)
-            return original(*args, **kwargs)
-        return wrapper
+    def watched(*args, **kwargs):
+        if not depth[0]:
+            outside.append(args)
+        return evaluate(*args, **kwargs)
 
     monkeypatch.setattr(cell, "solve_cell", counted_solve)
-    for name in ("evaluate", "potential"):
-        monkeypatch.setattr(SwingModel, name, watched(name))
+    monkeypatch.setattr(SwingModel, "evaluate", watched)
     bundled = Path(__file__).resolve().parents[1] / "configs" / "pendulum_cell.cfg"
     assert run(["cell", "--config", bundled, "--out", tmp_path / "o"]) == 0
     manifest = json.loads((tmp_path / "o/manifest.json").read_text())

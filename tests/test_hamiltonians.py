@@ -1,4 +1,3 @@
-import math
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -161,6 +160,26 @@ def test_trigpoly_roundtrip_and_bound():
     assert np.max(np.abs(tp(phi))) <= 1.5 + 0.5 + 0.25 + 1e-15
 
 
+@pytest.mark.parametrize("d", [
+    {"cosnt": 1.0},
+    {"const": 1.0, "modse": [[[1], 0.5, 0.0]]},
+    [1.0],
+    "x",
+], ids=["const_misspelt", "modes_misspelt", "list", "string"])
+def test_trigpoly_from_dict_refuses_what_it_would_drop(d):
+    # an unknown key is an error, not a zero constant or no drive
+    with pytest.raises(ValueError, match="keys 'const' and 'modes'"):
+        TrigPoly.from_dict(d)
+
+
+@pytest.mark.parametrize("k", [1.5, -0.5, float("inf"), float("nan"), "1", True])
+def test_trigpoly_refuses_a_wave_number_it_would_truncate(k):
+    with pytest.raises(ValueError, match="wave-vector components must be integers"):
+        TrigPoly(1.0, (((k,), 0.5, 0.0),))
+    # a float of integer value is that integer
+    assert TrigPoly(1.0, (((2.0, -1), 0.5, 0.0),)).modes == (((2, -1), 0.5, 0.0),)
+
+
 def test_trigpoly_columns_independent_of_batch_shape():
     # each column of an (m, S) evaluation equals the (m, 1) one bit for bit,
     # so the simulator may tabulate the drive for a block of steps
@@ -186,22 +205,15 @@ def n2_swing_model():
     n2_swing_model(),
 ], ids=["pendulum", "tilted", "quasi_periodic", "n2"])
 def test_potential_and_energy_match_evaluate(model):
-    # the force-free shortcuts agree with evaluate bit for bit
+    # one point on Python floats, through the generated kernels (math), gives
+    # the bits of evaluate on arrays (numpy): the force of a kernel step, the
+    # energy it records and float_potential's V
     x, y, phi = sample_points(model)
-    assert np.array_equal(model.potential(x, phi), model.evaluate(x, np.zeros_like(y), phi).h)
-    assert np.array_equal(model.energy(x, y, model.drive(phi)), model.evaluate(x, y, phi).h)
-    one = model.potential(x[:, :1], phi[:, :1])
-    assert one.shape == (1,) and one[0] == model.evaluate(x[:, :1], 0 * y[:, :1], phi[:, :1]).h[0]
-    # one point on float rows (math) gives the bits of the array rows (numpy),
-    # in the hand-written formula and in the generated kernels
     ev = model.evaluate(x, y, phi)
     at_rest = model.evaluate(x, np.zeros_like(y), phi).h
     beta = np.broadcast_arrays(*model.drive(phi), x[0])[:-1]
     for s in range(0, x.shape[1], 7):
         xs, ys, bs = x[:, s].tolist(), y[:, s].tolist(), [float(b[s]) for b in beta]
-        h = model.energy(xs, ys, bs)
-        sines = [math.sin(arg) for arg in model._coupling_args(xs, model._float_rows)]
-        force = model.coupling_force(sines, bs, xs)
         # one kernel step from rest with half = 1 and dt = 0 ends at
         # y = (0 - f) - f = -2 f exactly
         _, y_end = model.kick_drift_kick(xs, [0.0] * model.n, [bs], 1.0, 0.0, 1, 1, [])
@@ -211,15 +223,13 @@ def test_potential_and_energy_match_evaluate(model):
         # kernel, the one that writes the energy lines
         recorded = []
         hamiltonians._kick_drift_kick_kernel(model.n, model._pairs, True)(
-            xs, ys, [bs], 0.0, 0.0, 1, 1, model._float_rows, recorded)
+            xs, ys, [bs], 0.0, 0.0, 1, 1, model, recorded)
         kernel_energy = recorded[0][-1]
         v = model.float_potential(bs)(*xs)
-        assert type(h) is float and all(type(f) is float for f in force + kernel_force)
-        assert type(kernel_energy) is float
-        assert np.array_equal(np.array([h, kernel_energy, *force]).view(np.int64),
-                              np.array([ev.h[s], ev.h[s], *ev.dx[:, s]]).view(np.int64))
-        assert np.array_equal(np.array([v, *kernel_force]).view(np.int64),
-                              np.array([at_rest[s], *ev.dx[:, s]]).view(np.int64))
+        assert all(type(f) is float for f in [kernel_energy, v, *kernel_force])
+        assert np.array_equal(np.array([kernel_energy, *kernel_force]).view(np.int64),
+                              np.array([ev.h[s], *ev.dx[:, s]]).view(np.int64))
+        assert np.array_equal(np.array([v]).view(np.int64), at_rest[s:s + 1].view(np.int64))
 
 
 @pytest.mark.parametrize("model", ALL_MODELS, ids=MODEL_IDS)

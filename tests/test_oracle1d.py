@@ -116,10 +116,9 @@ def test_potential_from_model_samples_in_one_call(monkeypatch):
     # a model is frozen, so its class is patched
     model = make_pendulum(0.7)
     calls = []
-    for name in ("evaluate", "potential"):
-        method = getattr(SwingModel, name)
-        monkeypatch.setattr(SwingModel, name,
-                            lambda self, *a, _m=method: calls.append(a) or _m(self, *a))
+    method = SwingModel.evaluate
+    monkeypatch.setattr(SwingModel, "evaluate",
+                        lambda self, *a: calls.append(a) or method(self, *a))
     pot = potential_from_model(model)
     assert len(calls) < 100
     xs = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
@@ -128,12 +127,12 @@ def test_potential_from_model_samples_in_one_call(monkeypatch):
 
 
 def test_potential_from_model_point_is_a_float_row():
-    # a point is evaluated on the model's float rows: a Python float, equal
-    # bit for bit to the array evaluation
+    # a point is evaluated by the model's generated float kernel: a Python
+    # float, equal bit for bit to evaluate's energy at rest
     model = make_pendulum(0.7)
     pot = potential_from_model(model)
     xs = np.random.default_rng(7).uniform(-10.0, 10.0, 1000)
-    want = model.potential(xs[None], np.zeros((0, xs.size)))
+    want = model.evaluate(xs[None], np.zeros((1, xs.size)), np.zeros((0, xs.size))).h
     got = [pot.v(x) for x in xs.tolist()]
     assert all(type(v) is float for v in got)
     assert np.array_equal(np.array(got).view(np.int64), want.view(np.int64))
@@ -146,7 +145,7 @@ def test_oracle_table_matches_array_point_path():
 
     def v_array(x):
         x = np.asarray(x, dtype=float)
-        h = model.potential(x.reshape(1, -1), np.zeros((0, x.size)))
+        h = model.evaluate(x.reshape(1, -1), np.zeros((1, x.size)), np.zeros((0, x.size))).h
         return h.reshape(x.shape) if x.ndim else float(h[0])
 
     ps = np.round(np.arange(0.0, 3.0001, 0.05), 10)

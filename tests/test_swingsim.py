@@ -133,11 +133,11 @@ def per_step_reference(model, x0, y0, T, dt, record_every):
 
     n_steps = int(round(T / dt))
     autonomous = model.m == 0
-    beta = model.drive(np.zeros((0, 1))) if autonomous else None
+    phi = np.zeros((model.m, 1))
 
     def energy():
         """Total energy on the covering space; meaningful when autonomous."""
-        return model.potential_force(x, beta, 0.5 * np.einsum("i...,i...->...", y, y))[0]
+        return model.evaluate(x, y, phi).h
 
     half = 0.5 * dt
     # a blow-up is reported as NonFiniteStateError, not as overflow warnings
@@ -149,10 +149,10 @@ def per_step_reference(model, x0, y0, T, dt, record_every):
         for step in range(n_steps):
             t_half = (step + 0.5) * dt
             if not autonomous:
-                beta = model.drive((model.omega * t_half).reshape(model.m, 1))
-            y = y - half * model.potential_force(x, beta)[1]
+                phi = (model.omega * t_half).reshape(model.m, 1)
+            y = y - half * model.evaluate(x, y, phi).dx
             x = x + dt * y
-            y = y - half * model.potential_force(x, beta)[1]
+            y = y - half * model.evaluate(x, y, phi).dx
             if (step + 1) % record_every == 0:
                 e = energy() if autonomous else 0.0
                 if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))
