@@ -15,13 +15,17 @@ one spatial axis (spectral or fd2), or two spatial axes and the spectral
 derivative, it is an exact Cholesky solve of the operator itself, fiber by
 fiber, so each step costs one operator apply (with the FD factor, one CG
 across fibers whose Gibbs masses differ by many orders runs close to its
-iteration cap).  One-dimensional grids without fiber axes (the pendulum, the
-subproblems of the fiber decomposition) and fd2 grids in two dimensions start
-on a factor of a finite-difference stencil with the same coefficients, which
-is cheaper to build and near-exact at low k: in one dimension a cyclic
-tridiagonal, factored in O(N_x); in two, a sparse LU.  At high k it is not
-near-exact: once one CG solve on an n=1 grid takes more applies than a dense
-factor costs, the rest of that solve uses the exact step.
+iteration cap).  Grids without fiber axes start on a preconditioner that is
+cheaper to build and near-exact at low k.  One-dimensional ones (the
+pendulum, the subproblems of the fiber decomposition) start on a factor of
+a finite-difference stencil with the same coefficients, a cyclic
+tridiagonal factored in O(N_x); spectral two-dimensional ones on the
+Fourier multiplier of the operator with its coefficients averaged over the
+grid, which needs no factor at all.  At high k neither is near-exact: once
+one CG solve on such a grid takes more applies than a dense factor costs
+(``_dense_pays``), the rest of that solve uses the exact step.  fd2 grids in
+two dimensions have no exact step; they stay on a sparse LU of the FD
+stencil.
 
 The Levenberg shift of a step is lam times each fiber's largest sum_a C_aa,
 the operator's scale on its lowest modes; a shift at its grid-scale ceiling,
@@ -30,8 +34,9 @@ steps.  A solve returns its final lam and step kind as a ``NewtonState``, and
 ``solve_cell`` can start from one: the stages of ``continuation_solve`` and
 the fibers of ``fiber_decomposed_solve`` hand theirs on, so a warm start does
 not learn again how much damping the problem needs, or that CG on the FD
-factor stalls.  A carried lam is floored at ``LAM_WARM_FLOOR``.  The state is
-passed only through arguments and return values.
+factor or the Fourier multiplier stalls.  A carried lam is floored at
+``LAM_WARM_FLOOR``.  The state is passed only through arguments and return
+values.
 
 An exact factor is kept from one Newton step to the next as the
 preconditioner of an operator built anew at every step, and factored again
@@ -41,8 +46,9 @@ is almost all of a step.  Only a preconditioner that holds every fiber's
 factor is kept (n=1 grids, and n=2 grids without fiber axes).  On n=2 grids
 with fiber axes the fibers share one factor buffer, so a kept preconditioner
 would factor every fiber again at each CG iteration; there, as with the FD
-factor, every step builds its own.  A factor is never carried from one solve
-to the next.
+factor and the Fourier multiplier, every step builds its own.  A factor is
+never carried from one solve to the next.  The packed n=2 factor is built
+from the lower triangle of the operator only, the part its storage keeps.
 
 ``fiber_decomposed_solve`` solves each of the N = N_phi^m fibers once, to
 gtol / sqrt(N): the joint gradient weighs each fiber's gradient by its share
@@ -123,26 +129,49 @@ HOMOTOPY_GTOL = 1e-2
 
 def _exact_step(grid: TorusGrid) -> bool:
     """Whether a solve on this grid starts with an exact (Cholesky) Newton
-    step: on spectral n=2 grids, and on n=1 grids with fiber axes (spectral or
-    fd2), whose fibers the FD factor fits one by one but one CG cannot treat
-    together.  n=1 grids without fiber axes start on the cheaper FD factor
-    and move to the exact step when CG stalls (``_dense_pays``)."""
-    return (grid.n == 2 and grid.diff_mode == "spectral") or (grid.n == 1 and grid.m >= 1)
+    step: on grids with fiber axes, n=1 (spectral or fd2) or spectral n=2,
+    where one CG runs across fibers whose Gibbs masses differ by many orders.
+    Grids without fiber axes start on a cheaper preconditioner, n=1 ones on
+    the FD factor and spectral n=2 ones on the Fourier multiplier
+    (``_fourier_preconditioner``), and move to the exact step when CG stalls
+    (``_dense_pays``).  fd2 n=2 grids have no exact step and stay on the FD
+    factor."""
+    return grid.m >= 1 and (grid.n == 1 or grid.diff_mode == "spectral")
 
 
 def _dense_pays(grid: TorusGrid, applies: int) -> bool:
     """Whether a CG solve that took ``applies`` operator applies on this grid
-    cost more than the exact step would have.  Only n=1 grids have a dense
-    step to move to.  Its build and factor grow as N_x^3, one apply as
-    N_x log N_x: on 2 cores the dense system takes 0.30 ms at N_x=128 and
-    2.0 ms at N_x=256, the tridiagonal FD system 0.06 and 0.12 ms, one apply
-    with its FD solve 0.075 and 0.10 ms.  A dense step that factors once
-    breaks even with about 5 FD applies at N_x=128 and 20 at N_x=256, and a
-    factor kept over several steps with fewer.  The threshold, 4 applies at
-    N_x=128 and 32 at N_x=256, sits near that break-even, so a solve whose CG
-    stays near-exact keeps the FD factor (and the process skips the first
-    dense factor's BLAS buffers), while one whose CG stalls switches."""
-    return grid.n == 1 and applies > 4 * (grid.N_x / 128) ** 3
+    cost more than the exact step would have.  n=1 and spectral n=2 grids
+    have a dense step to move to; fd2 n=2 grids do not.
+
+    n=1: its build and factor grow as N_x^3, one apply as N_x log N_x: on
+    2 cores the dense system takes 0.30 ms at N_x=128 and 2.0 ms at
+    N_x=256, the tridiagonal FD system 0.06 and 0.12 ms, one apply with its
+    FD solve 0.075 and 0.10 ms.  A dense step that factors once breaks even
+    with about 5 FD applies at N_x=128 and 20 at N_x=256, and a factor kept
+    over several steps with fewer.  The threshold, 4 applies at N_x=128 and
+    32 at N_x=256, sits near that break-even, so a solve whose CG stays
+    near-exact keeps the FD factor (and the process skips the first dense
+    factor's BLAS buffers), while one whose CG stalls switches.
+
+    Spectral n=2 (which starts on the Fourier multiplier only without fiber
+    axes): on 2 cores a dense factor, with its assembly and its solve of
+    A^-1 1, takes 4.2 ms at N_x=24, 12 ms at N_x=32 and 86 ms at N_x=48; one
+    apply with its Fourier solve 0.13, 0.14 and 0.19 ms.  A factor is kept
+    for the later steps of the solve, and the later stages of a continuation
+    start exact, so the switch does not weigh one factor against applies.
+    On the ladder model's continuation to k=64 (tau_steps=4) at N_x=32, a
+    threshold of 5 applies took 9 factors and 60 applies, 6 took 6 and 82,
+    10 took 6 and 98, 30 took 6 and 179, 150 took 5 and 451.  The least time
+    (best of 5 runs, within noise) came from 5 to 10 at N_x=24, 6 to 12 at
+    N_x=32 and 10 to 30 at N_x=48, where below 10 a seventh factor was built.
+    The threshold, 10 N_x/32 applies (7.5, 10 and 15 there; 20 at
+    ``EXACT_MAX_N_X``, below ``CG_MAX_ITER``), grows with the cost of a
+    factor that an early switch wastes.
+    """
+    if grid.n == 1:
+        return applies > 4 * (grid.N_x / 128) ** 3
+    return grid.diff_mode == "spectral" and applies > 10 * grid.N_x / 32
 
 
 @dataclass(frozen=True)
@@ -181,7 +210,8 @@ class CellProblem:
             )
         if not model.x_periodic():
             raise ValueError("model is not 2*pi periodic in x; grid sampling is invalid")
-        if grid.n == 2 and _exact_step(grid) and grid.N_x > EXACT_MAX_N_X:
+        # an n=2 solve without fiber axes can still move to the exact step
+        if grid.n == 2 and grid.diff_mode == "spectral" and grid.N_x > EXACT_MAX_N_X:
             mb = 8 * grid.N_x ** 4 / 2 / 1e6
             raise ValueError(
                 f"spectral n=2 grids need N_x <= {EXACT_MAX_N_X}: the exact Newton "
@@ -515,17 +545,51 @@ def _diff_matrix(N: int, diff_mode: str) -> np.ndarray:
 
 
 def _operator_rows(D: np.ndarray, c: np.ndarray, i1: int, s: float) -> np.ndarray:
-    """Rows (i1, 0..N-1), shape (N, N*N), of sum_ab D_a^T diag(c_ab) D_b + s on
-    one N x N fiber, with D_1 = D (x) I and D_2 = I (x) D in C order."""
+    """Rows (i1, 0..N-1) of sum_ab D_a^T diag(c_ab) D_b + s on one N x N
+    fiber, with D_1 = D (x) I and D_2 = I (x) D in C order, in the columns
+    (j1, 0..N-1) with j1 <= i1: shape (N, (i1+1)*N), which holds the rows'
+    part of the lower triangle.  Each entry takes the operations, in the
+    order, of the full rows; the a=b=1 product is formed over every column,
+    as there, and cut after."""
     N = D.shape[0]
+    J = i1 + 1
     ar = np.arange(N)
     col = D[:, i1, None]
-    R = (col * c[0, 1]).T[:, :, None] * D[:, None, :]            # a=1, b=2
-    R += (D.T * c[1, 0, i1])[:, None, :] * D[i1][None, :, None]  # a=2, b=1
+    R = (col[:J] * c[0, 1, :J]).T[:, :, None] * D[:, None, :]    # a=1, b=2
+    R += (D.T * c[1, 0, i1])[:, None, :] * D[i1, :J][None, :, None]  # a=2, b=1
     R[:, i1, :] += (D.T * c[1, 1, i1]) @ D                       # a=b=2
-    R[ar, :, ar] += (col * c[0, 0]).T @ D                        # a=b=1
+    R[ar, :, ar] += ((col * c[0, 0]).T @ D)[:, :J]               # a=b=1
     R[ar, i1, ar] += s
-    return R.reshape(N, N * N)
+    return R.reshape(N, J * N)
+
+
+def _fourier_preconditioner(grid: TorusGrid, C: np.ndarray, shift: np.ndarray):
+    """Exact inverse, on mean-zero fields, of the Newton operator with each
+    coefficient C_ab replaced by its grid mean (spectral n=2 grids without
+    fiber axes, whose shift is one number).
+
+    That operator is a Fourier multiplier: sum_ab mean(C_ab) q_a q_b + shift
+    on the mode (q_1, q_2), with the derivative's own wavenumbers (the Nyquist
+    mode zeroed, as in ``fields._spectral_symbol``).  Its inverse maps the
+    zero mode to 0, so each solve is one ``rfft2`` / ``irfft2`` pair and
+    returns a mean-zero field.  It costs no factor, and is near-exact while
+    the Gibbs weight is spread out (low k, early homotopy stages); where it
+    is not, CG stalls and the solve moves to the exact step
+    (``_dense_pays``).
+    """
+    N = grid.N_x
+    q = np.fft.fftfreq(N, 1.0 / N)
+    q[N // 2] = 0.0
+    qs = (q[:, None], q[None, :N // 2 + 1])     # axis 0 full, axis 1 halved by rfft2
+    symbol = float(shift.flat[0]) + sum(grid_mean(C[a, b]) * qs[a] * qs[b]
+                                        for a in range(2) for b in range(2))
+    symbol[0, 0] = np.inf                       # the zero mode maps to 0
+    inverse = 1.0 / symbol
+
+    def solve(r: np.ndarray) -> np.ndarray:
+        return np.fft.irfft2(np.fft.rfft2(r) * inverse, s=r.shape)
+
+    return solve
 
 
 def _exact_preconditioner(grid: TorusGrid, C: np.ndarray, shift: np.ndarray):
@@ -533,15 +597,16 @@ def _exact_preconditioner(grid: TorusGrid, C: np.ndarray, shift: np.ndarray):
 
     Per fiber the operator is sum_ab D_a^T diag(C_ab) D_b + shift with D_a the
     grid's own derivative matrix, so its Cholesky factor makes PCG a single
-    step.  Its lower triangle goes straight into rectangular full packed (RFP)
-    storage, N_x^4/2 doubles, in one buffer that the fibers share: allocated
-    at the first solve, so the previous factor's buffer is already released
-    (``_minimize_newton`` drops it before building this one).  Without fiber
-    axes the buffer holds the one factor for good, so the solve can be kept
-    across Newton steps.  With fiber axes each solve factors every fiber
-    again, in turn, so the solve is built anew at every step.  A fiber's
-    A^-1 1, which the mean-zero correction needs, is solved right after each
-    factor, so an apply solves only its residual.
+    step.  Its lower triangle, the only part ``_operator_rows`` builds, goes
+    straight into rectangular full packed (RFP) storage, N_x^4/2 doubles, in
+    one buffer that the fibers share: allocated at the first solve, so the
+    previous factor's buffer is already released (``_minimize_newton`` drops
+    it before building this one).  Without fiber axes the buffer holds the
+    one factor for good, so the solve can be kept across Newton steps.  With
+    fiber axes each solve factors every fiber again, in turn, so the solve is
+    built anew at every step.  A fiber's A^-1 1, which the mean-zero
+    correction needs, is solved right after each factor, so an apply solves
+    only its residual.
     """
     from scipy.linalg.lapack import dpftrf, dpftrs
 
@@ -561,14 +626,17 @@ def _exact_preconditioner(grid: TorusGrid, C: np.ndarray, shift: np.ndarray):
         c = C[(Ellipsis,) + fiber]
         s = float(shift[(0, 0) + fiber]) + 1e-290   # an all-zero fiber stays solvable
         for i1 in range(N):
-            rows = _operator_rows(D, c, i1, s)
+            rows = _operator_rows(D, c, i1, s)          # the columns j < (i1 + 1) N
+            lo, hi = i1 * N, (i1 + 1) * N
             # A[i, j] sits at AR[i + 1, j] for j < n/2, and at AR[j - n/2, i - n/2]
-            # (above the diagonal of AR's top square) for j >= n/2
-            AR[i1 * N + 1:i1 * N + N + 1] = rows[:, :half]
-            if i1 * N >= half:
-                cols = np.arange(i1 * N - half, i1 * N - half + N)
-                np.copyto(AR[:half, cols[0]:cols[-1] + 1], rows[:, half:].T,
-                          where=upper <= cols)
+            # (on and above the diagonal of AR's top square) for j >= n/2; the
+            # entries these rows hold above A's diagonal land there too, and the
+            # trailing block's rows, which come later, write over them
+            AR[lo + 1:hi + 1, :min(hi, half)] = rows[:, :half]
+            if lo >= half:
+                cols = np.arange(lo - half, hi - half)
+                np.copyto(AR[:hi - half, lo - half:hi - half], rows[:, half:].T,
+                          where=upper[:hi - half] <= cols)
         _, info = dpftrf(n, buf, transr="N", uplo="L", overwrite_a=1)
         if info != 0:
             raise np.linalg.LinAlgError(f"Newton operator not positive definite ({info})")
@@ -645,7 +713,10 @@ def _exact_preconditioner_1d(grid: TorusGrid, C: np.ndarray, shift: np.ndarray):
 def _newton_system(problem, ev, sigma, lam, exact, precond=None):
     """The Newton operator at a state, matrix-free, and its preconditioner:
     ``precond`` if given (a factor kept from an earlier step), else a new
-    exact (Cholesky) solve if ``exact``, else a new FD factor.
+    exact (Cholesky) solve if ``exact``, else the grid's cheaper start: the
+    Fourier multiplier of the grid-averaged operator on spectral n=2 grids
+    (which start there only without fiber axes), an FD factor on the others
+    (tridiagonal for n=1, a sparse LU for fd2 n=2).
 
     The operator is w -> -div_x(C D_x w) + shift * w with the pointwise
     tensor C = sigma (I + k D_yH D_yH^T), projected off constants; the
@@ -675,8 +746,12 @@ def _newton_system(problem, ev, sigma, lam, exact, precond=None):
     if precond is None:
         if grid.n == 1:
             make = _exact_preconditioner_1d if exact else _fd_preconditioner_1d
+        elif exact:
+            make = _exact_preconditioner
+        elif grid.diff_mode == "spectral":
+            make = _fourier_preconditioner
         else:
-            make = _exact_preconditioner if exact else _fd_preconditioner
+            make = _fd_preconditioner
         precond = make(grid, C, shift)
     return apply_A, precond
 
@@ -695,9 +770,9 @@ def _minimize_newton(problem, v, opts, state=None):
     indefinite.  Below f's rounding
     floor the gain ratio is noise, so a step there counts as good exactly
     when the gradient norm fell.  The step starts exact where ``_exact_step``
-    says so, or on an n=1 grid where the earlier solve had turned exact, and
-    turns exact for the rest of the solve once one CG solve costs more than a
-    dense factor (``_dense_pays``).
+    says so, or on an n=1 or spectral n=2 grid where the earlier solve had
+    turned exact, and turns exact for the rest of the solve once one CG
+    solve costs more than a dense factor (``_dense_pays``).
 
     The operator is built from the current state at every step.  An exact
     factor is kept from step to step as the preconditioner, and factored
@@ -724,7 +799,8 @@ def _minimize_newton(problem, v, opts, state=None):
         lam = LAM_COLD
     else:
         lam = max(state.lam, LAM_WARM_FLOOR, lam_min)
-        exact = exact or (grid.n == 1 and state.exact)
+        # only grids with a dense step to move to inherit it
+        exact = exact or (state.exact and (grid.n == 1 or grid.diff_mode == "spectral"))
     keeps = grid.n == 1 or grid.m == 0
     precond = None
     for it in range(opts.max_iter):

@@ -78,7 +78,17 @@ class TrigPoly:
         if not isinstance(d, dict) or set(d) - {"const", "modes"}:
             raise ValueError(f"a trig polynomial is an object with the keys 'const' and "
                              f"'modes', not {d!r}")
-        return cls(d.get("const", 0.0), tuple((tuple(k), a, b) for k, a, b in d.get("modes", [])))
+        modes = tuple((tuple(k), _coefficient(a), _coefficient(b))
+                      for k, a, b in d.get("modes", []))
+        return cls(_coefficient(d.get("const", 0.0)), modes)
+
+
+def _coefficient(c):
+    """``c`` if it is a number: ``float`` alone would take the string "1.5"
+    and the boolean true."""
+    if isinstance(c, bool) or not isinstance(c, (int, float)):
+        raise ValueError(f"trig polynomial coefficients must be numbers, not {c!r}")
+    return c
 
 
 def _wave_number(k) -> int:

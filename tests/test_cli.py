@@ -467,9 +467,15 @@ def test_oracle_rejects_an_empty_table(tmp_path, capsys):
      'model.beta = [[{"const": 1.0, "modse": [[[1], 0.5, 0.0]]}]]', "model.beta"),
     ('model.name = "swing"\nmodel.m = 1\nmodel.omega = [1.0]\n'
      'model.beta = [[{"const": 1.0, "modes": [[[1.5], 0.5, 0.0]]}]]', "model.beta"),
+    # a coefficient of the wrong JSON type is refused, not converted
+    ('model.name = "swing"\nmodel.beta = [[{"const": "1.5"}]]', "model.beta"),
+    ('model.name = "swing"\nmodel.beta = [[{"const": true}]]', "model.beta"),
+    ('model.name = "swing"\nmodel.m = 1\nmodel.omega = [1.0]\n'
+     'model.beta = [[{"const": 1.0, "modes": [[[1], "0.5", false]]}]]', "model.beta"),
 ], ids=["swing_n", "swing_m", "pendulum_n", "pendulum_m", "swing_n_beta_1x1", "P_empty",
         "P_too_long", "negative_m", "beta_number", "beta_string", "beta_unknown_key",
-        "beta_unknown_modes_key", "beta_fractional_wave_vector"])
+        "beta_unknown_modes_key", "beta_fractional_wave_vector", "beta_string_const",
+        "beta_bool_const", "beta_string_bool_mode"])
 def test_model_dimensions_must_match_the_model(tmp_path, capsys, text, name):
     # loading a config builds its model, from well-formed model.* values,
     # and checks each P against it, so the error names the config and the
