@@ -11,21 +11,20 @@ The optimizer is damped Newton.  Its linear systems use the symmetric
 elliptic operator w -> -div_x(sigma (I + k D_yH D_yH^T) D_x w), solved by
 preconditioned conjugate gradients.  Each solve starts on the preconditioner
 that ``_exact_step`` picks from the grid.  Where the grid has fiber axes and
-one spatial axis (spectral or fd2), or two spatial axes and the spectral
-derivative, it is an exact Cholesky solve of the operator itself, fiber by
-fiber, so each step costs one operator apply (with the FD factor, one CG
-across fibers whose Gibbs masses differ by many orders runs close to its
-iteration cap).  Grids without fiber axes start on a preconditioner that is
-cheaper to build and near-exact at low k.  One-dimensional ones (the
-pendulum, the subproblems of the fiber decomposition) start on a factor of
-a finite-difference stencil with the same coefficients, a cyclic
-tridiagonal factored in O(N_x); spectral two-dimensional ones on the
-Fourier multiplier of the operator with its coefficients averaged over the
-grid, which needs no factor at all.  At high k neither is near-exact: once
-one CG solve on such a grid takes more applies than a dense factor costs
-(``_dense_pays``), the rest of that solve uses the exact step.  fd2 grids in
-two dimensions have no exact step; they stay on a sparse LU of the FD
-stencil.
+two spatial axes with the spectral derivative, it is an exact Cholesky
+solve of the operator itself, fiber by fiber, so each step costs one
+operator apply.  The other grids start on a preconditioner that is cheaper
+to build and near-exact at low k.  One-dimensional ones (the pendulum, the
+subproblems of the fiber decomposition, the joint quasi-periodic grid)
+start on a factor of a finite-difference stencil with the same
+coefficients, per fiber a cyclic tridiagonal factored in O(N_x), with every
+solve projected to zero x-mean on each fiber; spectral two-dimensional ones
+without fiber axes on the Fourier multiplier of the operator with its
+coefficients averaged over the grid, which needs no factor at all.  At high
+k neither is near-exact: once one CG solve on such a grid takes more
+applies than a dense factor costs (``_dense_pays``), the rest of that solve
+uses the exact step.  fd2 grids in two dimensions have no exact step; they
+stay on a sparse LU of the FD stencil.
 
 The Levenberg shift of a step is lam times each fiber's largest sum_a C_aa,
 the operator's scale on its lowest modes; a shift at its grid-scale ceiling,
@@ -42,7 +41,10 @@ An exact factor is kept from one Newton step to the next as the
 preconditioner of an operator built anew at every step, and factored again
 only after a CG solve on it took more than ``REFACTOR_APPLIES`` applies: a
 few extra applies cost far less than a factor, which on a spectral n=2 grid
-is almost all of a step.  Only a preconditioner that holds every fiber's
+is almost all of a step.  A CG solve on a kept factor stops after
+``REFACTOR_APPLIES + 1`` applies, since the next step factors anew in any
+case; its truncated iterate is still a descent direction.  Only a
+preconditioner that holds every fiber's
 factor is kept (n=1 grids, and n=2 grids without fiber axes).  On n=2 grids
 with fiber axes the fibers share one factor buffer, so a kept preconditioner
 would factor every fiber again at each CG iteration; there, as with the FD
@@ -129,14 +131,15 @@ HOMOTOPY_GTOL = 1e-2
 
 def _exact_step(grid: TorusGrid) -> bool:
     """Whether a solve on this grid starts with an exact (Cholesky) Newton
-    step: on grids with fiber axes, n=1 (spectral or fd2) or spectral n=2,
-    where one CG runs across fibers whose Gibbs masses differ by many orders.
-    Grids without fiber axes start on a cheaper preconditioner, n=1 ones on
-    the FD factor and spectral n=2 ones on the Fourier multiplier
-    (``_fourier_preconditioner``), and move to the exact step when CG stalls
-    (``_dense_pays``).  fd2 n=2 grids have no exact step and stay on the FD
-    factor."""
-    return grid.m >= 1 and (grid.n == 1 or grid.diff_mode == "spectral")
+    step: only on spectral n=2 grids with fiber axes, where one CG runs
+    across fibers whose Gibbs masses differ by many orders and no cheaper
+    start treats each fiber on its own.  Every n=1 grid, with fiber axes or
+    without, starts on the FD factor (``_fd_preconditioner_1d``, fiber by
+    fiber, each projected to zero x-mean), and spectral n=2 grids
+    without fiber axes on the Fourier multiplier (``_fourier_preconditioner``);
+    both move to the exact step when CG stalls (``_dense_pays``).  fd2 n=2
+    grids have no exact step and stay on the FD factor."""
+    return grid.m >= 1 and grid.n == 2 and grid.diff_mode == "spectral"
 
 
 def _dense_pays(grid: TorusGrid, applies: int) -> bool:
@@ -152,7 +155,11 @@ def _dense_pays(grid: TorusGrid, applies: int) -> bool:
     over several steps with fewer.  The threshold, 4 applies at N_x=128 and
     32 at N_x=256, sits near that break-even, so a solve whose CG stays
     near-exact keeps the FD factor (and the process skips the first dense
-    factor's BLAS buffers), while one whose CG stalls switches.
+    factor's BLAS buffers), while one whose CG stalls switches.  On a grid
+    with fiber axes the dense stack and the FD factor both grow with the
+    fiber count, so the threshold holds there too: the quasi-periodic
+    rotor's joint continuation (N_x=128, 16 fibers, k 8 to 16) builds 3
+    dense stacks and 14 FD factors.
 
     Spectral n=2 (which starts on the Fourier multiplier only without fiber
     axes): on 2 cores a dense factor, with its assembly and its solve of
@@ -166,12 +173,17 @@ def _dense_pays(grid: TorusGrid, applies: int) -> bool:
     (best of 5 runs, within noise) came from 5 to 10 at N_x=24, 6 to 12 at
     N_x=32 and 10 to 30 at N_x=48, where below 10 a seventh factor was built.
     The threshold, 10 N_x/32 applies (7.5, 10 and 15 there; 20 at
-    ``EXACT_MAX_N_X``, below ``CG_MAX_ITER``), grows with the cost of a
-    factor that an early switch wastes.
+    ``EXACT_MAX_N_X``), grows with the cost of a factor that an early switch
+    wastes.
+
+    A CG solve that ran into ``CG_MAX_ITER`` pays on every grid with a dense
+    step: the n=1 threshold passes ``CG_MAX_ITER`` at N_x=472, beyond which a
+    stalled CG would otherwise never switch.
     """
-    if grid.n == 1:
-        return applies > 4 * (grid.N_x / 128) ** 3
-    return grid.diff_mode == "spectral" and applies > 10 * grid.N_x / 32
+    if grid.n == 2 and grid.diff_mode != "spectral":
+        return False
+    threshold = 4 * (grid.N_x / 128) ** 3 if grid.n == 1 else 10 * grid.N_x / 32
+    return applies > threshold or applies >= CG_MAX_ITER
 
 
 @dataclass(frozen=True)
@@ -491,22 +503,40 @@ def _fd_preconditioner(grid: TorusGrid, C: np.ndarray, shift: np.ndarray):
 
 
 def _fd_preconditioner_1d(grid: TorusGrid, C: np.ndarray, shift: np.ndarray):
-    """The stencil of ``_fd_preconditioner`` on n=1 grids, factored in O(N_x).
+    """The stencil of ``_fd_preconditioner`` on n=1 grids, factored in O(N_x)
+    per fiber.
 
-    Same coefficients, shift and floor.  On one spatial axis the cyclic
-    stencil is tridiagonal but for the corner link between nodes N_x-1 and 0,
-    of weight c.  The stencil without that link, T, is factored by LAPACK's
-    positive-definite tridiagonal ``dpttrf``, and the link, c w w^T with
+    Same coefficients, shift and per-fiber floor.  On one spatial axis the
+    cyclic stencil of a fiber is tridiagonal but for the corner link between
+    nodes N_x-1 and 0, of weight c.  The stencils without that link, T, lie
+    end to end in one tridiagonal, with a zero link between fibers, which
+    LAPACK's positive-definite tridiagonal ``dpttrf`` factors as the separate
+    systems (a zero link stays zero and leaves the next pivot as it is), in
+    one call whatever the fiber count.  Each fiber's link, c w w^T with
     w = e_0 - e_{N_x-1}, comes back as a rank-one Sherman-Morrison correction
-    along the precomputed T^-1 w.  The cut diagonal is assembled without the
-    link, not by subtracting it, so nothing cancels.  The stencil is positive
-    definite exactly when T is and 1 + c w^T T^-1 w > 0.  It serves n=1 grids
-    without fiber axes (those with fiber axes start exact) until one CG solve
-    takes more applies than a dense factor costs (``_dense_pays``; at high k
-    the stencil is far from the operator).
+    along T^-1 w, which one solve gives for every fiber.  The cut diagonal is
+    assembled without the link, not by subtracting it, so nothing cancels.
+    The stencil is positive definite exactly when T is and every fiber has
+    1 + c w^T T^-1 w > 0.
+
+    Each solve is projected to zero x-mean on every fiber, not only on the
+    grid: only D_x v enters F_k, so a constant on one fiber is a null
+    direction, held off only by a Levenberg shift that scales with the
+    fiber's Gibbs mass (~1e-36 on the lightest fibers at high k); a solve
+    left with such constants hands CG offsets many orders above its
+    residual.  On one fiber the projection has the bits of ``grid_mean``.
+
+    Every n=1 grid starts here, and a solve moves to the dense step once one
+    CG solve takes more applies than a dense factor costs (``_dense_pays``;
+    at high k the stencil is far from the operator).
     """
     from scipy.linalg.lapack import dpttrf, dpttrs
 
+    N, shape = grid.N_x, grid.shape
+    # fields keep the grid's shape, x first: a fiber's values (c_half[-1],
+    # diag.max(axis=0)) broadcast along x, and on a grid without fiber axes
+    # they are scalars.  LAPACK reads the fields in Fortran order, which lays
+    # the fibers end to end
     c = C[0, 0]
     up = np.empty_like(c)                               # c at node i+1, cyclically
     up[:-1], up[-1] = c[1:], c[0]
@@ -514,24 +544,29 @@ def _fd_preconditioner_1d(grid: TorusGrid, C: np.ndarray, shift: np.ndarray):
     diag = np.empty_like(c_half)                        # links i-1 -- i and i -- i+1
     diag[1:] = c_half[1:] + c_half[:-1]
     diag[0] = c_half[0] + c_half[-1]
-    top = float(diag.max())
-    eps = 1e-12 * top + 1e-40 * top + 1e-290            # the floor of _fd_preconditioner
+    top = diag.max(axis=0)
+    # the floor of _fd_preconditioner.  Reductions over fibers call the ufunc
+    # itself: on a grid without fiber axes they reduce a scalar, where the
+    # array method's wrapper costs more than the rest of a line
+    eps = 1e-12 * top + 1e-40 * np.maximum.reduce(top, axis=None) + 1e-290
     diag[0], diag[-1] = c_half[0], c_half[-2]           # cut the corner link
-    d, e, info = dpttrf(diag + shift + eps, -c_half[:-1])
+    off = -c_half
+    off[-1] = 0.0                                       # the corner slot, between fibers
+    d, e, info = dpttrf((diag + shift + eps).ravel("F"), off.ravel("F")[:-1])
     if info != 0:
         raise np.linalg.LinAlgError(f"FD stencil not positive definite ({info})")
-    w = np.zeros((grid.N_x, 1))
+    w = np.zeros(shape)
     w[0], w[-1] = 1.0, -1.0
-    q = dpttrs(d, e, w)[0][:, 0]
+    q = dpttrs(d, e, w.reshape(-1, 1, order="F"))[0].reshape(shape, order="F")
     denom = 1.0 + c_half[-1] * (q[0] - q[-1])
-    if not denom > 0.0:
+    if not np.minimum.reduce(denom, axis=None) > 0.0:
         raise np.linalg.LinAlgError("FD stencil not positive definite (corner link)")
     coef = c_half[-1] / denom
 
     def solve(r: np.ndarray) -> np.ndarray:
-        y = dpttrs(d, e, r[:, None])[0][:, 0]
+        y = dpttrs(d, e, r.reshape(-1, 1, order="F"))[0].reshape(shape, order="F")
         z = y - (coef * (y[0] - y[-1])) * q
-        return z - grid_mean(z)
+        return z - z.sum(axis=0) / N
 
     return solve
 
@@ -714,9 +749,10 @@ def _newton_system(problem, ev, sigma, lam, exact, precond=None):
     """The Newton operator at a state, matrix-free, and its preconditioner:
     ``precond`` if given (a factor kept from an earlier step), else a new
     exact (Cholesky) solve if ``exact``, else the grid's cheaper start: the
-    Fourier multiplier of the grid-averaged operator on spectral n=2 grids
-    (which start there only without fiber axes), an FD factor on the others
-    (tridiagonal for n=1, a sparse LU for fd2 n=2).
+    FD factor on n=1 grids (a cyclic tridiagonal per fiber, fibered grids
+    included), the Fourier multiplier of the grid-averaged operator on
+    spectral n=2 grids (which start there only without fiber axes), a sparse
+    LU of the FD stencil on fd2 n=2 grids.
 
     The operator is w -> -div_x(C D_x w) + shift * w with the pointwise
     tensor C = sigma (I + k D_yH D_yH^T), projected off constants; the
@@ -732,8 +768,8 @@ def _newton_system(problem, ev, sigma, lam, exact, precond=None):
         C[a, a] += 1.0
     C *= sigma
     curvature = sum(C[a, a] for a in range(grid.n))
-    shift = lam * np.broadcast_to(
-        curvature.max(axis=tuple(range(grid.n)), keepdims=True), grid.shape)
+    # one value per fiber, broadcast along x where it is used
+    shift = lam * curvature.max(axis=tuple(range(grid.n)), keepdims=True)
 
     def apply_A(w: np.ndarray) -> np.ndarray:
         g = grad_values(w, grid)
@@ -770,15 +806,21 @@ def _minimize_newton(problem, v, opts, state=None):
     indefinite.  Below f's rounding
     floor the gain ratio is noise, so a step there counts as good exactly
     when the gradient norm fell.  The step starts exact where ``_exact_step``
-    says so, or on an n=1 or spectral n=2 grid where the earlier solve had
-    turned exact, and turns exact for the rest of the solve once one CG
-    solve costs more than a dense factor (``_dense_pays``).
+    says so (spectral n=2 grids with fiber axes), or on an n=1 or spectral
+    n=2 grid where the earlier solve had turned exact; elsewhere it starts
+    on the FD factor (n=1, with fiber axes or without) or the Fourier
+    multiplier, and turns exact for the rest of the solve once one CG solve
+    costs more than a dense factor (``_dense_pays``).
 
     The operator is built from the current state at every step.  An exact
     factor is kept from step to step as the preconditioner, and factored
     anew when the step turns exact or after a CG solve on it took more than
     ``REFACTOR_APPLIES`` applies, so CG pays for the lag in a few cheap
-    applies instead of a factor per step.  Only a preconditioner that holds
+    applies instead of a factor per step.  A CG solve on a kept factor stops
+    after ``REFACTOR_APPLIES + 1`` applies and the step takes that truncated
+    direction (CG iterates are descent directions): the factor is dropped
+    after it anyway.  A CG on a factor built for its own step keeps the full
+    ``CG_MAX_ITER``.  Only a preconditioner that holds
     every fiber's factor is kept: the dense stack of n=1 grids and the
     single factor of n=2 grids without fiber axes.  On n=2 grids with fiber
     axes the fibers share one factor buffer, so every solve on a kept
@@ -807,10 +849,11 @@ def _minimize_newton(problem, v, opts, state=None):
         gnorm = _grid_norm(g)
         if gnorm <= opts.gtol:
             return v, it, "converged", history, NewtonState(lam, exact), (f, g, ev, sigma)
+        # past REFACTOR_APPLIES + 1 applies a kept factor is dropped anyway
+        cap = CG_MAX_ITER if precond is None else REFACTOR_APPLIES + 1
         apply_A, precond = _newton_system(problem, ev, sigma, lam, exact, precond)
         d, applies = _pcg(apply_A, -g, rel_tol=min(0.5, np.sqrt(gnorm)),
-                          max_iter=CG_MAX_ITER, precond=precond,
-                          atol=0.25 * opts.gtol)
+                          max_iter=cap, precond=precond, atol=0.25 * opts.gtol)
         if not (exact and keeps and applies <= REFACTOR_APPLIES):
             precond = None      # released before the next factor is built
         exact = exact or _dense_pays(grid, applies)
@@ -852,7 +895,9 @@ def _pcg(apply_A, b, rel_tol, max_iter, precond, atol=0.0):
     p = z.copy()
     rz = _grid_inner(r, z)
     applies = 0
-    for _ in range(max_iter):
+    # as with p.Ap <= 0, a preconditioned residual with r.z <= 0 (or not
+    # finite) offers no step: CG stops at its iterate
+    while applies < max_iter and 0.0 < rz < np.inf:
         Ap = apply_A(p)
         applies += 1
         pAp = _grid_inner(p, Ap)
@@ -865,6 +910,8 @@ def _pcg(apply_A, b, rel_tol, max_iter, precond, atol=0.0):
             break
         z = precond(r)
         rz_new = _grid_inner(r, z)
+        if not 0.0 < rz_new < np.inf:
+            break
         p = z + (rz_new / rz) * p
         rz = rz_new
     return x, applies

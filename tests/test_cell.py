@@ -530,6 +530,32 @@ def test_fd_factor_1d_rejects_indefinite_stencil(defect):
         _fd_preconditioner_1d(grid, C, shift)
 
 
+@pytest.mark.parametrize("mode", ["spectral", "fd2"])
+def test_fd_factor_1d_fibers_solve_as_one_fiber_grids(mode):
+    # the fibers' tridiagonals lie end to end in one dpttrf/dpttrs call; each
+    # fiber's solve has the bits of the one-fiber grid's solve on its own
+    # coefficients (fiber scales within 1e8 of each other, so the global
+    # term of the floor stays below the rounding of the per-fiber one), and
+    # every fiber comes out with zero x-mean, not only the whole grid
+    from weakkam.cell import _fd_preconditioner_1d
+    grid = TorusGrid(n=1, m=1, N_x=32, N_phi=5, diff_mode=mode)
+    one = TorusGrid(n=1, m=0, N_x=32, diff_mode=mode)
+    rng = np.random.default_rng(17)
+    C, shift = _spd_coefficients(grid, rng)
+    scale = 10.0 ** -rng.uniform(0.0, 8.0, size=grid.N_phi)
+    C, shift = C * scale, shift * scale
+    solve = _fd_preconditioner_1d(grid, C, shift)
+    fibers = [_fd_preconditioner_1d(one, C[..., j], shift[..., j])
+              for j in range(grid.N_phi)]
+    for _ in range(2):
+        r = rng.normal(size=grid.shape)
+        r -= r.mean()
+        z = solve(r)
+        for j, fiber_solve in enumerate(fibers):
+            assert np.array_equal(z[:, j], fiber_solve(r[:, j]))
+            assert abs(z[:, j].mean()) <= 1e-14 * np.max(np.abs(z[:, j]))
+
+
 def _spd_coefficients(grid, rng):
     """Random pointwise SPD Newton coefficients C (n, n, *shape) and a positive
     shift per fiber, constant along x like the solver's."""
@@ -607,6 +633,7 @@ PRECONDITIONERS = {
     # id: (maker name, grid)
     "fd": ("_fd_preconditioner", TorusGrid(n=2, m=0, N_x=8, diff_mode="fd2")),
     "fd_1d": ("_fd_preconditioner_1d", TorusGrid(n=1, m=0, N_x=16)),
+    "fd_1d-m1": ("_fd_preconditioner_1d", TorusGrid(n=1, m=1, N_x=16, N_phi=3)),
     "exact_1d-m0": ("_exact_preconditioner_1d", TorusGrid(n=1, m=0, N_x=16)),
     "exact_1d-m1": ("_exact_preconditioner_1d", TorusGrid(n=1, m=1, N_x=16, N_phi=3)),
     "exact-m0": ("_exact_preconditioner", TorusGrid(n=2, m=0, N_x=8)),
@@ -631,6 +658,35 @@ def test_preconditioners_leave_their_input_alone(case):
         z = solve(r)
         assert np.array_equal(r, kept)
         assert z.shape == grid.shape and abs(z.mean()) <= 1e-12 * np.max(np.abs(z))
+
+
+@pytest.mark.parametrize("first", ["zeros", "orthogonal", "identity"])
+def test_pcg_stops_where_the_preconditioner_offers_no_step(first):
+    # a preconditioned residual z with r.z = 0 gives CG no step: it returns
+    # its iterate, as on p.Ap <= 0, instead of dividing by r.z.  The
+    # orthogonal z pairs the nodes and swaps each pair with one sign flipped,
+    # so r.z sums products that cancel exactly; "identity" takes one CG step
+    # on z = r before that
+    from weakkam.cell import _pcg
+    b = np.array([1.0, -2.0, 0.5, 0.5])
+    calls = []
+
+    def precond(r):
+        calls.append(1)
+        if first == "zeros":
+            return np.zeros_like(r)
+        if first == "identity" and len(calls) == 1:
+            return r.copy()
+        return r[[1, 0, 3, 2]] * np.array([-1.0, 1.0, -1.0, 1.0])
+
+    x, applies = _pcg(lambda w: 2.0 * w + w[::-1], b, rel_tol=1e-12, max_iter=50,
+                      precond=precond)
+    if first == "identity":
+        Ab = 2.0 * b + b[::-1]
+        assert applies == 1
+        assert np.array_equal(x, (np.mean(b * b) / np.mean(b * Ab)) * b)
+    else:
+        assert applies == 0 and not x.any()
 
 
 @pytest.mark.parametrize("grid", [
@@ -872,6 +928,73 @@ def test_stalled_cg_switches_to_exact_step(pendulum, grid256, pendulum_sweep,
     fd_only = solve_cell(problem, init, opts)
     assert fd_only.converged
     assert abs(sol.Hbar_k - fd_only.Hbar_k) <= 1e-9
+
+
+def test_dense_pays_at_the_cg_cap():
+    # the n=1 threshold 4 (N_x/128)^3 passes CG_MAX_ITER at N_x=472; a CG
+    # that ran into the cap pays on every grid with a dense step, so a
+    # stalled CG there still switches.  The calibrated thresholds below it
+    # are unchanged, and fd2 n=2 grids have no dense step to pay for
+    from weakkam.cell import CG_MAX_ITER, _dense_pays
+    assert _dense_pays(TorusGrid(n=1, m=0, N_x=512), CG_MAX_ITER)
+    assert not _dense_pays(TorusGrid(n=1, m=0, N_x=512), CG_MAX_ITER - 1)
+    for grid, threshold in ((TorusGrid(n=1, m=0, N_x=128), 4),
+                            (TorusGrid(n=1, m=0, N_x=256), 32),
+                            (TorusGrid(n=1, m=1, N_x=128, N_phi=16), 4),
+                            (TorusGrid(n=2, m=0, N_x=32), 10)):
+        assert not _dense_pays(grid, threshold) and _dense_pays(grid, threshold + 1)
+    assert not _dense_pays(TorusGrid(n=2, m=0, N_x=16, diff_mode="fd2"), CG_MAX_ITER)
+
+
+def test_joint_rotor_starts_on_fd_factor(monkeypatch):
+    # the fibered n=1 grid starts on the FD factor, fiber by fiber, and
+    # builds the dense stack only once CG on it stalls: the joint
+    # continuation of the quasi-periodic rotor builds 3 stacks (7 when every
+    # stage started exact; the bound leaves 1 of margin)
+    built = _count_dense_factors(monkeypatch)
+    sols = continuation_solve(_qp_model(), [0.7886112211144736], [8.0, 16.0], 4,
+                              TorusGrid(n=1, m=1, N_x=128, N_phi=16))
+    assert [s.k for s in sols] == [8.0, 16.0] and all(s.converged for s in sols)
+    assert 0 < len(built) <= 4, len(built)
+
+
+def _record_pcg_on_kept_factors(monkeypatch):
+    """Record (applies, whether the preconditioner was the previous solve's)
+    of every PCG solve.  Only the last preconditioner is held, so that the
+    dropped factors are released."""
+    from weakkam import cell
+    solves, last = [], [None]
+    pcg = cell._pcg
+
+    def recording(apply_A, b, rel_tol, max_iter, precond, atol=0.0):
+        x, n = pcg(apply_A, b, rel_tol, max_iter, precond, atol)
+        solves.append((n, precond is last[0]))
+        last[0] = precond
+        return x, n
+
+    monkeypatch.setattr(cell, "_pcg", recording)
+    return solves
+
+
+@pytest.mark.parametrize("mode,P,hbar64", [("spectral", 1.5, 2.910979898432056),
+                                          ("fd2", 2.3, 4.212343056623444)],
+                         ids=["spectral", "fd2"])
+def test_rotor_k64_cg_stays_off_its_cap(mode, P, hbar64, monkeypatch):
+    # the quasi-periodic rotor to k=64: when every stage started exact, a CG
+    # on a kept dense factor ran to CG_MAX_ITER at P=1.5 (spectral), and at
+    # P=2.3 (fd2) the k=64 stage ended in a line_search failure.  Now no CG
+    # reaches the cap, and one on a kept factor stops after
+    # REFACTOR_APPLIES + 1 applies, after which the next step factors anew.
+    # Hbar_64 is the spectral one of the exact-start solver in both cases
+    from weakkam.cell import CG_MAX_ITER, REFACTOR_APPLIES
+    solves = _record_pcg_on_kept_factors(monkeypatch)
+    sols = continuation_solve(_qp_model(), [P], [8.0, 16.0, 32.0, 64.0], 4,
+                              TorusGrid(n=1, m=1, N_x=128, N_phi=16, diff_mode=mode))
+    assert sols[-1].k == 64.0
+    assert sols[-1].Hbar_k == pytest.approx(hbar64, abs=1e-10)
+    assert max(n for n, _ in solves) < CG_MAX_ITER
+    kept = [n for n, on_kept in solves if on_kept]
+    assert kept and max(kept) <= REFACTOR_APPLIES + 1, kept
 
 
 def test_ladder_2d_converges(monkeypatch):
