@@ -9,22 +9,20 @@ no k cap is needed.
 
 The optimizer is damped Newton.  Its linear systems use the symmetric
 elliptic operator w -> -div_x(sigma (I + k D_yH D_yH^T) D_x w), solved by
-preconditioned conjugate gradients.  Each solve starts on the preconditioner
-that ``_exact_step`` picks from the grid.  Where the grid has fiber axes and
-two spatial axes with the spectral derivative, it is an exact Cholesky
-solve of the operator itself, fiber by fiber, so each step costs one
-operator apply.  The other grids start on a preconditioner that is cheaper
-to build and near-exact at low k.  One-dimensional ones (the pendulum, the
-subproblems of the fiber decomposition, the joint quasi-periodic grid)
-start on a factor of a finite-difference stencil with the same
-coefficients, per fiber a cyclic tridiagonal factored in O(N_x), with every
-solve projected to zero x-mean on each fiber; spectral two-dimensional ones
-without fiber axes on the Fourier multiplier of the operator with its
-coefficients averaged over the grid, which needs no factor at all.  At high
-k neither is near-exact: once one CG solve on such a grid takes more
-applies than a dense factor costs (``_dense_pays``), the rest of that solve
-uses the exact step.  fd2 grids in two dimensions have no exact step; they
-stay on a sparse LU of the FD stencil.
+preconditioned conjugate gradients.  A cold solve starts on a
+preconditioner that is cheap to build and near-exact at low k, whatever the
+grid.  One-dimensional grids (the pendulum, the subproblems of the fiber
+decomposition, the joint quasi-periodic grid) start on a factor of a
+finite-difference stencil with the same coefficients, per fiber a cyclic
+tridiagonal factored in O(N_x); spectral two-dimensional ones on the Fourier
+multiplier of the operator with each fiber's coefficients averaged over x,
+which needs no factor at all.  Either projects every solve to zero x-mean
+on each fiber.  At high k neither is near-exact: once one CG solve on such a
+grid takes more applies than a dense factor costs (``_dense_pays``), the
+rest of that solve uses the exact step, a Cholesky solve of the operator
+itself, fiber by fiber, so each step costs about one operator apply.  fd2
+grids in two dimensions have no exact step (``_has_dense_step``); they stay
+on a sparse LU of the FD stencil.
 
 The Levenberg shift of a step is lam times each fiber's largest sum_a C_aa,
 the operator's scale on its lowest modes; a shift at its grid-scale ceiling,
@@ -129,23 +127,18 @@ FIBER_LADDER = 3
 HOMOTOPY_GTOL = 1e-2
 
 
-def _exact_step(grid: TorusGrid) -> bool:
-    """Whether a solve on this grid starts with an exact (Cholesky) Newton
-    step: only on spectral n=2 grids with fiber axes, where one CG runs
-    across fibers whose Gibbs masses differ by many orders and no cheaper
-    start treats each fiber on its own.  Every n=1 grid, with fiber axes or
-    without, starts on the FD factor (``_fd_preconditioner_1d``, fiber by
-    fiber, each projected to zero x-mean), and spectral n=2 grids
-    without fiber axes on the Fourier multiplier (``_fourier_preconditioner``);
-    both move to the exact step when CG stalls (``_dense_pays``).  fd2 n=2
-    grids have no exact step and stay on the FD factor."""
-    return grid.m >= 1 and grid.n == 2 and grid.diff_mode == "spectral"
+def _has_dense_step(grid: TorusGrid) -> bool:
+    """Whether a solve on this grid can move to an exact (Cholesky) Newton
+    step: n=1 and spectral n=2 grids can; fd2 n=2 grids cannot, and stay on
+    the sparse LU of their FD stencil."""
+    return grid.n == 1 or grid.diff_mode == "spectral"
 
 
 def _dense_pays(grid: TorusGrid, applies: int) -> bool:
     """Whether a CG solve that took ``applies`` operator applies on this grid
-    cost more than the exact step would have.  n=1 and spectral n=2 grids
-    have a dense step to move to; fd2 n=2 grids do not.
+    cost more than the exact step would have.  Only grids with a dense step
+    to move to (``_has_dense_step``) pay: n=1 and spectral n=2 grids, with
+    fiber axes or without.
 
     n=1: its build and factor grow as N_x^3, one apply as N_x log N_x: on
     2 cores the dense system takes 0.30 ms at N_x=128 and 2.0 ms at
@@ -161,12 +154,12 @@ def _dense_pays(grid: TorusGrid, applies: int) -> bool:
     rotor's joint continuation (N_x=128, 16 fibers, k 8 to 16) builds 3
     dense stacks and 14 FD factors.
 
-    Spectral n=2 (which starts on the Fourier multiplier only without fiber
-    axes): on 2 cores a dense factor, with its assembly and its solve of
-    A^-1 1, takes 4.2 ms at N_x=24, 12 ms at N_x=32 and 86 ms at N_x=48; one
-    apply with its Fourier solve 0.13, 0.14 and 0.19 ms.  A factor is kept
-    for the later steps of the solve, and the later stages of a continuation
-    start exact, so the switch does not weigh one factor against applies.
+    Spectral n=2, which starts on the Fourier multiplier: on 2 cores a dense
+    factor, with its assembly and its solve of A^-1 1, takes 4.2 ms at
+    N_x=24, 12 ms at N_x=32 and 86 ms at N_x=48; one apply with its Fourier
+    solve 0.13, 0.14 and 0.19 ms.  A factor is kept for the later steps of
+    the solve, and the later stages of a continuation start exact, so the
+    switch does not weigh one factor against applies.
     On the ladder model's continuation to k=64 (tau_steps=4) at N_x=32, a
     threshold of 5 applies took 9 factors and 60 applies, 6 took 6 and 82,
     10 took 6 and 98, 30 took 6 and 179, 150 took 5 and 451.  The least time
@@ -174,13 +167,17 @@ def _dense_pays(grid: TorusGrid, applies: int) -> bool:
     N_x=32 and 10 to 30 at N_x=48, where below 10 a seventh factor was built.
     The threshold, 10 N_x/32 applies (7.5, 10 and 15 there; 20 at
     ``EXACT_MAX_N_X``), grows with the cost of a factor that an early switch
-    wastes.
+    wastes.  With fiber axes a step factors every fiber and an apply solves
+    every fiber's multiplier, so both grow with the fiber count and the
+    threshold holds there too: the coupled pair under one drive (N_x=24,
+    6 fibers, tau_steps=4, k 8 to 32) builds 282 fiber factors over its 57
+    Newton steps, none in its first two stages.
 
     A CG solve that ran into ``CG_MAX_ITER`` pays on every grid with a dense
     step: the n=1 threshold passes ``CG_MAX_ITER`` at N_x=472, beyond which a
     stalled CG would otherwise never switch.
     """
-    if grid.n == 2 and grid.diff_mode != "spectral":
+    if not _has_dense_step(grid):
         return False
     threshold = 4 * (grid.N_x / 128) ** 3 if grid.n == 1 else 10 * grid.N_x / 32
     return applies > threshold or applies >= CG_MAX_ITER
@@ -222,7 +219,7 @@ class CellProblem:
             )
         if not model.x_periodic():
             raise ValueError("model is not 2*pi periodic in x; grid sampling is invalid")
-        # an n=2 solve without fiber axes can still move to the exact step
+        # every spectral n=2 solve can move to the exact step
         if grid.n == 2 and grid.diff_mode == "spectral" and grid.N_x > EXACT_MAX_N_X:
             mb = 8 * grid.N_x ** 4 / 2 / 1e6
             raise ValueError(
@@ -599,30 +596,34 @@ def _operator_rows(D: np.ndarray, c: np.ndarray, i1: int, s: float) -> np.ndarra
 
 
 def _fourier_preconditioner(grid: TorusGrid, C: np.ndarray, shift: np.ndarray):
-    """Exact inverse, on mean-zero fields, of the Newton operator with each
-    coefficient C_ab replaced by its grid mean (spectral n=2 grids without
-    fiber axes, whose shift is one number).
+    """Exact inverse, on fields of zero x-mean per fiber, of the Newton
+    operator with each coefficient C_ab replaced by its x-mean on each fiber
+    (spectral n=2 grids).
 
-    That operator is a Fourier multiplier: sum_ab mean(C_ab) q_a q_b + shift
-    on the mode (q_1, q_2), with the derivative's own wavenumbers (the Nyquist
-    mode zeroed, as in ``fields._spectral_symbol``).  Its inverse maps the
-    zero mode to 0, so each solve is one ``rfft2`` / ``irfft2`` pair and
-    returns a mean-zero field.  It costs no factor, and is near-exact while
-    the Gibbs weight is spread out (low k, early homotopy stages); where it
-    is not, CG stalls and the solve moves to the exact step
+    On a fiber that operator is a Fourier multiplier: sum_ab mean(C_ab) q_a q_b
+    + shift on the mode (q_1, q_2), with the fiber's own means and shift and
+    the derivative's own wavenumbers (the Nyquist mode zeroed, as in
+    ``fields._spectral_symbol``).  Its inverse maps each fiber's zero mode to
+    0, the per-fiber projection of ``_fd_preconditioner_1d``, so each solve is
+    one ``rfft2`` / ``irfft2`` pair over the x axes.  It costs no factor, and
+    is near-exact while the Gibbs weight is spread out (low k, early homotopy
+    stages); where it is not, CG stalls and the solve moves to the exact step
     (``_dense_pays``).
     """
     N = grid.N_x
+    fibers = (1,) * grid.m
     q = np.fft.fftfreq(N, 1.0 / N)
     q[N // 2] = 0.0
-    qs = (q[:, None], q[None, :N // 2 + 1])     # axis 0 full, axis 1 halved by rfft2
-    symbol = float(shift.flat[0]) + sum(grid_mean(C[a, b]) * qs[a] * qs[b]
-                                        for a in range(2) for b in range(2))
-    symbol[0, 0] = np.inf                       # the zero mode maps to 0
+    # axis 0 full, axis 1 halved by rfft2
+    qs = (q.reshape((N, 1) + fibers), q[:N // 2 + 1].reshape((1, N // 2 + 1) + fibers))
+    # the shift is constant along x: its (0, 0) node is the fiber's
+    symbol = shift[:1, :1] + sum(C[a, b].sum(axis=(0, 1), keepdims=True) / (N * N)
+                                 * qs[a] * qs[b] for a in range(2) for b in range(2))
+    symbol[0, 0] = np.inf                       # each fiber's zero mode maps to 0
     inverse = 1.0 / symbol
 
     def solve(r: np.ndarray) -> np.ndarray:
-        return np.fft.irfft2(np.fft.rfft2(r) * inverse, s=r.shape)
+        return np.fft.irfft2(np.fft.rfft2(r, axes=(0, 1)) * inverse, s=(N, N), axes=(0, 1))
 
     return solve
 
@@ -636,10 +637,13 @@ def _exact_preconditioner(grid: TorusGrid, C: np.ndarray, shift: np.ndarray):
     straight into rectangular full packed (RFP) storage, N_x^4/2 doubles, in
     one buffer that the fibers share: allocated at the first solve, so the
     previous factor's buffer is already released (``_minimize_newton`` drops
-    it before building this one).  Without fiber axes the buffer holds the
-    one factor for good, so the solve can be kept across Newton steps.  With
-    fiber axes each solve factors every fiber again, in turn, so the solve is
-    built anew at every step.  A fiber's A^-1 1, which the mean-zero
+    it before building this one).  A solve gets here only once CG on the
+    Fourier multiplier stalled, or from a state that had.  Without fiber
+    axes the buffer holds the one factor for good, so the solve can be kept
+    across Newton steps.  With fiber axes each solve factors every fiber
+    again, in turn, so the solve is built anew at every step: one factor
+    per fiber kept across steps nearly doubled the Newton steps of a fibered
+    continuation.  A fiber's A^-1 1, which the mean-zero
     correction needs, is solved right after each factor, so an apply solves
     only its residual.
     """
@@ -749,10 +753,9 @@ def _newton_system(problem, ev, sigma, lam, exact, precond=None):
     """The Newton operator at a state, matrix-free, and its preconditioner:
     ``precond`` if given (a factor kept from an earlier step), else a new
     exact (Cholesky) solve if ``exact``, else the grid's cheaper start: the
-    FD factor on n=1 grids (a cyclic tridiagonal per fiber, fibered grids
-    included), the Fourier multiplier of the grid-averaged operator on
-    spectral n=2 grids (which start there only without fiber axes), a sparse
-    LU of the FD stencil on fd2 n=2 grids.
+    FD factor on n=1 grids (a cyclic tridiagonal per fiber), the Fourier
+    multiplier of each fiber's x-averaged operator on spectral n=2 grids, a
+    sparse LU of the FD stencil on fd2 n=2 grids.
 
     The operator is w -> -div_x(C D_x w) + shift * w with the pointwise
     tensor C = sigma (I + k D_yH D_yH^T), projected off constants; the
@@ -805,12 +808,12 @@ def _minimize_newton(problem, v, opts, state=None):
     warm-started P walk at k=64 left the dense n=1 operator numerically
     indefinite.  Below f's rounding
     floor the gain ratio is noise, so a step there counts as good exactly
-    when the gradient norm fell.  The step starts exact where ``_exact_step``
-    says so (spectral n=2 grids with fiber axes), or on an n=1 or spectral
-    n=2 grid where the earlier solve had turned exact; elsewhere it starts
-    on the FD factor (n=1, with fiber axes or without) or the Fourier
-    multiplier, and turns exact for the rest of the solve once one CG solve
-    costs more than a dense factor (``_dense_pays``).
+    when the gradient norm fell.  The step starts exact only where the
+    earlier solve had turned exact and the grid has an exact step
+    (``_has_dense_step``); a cold solve starts on the FD factor (n=1), the
+    Fourier multiplier (spectral n=2) or the sparse LU (fd2 n=2), and turns
+    exact for the rest of the solve once one CG solve costs more than a
+    dense factor (``_dense_pays``).
 
     The operator is built from the current state at every step.  An exact
     factor is kept from step to step as the preconditioner, and factored
@@ -836,13 +839,12 @@ def _minimize_newton(problem, v, opts, state=None):
     f, g, ev, sigma = _evaluate(problem, v)
     history = [f]
     lam_min, lam_max = LAM_MIN / grid.dx ** 2, LAM_MAX / grid.dx ** 2
-    exact = _exact_step(grid)
     if state is None:
-        lam = LAM_COLD
+        lam, exact = LAM_COLD, False
     else:
         lam = max(state.lam, LAM_WARM_FLOOR, lam_min)
         # only grids with a dense step to move to inherit it
-        exact = exact or (state.exact and (grid.n == 1 or grid.diff_mode == "spectral"))
+        exact = state.exact and _has_dense_step(grid)
     keeps = grid.n == 1 or grid.m == 0
     precond = None
     for it in range(opts.max_iter):

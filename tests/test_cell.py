@@ -639,6 +639,7 @@ PRECONDITIONERS = {
     "exact-m0": ("_exact_preconditioner", TorusGrid(n=2, m=0, N_x=8)),
     "exact-m1": ("_exact_preconditioner", TorusGrid(n=2, m=1, N_x=8, N_phi=3)),
     "fourier": ("_fourier_preconditioner", TorusGrid(n=2, m=0, N_x=8)),
+    "fourier-m1": ("_fourier_preconditioner", TorusGrid(n=2, m=1, N_x=8, N_phi=3)),
 }
 
 
@@ -715,24 +716,30 @@ def test_rfp_buffer_matches_full_rows(grid, monkeypatch):
         assert buf.tobytes() == arf.tobytes()
 
 
-def test_fourier_preconditioner_inverts_constant_coefficients():
-    # with sigma and D_yH constant over the grid the Newton operator is the
-    # Fourier multiplier itself, so the factor-free start of spectral n=2
-    # grids without fiber axes is its exact inverse on mean-zero fields, the
-    # Nyquist modes (which the derivative zeroes) included
+@pytest.mark.parametrize("grid", [TorusGrid(n=2, m=0, N_x=16),
+                                  TorusGrid(n=2, m=1, N_x=16, N_phi=3)], ids=["m0", "m1"])
+def test_fourier_preconditioner_inverts_constant_coefficients(grid):
+    # with sigma and D_yH constant along x on each fiber the Newton operator
+    # is, fiber by fiber, the Fourier multiplier itself, so the factor-free
+    # start of spectral n=2 grids is its exact inverse on fields of zero
+    # x-mean per fiber, the Nyquist modes (which the derivative zeroes)
+    # included.  On the fibered grid sigma and D_yH differ per fiber, and so
+    # does the shift, which scales with each fiber's coefficients
     from types import SimpleNamespace
 
     from weakkam.cell import _fourier_preconditioner, _newton_system
-    grid = TorusGrid(n=2, m=0, N_x=16)
     rng = np.random.default_rng(3)
-    ev = SimpleNamespace(dy=np.array([0.7, -1.3]).reshape(2, 1, 1) * np.ones(grid.shape))
-    sigma = np.full(grid.shape, 0.8)
+    fibers = grid.shape[2:]
+    dy = np.array([0.7, -1.3]).reshape((2,) + (1,) * len(grid.shape))
+    dy = dy * (1.0 + rng.uniform(-0.5, 0.5, size=(1, 1, 1) + fibers))
+    ev = SimpleNamespace(dy=np.broadcast_to(dy, (2,) + grid.shape).copy())
+    sigma = np.broadcast_to(rng.uniform(0.1, 1.0, size=(1, 1) + fibers), grid.shape)
     apply_A, precond = _newton_system(SimpleNamespace(grid=grid, k=4.0), ev, sigma,
                                       lam=1e-3, exact=False)
     assert precond.__qualname__.startswith(_fourier_preconditioner.__name__)
     for _ in range(3):
         z = rng.normal(size=grid.shape)
-        z -= z.mean()
+        z -= z.mean(axis=(0, 1), keepdims=True)
         assert np.max(np.abs(precond(apply_A(z)) - z)) <= 1e-12 * np.max(np.abs(z))
 
 
@@ -804,6 +811,22 @@ def test_pendulum_solves_without_sparse_lu(pendulum, grid256, monkeypatch):
     grid = TorusGrid(n=2, m=0, N_x=16, diff_mode="fd2")
     sol = solve_cell(CellProblem(_ladder_model(), [0.3, 0.6], 8.0, grid))
     assert sol.converged and factored
+
+
+def test_fd2_2d_ignores_a_handed_exact_state(monkeypatch):
+    # fd2 n=2 grids have no exact step: a warm start handed a state that had
+    # turned exact stays on the sparse LU of the FD stencil
+    import scipy.sparse.linalg as sla
+
+    from weakkam.cell import NewtonState
+    factored, splu = [], sla.splu
+    monkeypatch.setattr(sla, "splu", lambda *a, **kw: factored.append(1) or splu(*a, **kw))
+    rfp = _count_rfp_factors(monkeypatch)
+    grid = TorusGrid(n=2, m=0, N_x=16, diff_mode="fd2")
+    sol = solve_cell(CellProblem(_ladder_model(), [0.3, 0.6], 8.0, grid),
+                     state=NewtonState(1e-3, exact=True))
+    assert sol.converged and factored and not rfp
+    assert not sol.newton_state.exact
 
 
 def _count_dense_factors(monkeypatch):
@@ -934,14 +957,17 @@ def test_dense_pays_at_the_cg_cap():
     # the n=1 threshold 4 (N_x/128)^3 passes CG_MAX_ITER at N_x=472; a CG
     # that ran into the cap pays on every grid with a dense step, so a
     # stalled CG there still switches.  The calibrated thresholds below it
-    # are unchanged, and fd2 n=2 grids have no dense step to pay for
+    # are unchanged (the spectral n=2 one, 10 N_x/32, is 7.5 at N_x=24, so
+    # the fibered grid pays at 8 applies, not at 7), and fd2 n=2 grids have
+    # no dense step to pay for
     from weakkam.cell import CG_MAX_ITER, _dense_pays
     assert _dense_pays(TorusGrid(n=1, m=0, N_x=512), CG_MAX_ITER)
     assert not _dense_pays(TorusGrid(n=1, m=0, N_x=512), CG_MAX_ITER - 1)
     for grid, threshold in ((TorusGrid(n=1, m=0, N_x=128), 4),
                             (TorusGrid(n=1, m=0, N_x=256), 32),
                             (TorusGrid(n=1, m=1, N_x=128, N_phi=16), 4),
-                            (TorusGrid(n=2, m=0, N_x=32), 10)):
+                            (TorusGrid(n=2, m=0, N_x=32), 10),
+                            (TorusGrid(n=2, m=1, N_x=24, N_phi=6), 7)):
         assert not _dense_pays(grid, threshold) and _dense_pays(grid, threshold + 1)
     assert not _dense_pays(TorusGrid(n=2, m=0, N_x=16, diff_mode="fd2"), CG_MAX_ITER)
 
@@ -1080,8 +1106,27 @@ def test_fiber_two_drive_angles(monkeypatch):
     assert abs(joint.Hbar_k - fib.Hbar_k) <= 1e-8
 
 
+def _record_stage_factors(monkeypatch, factored):
+    """Record, per solve_cell call, how many entries ``factored`` gained."""
+    from weakkam import cell
+    per_solve = []
+    solve = cell.solve_cell
+
+    def recording(*args, **kwargs):
+        before = len(factored)
+        sol = solve(*args, **kwargs)
+        per_solve.append(len(factored) - before)
+        return sol
+
+    monkeypatch.setattr(cell, "solve_cell", recording)
+    return per_solve
+
+
 def test_fiber_two_rotors_one_drive(monkeypatch):
-    # n = 2, m = 1: coupled pair under one drive.  The joint grid's fibers
+    # n = 2, m = 1: coupled pair under one drive.  Like every spectral n=2
+    # grid it starts on the Fourier multiplier, here per fiber, and factors
+    # only once CG on it stalls: the two tau < 1 stages build no RFP factor
+    # (24 and 18 when fibered grids started exact).  Once exact, the fibers
     # share one factor buffer, so a factor kept across Newton steps would
     # factor every fiber again at each PCG iteration: at most one factor per
     # fiber per step
@@ -1093,11 +1138,30 @@ def test_fiber_two_rotors_one_drive(monkeypatch):
     grid = TorusGrid(n=2, m=1, N_x=24, N_phi=6)
     factored = _count_rfp_factors(monkeypatch)
     solves = _record_solves(monkeypatch)
+    per_stage = _record_stage_factors(monkeypatch, factored)
     joint = continuation_solve(model, [0.3, 0.8], [6.0], 3, grid)[-1]
     steps = sum(sol.iterations for *_, sol in solves)
     assert len(solves) == 3 and 0 < len(factored) <= grid.N_phi * steps
+    assert per_stage[:2] == [0, 0], per_stage
     fib = fiber_decomposed_solve(CellProblem(model, [0.3, 0.8], 6.0, grid))
     assert abs(joint.Hbar_k - fib.Hbar_k) <= 1e-8
+
+
+def test_fiber_two_rotors_two_drives():
+    # n = 2, m = 2: the coupled pair under two incommensurate drives, the
+    # envelope's corner.  The joint continuation starts every stage on the
+    # per-fiber Fourier multiplier and converges to the fiber pass's Hbar_k
+    b00 = TrigPoly(0.6, (((1, 0), 0.2, 0.0), ((0, 1), 0.1, 0.0)))
+    model = SwingModel(
+        alpha=[0.0, 0.0],
+        beta=((b00, TrigPoly(0.3)), (TrigPoly(0.0), TrigPoly(0.4))),
+        lam=[1.0, 1.0], omega=[1.0, np.sqrt(2.0)])
+    grid = TorusGrid(n=2, m=2, N_x=12, N_phi=4)
+    sols = continuation_solve(model, [0.3, 0.8], [4.0, 8.0], 3, grid)
+    assert [s.k for s in sols] == [4.0, 8.0] and all(s.converged for s in sols)
+    fib = fiber_decomposed_solve(CellProblem(model, [0.3, 0.8], 8.0, grid))
+    assert fib.converged
+    assert abs(sols[-1].Hbar_k - fib.Hbar_k) <= 1e-8
 
 
 def test_fiber_pass_converges_past_rounding_floor(monkeypatch):
