@@ -15,14 +15,18 @@ grid.  One-dimensional grids (the pendulum, the subproblems of the fiber
 decomposition, the joint quasi-periodic grid) start on a factor of a
 finite-difference stencil with the same coefficients, per fiber a cyclic
 tridiagonal factored in O(N_x); spectral two-dimensional ones on the Fourier
-multiplier of the operator with each fiber's coefficients averaged over x,
-which needs no factor at all.  Either projects every solve to zero x-mean
-on each fiber.  At high k neither is near-exact: once one CG solve on such a
-grid takes more applies than a dense factor costs (``_dense_pays``), the
-rest of that solve uses the exact step, a Cholesky solve of the operator
-itself, fiber by fiber, so each step costs about one operator apply.  fd2
-grids in two dimensions have no exact step (``_has_dense_step``); they stay
-on a sparse LU of the FD stencil.
+multiplier of the operator with its coefficients averaged over x, which
+needs no factor at all.  Either projects every solve to zero x-mean on each
+fiber.  At high k neither is near-exact: once one CG solve on such a grid
+takes more applies than a dense factor costs (``_dense_pays``), the rest of
+that solve uses the exact step, a Cholesky solve of the operator itself, so
+each step costs about one operator apply.  fd2 grids in two dimensions have
+no exact step (``_has_dense_step``); they stay on a sparse LU of the FD
+stencil.
+
+The frozen-drive functional splits exactly into one problem per fiber, so
+an n=2 grid with fiber axes is solved fiber by fiber, each fiber an n=2 grid
+without them (``fiber_decomposed_solve``); ``solve_cell`` refuses it.
 
 The Levenberg shift of a step is lam times each fiber's largest sum_a C_aa,
 the operator's scale on its lowest modes; a shift at its grid-scale ceiling,
@@ -41,14 +45,10 @@ only after a CG solve on it took more than ``REFACTOR_APPLIES`` applies: a
 few extra applies cost far less than a factor, which on a spectral n=2 grid
 is almost all of a step.  A CG solve on a kept factor stops after
 ``REFACTOR_APPLIES + 1`` applies, since the next step factors anew in any
-case; its truncated iterate is still a descent direction.  Only a
-preconditioner that holds every fiber's
-factor is kept (n=1 grids, and n=2 grids without fiber axes).  On n=2 grids
-with fiber axes the fibers share one factor buffer, so a kept preconditioner
-would factor every fiber again at each CG iteration; there, as with the FD
-factor and the Fourier multiplier, every step builds its own.  A factor is
-never carried from one solve to the next.  The packed n=2 factor is built
-from the lower triangle of the operator only, the part its storage keeps.
+case; its truncated iterate is still a descent direction.  The FD factor
+and the Fourier multiplier are built anew at every step.  A factor is never
+carried from one solve to the next.  The packed n=2 factor is built from the
+lower triangle of the operator only, the part its storage keeps.
 
 ``fiber_decomposed_solve`` solves each of the N = N_phi^m fibers once, to
 gtol / sqrt(N): the joint gradient weighs each fiber's gradient by its share
@@ -137,8 +137,7 @@ def _has_dense_step(grid: TorusGrid) -> bool:
 def _dense_pays(grid: TorusGrid, applies: int) -> bool:
     """Whether a CG solve that took ``applies`` operator applies on this grid
     cost more than the exact step would have.  Only grids with a dense step
-    to move to (``_has_dense_step``) pay: n=1 and spectral n=2 grids, with
-    fiber axes or without.
+    to move to (``_has_dense_step``) pay: n=1 and spectral n=2 grids.
 
     n=1: its build and factor grow as N_x^3, one apply as N_x log N_x: on
     2 cores the dense system takes 0.30 ms at N_x=128 and 2.0 ms at
@@ -167,11 +166,7 @@ def _dense_pays(grid: TorusGrid, applies: int) -> bool:
     N_x=32 and 10 to 30 at N_x=48, where below 10 a seventh factor was built.
     The threshold, 10 N_x/32 applies (7.5, 10 and 15 there; 20 at
     ``EXACT_MAX_N_X``), grows with the cost of a factor that an early switch
-    wastes.  With fiber axes a step factors every fiber and an apply solves
-    every fiber's multiplier, so both grow with the fiber count and the
-    threshold holds there too: the coupled pair under one drive (N_x=24,
-    6 fibers, tau_steps=4, k 8 to 32) builds 282 fiber factors over its 57
-    Newton steps, none in its first two stages.
+    wastes.
 
     A CG solve that ran into ``CG_MAX_ITER`` pays on every grid with a dense
     step: the n=1 threshold passes ``CG_MAX_ITER`` at N_x=472, beyond which a
@@ -596,34 +591,28 @@ def _operator_rows(D: np.ndarray, c: np.ndarray, i1: int, s: float) -> np.ndarra
 
 
 def _fourier_preconditioner(grid: TorusGrid, C: np.ndarray, shift: np.ndarray):
-    """Exact inverse, on fields of zero x-mean per fiber, of the Newton
-    operator with each coefficient C_ab replaced by its x-mean on each fiber
-    (spectral n=2 grids).
+    """Exact inverse, on mean-zero fields, of the Newton operator with each
+    coefficient C_ab replaced by its mean (spectral n=2 grids).
 
-    On a fiber that operator is a Fourier multiplier: sum_ab mean(C_ab) q_a q_b
-    + shift on the mode (q_1, q_2), with the fiber's own means and shift and
-    the derivative's own wavenumbers (the Nyquist mode zeroed, as in
-    ``fields._spectral_symbol``).  Its inverse maps each fiber's zero mode to
-    0, the per-fiber projection of ``_fd_preconditioner_1d``, so each solve is
-    one ``rfft2`` / ``irfft2`` pair over the x axes.  It costs no factor, and
-    is near-exact while the Gibbs weight is spread out (low k, early homotopy
-    stages); where it is not, CG stalls and the solve moves to the exact step
-    (``_dense_pays``).
+    That operator is a Fourier multiplier: sum_ab mean(C_ab) q_a q_b + shift
+    on the mode (q_1, q_2), with the derivative's own wavenumbers (the
+    Nyquist mode zeroed, as in ``fields._spectral_symbol``).  Its inverse
+    maps the zero mode to 0, so each solve is one ``rfft2`` / ``irfft2``
+    pair.  It costs no factor, and is near-exact while the Gibbs weight is
+    spread out (low k, early homotopy stages); where it is not, CG stalls
+    and the solve moves to the exact step (``_dense_pays``).
     """
     N = grid.N_x
-    fibers = (1,) * grid.m
     q = np.fft.fftfreq(N, 1.0 / N)
     q[N // 2] = 0.0
-    # axis 0 full, axis 1 halved by rfft2
-    qs = (q.reshape((N, 1) + fibers), q[:N // 2 + 1].reshape((1, N // 2 + 1) + fibers))
-    # the shift is constant along x: its (0, 0) node is the fiber's
-    symbol = shift[:1, :1] + sum(C[a, b].sum(axis=(0, 1), keepdims=True) / (N * N)
-                                 * qs[a] * qs[b] for a in range(2) for b in range(2))
-    symbol[0, 0] = np.inf                       # each fiber's zero mode maps to 0
+    qs = (q.reshape(N, 1), q[:N // 2 + 1].reshape(1, N // 2 + 1))  # axis 1 halved by rfft2
+    symbol = shift[0, 0] + sum(C[a, b].sum(axis=(0, 1), keepdims=True) / (N * N)
+                               * qs[a] * qs[b] for a in range(2) for b in range(2))
+    symbol[0, 0] = np.inf                       # the zero mode maps to 0
     inverse = 1.0 / symbol
 
     def solve(r: np.ndarray) -> np.ndarray:
-        return np.fft.irfft2(np.fft.rfft2(r, axes=(0, 1)) * inverse, s=(N, N), axes=(0, 1))
+        return np.fft.irfft2(np.fft.rfft2(r) * inverse, s=(N, N))
 
     return solve
 
@@ -631,21 +620,15 @@ def _fourier_preconditioner(grid: TorusGrid, C: np.ndarray, shift: np.ndarray):
 def _exact_preconditioner(grid: TorusGrid, C: np.ndarray, shift: np.ndarray):
     """Exact inverse of the Newton operator on mean-zero fields (spectral, n=2).
 
-    Per fiber the operator is sum_ab D_a^T diag(C_ab) D_b + shift with D_a the
-    grid's own derivative matrix, so its Cholesky factor makes PCG a single
-    step.  Its lower triangle, the only part ``_operator_rows`` builds, goes
-    straight into rectangular full packed (RFP) storage, N_x^4/2 doubles, in
-    one buffer that the fibers share: allocated at the first solve, so the
-    previous factor's buffer is already released (``_minimize_newton`` drops
-    it before building this one).  A solve gets here only once CG on the
-    Fourier multiplier stalled, or from a state that had.  Without fiber
-    axes the buffer holds the one factor for good, so the solve can be kept
-    across Newton steps.  With fiber axes each solve factors every fiber
-    again, in turn, so the solve is built anew at every step: one factor
-    per fiber kept across steps nearly doubled the Newton steps of a fibered
-    continuation.  A fiber's A^-1 1, which the mean-zero
-    correction needs, is solved right after each factor, so an apply solves
-    only its residual.
+    The operator is sum_ab D_a^T diag(C_ab) D_b + shift with D_a the grid's
+    own derivative matrix, so its Cholesky factor makes PCG a single step.
+    Its lower triangle, the only part ``_operator_rows`` builds, goes
+    straight into rectangular full packed (RFP) storage, N_x^4/2 doubles.  A
+    solve gets here only once CG on the Fourier multiplier stalled, or from
+    a state that had, and ``_minimize_newton`` drops the previous factor
+    before it builds this one.  The factor holds for good, so the solve can
+    be kept across Newton steps.  The mean-zero correction's A^-1 1 is
+    solved once, after the factor, so an apply solves only its residual.
     """
     from scipy.linalg.lapack import dpftrf, dpftrs
 
@@ -654,49 +637,38 @@ def _exact_preconditioner(grid: TorusGrid, C: np.ndarray, shift: np.ndarray):
     half = n // 2                   # n is even: RFP is (n + 1) x n/2, column-major
     D = _diff_matrix(N, "spectral")
     upper = np.arange(half)[:, None]
-    buf, held = None, None          # the shared RFP buffer and whose factor it holds
-    ones = np.empty(grid.shape)     # A^-1 1, fiber by fiber
+    buf = np.empty(n * (n + 1) // 2)
+    AR = buf.reshape(half, n + 1).T
+    s = float(shift[0, 0]) + 1e-290     # an all-zero operator stays solvable
+    for i1 in range(N):
+        rows = _operator_rows(D, C, i1, s)              # the columns j < (i1 + 1) N
+        lo, hi = i1 * N, (i1 + 1) * N
+        # A[i, j] sits at AR[i + 1, j] for j < n/2, and at AR[j - n/2, i - n/2]
+        # (on and above the diagonal of AR's top square) for j >= n/2; the
+        # entries these rows hold above A's diagonal land there too, and the
+        # trailing block's rows, which come later, write over them
+        AR[lo + 1:hi + 1, :min(hi, half)] = rows[:, :half]
+        if lo >= half:
+            cols = np.arange(lo - half, hi - half)
+            np.copyto(AR[:hi - half, lo - half:hi - half], rows[:, half:].T,
+                      where=upper[:hi - half] <= cols)
+    _, info = dpftrf(n, buf, transr="N", uplo="L", overwrite_a=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"Newton operator not positive definite ({info})")
 
-    def factor(fiber: tuple) -> None:
-        nonlocal buf, held
-        if buf is None:
-            buf = np.empty(n * (n + 1) // 2)
-        AR = buf.reshape(half, n + 1).T
-        c = C[(Ellipsis,) + fiber]
-        s = float(shift[(0, 0) + fiber]) + 1e-290   # an all-zero fiber stays solvable
-        for i1 in range(N):
-            rows = _operator_rows(D, c, i1, s)          # the columns j < (i1 + 1) N
-            lo, hi = i1 * N, (i1 + 1) * N
-            # A[i, j] sits at AR[i + 1, j] for j < n/2, and at AR[j - n/2, i - n/2]
-            # (on and above the diagonal of AR's top square) for j >= n/2; the
-            # entries these rows hold above A's diagonal land there too, and the
-            # trailing block's rows, which come later, write over them
-            AR[lo + 1:hi + 1, :min(hi, half)] = rows[:, :half]
-            if lo >= half:
-                cols = np.arange(lo - half, hi - half)
-                np.copyto(AR[:hi - half, lo - half:hi - half], rows[:, half:].T,
-                          where=upper[:hi - half] <= cols)
-        _, info = dpftrf(n, buf, transr="N", uplo="L", overwrite_a=1)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"Newton operator not positive definite ({info})")
-        held = fiber
-        ones[(Ellipsis,) + fiber] = fiber_solve(np.ones((n, 1)))
-
-    def fiber_solve(b: np.ndarray) -> np.ndarray:
+    def factor_solve(b: np.ndarray) -> np.ndarray:
         # dpftrs copies b (overwrite_b off): b may be a view of the caller's r
         x, _ = dpftrs(n, buf, b, transr="N", uplo="L")
         return x.reshape(N, N)
 
+    ones = factor_solve(np.ones((n, 1)))
+    ones_mean = grid_mean(ones)
+
     def solve(r: np.ndarray) -> np.ndarray:
-        z = np.empty_like(r)
-        for fiber in np.ndindex(grid.shape[2:]):
-            if held != fiber:
-                factor(fiber)
-            at = (Ellipsis,) + fiber
-            z[at] = fiber_solve(r[at].reshape(n, 1))
+        z = factor_solve(r.reshape(n, 1))
         # on mean-zero fields the operator is A followed by the projection off
         # constants; its exact inverse is A^-1 (r + mu 1), mu fixed by mean zero
-        return z - (grid_mean(z) / grid_mean(ones)) * ones
+        return z - (grid_mean(z) / ones_mean) * ones
 
     return solve
 
@@ -754,8 +726,8 @@ def _newton_system(problem, ev, sigma, lam, exact, precond=None):
     ``precond`` if given (a factor kept from an earlier step), else a new
     exact (Cholesky) solve if ``exact``, else the grid's cheaper start: the
     FD factor on n=1 grids (a cyclic tridiagonal per fiber), the Fourier
-    multiplier of each fiber's x-averaged operator on spectral n=2 grids, a
-    sparse LU of the FD stencil on fd2 n=2 grids.
+    multiplier of the x-averaged operator on spectral n=2 grids, a sparse LU
+    of the FD stencil on fd2 n=2 grids.
 
     The operator is w -> -div_x(C D_x w) + shift * w with the pointwise
     tensor C = sigma (I + k D_yH D_yH^T), projected off constants; the
@@ -823,13 +795,9 @@ def _minimize_newton(problem, v, opts, state=None):
     after ``REFACTOR_APPLIES + 1`` applies and the step takes that truncated
     direction (CG iterates are descent directions): the factor is dropped
     after it anyway.  A CG on a factor built for its own step keeps the full
-    ``CG_MAX_ITER``.  Only a preconditioner that holds
-    every fiber's factor is kept: the dense stack of n=1 grids and the
-    single factor of n=2 grids without fiber axes.  On n=2 grids with fiber
-    axes the fibers share one factor buffer, so every solve on a kept
-    preconditioner would factor every fiber again; there, as with the FD
-    factor (whose reuse doubled the pendulum's applies), each step factors
-    once.  No factor outlives the solve.
+    ``CG_MAX_ITER``.  Only an exact factor is kept: the FD factor, whose
+    reuse doubled the pendulum's applies, and the Fourier multiplier are
+    built anew at every step.  No factor outlives the solve.
 
     Returns the iterate, the step count, the status, the objective history,
     the final ``NewtonState`` and the iterate's evaluation (value, gradient,
@@ -845,7 +813,6 @@ def _minimize_newton(problem, v, opts, state=None):
         lam = max(state.lam, LAM_WARM_FLOOR, lam_min)
         # only grids with a dense step to move to inherit it
         exact = state.exact and _has_dense_step(grid)
-    keeps = grid.n == 1 or grid.m == 0
     precond = None
     for it in range(opts.max_iter):
         gnorm = _grid_norm(g)
@@ -856,7 +823,7 @@ def _minimize_newton(problem, v, opts, state=None):
         apply_A, precond = _newton_system(problem, ev, sigma, lam, exact, precond)
         d, applies = _pcg(apply_A, -g, rel_tol=min(0.5, np.sqrt(gnorm)),
                           max_iter=cap, precond=precond, atol=0.25 * opts.gtol)
-        if not (exact and keeps and applies <= REFACTOR_APPLIES):
+        if not (exact and applies <= REFACTOR_APPLIES):
             precond = None      # released before the next factor is built
         exact = exact or _dense_pays(grid, applies)
         slope = _grid_inner(d, g)
@@ -930,8 +897,12 @@ def solve_cell(problem: CellProblem, init: ScalarField | None = None,
     the path, not the minimizer.  Deterministic given (problem, init, opts,
     state).  If the iteration cap is hit or the line search stalls, the best
     iterate is returned with ``converged=False`` and the reason in
-    ``status``.
+    ``status``.  An n=2 grid with fiber axes is refused: it is solved fiber
+    by fiber (``fiber_decomposed_solve``).
     """
+    if problem.grid.n == 2 and problem.grid.m >= 1:
+        raise ValueError("n=2 grids with fiber axes are solved fiber by fiber: "
+                         "use fiber_decomposed_solve (continuation_solve does)")
     opts = opts or SolverOptions()
     t0 = time.perf_counter()
     if init is None:
@@ -975,6 +946,10 @@ def continuation_solve(model: SwingModel, P, k_schedule, tau_steps: int,
     and the strictly convex functional pins its minimizer whatever the start.
     Returns one solution per k; their Hbar_k values are checked to be
     nondecreasing (slack 1e-8).
+
+    On an n=2 grid with fiber axes each k is one ``fiber_decomposed_solve``
+    pass, whose first fiber climbs its own k ladder; no tau walk runs, and
+    ``tau_steps`` is not used.
     """
     opts = opts or SolverOptions()
     k_schedule = [float(k) for k in k_schedule]
@@ -983,8 +958,12 @@ def continuation_solve(model: SwingModel, P, k_schedule, tau_steps: int,
     if tau_steps < 1:
         raise ValueError("tau_steps must be >= 1")
 
-    stages = [(i / tau_steps, k_schedule[0]) for i in range(1, tau_steps + 1)]
-    stages += [(1.0, k) for k in k_schedule[1:]]
+    fibered = grid.n == 2 and grid.m >= 1
+    if fibered:
+        stages = [(1.0, k) for k in k_schedule]
+    else:
+        stages = [(i / tau_steps, k_schedule[0]) for i in range(1, tau_steps + 1)]
+        stages += [(1.0, k) for k in k_schedule[1:]]
     results: list[CellSolution] = []
     # (tau, 1/k, v) of the last two solved stages
     walk = [(0.0, 1.0 / k_schedule[0], np.zeros(grid.shape))]
@@ -992,21 +971,28 @@ def continuation_solve(model: SwingModel, P, k_schedule, tau_steps: int,
     homotopy_opts = replace(opts, gtol=max(opts.gtol, HOMOTOPY_GTOL))
     for tau, k in stages:
         stage_opts = opts if tau == 1.0 else homotopy_opts
-        s = 1.0 / k
-        if walk[-1][1] == s:        # a step in tau at one k
-            init = _secant([(t, v) for t, s_i, v in walk if s_i == s], tau)
-        else:                       # a step in 1/k at tau = 1
-            init = _secant([(s_i, v) for t, s_i, v in walk if t == 1.0], s)
-        sol = solve_cell(CellProblem(model, P, k, grid, tau), ScalarField(grid, init),
-                         stage_opts, state)
+        problem = CellProblem(model, P, k, grid, tau)
+        if fibered:
+            try:
+                sol = fiber_decomposed_solve(problem, opts)
+            except ContinuationError as err:
+                raise ContinuationError(f"stage (tau={tau:g}, k={k:g}): {err}",
+                                        results, tau, k) from err
+        else:
+            s = 1.0 / k
+            if walk[-1][1] == s:        # a step in tau at one k
+                init = _secant([(t, v) for t, s_i, v in walk if s_i == s], tau)
+            else:                       # a step in 1/k at tau = 1
+                init = _secant([(s_i, v) for t, s_i, v in walk if t == 1.0], s)
+            sol = solve_cell(problem, ScalarField(grid, init), stage_opts, state)
+            walk = [walk[-1], (tau, s, sol.v.values)]
+            state = sol.newton_state
         if not sol.converged:
             raise ContinuationError(
                 f"stage (tau={tau:g}, k={k:g}) did not converge "
                 f"({_unconverged_reason(sol, stage_opts)})", results, tau, k)
         if tau == 1.0:
             results.append(sol)
-        walk = [walk[-1], (tau, s, sol.v.values)]
-        state = sol.newton_state
 
     for a, b in zip(results, results[1:]):
         if b.Hbar_k < a.Hbar_k - 1e-8:
@@ -1037,6 +1023,7 @@ def fiber_decomposed_solve(problem: CellProblem,
     v_prev.  The drive's continuity in phi keeps these starts close.  The
     assembled v is evaluated on the joint problem, so ``converged`` certifies
     the joint gradient; ``iterations`` counts every Newton step of the pass.
+    It is the one solver of n=2 grids with fiber axes.
     """
     if problem.grid.m < 1:
         raise ValueError("fiber decomposition needs m >= 1")

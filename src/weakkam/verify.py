@@ -24,7 +24,8 @@ __all__ = [
     "CheckResult", "run_checks",
     "adjointness_defect", "constant_gradient", "gradient_mean", "log_mean_exp_defects",
     "derivative_defect", "convexity_violation", "fenchel_defects", "periodicity_defect",
-    "objective_gradient_defect", "integrable_exactness", "descent_defects",
+    "objective_gradient_defect", "integrable_exactness", "separable_defect",
+    "descent_defects",
     "monotonicity_defect", "infmax_defect", "weak_residual_excess",
     "measure_identity_defects", "closedness", "energy_envelope_defects",
     "energy_concentration", "oracle_shape", "free_motion_error", "drift_and_order",
@@ -46,6 +47,7 @@ PERIODICITY_TOL = 1e-13
 OBJECTIVE_GRADIENT_RTOL = 1e-5
 INTEGRABLE_TOL = 1e-12          # |Hbar_k - P^2/2| and max|v| from v = 0
 INTEGRABLE_MAX_ITERS = 2
+SEPARABLE_TOL = 1e-10           # |Hbar_k of an uncoupled n=2 pair - the sum of its rotors'|
 DESCENT_TOL = 1e-12             # objective increase per step, |mean v|
 MONOTONE_SLACK = 1e-8           # decrease of Hbar_k allowed along the k schedule
 INFMAX_TOL = 1e-10
@@ -174,6 +176,11 @@ def run_checks(cfg: RunConfig | None = None) -> list[CheckResult]:
               h <= INTEGRABLE_TOL and v <= INTEGRABLE_TOL
               and iters <= INTEGRABLE_MAX_ITERS and converged,
               f"|Hbar - P^2/2| {h:.1e}, max|v| {v:.1e}, iters {iters}"))
+    check("solver.separable-2d-identity",
+          lambda: max(separable_defect(fields.TorusGrid(n=2, m=0, N_x=16, diff_mode=mode))
+                      for mode in modes),
+          lambda d: (d <= SEPARABLE_TOL,
+                     f"max |Hbar2 - Hbar1(P1) - Hbar1(P2)| {d:.2e} at k = 4, 8, 16"))
     check("solver.descent-and-mean-zero",
           lambda: descent_defects(pendulum()[1]),
           lambda up, mean: (max(up, mean) <= DESCENT_TOL,
@@ -379,6 +386,30 @@ def integrable_exactness(grid: fields.TorusGrid, k: float, Ps=(0.0, 0.7, 1.5)):
             max(s.iterations for s in sols),
             all(s.converged for s in sols),
             max(s.wall_time_s for s in sols))
+
+
+def separable_defect(grid: fields.TorusGrid, ks=(4.0, 8.0, 16.0), P=(0.3, 0.6),
+                     betas=(0.4, 0.3)) -> float:
+    """Largest |Hbar_k(P) - Hbar_k(P_1) - Hbar_k(P_2)| over ks of the
+    uncoupled pair beta = diag(betas), lam = (1, 1) on the n=2 grid, against
+    its two rotors on the n=1 grid of the same N_x and derivative, each
+    solved cold at each k.  The pair's functional is the sum of the rotors',
+    so the identity holds at every k, between minimizers: an unconverged
+    solve makes the defect infinite."""
+    grid1 = fields.TorusGrid(n=1, m=0, N_x=grid.N_x, diff_mode=grid.diff_mode)
+    zero = hamiltonians.TrigPoly(0.0)
+    b1, b2 = (hamiltonians.TrigPoly(b) for b in betas)
+    pair = hamiltonians.SwingModel(alpha=[0.0, 0.0], beta=((b1, zero), (zero, b2)),
+                                   lam=[1.0, 1.0])
+    rotors = [hamiltonians.SwingModel(alpha=[0.0], beta=((b,),), lam=[1.0]) for b in (b1, b2)]
+    worst = 0.0
+    for k in ks:
+        sols = [cell.solve_cell(cell.CellProblem(pair, list(P), k, grid))]
+        sols += [cell.solve_cell(cell.CellProblem(r, [p], k, grid1)) for r, p in zip(rotors, P)]
+        if not all(s.converged for s in sols):
+            return np.inf
+        worst = max(worst, abs(sols[0].Hbar_k - sols[1].Hbar_k - sols[2].Hbar_k))
+    return worst
 
 
 def descent_defects(solutions):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -407,14 +409,11 @@ def test_fd2_mode_close_to_spectral(pendulum):
     assert fd.Hbar_k == pytest.approx(spectral.Hbar_k, abs=1e-4)
 
 
-def _ladder_model(beta_phi=None):
-    """Coupled pair beta11 = beta22 = 0.4, beta12 = 0.3, beta21 = 0, lam = 1;
-    optionally with beta11 driven by the fiber angles."""
-    b11 = TrigPoly(0.4, beta_phi or ())
-    m = len(beta_phi[0][0]) if beta_phi else 0
+def _ladder_model():
+    """Coupled pair beta11 = beta22 = 0.4, beta12 = 0.3, beta21 = 0, lam = 1."""
     return SwingModel(
-        alpha=[0.0, 0.0], beta=((b11, TrigPoly(0.3)), (TrigPoly(0.0), TrigPoly(0.4))),
-        lam=[1.0, 1.0], omega=[1.0, np.sqrt(2.0)][:m])
+        alpha=[0.0, 0.0], beta=((TrigPoly(0.4), TrigPoly(0.3)), (TrigPoly(0.0), TrigPoly(0.4))),
+        lam=[1.0, 1.0])
 
 
 def _qp_model():
@@ -424,11 +423,10 @@ def _qp_model():
                       lam=[0.5], omega=[np.sqrt(2.0)])
 
 
-@pytest.mark.parametrize("n,m,mode", [(2, 0, "spectral"), (2, 1, "spectral"),
-                                      (2, 2, "spectral"), (1, 1, "spectral"),
+@pytest.mark.parametrize("n,m,mode", [(2, 0, "spectral"), (1, 1, "spectral"),
                                       (1, 1, "fd2"), (1, 0, "spectral"),
                                       (1, 0, "fd2")],
-                         ids=["0", "1", "2", "1d-spectral", "1d-fd2",
+                         ids=["0", "1d-spectral", "1d-fd2",
                               "pendulum-spectral", "pendulum-fd2"])
 def test_exact_step_inverts_operator(n, m, mode):
     # spectral n=2 grids and every n=1 grid (without fiber axes a stack of
@@ -438,8 +436,8 @@ def test_exact_step_inverts_operator(n, m, mode):
     from weakkam.cell import _evaluate, _newton_system
     rng = np.random.default_rng(11 + m)
     if n == 2:
-        model = _ladder_model((((1,) * m, 0.3, 0.1),) if m else None)
-        grid, P = TorusGrid(n=2, m=m, N_x=8, N_phi=3), [0.3, 0.6]
+        model = _ladder_model()
+        grid, P = TorusGrid(n=2, m=0, N_x=8), [0.3, 0.6]
     elif m:
         model = _qp_model()
         grid, P = TorusGrid(n=1, m=m, N_x=16, N_phi=5, diff_mode=mode), [0.7]
@@ -582,14 +580,13 @@ def _full_operator_rows(D, c, i1, s):
     return R.reshape(N, N * N)
 
 
-def _full_operator(grid, C, shift, fiber):
-    """The dense n=2 Newton operator of one fiber from ``_full_operator_rows``,
-    with the exact step's shift floor."""
+def _full_operator(grid, C, shift):
+    """The dense n=2 Newton operator from ``_full_operator_rows``, with the
+    exact step's shift floor."""
     from weakkam.cell import _diff_matrix
     D = _diff_matrix(grid.N_x, grid.diff_mode)
-    s = float(shift[(0, 0) + fiber]) + 1e-290
-    return np.concatenate([_full_operator_rows(D, C[(Ellipsis,) + fiber], i1, s)
-                           for i1 in range(grid.N_x)])
+    s = float(shift[0, 0]) + 1e-290
+    return np.concatenate([_full_operator_rows(D, C, i1, s) for i1 in range(grid.N_x)])
 
 
 def _two_column_exact(grid, C, shift, r):
@@ -618,14 +615,11 @@ def _two_column_exact(grid, C, shift, r):
             dpotrs(A.T, b.T, lower=1, overwrite_b=1)
         z, ones = (rhs[:, j].T.reshape(grid.shape) for j in (0, 1))
         return z - (z.mean() / ones.mean()) * ones
-    z, ones = np.empty_like(r), np.empty_like(r)
-    for fiber in np.ndindex(grid.shape[2:]):
-        at = (Ellipsis,) + fiber
-        arf, _ = dtrttf(_full_operator(grid, C, shift, fiber), transr="N", uplo="L")
-        dpftrf(N * N, arf, transr="N", uplo="L", overwrite_a=1)
-        x, _ = dpftrs(N * N, arf, np.stack([r[at].ravel(), np.ones(N * N)], axis=1),
-                      transr="N", uplo="L")
-        z[at], ones[at] = x[:, 0].reshape(N, N), x[:, 1].reshape(N, N)
+    arf, _ = dtrttf(_full_operator(grid, C, shift), transr="N", uplo="L")
+    dpftrf(N * N, arf, transr="N", uplo="L", overwrite_a=1)
+    x, _ = dpftrs(N * N, arf, np.stack([r.ravel(), np.ones(N * N)], axis=1),
+                  transr="N", uplo="L")
+    z, ones = x[:, 0].reshape(N, N), x[:, 1].reshape(N, N)
     return z - (z.mean() / ones.mean()) * ones
 
 
@@ -637,9 +631,7 @@ PRECONDITIONERS = {
     "exact_1d-m0": ("_exact_preconditioner_1d", TorusGrid(n=1, m=0, N_x=16)),
     "exact_1d-m1": ("_exact_preconditioner_1d", TorusGrid(n=1, m=1, N_x=16, N_phi=3)),
     "exact-m0": ("_exact_preconditioner", TorusGrid(n=2, m=0, N_x=8)),
-    "exact-m1": ("_exact_preconditioner", TorusGrid(n=2, m=1, N_x=8, N_phi=3)),
     "fourier": ("_fourier_preconditioner", TorusGrid(n=2, m=0, N_x=8)),
-    "fourier-m1": ("_fourier_preconditioner", TorusGrid(n=2, m=1, N_x=8, N_phi=3)),
 }
 
 
@@ -691,8 +683,8 @@ def test_pcg_stops_where_the_preconditioner_offers_no_step(first):
 
 
 @pytest.mark.parametrize("grid", [
-    TorusGrid(n=2, m=0, N_x=8), TorusGrid(n=2, m=0, N_x=24), TorusGrid(n=2, m=0, N_x=32),
-    TorusGrid(n=2, m=1, N_x=8, N_phi=3)], ids=["2d-8", "2d-24", "2d-32", "2d-m1-8"])
+    TorusGrid(n=2, m=0, N_x=8), TorusGrid(n=2, m=0, N_x=24), TorusGrid(n=2, m=0, N_x=32)],
+    ids=["2d-8", "2d-24", "2d-32"])
 def test_rfp_buffer_matches_full_rows(grid, monkeypatch):
     # the exact n=2 step assembles only the columns j1 <= i1 of each row
     # block, which hold the lower triangle that RFP storage keeps: the buffer
@@ -709,37 +701,30 @@ def test_rfp_buffer_matches_full_rows(grid, monkeypatch):
     C, shift = _spd_coefficients(grid, rng)
     r = rng.normal(size=grid.shape)
     _exact_preconditioner(grid, C, shift)(r - r.mean())
-    fibers = list(np.ndindex(grid.shape[2:]))
-    assert len(handed) == len(fibers)
-    for buf, fiber in zip(handed, fibers):
-        arf, _ = dtrttf(_full_operator(grid, C, shift, fiber), transr="N", uplo="L")
-        assert buf.tobytes() == arf.tobytes()
+    [buf] = handed
+    arf, _ = dtrttf(_full_operator(grid, C, shift), transr="N", uplo="L")
+    assert buf.tobytes() == arf.tobytes()
 
 
-@pytest.mark.parametrize("grid", [TorusGrid(n=2, m=0, N_x=16),
-                                  TorusGrid(n=2, m=1, N_x=16, N_phi=3)], ids=["m0", "m1"])
+@pytest.mark.parametrize("grid", [TorusGrid(n=2, m=0, N_x=16)], ids=["m0"])
 def test_fourier_preconditioner_inverts_constant_coefficients(grid):
-    # with sigma and D_yH constant along x on each fiber the Newton operator
-    # is, fiber by fiber, the Fourier multiplier itself, so the factor-free
-    # start of spectral n=2 grids is its exact inverse on fields of zero
-    # x-mean per fiber, the Nyquist modes (which the derivative zeroes)
-    # included.  On the fibered grid sigma and D_yH differ per fiber, and so
-    # does the shift, which scales with each fiber's coefficients
+    # with sigma and D_yH constant along x the Newton operator is the Fourier
+    # multiplier itself, so the factor-free start of spectral n=2 grids is
+    # its exact inverse on mean-zero fields, the Nyquist modes (which the
+    # derivative zeroes) included
     from types import SimpleNamespace
 
     from weakkam.cell import _fourier_preconditioner, _newton_system
     rng = np.random.default_rng(3)
-    fibers = grid.shape[2:]
-    dy = np.array([0.7, -1.3]).reshape((2,) + (1,) * len(grid.shape))
-    dy = dy * (1.0 + rng.uniform(-0.5, 0.5, size=(1, 1, 1) + fibers))
+    dy = np.array([0.7, -1.3]).reshape(2, 1, 1) * (1.0 + rng.uniform(-0.5, 0.5))
     ev = SimpleNamespace(dy=np.broadcast_to(dy, (2,) + grid.shape).copy())
-    sigma = np.broadcast_to(rng.uniform(0.1, 1.0, size=(1, 1) + fibers), grid.shape)
+    sigma = np.full(grid.shape, rng.uniform(0.1, 1.0))
     apply_A, precond = _newton_system(SimpleNamespace(grid=grid, k=4.0), ev, sigma,
                                       lam=1e-3, exact=False)
     assert precond.__qualname__.startswith(_fourier_preconditioner.__name__)
     for _ in range(3):
         z = rng.normal(size=grid.shape)
-        z -= z.mean(axis=(0, 1), keepdims=True)
+        z -= z.mean()
         assert np.max(np.abs(precond(apply_A(z)) - z)) <= 1e-12 * np.max(np.abs(z))
 
 
@@ -747,15 +732,13 @@ def test_fourier_preconditioner_inverts_constant_coefficients(grid):
     TorusGrid(n=1, m=0, N_x=16), TorusGrid(n=1, m=0, N_x=128),
     TorusGrid(n=1, m=0, N_x=256), TorusGrid(n=1, m=0, N_x=64, diff_mode="fd2"),
     TorusGrid(n=1, m=1, N_x=16, N_phi=3), TorusGrid(n=1, m=1, N_x=128, N_phi=16),
-    TorusGrid(n=2, m=0, N_x=8), TorusGrid(n=2, m=0, N_x=32),
-    TorusGrid(n=2, m=1, N_x=8, N_phi=3)],
+    TorusGrid(n=2, m=0, N_x=8), TorusGrid(n=2, m=0, N_x=32)],
     ids=["1d-16", "1d-128", "1d-256", "1d-fd2-64", "1d-m1-16", "1d-m1-128",
-         "2d-8", "2d-32", "2d-m1-8"])
+         "2d-8", "2d-32"])
 def test_exact_preconditioner_caches_the_constant_solve_exactly(grid):
     # A^-1 1 is solved once per factor instead of as a second column of every
     # apply: a one-column triangular solve gives each column the bits of the
-    # two-column one, so every apply, also after a fiber is factored again,
-    # returns what the two-column solve did
+    # two-column one, so every apply returns what the two-column solve did
     from weakkam.cell import _exact_preconditioner, _exact_preconditioner_1d
     rng = np.random.default_rng(grid.N_x + grid.m)
     C, shift = _spd_coefficients(grid, rng)
@@ -769,8 +752,8 @@ def test_exact_preconditioner_caches_the_constant_solve_exactly(grid):
 
 @pytest.mark.parametrize("grid", [
     TorusGrid(n=1, m=0, N_x=256), TorusGrid(n=1, m=1, N_x=128, N_phi=16),
-    TorusGrid(n=2, m=0, N_x=32), TorusGrid(n=2, m=1, N_x=24, N_phi=6)],
-    ids=["1x1x256", "1x1x128x16", "2x2x32x32", "2x2x24x24x6"])
+    TorusGrid(n=2, m=0, N_x=32)],
+    ids=["1x1x256", "1x1x128x16", "2x2x32x32"])
 def test_operator_apply_matches_einsum_contraction(grid):
     # apply_A contracts C with the gradient axis by axis; the einsum it
     # replaced gives the same bits
@@ -957,17 +940,14 @@ def test_dense_pays_at_the_cg_cap():
     # the n=1 threshold 4 (N_x/128)^3 passes CG_MAX_ITER at N_x=472; a CG
     # that ran into the cap pays on every grid with a dense step, so a
     # stalled CG there still switches.  The calibrated thresholds below it
-    # are unchanged (the spectral n=2 one, 10 N_x/32, is 7.5 at N_x=24, so
-    # the fibered grid pays at 8 applies, not at 7), and fd2 n=2 grids have
-    # no dense step to pay for
+    # are unchanged, and fd2 n=2 grids have no dense step to pay for
     from weakkam.cell import CG_MAX_ITER, _dense_pays
     assert _dense_pays(TorusGrid(n=1, m=0, N_x=512), CG_MAX_ITER)
     assert not _dense_pays(TorusGrid(n=1, m=0, N_x=512), CG_MAX_ITER - 1)
     for grid, threshold in ((TorusGrid(n=1, m=0, N_x=128), 4),
                             (TorusGrid(n=1, m=0, N_x=256), 32),
                             (TorusGrid(n=1, m=1, N_x=128, N_phi=16), 4),
-                            (TorusGrid(n=2, m=0, N_x=32), 10),
-                            (TorusGrid(n=2, m=1, N_x=24, N_phi=6), 7)):
+                            (TorusGrid(n=2, m=0, N_x=32), 10)):
         assert not _dense_pays(grid, threshold) and _dense_pays(grid, threshold + 1)
     assert not _dense_pays(TorusGrid(n=2, m=0, N_x=16, diff_mode="fd2"), CG_MAX_ITER)
 
@@ -1106,62 +1086,106 @@ def test_fiber_two_drive_angles(monkeypatch):
     assert abs(joint.Hbar_k - fib.Hbar_k) <= 1e-8
 
 
-def _record_stage_factors(monkeypatch, factored):
-    """Record, per solve_cell call, how many entries ``factored`` gained."""
-    from weakkam import cell
-    per_solve = []
-    solve = cell.solve_cell
-
-    def recording(*args, **kwargs):
-        before = len(factored)
-        sol = solve(*args, **kwargs)
-        per_solve.append(len(factored) - before)
-        return sol
-
-    monkeypatch.setattr(cell, "solve_cell", recording)
-    return per_solve
+def _coupled_pair(b00, omega):
+    """Coupled pair beta11 = b00, beta12 = 0.3, beta21 = 0, beta22 = 0.4,
+    lam = 1, driven at the frequencies omega."""
+    return SwingModel(
+        alpha=[0.0, 0.0], beta=((b00, TrigPoly(0.3)), (TrigPoly(0.0), TrigPoly(0.4))),
+        lam=[1.0, 1.0], omega=omega)
 
 
 def test_fiber_two_rotors_one_drive(monkeypatch):
-    # n = 2, m = 1: coupled pair under one drive.  Like every spectral n=2
-    # grid it starts on the Fourier multiplier, here per fiber, and factors
-    # only once CG on it stalls: the two tau < 1 stages build no RFP factor
-    # (24 and 18 when fibered grids started exact).  Once exact, the fibers
-    # share one factor buffer, so a factor kept across Newton steps would
-    # factor every fiber again at each PCG iteration: at most one factor per
-    # fiber per step
-    b00 = TrigPoly(0.6, (((1,), 0.2, 0.0),))
-    model = SwingModel(
-        alpha=[0.0, 0.0],
-        beta=((b00, TrigPoly(0.3)), (TrigPoly(0.0), TrigPoly(0.4))),
-        lam=[1.0, 1.0], omega=[1.0])
+    # n = 2, m = 1: coupled pair under one drive.  The continuation runs one
+    # fiber pass per k, so every Newton solve is on an n=2 grid without fiber
+    # axes: per pass the first fiber's k ladder and one solve per later
+    # fiber.  Hbar_k is that of the joint Newton solve of the whole grid
+    # (tau_steps = 4), which the fiber pass replaced
+    model = _coupled_pair(TrigPoly(0.6, (((1,), 0.2, 0.0),)), [1.0])
     grid = TorusGrid(n=2, m=1, N_x=24, N_phi=6)
-    factored = _count_rfp_factors(monkeypatch)
     solves = _record_solves(monkeypatch)
-    per_stage = _record_stage_factors(monkeypatch, factored)
-    joint = continuation_solve(model, [0.3, 0.8], [6.0], 3, grid)[-1]
-    steps = sum(sol.iterations for *_, sol in solves)
-    assert len(solves) == 3 and 0 < len(factored) <= grid.N_phi * steps
-    assert per_stage[:2] == [0, 0], per_stage
-    fib = fiber_decomposed_solve(CellProblem(model, [0.3, 0.8], 6.0, grid))
-    assert abs(joint.Hbar_k - fib.Hbar_k) <= 1e-8
+    sols = continuation_solve(model, [0.3, 0.8], [8.0, 16.0], 4, grid)
+    assert [(s.tau, s.k) for s in sols] == [(1.0, 8.0), (1.0, 16.0)]
+    assert all(s.converged for s in sols)
+    assert len(solves) == 2 * (FIBER_LADDER + grid.N_phi)
+    assert all(problem.grid.m == 0 for problem, *_ in solves)
+    assert sols[0].Hbar_k == pytest.approx(2.360633245982229, abs=1e-12)
+    assert sols[1].Hbar_k == pytest.approx(2.5956830189367155, abs=1e-12)
 
 
 def test_fiber_two_rotors_two_drives():
     # n = 2, m = 2: the coupled pair under two incommensurate drives, the
-    # envelope's corner.  The joint continuation starts every stage on the
-    # per-fiber Fourier multiplier and converges to the fiber pass's Hbar_k
+    # envelope's corner.  Hbar_k is that of the joint Newton solve of the
+    # whole grid (tau_steps = 3), which the fiber pass replaced
     b00 = TrigPoly(0.6, (((1, 0), 0.2, 0.0), ((0, 1), 0.1, 0.0)))
-    model = SwingModel(
-        alpha=[0.0, 0.0],
-        beta=((b00, TrigPoly(0.3)), (TrigPoly(0.0), TrigPoly(0.4))),
-        lam=[1.0, 1.0], omega=[1.0, np.sqrt(2.0)])
+    model = _coupled_pair(b00, [1.0, np.sqrt(2.0)])
     grid = TorusGrid(n=2, m=2, N_x=12, N_phi=4)
     sols = continuation_solve(model, [0.3, 0.8], [4.0, 8.0], 3, grid)
     assert [s.k for s in sols] == [4.0, 8.0] and all(s.converged for s in sols)
-    fib = fiber_decomposed_solve(CellProblem(model, [0.3, 0.8], 8.0, grid))
-    assert fib.converged
-    assert abs(sols[-1].Hbar_k - fib.Hbar_k) <= 1e-8
+    assert sols[0].Hbar_k == pytest.approx(2.1545098474376374, abs=1e-12)
+    assert sols[1].Hbar_k == pytest.approx(2.4626591967691587, abs=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["spectral", "fd2"])
+def test_fibered_separable_pair_is_the_sum_of_its_rotors(mode):
+    # with beta12 = beta21 = 0 and only beta11 driven, each fiber's problem
+    # splits into the two rotors', and the log-mean-exp over fibers keeps the
+    # undriven rotor's share as it is: Hbar_k(P) = Hbar_k(P_1) of the driven
+    # rotor on the n=1 fibered grid + Hbar_k(P_2) of the other.  The fiber
+    # pass on one side, the joint n=1 Newton loop on the other
+    b11 = TrigPoly(0.6, (((1,), 0.2, 0.0),))
+    zero = TrigPoly(0.0)
+    pair = SwingModel(alpha=[0.0, 0.0], beta=((b11, zero), (zero, TrigPoly(0.4))),
+                      lam=[1.0, 1.0], omega=[1.0])
+    driven = SwingModel(alpha=[0.0], beta=((b11,),), lam=[1.0], omega=[1.0])
+    still = SwingModel(alpha=[0.0], beta=((TrigPoly(0.4),),), lam=[1.0])
+    ks = [4.0, 8.0]
+    joint = continuation_solve(pair, [0.3, 0.8], ks, 4,
+                               TorusGrid(n=2, m=1, N_x=16, N_phi=4, diff_mode=mode))
+    first = continuation_solve(driven, [0.3], ks, 4,
+                               TorusGrid(n=1, m=1, N_x=16, N_phi=4, diff_mode=mode))
+    second = continuation_solve(still, [0.8], ks, 4, TorusGrid(n=1, m=0, N_x=16, diff_mode=mode))
+    assert [s.k for s in joint] == ks
+    for s, a, b in zip(joint, first, second):
+        assert abs(s.Hbar_k - a.Hbar_k - b.Hbar_k) <= 1e-10
+
+
+@pytest.mark.parametrize("mode", ["spectral", "fd2"])
+def test_separable_pair_is_the_sum_of_its_rotors(mode):
+    # the m = 0 solver the fiber pass rests on, against its exact reference
+    grid = TorusGrid(n=2, m=0, N_x=16, diff_mode=mode)
+    assert verify.separable_defect(grid) <= verify.SEPARABLE_TOL
+
+
+def test_solve_cell_refuses_fibered_2d_grids():
+    model = _coupled_pair(TrigPoly(0.6, (((1,), 0.2, 0.0),)), [1.0])
+    problem = CellProblem(model, [0.3, 0.8], 4.0, TorusGrid(n=2, m=1, N_x=8, N_phi=3))
+    with pytest.raises(ValueError, match="fiber_decomposed_solve"):
+        solve_cell(problem)
+
+
+def test_fibered_continuation_error_carries_earlier_k(monkeypatch):
+    # a fiber that fails in the k = 16 pass (here the first fiber, on the
+    # last rung of its k ladder, where each solve stops after one Newton
+    # step) fails the stage (tau = 1, k = 16), and the error carries the
+    # k = 8 pass's solution
+    from weakkam import cell
+    solve = cell.solve_cell
+
+    def fail_at_16(problem, init=None, opts=None, state=None):
+        if problem.k == 16.0:
+            opts = replace(opts, max_iter=1)
+        return solve(problem, init, opts, state)
+
+    monkeypatch.setattr(cell, "solve_cell", fail_at_16)
+    model = _coupled_pair(TrigPoly(0.6, (((1,), 0.2, 0.0),)), [1.0])
+    grid = TorusGrid(n=2, m=1, N_x=12, N_phi=3)
+    with pytest.raises(ContinuationError) as exc:
+        continuation_solve(model, [0.3, 0.8], [8.0, 16.0], 4, grid)
+    assert (exc.value.tau, exc.value.k) == (1.0, 16.0)
+    assert str(exc.value).startswith("stage (tau=1, k=16): fiber (0,) did not converge")
+    [sol] = exc.value.partial
+    assert sol.k == 8.0 and sol.tau == 1.0 and sol.converged
+    assert sol.fiber_values.shape == (grid.N_phi,)
 
 
 def test_fiber_pass_converges_past_rounding_floor(monkeypatch):

@@ -333,6 +333,62 @@ def test_cell_keeps_the_stages_before_a_failed_one(tmp_path, monkeypatch):
     assert manifest["error"] == "stage (tau=1, k=16) did not converge (stub)"
 
 
+FIBERED_2D_CFG = """
+model.name = "swing"
+model.n = 2
+model.m = 1
+model.alpha = [0.0, 0.0]
+model.lam = [1.0, 1.0]
+model.omega = [1.0]
+model.beta = [[{"const": 0.6, "modes": [[[1], 0.2, 0.0]]}, {"const": 0.3}], [{"const": 0.0}, {"const": 0.4}]]
+grid.N_x = 12
+grid.N_phi = 3
+P = [[0.3, 0.8]]
+k_schedule = [8, 16]
+tau_steps = 2
+"""
+
+
+def test_cell_solves_fibered_2d_fiber_by_fiber(tmp_path):
+    # an n=2 grid with fiber axes runs one fiber pass per k, with no tau
+    # walk: one record per k, each at tau = 1 with one value per fiber
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(FIBERED_2D_CFG)
+    out = tmp_path / "out"
+    assert run(["cell", "--config", cfg, "--out", out]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["error"] is None
+    assert [(r["k"], r["tau"]) for r in manifest["solves"]] == [(8.0, 1.0), (16.0, 1.0)]
+    for r in manifest["solves"]:
+        assert r["converged"] and "measure" in r and len(r["fiber_values"]) == 3
+
+
+def test_cell_keeps_the_fiber_passes_before_a_failed_one(tmp_path, monkeypatch):
+    # a fiber that fails in the k = 16 pass fails the stage (tau = 1, k = 16);
+    # the k = 8 pass is recorded without a measure block
+    from weakkam import cell
+    solve = cell.solve_cell
+
+    def fail_at_16(problem, init=None, opts=None, state=None):
+        if problem.k == 16.0:
+            opts = cell.SolverOptions(max_iter=1)
+        return solve(problem, init, opts, state)
+
+    monkeypatch.setattr(cell, "solve_cell", fail_at_16)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(FIBERED_2D_CFG)
+    out = tmp_path / "out"
+    assert run(["cell", "--config", cfg, "--out", out]) == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    [record] = manifest["solves"]
+    assert record["k"] == 8.0 and record["tau"] == 1.0 and record["converged"]
+    assert "measure" not in record and len(record["fiber_values"]) == 3
+    assert manifest["error"].startswith("stage (tau=1, k=16): fiber (0,) did not converge")
+    with open(out / "hbar_table.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [["P_0", "P_1", "k", "hbar"], ["0.3", "0.8", "8.0", repr(record["Hbar_k"])]]
+
+
 def test_sweep_reports_every_failed_P_once(tmp_path):
     # three Newton steps do not reach the homotopy tolerance at the first
     # stage of any P: it takes 4, 5 and 6 steps at P = 0.5, 1.2 and 2.0
@@ -760,6 +816,7 @@ VERIFY_CHECKS = [
     "hamiltonian.swing-torus-periodicity",
     "solver.objective-gradient-vs-central-differences",
     "solver.integrable-exactness",
+    "solver.separable-2d-identity",
     "solver.descent-and-mean-zero",
     "solver.effective-energy-monotone-in-k",
     "solver.inf-max-upper-bound",
@@ -815,7 +872,7 @@ def test_verify_fails_the_checks_of_a_solve_that_raised(tmp_path, monkeypatch):
         "measure.normalization-and-density-identity", "measure.closedness",
         "measure.energy-bounds-envelope", "measure.energy-concentration-in-k"])
     assert set(failed.values()) == {"raised RuntimeError: stub solve"}
-    assert len(manifest["checks"]) - len(failed) == 14
+    assert len(manifest["checks"]) - len(failed) == 15
 
 
 def test_verify_empty_config_passes(tmp_path):
