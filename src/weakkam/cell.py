@@ -26,14 +26,15 @@ stencil.
 
 The frozen-drive functional splits exactly into one problem per fiber, so
 an n=2 grid with fiber axes is solved fiber by fiber, each fiber an n=2 grid
-without them (``fiber_decomposed_solve``); ``solve_cell`` refuses it.
+without them, over a whole k schedule (``_fiber_pass``); ``solve_cell``
+refuses it.
 
 The Levenberg shift of a step is lam times each fiber's largest sum_a C_aa,
 the operator's scale on its lowest modes; a shift at its grid-scale ceiling,
 1/dx^2 larger, would make the first steps of every solve damped gradient
 steps.  A solve returns its final lam and step kind as a ``NewtonState``, and
 ``solve_cell`` can start from one: the stages of ``continuation_solve`` and
-the fibers of ``fiber_decomposed_solve`` hand theirs on, so a warm start does
+the fibers of a fiber pass hand theirs on, so a warm start does
 not learn again how much damping the problem needs, or that CG on the FD
 factor or the Fourier multiplier stalls.  A carried lam is floored at
 ``LAM_WARM_FLOOR``.  The state is passed only through arguments and return
@@ -50,20 +51,15 @@ and the Fourier multiplier are built anew at every step.  A factor is never
 carried from one solve to the next.  The packed n=2 factor is built from the
 lower triangle of the operator only, the part its storage keeps.
 
-``fiber_decomposed_solve`` solves each of the N = N_phi^m fibers once, to
-gtol / sqrt(N): the joint gradient weighs each fiber's gradient by its share
-w of the Gibbs mass, with mean(w) = 1 and so max(w) <= N, which bounds the
-assembled joint gradient norm by gtol.
-
 A warm start begins at a prediction that costs no solve or evaluation: the
 secant extrapolation of the last two solutions along the one parameter being
 walked (tau at one k, 1/k at tau = 1, the drive angle along one grid line of
 the last phi axis), re-centred to mean zero.  Where the last two solutions do
 not lie on the walked parameter's line, the start is the last solution.  A
 tau-homotopy stage at tau < 1 is never returned and only starts the next
-stage, so it stops at the looser ``HOMOTOPY_GTOL``.  The first fiber of the
-fiber pass climbs a k ladder of ``FIBER_LADDER`` doublings up to its k
-instead of starting cold there.
+stage, so it stops at the looser ``HOMOTOPY_GTOL``.  The first fiber of a
+fiber pass climbs ``FIBER_LADDER`` doublings of k to the first k instead of
+starting cold there; the others start at each k from the fibers before them.
 """
 
 from __future__ import annotations
@@ -214,6 +210,9 @@ class CellProblem:
             )
         if not model.x_periodic():
             raise ValueError("model is not 2*pi periodic in x; grid sampling is invalid")
+        if grid.n > 2 and grid.diff_mode == "spectral":    # no preconditioner serves it
+            raise ValueError(f"spectral grids need n <= 2 (here n = {grid.n}); "
+                             'use grid.diff = "fd2" beyond it')
         # every spectral n=2 solve can move to the exact step
         if grid.n == 2 and grid.diff_mode == "spectral" and grid.N_x > EXACT_MAX_N_X:
             mb = 8 * grid.N_x ** 4 / 2 / 1e6
@@ -944,12 +943,9 @@ def continuation_solve(model: SwingModel, P, k_schedule, tau_steps: int,
     tau < 1 only starts the next one, so it stops at gtol
     max(opts.gtol, ``HOMOTOPY_GTOL``); every tau = 1 stage meets opts.gtol,
     and the strictly convex functional pins its minimizer whatever the start.
-    Returns one solution per k; their Hbar_k values are checked to be
-    nondecreasing (slack 1e-8).
-
-    On an n=2 grid with fiber axes each k is one ``fiber_decomposed_solve``
-    pass, whose first fiber climbs its own k ladder; no tau walk runs, and
-    ``tau_steps`` is not used.
+    Returns one solution per k, each checked to have converged, with Hbar_k
+    nondecreasing (slack 1e-8).  On an n=2 grid with fiber axes the schedule
+    is one ``_fiber_pass``: no tau walk runs, and ``tau_steps`` is not used.
     """
     opts = opts or SolverOptions()
     k_schedule = [float(k) for k in k_schedule]
@@ -958,27 +954,19 @@ def continuation_solve(model: SwingModel, P, k_schedule, tau_steps: int,
     if tau_steps < 1:
         raise ValueError("tau_steps must be >= 1")
 
-    fibered = grid.n == 2 and grid.m >= 1
-    if fibered:
-        stages = [(1.0, k) for k in k_schedule]
+    if grid.n == 2 and grid.m >= 1:
+        results = _fiber_pass([CellProblem(model, P, k, grid) for k in k_schedule], opts)
     else:
         stages = [(i / tau_steps, k_schedule[0]) for i in range(1, tau_steps + 1)]
         stages += [(1.0, k) for k in k_schedule[1:]]
-    results: list[CellSolution] = []
-    # (tau, 1/k, v) of the last two solved stages
-    walk = [(0.0, 1.0 / k_schedule[0], np.zeros(grid.shape))]
-    state = None
-    homotopy_opts = replace(opts, gtol=max(opts.gtol, HOMOTOPY_GTOL))
-    for tau, k in stages:
-        stage_opts = opts if tau == 1.0 else homotopy_opts
-        problem = CellProblem(model, P, k, grid, tau)
-        if fibered:
-            try:
-                sol = fiber_decomposed_solve(problem, opts)
-            except ContinuationError as err:
-                raise ContinuationError(f"stage (tau={tau:g}, k={k:g}): {err}",
-                                        results, tau, k) from err
-        else:
+        results: list[CellSolution] = []
+        # (tau, 1/k, v) of the last two solved stages
+        walk = [(0.0, 1.0 / k_schedule[0], np.zeros(grid.shape))]
+        state = None
+        homotopy_opts = replace(opts, gtol=max(opts.gtol, HOMOTOPY_GTOL))
+        for tau, k in stages:
+            stage_opts = opts if tau == 1.0 else homotopy_opts
+            problem = CellProblem(model, P, k, grid, tau)
             s = 1.0 / k
             if walk[-1][1] == s:        # a step in tau at one k
                 init = _secant([(t, v) for t, s_i, v in walk if s_i == s], tau)
@@ -987,86 +975,98 @@ def continuation_solve(model: SwingModel, P, k_schedule, tau_steps: int,
             sol = solve_cell(problem, ScalarField(grid, init), stage_opts, state)
             walk = [walk[-1], (tau, s, sol.v.values)]
             state = sol.newton_state
-        if not sol.converged:
-            raise ContinuationError(
-                f"stage (tau={tau:g}, k={k:g}) did not converge "
-                f"({_unconverged_reason(sol, stage_opts)})", results, tau, k)
-        if tau == 1.0:
-            results.append(sol)
+            if not sol.converged:
+                raise ContinuationError(
+                    f"stage (tau={tau:g}, k={k:g}) did not converge "
+                    f"({_unconverged_reason(sol, stage_opts)})", results, tau, k)
+            if tau == 1.0:
+                results.append(sol)
 
-    for a, b in zip(results, results[1:]):
-        if b.Hbar_k < a.Hbar_k - 1e-8:
+    for i, b in enumerate(results):
+        # a fiber pass returns its assembled solutions unchecked
+        if not b.converged:
+            raise ContinuationError(
+                f"stage (tau=1, k={b.k:g}) did not converge "
+                f"({_unconverged_reason(b, opts)})", results[:i], 1.0, b.k)
+        if i and b.Hbar_k < results[i - 1].Hbar_k - 1e-8:
             raise ContinuationError(
                 f"stage (tau=1, k={b.k:g}): Hbar_k not monotone along the schedule: "
-                f"{a.Hbar_k!r} -> {b.Hbar_k!r}", results, 1.0, b.k)
+                f"{results[i - 1].Hbar_k!r} -> {b.Hbar_k!r}", results, 1.0, b.k)
+    return results
+
+
+def _fiber_pass(problems: list, opts: SolverOptions) -> list:
+    """Solve ``problems`` (one model, P, tau and grid with fiber axes, at
+    increasing k) fiber by fiber; returns the assembled solution at each k,
+    up to the first that did not converge.
+
+    Fiber phi is the problem of ``model.at_phase(phi)`` on the x grid; the
+    fibers decouple exactly, and the joint value is the log-mean-exp of their
+    free energies.  At each k each of the N = N_phi^m fibers is solved once,
+    to gtol_f = max(gtol / sqrt(N), 1e-12): the joint gradient is w_phi g_phi
+    on fiber phi, with Gibbs mass share w_phi of mean 1, so ||g_joint||^2 =
+    mean(w^2 ||g||^2) <= max(w) gtol_f^2 <= N gtol_f^2 = gtol^2.  The first
+    fiber climbs the ladder k_0 / 2^d, d = ``FIBER_LADDER``, ..., 1, then
+    walks the schedule, each solve from its own last Newton state and secant
+    in 1/k, its Hbar_k not falling (slack 1e-8).  A later fiber starts from
+    the fiber before it at its k: its Newton state, and the secant
+    2 v_prev - v_prevprev where the three lie consecutively on one grid line
+    of the last phi axis, else v_prev.  A failed fiber raises a
+    ``ContinuationError`` naming it and its k, with the earlier k's
+    solutions.  ``converged`` is judged on the joint problem; ``iterations`` and
+    ``wall_time_s`` count the work of each k, the ladder's in the first.
+    """
+    grid = problems[0].grid
+    grid_x = TorusGrid(n=grid.n, m=0, N_x=grid.N_x, diff_mode=grid.diff_mode)
+    phi_axis = grid.phi_axis()
+    fibers = [(idx, problems[0].ham.at_phase(np.array([phi_axis[i] for i in idx])))
+              for idx in np.ndindex(*(grid.N_phi,) * grid.m)]
+    fiber_opts = replace(opts, gtol=max(opts.gtol / len(fibers) ** 0.5, 1e-12))
+    rungs = [problems[0].k / 2 ** d for d in range(FIBER_LADDER, 0, -1)]
+    results, own = [], []           # own: the first fiber's last two solutions
+    iters, t0 = 0, time.perf_counter()
+    for k in rungs + [problem.k for problem in problems]:
+        problem = problems[len(results)]        # the problem this k's work counts toward
+        v_joint = np.zeros(grid.shape)
+        done = []                   # (index, v) of the last two fibers solved at k
+        for idx, fiber_model in fibers[:1] if k < problem.k else fibers:
+            if done:
+                line = [(i[-1], v) for i, v in done if i[:-1] == idx[:-1]]
+                init = _secant(line, idx[-1]) if line else done[-1][1]
+            elif own:
+                init = _secant([(1.0 / s.k, s.v.values) for s in own], 1.0 / k)
+                state = own[-1].newton_state
+            else:
+                init, state = np.zeros(grid_x.shape), None
+            sol = solve_cell(CellProblem(fiber_model, problem.P, k, grid_x),
+                             ScalarField(grid_x, init), fiber_opts, state)
+            iters += sol.iterations
+            fell = not done and own and sol.Hbar_k < own[-1].Hbar_k - 1e-8
+            if fell or not sol.converged:
+                why = (f"Hbar_k fell {own[-1].Hbar_k!r} -> {sol.Hbar_k!r}" if sol.converged
+                       else f"did not converge ({_unconverged_reason(sol, fiber_opts)})")
+                raise ContinuationError(f"stage (tau={problem.tau:g}, k={problem.k:g}): fiber "
+                                        f"{idx} {why} at k={k:g}", results, problem.tau, problem.k)
+            if not done:
+                own = [*own[-1:], sol]
+            done = [*done[-1:], (idx, sol.v.values)]
+            state = sol.newton_state
+            v_joint[(Ellipsis,) + idx] = sol.v.values
+        if k == problem.k:
+            results.append(_finish(problem, v_joint, iters, "converged", [], opts, t0))
+            if not results[-1].converged:
+                break                   # continuation_solve stops there
+            iters, t0 = 0, time.perf_counter()
     return results
 
 
 def fiber_decomposed_solve(problem: CellProblem,
                            opts: SolverOptions | None = None) -> CellSolution:
-    """Solve each phi-fiber independently and assemble the joint solution.
-
-    Fiber phi is the corrector problem of ``model.at_phase(phi)``, the
-    autonomous model with the drive frozen there, on the x grid.  The
-    functional integrates fiber by fiber and the divergence acts only in x,
-    so fibers decouple exactly; the joint value is the log-mean-exp of the
-    fiber free energies.  Each of the N = N_phi^m fibers is solved once, to
-    gtol_f = max(gtol / sqrt(N), 1e-12).  The joint gradient on fiber phi is
-    w_phi g_phi with Gibbs mass share w_phi = exp(k (h_phi - Hbar_k)) and
-    mean(w) = 1, so ||g_joint||^2 = mean(w^2 ||g||^2) <= max(w) gtol_f^2 <=
-    N gtol_f^2 = gtol^2.  The first fiber climbs the k ladder k / 2^d,
-    d = ``FIBER_LADDER``, ..., 0, through ``continuation_solve`` (tau_steps
-    = 1).  Each later fiber starts from the Newton state of the fiber before
-    it in grid order and, where it and the two fibers before it lie
-    consecutively on one grid line of the last phi axis, from their secant
-    extrapolation 2 v_prev - v_prevprev; elsewhere (after a row wrap) from
-    v_prev.  The drive's continuity in phi keeps these starts close.  The
-    assembled v is evaluated on the joint problem, so ``converged`` certifies
-    the joint gradient; ``iterations`` counts every Newton step of the pass.
-    It is the one solver of n=2 grids with fiber axes.
-    """
+    """Solve each phi-fiber of ``problem`` once and assemble the joint
+    solution: ``_fiber_pass`` over the one k."""
     if problem.grid.m < 1:
         raise ValueError("fiber decomposition needs m >= 1")
-    opts = opts or SolverOptions()
-    t0 = time.perf_counter()
-    grid = problem.grid
-    grid_x = TorusGrid(n=grid.n, m=0, N_x=grid.N_x, diff_mode=grid.diff_mode)
-    phi_axis = grid.phi_axis()
-    n_fibers = grid.N_phi ** grid.m
-    fiber_opts = replace(opts, gtol=max(opts.gtol / n_fibers ** 0.5, 1e-12))
-    ladder = [problem.k / 2 ** d for d in range(FIBER_LADDER, -1, -1)]
-
-    v_joint = np.zeros(grid.shape)
-    iters = 0
-    done, state = [], None          # (index, v) of the last two fibers solved
-    for idx in np.ndindex(*(grid.N_phi,) * grid.m):
-        phi_val = np.array([phi_axis[i] for i in idx])
-        fiber_model = problem.ham.at_phase(phi_val)
-        if not done:
-            try:
-                sols = continuation_solve(fiber_model, problem.P, ladder, 1, grid_x,
-                                          fiber_opts)
-            except ContinuationError as err:
-                raise ContinuationError(
-                    f"fiber {idx} did not converge on its k ladder at gtol_f "
-                    f"{fiber_opts.gtol:g}: {err}", [], problem.tau, problem.k) from err
-            sol = sols[-1]
-            iters += sum(s.iterations for s in sols)
-        else:
-            line = [(i[-1], v) for i, v in done if i[:-1] == idx[:-1]]
-            init = _secant(line, idx[-1]) if line else done[-1][1]
-            sol = solve_cell(CellProblem(fiber_model, problem.P, problem.k, grid_x),
-                             ScalarField(grid_x, init), fiber_opts, state)
-            iters += sol.iterations
-            if not sol.converged:
-                raise ContinuationError(
-                    f"fiber {idx} did not converge ({_unconverged_reason(sol, fiber_opts)})",
-                    [], problem.tau, problem.k)
-        done = [*done[-1:], (idx, sol.v.values)]
-        state = sol.newton_state
-        v_joint[(Ellipsis,) + idx] = sol.v.values
-
-    return _finish(problem, v_joint, iters, "converged", [], opts, t0)
+    return _fiber_pass([problem], opts or SolverOptions())[0]
 
 
 def fiber_jump(fiber_values: np.ndarray) -> float:

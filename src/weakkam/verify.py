@@ -25,7 +25,7 @@ __all__ = [
     "adjointness_defect", "constant_gradient", "gradient_mean", "log_mean_exp_defects",
     "derivative_defect", "convexity_violation", "fenchel_defects", "periodicity_defect",
     "objective_gradient_defect", "integrable_exactness", "separable_defect",
-    "descent_defects",
+    "fibered_separable_defect", "descent_defects",
     "monotonicity_defect", "infmax_defect", "weak_residual_excess",
     "measure_identity_defects", "closedness", "energy_envelope_defects",
     "energy_concentration", "oracle_shape", "free_motion_error", "drift_and_order",
@@ -181,6 +181,12 @@ def run_checks(cfg: RunConfig | None = None) -> list[CheckResult]:
                       for mode in modes),
           lambda d: (d <= SEPARABLE_TOL,
                      f"max |Hbar2 - Hbar1(P1) - Hbar1(P2)| {d:.2e} at k = 4, 8, 16"))
+    check("solver.fibered-separable-identity",
+          lambda: max(fibered_separable_defect(
+              fields.TorusGrid(n=2, m=m, N_x=16, N_phi=4, diff_mode=mode))
+              for mode in modes for m in (1, 2)),
+          lambda d: (d <= SEPARABLE_TOL,
+                     f"max |Hbar2 - Hbar1(P1) - Hbar1(P2)| {d:.2e} at k = 4, 8, m = 1, 2"))
     check("solver.descent-and-mean-zero",
           lambda: descent_defects(pendulum()[1]),
           lambda up, mean: (max(up, mean) <= DESCENT_TOL,
@@ -410,6 +416,33 @@ def separable_defect(grid: fields.TorusGrid, ks=(4.0, 8.0, 16.0), P=(0.3, 0.6),
             return np.inf
         worst = max(worst, abs(sols[0].Hbar_k - sols[1].Hbar_k - sols[2].Hbar_k))
     return worst
+
+
+def fibered_separable_defect(grid: fields.TorusGrid, ks=(4.0, 8.0), P=(0.3, 0.8)) -> float:
+    """Largest |Hbar_k(P) - Hbar_k(P_1) - Hbar_k(P_2)| over ks of the
+    uncoupled pair with beta11 = 0.6 + 0.2 cos phi_1 (+ 0.1 cos phi_2 when
+    m = 2), beta22 = 0.4, lam = (1, 1) on the fibered n=2 grid, against the
+    driven rotor on the n=1 grid with the same fiber axes and the undriven
+    one on the n=1 grid without them, each through ``continuation_solve``
+    (tau_steps = 4).  Each fiber's problem splits into the two rotors', and
+    the log-mean-exp over fibers keeps the undriven rotor's share as it is,
+    so the identity holds at every k: the fiber pass on one side, the joint
+    n=1 Newton loop on the other."""
+    modes = (((1,), 0.2, 0.0),) if grid.m == 1 else (((1, 0), 0.2, 0.0), ((0, 1), 0.1, 0.0))
+    omega = [1.0, np.sqrt(2.0)][:grid.m]
+    zero, b11, b22 = (hamiltonians.TrigPoly(0.0), hamiltonians.TrigPoly(0.6, modes),
+                      hamiltonians.TrigPoly(0.4))
+    pair = hamiltonians.SwingModel(alpha=[0.0, 0.0], beta=((b11, zero), (zero, b22)),
+                                   lam=[1.0, 1.0], omega=omega)
+    driven = hamiltonians.SwingModel(alpha=[0.0], beta=((b11,),), lam=[1.0], omega=omega)
+    still = hamiltonians.SwingModel(alpha=[0.0], beta=((b22,),), lam=[1.0])
+    grid1 = fields.TorusGrid(n=1, m=grid.m, N_x=grid.N_x, N_phi=grid.N_phi,
+                             diff_mode=grid.diff_mode)
+    grid0 = fields.TorusGrid(n=1, m=0, N_x=grid.N_x, diff_mode=grid.diff_mode)
+    joint = cell.continuation_solve(pair, list(P), ks, 4, grid)
+    first = cell.continuation_solve(driven, [P[0]], ks, 4, grid1)
+    second = cell.continuation_solve(still, [P[1]], ks, 4, grid0)
+    return max(abs(s.Hbar_k - a.Hbar_k - b.Hbar_k) for s, a, b in zip(joint, first, second))
 
 
 def descent_defects(solutions):

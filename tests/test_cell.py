@@ -389,6 +389,11 @@ def test_problem_validation():
         continuation_solve(model, [0.0], [8.0, 8.0], 2, grid)
     with pytest.raises(ValueError):
         continuation_solve(model, [0.0], [8.0], 0, grid)
+    # spectral grids past n = 2 have no preconditioner; fd2 ones solve
+    model3 = make_integrable(3)
+    with pytest.raises(ValueError, match='n <= 2.*grid.diff = "fd2"'):
+        CellProblem(model3, [0.0] * 3, 4.0, TorusGrid(n=3, m=0, N_x=8))
+    CellProblem(model3, [0.0] * 3, 4.0, TorusGrid(n=3, m=0, N_x=8, diff_mode="fd2"))
 
 
 def test_methods_agree(pendulum):
@@ -1095,32 +1100,36 @@ def _coupled_pair(b00, omega):
 
 
 def test_fiber_two_rotors_one_drive(monkeypatch):
-    # n = 2, m = 1: coupled pair under one drive.  The continuation runs one
-    # fiber pass per k, so every Newton solve is on an n=2 grid without fiber
-    # axes: per pass the first fiber's k ladder and one solve per later
-    # fiber.  Hbar_k is that of the joint Newton solve of the whole grid
-    # (tau_steps = 4), which the fiber pass replaced
+    # n = 2, m = 1: coupled pair under one drive.  The continuation is one
+    # fiber pass over its schedule, so every Newton solve is on an n=2 grid
+    # without fiber axes: the first fiber's k ladder once, then one solve
+    # per fiber and k.  Hbar_k is that of the joint Newton solve of the
+    # whole grid (tau_steps = 4), which the fiber pass replaced
     model = _coupled_pair(TrigPoly(0.6, (((1,), 0.2, 0.0),)), [1.0])
     grid = TorusGrid(n=2, m=1, N_x=24, N_phi=6)
     solves = _record_solves(monkeypatch)
     sols = continuation_solve(model, [0.3, 0.8], [8.0, 16.0], 4, grid)
     assert [(s.tau, s.k) for s in sols] == [(1.0, 8.0), (1.0, 16.0)]
     assert all(s.converged for s in sols)
-    assert len(solves) == 2 * (FIBER_LADDER + grid.N_phi)
+    assert len(solves) == FIBER_LADDER + 2 * grid.N_phi
     assert all(problem.grid.m == 0 for problem, *_ in solves)
     assert sols[0].Hbar_k == pytest.approx(2.360633245982229, abs=1e-12)
     assert sols[1].Hbar_k == pytest.approx(2.5956830189367155, abs=1e-12)
 
 
-def test_fiber_two_rotors_two_drives():
+def test_fiber_two_rotors_two_drives(monkeypatch):
     # n = 2, m = 2: the coupled pair under two incommensurate drives, the
-    # envelope's corner.  Hbar_k is that of the joint Newton solve of the
-    # whole grid (tau_steps = 3), which the fiber pass replaced
+    # envelope's corner.  The first fiber climbs its k ladder once, then
+    # each of the 16 fibers is solved once per k.  Hbar_k is that of the
+    # joint Newton solve of the whole grid (tau_steps = 3), which the fiber
+    # pass replaced
     b00 = TrigPoly(0.6, (((1, 0), 0.2, 0.0), ((0, 1), 0.1, 0.0)))
     model = _coupled_pair(b00, [1.0, np.sqrt(2.0)])
     grid = TorusGrid(n=2, m=2, N_x=12, N_phi=4)
+    solves = _record_solves(monkeypatch)
     sols = continuation_solve(model, [0.3, 0.8], [4.0, 8.0], 3, grid)
     assert [s.k for s in sols] == [4.0, 8.0] and all(s.converged for s in sols)
+    assert len(solves) == FIBER_LADDER + 2 * grid.N_phi ** 2
     assert sols[0].Hbar_k == pytest.approx(2.1545098474376374, abs=1e-12)
     assert sols[1].Hbar_k == pytest.approx(2.4626591967691587, abs=1e-12)
 
@@ -1128,25 +1137,11 @@ def test_fiber_two_rotors_two_drives():
 @pytest.mark.parametrize("mode", ["spectral", "fd2"])
 def test_fibered_separable_pair_is_the_sum_of_its_rotors(mode):
     # with beta12 = beta21 = 0 and only beta11 driven, each fiber's problem
-    # splits into the two rotors', and the log-mean-exp over fibers keeps the
-    # undriven rotor's share as it is: Hbar_k(P) = Hbar_k(P_1) of the driven
-    # rotor on the n=1 fibered grid + Hbar_k(P_2) of the other.  The fiber
-    # pass on one side, the joint n=1 Newton loop on the other
-    b11 = TrigPoly(0.6, (((1,), 0.2, 0.0),))
-    zero = TrigPoly(0.0)
-    pair = SwingModel(alpha=[0.0, 0.0], beta=((b11, zero), (zero, TrigPoly(0.4))),
-                      lam=[1.0, 1.0], omega=[1.0])
-    driven = SwingModel(alpha=[0.0], beta=((b11,),), lam=[1.0], omega=[1.0])
-    still = SwingModel(alpha=[0.0], beta=((TrigPoly(0.4),),), lam=[1.0])
-    ks = [4.0, 8.0]
-    joint = continuation_solve(pair, [0.3, 0.8], ks, 4,
-                               TorusGrid(n=2, m=1, N_x=16, N_phi=4, diff_mode=mode))
-    first = continuation_solve(driven, [0.3], ks, 4,
-                               TorusGrid(n=1, m=1, N_x=16, N_phi=4, diff_mode=mode))
-    second = continuation_solve(still, [0.8], ks, 4, TorusGrid(n=1, m=0, N_x=16, diff_mode=mode))
-    assert [s.k for s in joint] == ks
-    for s, a, b in zip(joint, first, second):
-        assert abs(s.Hbar_k - a.Hbar_k - b.Hbar_k) <= 1e-10
+    # splits into the two rotors': the fiber pass against the joint n=1
+    # Newton loop, under one drive and under two
+    for m in (1, 2):
+        grid = TorusGrid(n=2, m=m, N_x=16, N_phi=4, diff_mode=mode)
+        assert verify.fibered_separable_defect(grid) <= verify.SEPARABLE_TOL
 
 
 @pytest.mark.parametrize("mode", ["spectral", "fd2"])
@@ -1164,10 +1159,9 @@ def test_solve_cell_refuses_fibered_2d_grids():
 
 
 def test_fibered_continuation_error_carries_earlier_k(monkeypatch):
-    # a fiber that fails in the k = 16 pass (here the first fiber, on the
-    # last rung of its k ladder, where each solve stops after one Newton
-    # step) fails the stage (tau = 1, k = 16), and the error carries the
-    # k = 8 pass's solution
+    # a fiber that fails at k = 16 (here the first fiber, whose k = 16 solve
+    # stops after one Newton step) fails the stage (tau = 1, k = 16), and
+    # the error carries the k = 8 solution
     from weakkam import cell
     solve = cell.solve_cell
 
@@ -1186,6 +1180,39 @@ def test_fibered_continuation_error_carries_earlier_k(monkeypatch):
     [sol] = exc.value.partial
     assert sol.k == 8.0 and sol.tau == 1.0 and sol.converged
     assert sol.fiber_values.shape == (grid.N_phi,)
+
+
+def test_fibered_continuation_names_the_failed_rung(monkeypatch):
+    # the first fiber's k ladder below k = 8 runs once, before any joint
+    # solution: a rung that fails fails the stage (tau = 1, k = 8), names
+    # the rung's k and carries no solution
+    from weakkam import cell
+    solve = cell.solve_cell
+
+    def fail_at_2(problem, init=None, opts=None, state=None):
+        if problem.k == 2.0:
+            opts = replace(opts, max_iter=1)
+        return solve(problem, init, opts, state)
+
+    monkeypatch.setattr(cell, "solve_cell", fail_at_2)
+    model = _coupled_pair(TrigPoly(0.6, (((1,), 0.2, 0.0),)), [1.0])
+    with pytest.raises(ContinuationError) as exc:
+        continuation_solve(model, [0.3, 0.8], [8.0, 16.0], 4,
+                           TorusGrid(n=2, m=1, N_x=12, N_phi=3))
+    assert (exc.value.tau, exc.value.k, exc.value.partial) == (1.0, 8.0, [])
+    assert str(exc.value).startswith("stage (tau=1, k=8): fiber (0,) did not converge")
+    assert str(exc.value).endswith(" at k=2")
+
+
+def test_fibered_continuation_checks_the_joint_gradient():
+    # each fiber stops at gtol_f >= 1e-12, so a joint gtol below that is not
+    # met: the first k fails as a stage, with no solution before it
+    model = _coupled_pair(TrigPoly(0.6, (((1,), 0.2, 0.0),)), [1.0])
+    with pytest.raises(ContinuationError) as exc:
+        continuation_solve(model, [0.3, 0.8], [8.0, 16.0], 4,
+                           TorusGrid(n=2, m=1, N_x=12, N_phi=3), SolverOptions(gtol=1e-14))
+    assert (exc.value.tau, exc.value.k, exc.value.partial) == (1.0, 8.0, [])
+    assert str(exc.value).startswith("stage (tau=1, k=8) did not converge (grad_norm")
 
 
 def test_fiber_pass_converges_past_rounding_floor(monkeypatch):

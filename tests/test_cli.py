@@ -125,6 +125,24 @@ def test_cell_rejects_spectral_2d_beyond_envelope(tmp_path, capsys):
     assert 'grid.diff = "fd2"' in capsys.readouterr().err
 
 
+def test_cell_rejects_spectral_3d_before_any_solve(tmp_path, capsys, monkeypatch):
+    # no preconditioner serves a spectral n = 3 grid: the run exits 2 naming
+    # the n <= 2 envelope and fd2, where it used to fail in its first Newton
+    # step on an array shape
+    from weakkam import cell
+    solves = []
+    monkeypatch.setattr(cell, "solve_cell", lambda *args, **kwargs: solves.append(args))
+    cfg = tmp_path / "n3.cfg"
+    cfg.write_text('model.name = "integrable"\nmodel.n = 3\nmodel.alpha = [0.0, 0.0, 0.0]\n'
+                   'model.lam = [1.0, 1.0, 1.0]\ngrid.N_x = 8\nP = [[0.3, 0.6, 0.2]]\n')
+    out = tmp_path / "o"
+    assert run(["cell", "--config", cfg, "--out", out]) == 2
+    assert capsys.readouterr().err == (
+        "problem outside the solver's envelope: spectral grids need n <= 2 (here n = 3); "
+        'use grid.diff = "fd2" beyond it\n')
+    assert solves == [] and not (out / "manifest.json").exists()
+
+
 def test_config_rejects_bad_json():
     with pytest.raises(ConfigError, match="bad value"):
         parse_config("P = [1.0,,]\n")
@@ -817,6 +835,7 @@ VERIFY_CHECKS = [
     "solver.objective-gradient-vs-central-differences",
     "solver.integrable-exactness",
     "solver.separable-2d-identity",
+    "solver.fibered-separable-identity",
     "solver.descent-and-mean-zero",
     "solver.effective-energy-monotone-in-k",
     "solver.inf-max-upper-bound",
@@ -843,7 +862,9 @@ def test_verify_default_config_passes(tmp_path, capsys):
 
 def test_verify_solves_once(monkeypatch):
     # every solver.* check that reads a solve and every measure.* check
-    # read one pendulum continuation
+    # read one pendulum continuation (the one at P = 1.5); the other
+    # continuations are solver.fibered-separable-identity's, three on its
+    # own models for each of its four grids
     from weakkam import cell
     from weakkam.verify import run_checks
     calls = []
@@ -851,7 +872,8 @@ def test_verify_solves_once(monkeypatch):
     monkeypatch.setattr(cell, "continuation_solve",
                         lambda *args, **kwargs: calls.append(args) or solve(*args, **kwargs))
     assert all(r.passed for r in run_checks())
-    assert len(calls) == 1
+    assert [args[1] for args in calls].count([1.5]) == 1
+    assert len(calls) == 1 + 3 * 4
 
 
 def test_verify_fails_the_checks_of_a_solve_that_raised(tmp_path, monkeypatch):
@@ -872,7 +894,7 @@ def test_verify_fails_the_checks_of_a_solve_that_raised(tmp_path, monkeypatch):
         "measure.normalization-and-density-identity", "measure.closedness",
         "measure.energy-bounds-envelope", "measure.energy-concentration-in-k"])
     assert set(failed.values()) == {"raised RuntimeError: stub solve"}
-    assert len(manifest["checks"]) - len(failed) == 15
+    assert len(manifest["checks"]) - len(failed) == 16
 
 
 def test_verify_empty_config_passes(tmp_path):
