@@ -74,7 +74,7 @@ from .fields import (
     ScalarField,
     TorusGrid,
     _check_finite,
-    _diff_x,
+    _diff_matrix,
     div_values,
     grad_values,
     grid_mean,
@@ -117,6 +117,10 @@ LAM_WARM_FLOOR = 1e-6
 LAM_MIN, LAM_MAX = 1e-12, 1e6
 # doublings of k the first fiber of the fiber pass climbs to its k
 FIBER_LADDER = 3
+# smallest gradient-norm tolerance a fiber of the fiber pass is solved to, near
+# the rounding floor of its gradient; a joint gtol that needs a smaller one is
+# refused before any solve
+FIBER_GTOL_MIN = 1e-12
 # gradient-norm tolerance of a continuation stage at tau < 1: such a stage is
 # never returned and only starts the next one, so it stops at this tolerance
 # (or at gtol, if that is looser)
@@ -135,24 +139,28 @@ def _dense_pays(grid: TorusGrid, applies: int) -> bool:
     cost more than the exact step would have.  Only grids with a dense step
     to move to (``_has_dense_step``) pay: n=1 and spectral n=2 grids.
 
-    n=1: its build and factor grow as N_x^3, one apply as N_x log N_x: on
-    2 cores the dense system takes 0.30 ms at N_x=128 and 2.0 ms at
-    N_x=256, the tridiagonal FD system 0.06 and 0.12 ms, one apply with its
-    FD solve 0.075 and 0.10 ms.  A dense step that factors once breaks even
-    with about 5 FD applies at N_x=128 and 20 at N_x=256, and a factor kept
-    over several steps with fewer.  The threshold, 4 applies at N_x=128 and
-    32 at N_x=256, sits near that break-even, so a solve whose CG stays
-    near-exact keeps the FD factor (and the process skips the first dense
-    factor's BLAS buffers), while one whose CG stalls switches.  On a grid
+    n=1: its build and factor grow as N_x^3, one apply as N_x^2 (the
+    derivative product, ``fields.PRODUCT_MAX_N_X``) or N_x log N_x (the FFT,
+    past it): on 2 cores the dense system takes 0.22 ms at N_x=128 and
+    1.0 ms at N_x=256, the tridiagonal FD system 0.03 ms on both, one apply
+    with its FD solve 0.022 ms (product; 0.036 ms on the FFT) and 0.040 ms
+    (FFT).  A dense step that factors once breaks even with about 9 FD
+    applies at N_x=128 (5 on the FFT apply) and 24 at N_x=256, and a factor
+    kept over several steps with fewer.  The threshold, 4 applies at
+    N_x=128 and 32 at N_x=256, was set near the FFT apply's break-even, so
+    a solve whose CG stays near-exact keeps the FD factor (and the process
+    skips the first dense factor's BLAS buffers), while one whose CG stalls
+    switches.  On a grid
     with fiber axes the dense stack and the FD factor both grow with the
     fiber count, so the threshold holds there too: the quasi-periodic
     rotor's joint continuation (N_x=128, 16 fibers, k 8 to 16) builds 3
     dense stacks and 14 FD factors.
 
     Spectral n=2, which starts on the Fourier multiplier: on 2 cores a dense
-    factor, with its assembly and its solve of A^-1 1, takes 4.2 ms at
-    N_x=24, 12 ms at N_x=32 and 86 ms at N_x=48; one apply with its Fourier
-    solve 0.13, 0.14 and 0.19 ms.  A factor is kept for the later steps of
+    factor, with its assembly and its solve of A^-1 1, takes 4 ms at
+    N_x=24, 11-13 ms at N_x=32 and 70 ms at N_x=48; one apply with its
+    Fourier solve 0.07, 0.085 and 0.12 ms on the derivative product (0.12,
+    0.14 and 0.18 ms on the FFT).  A factor is kept for the later steps of
     the solve, and the later stages of a continuation start exact, so the
     switch does not weigh one factor against applies.
     On the ladder model's continuation to k=64 (tau_steps=4) at N_x=32, a
@@ -560,14 +568,6 @@ def _fd_preconditioner_1d(grid: TorusGrid, C: np.ndarray, shift: np.ndarray):
         return z - z.sum(axis=0) / N
 
     return solve
-
-
-@lru_cache(maxsize=4)
-def _diff_matrix(N: int, diff_mode: str) -> np.ndarray:
-    """The N x N matrix of the grid's derivative along one spatial axis."""
-    D = _diff_x(np.eye(N), TorusGrid(n=1, N_x=N, diff_mode=diff_mode), 0)
-    D.setflags(write=False)
-    return D
 
 
 def _operator_rows(D: np.ndarray, c: np.ndarray, i1: int, s: float) -> np.ndarray:
@@ -1003,9 +1003,10 @@ def _fiber_pass(problems: list, opts: SolverOptions) -> list:
     Fiber phi is the problem of ``model.at_phase(phi)`` on the x grid; the
     fibers decouple exactly, and the joint value is the log-mean-exp of their
     free energies.  At each k each of the N = N_phi^m fibers is solved once,
-    to gtol_f = max(gtol / sqrt(N), 1e-12): the joint gradient is w_phi g_phi
-    on fiber phi, with Gibbs mass share w_phi of mean 1, so ||g_joint||^2 =
-    mean(w^2 ||g||^2) <= max(w) gtol_f^2 <= N gtol_f^2 = gtol^2.  The first
+    to gtol_f = gtol / sqrt(N): the joint gradient is w_phi g_phi on fiber
+    phi, with Gibbs mass share w_phi of mean 1, so ||g_joint||^2 =
+    mean(w^2 ||g||^2) <= max(w) gtol_f^2 <= N gtol_f^2 = gtol^2.  A gtol_f
+    below ``FIBER_GTOL_MIN`` raises a ``ValueError`` before any solve.  The first
     fiber climbs the ladder k_0 / 2^d, d = ``FIBER_LADDER``, ..., 1, then
     walks the schedule, each solve from its own last Newton state and secant
     in 1/k, its Hbar_k not falling (slack 1e-8).  A later fiber starts from
@@ -1021,7 +1022,13 @@ def _fiber_pass(problems: list, opts: SolverOptions) -> list:
     phi_axis = grid.phi_axis()
     fibers = [(idx, problems[0].ham.at_phase(np.array([phi_axis[i] for i in idx])))
               for idx in np.ndindex(*(grid.N_phi,) * grid.m)]
-    fiber_opts = replace(opts, gtol=max(opts.gtol / len(fibers) ** 0.5, 1e-12))
+    gtol_f = opts.gtol / len(fibers) ** 0.5
+    if gtol_f < FIBER_GTOL_MIN:
+        raise ValueError(
+            f"gtol {opts.gtol:g} is below what {len(fibers)} fibers can meet: each would need "
+            f"gtol / sqrt({len(fibers)}) = {gtol_f:.3g} < {FIBER_GTOL_MIN:g}; "
+            f"use tol.gtol >= {FIBER_GTOL_MIN * len(fibers) ** 0.5:.3g}")
+    fiber_opts = replace(opts, gtol=gtol_f)
     rungs = [problems[0].k / 2 ** d for d in range(FIBER_LADDER, 0, -1)]
     results, own = [], []           # own: the first fiber's last two solutions
     iters, t0 = 0, time.perf_counter()

@@ -8,16 +8,36 @@ them, ``grid_mean`` integrates them against the normalized measure (the mean
 of 1 is 1) and ``log_mean_exp_values`` takes (1/k) log of that mean of
 exp(k f).  ``ScalarField`` is the validated, frozen field the solver takes
 and returns.
+
+Which kernel takes a derivative depends on the grid.  A spectral derivative
+on N_x <= ``PRODUCT_MAX_N_X`` is one matrix product with the cached N_x x N_x
+derivative matrix (``_diff_matrix``), which there costs half or less of an
+``rfft`` / ``irfft`` pair, whose per-call overhead dominates on small grids.
+The product differences each line against its first node before it
+multiplies, so a field constant along the axis maps to exact zeros.  It
+agrees with the FFT to round-off (1e-14 to 1e-13 on fields of unit size),
+not bit for bit.
+Larger spectral grids keep the FFT (``_spectral_diff``), which the product's
+N_x^2 work overtakes there.  fd2 grids keep their two-roll stencil: the
+sparse stencil as a dense product loses at 2-D N_x = 128 (66-79 against
+40 us), the fine grids fd2 serves.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 PERIOD = 2.0 * np.pi
+# largest N_x whose spectral derivatives are one product with the derivative
+# matrix, not an FFT pair.  Measured on 2 cores, FFT against product in us:
+# (128,) 12-19 / 4.4-7; (128, 16) along axis 0 25-40 / 12-18; (32, 32) along
+# either axis 17-29 / 4.4-9; (256,) 12-22 / 11.5-15, about a tie; (512,)
+# 16-26 / 62-69
+PRODUCT_MAX_N_X = 128
 
 __all__ = [
     "PERIOD",
@@ -143,12 +163,41 @@ def _fd2_diff(values: np.ndarray, axis: int, h: float) -> np.ndarray:
     return (np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)) / (2.0 * h)
 
 
+@lru_cache(maxsize=8)
+def _diff_matrix(N: int, diff_mode: str) -> np.ndarray:
+    """The N x N matrix of the grid's derivative along one spatial axis: the
+    FFT or stencil kernel applied to the identity, so the exact Newton
+    factors of ``weakkam.cell`` are built from the kernels' own bits.
+    Read-only, since every caller shares it."""
+    eye = np.eye(N)
+    D = _spectral_diff(eye, 0, N) if diff_mode == "spectral" else _fd2_diff(eye, 0, PERIOD / N)
+    D.setflags(write=False)
+    return D
+
+
+def _product_diff(values: np.ndarray, axis: int, D: np.ndarray) -> np.ndarray:
+    """D applied along ``axis``: one matrix product, after each line along
+    the axis is differenced against its first node, since D's rows sum to
+    round-off, not to 0, and a constant must map to exact zeros."""
+    N = D.shape[0]
+    if axis == 0:
+        v = values.reshape(N, -1)
+        return (D @ (v - v[0])).reshape(values.shape)
+    if axis == values.ndim - 1:
+        v = values.reshape(-1, N)
+        return ((v - v[:, :1]) @ D.T).reshape(values.shape)
+    v = values.reshape(math.prod(values.shape[:axis]), N, -1)     # batched over the leading axes
+    return (D @ (v - v[:, :1])).reshape(values.shape)
+
+
 def _diff_x(values: np.ndarray, grid: TorusGrid, axis: int) -> np.ndarray:
     if axis >= grid.n:
         raise ValueError("differentiation only acts along spatial axes")
-    if grid.diff_mode == "spectral":
-        return _spectral_diff(values, axis, grid.N_x)
-    return _fd2_diff(values, axis, grid.dx)
+    if grid.diff_mode == "fd2":
+        return _fd2_diff(values, axis, grid.dx)
+    if grid.N_x <= PRODUCT_MAX_N_X:
+        return _product_diff(values, axis, _diff_matrix(grid.N_x, "spectral"))
+    return _spectral_diff(values, axis, grid.N_x)
 
 
 def grad_values(values: np.ndarray, grid: TorusGrid) -> np.ndarray:

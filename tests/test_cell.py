@@ -1204,15 +1204,41 @@ def test_fibered_continuation_names_the_failed_rung(monkeypatch):
     assert str(exc.value).endswith(" at k=2")
 
 
-def test_fibered_continuation_checks_the_joint_gradient():
-    # each fiber stops at gtol_f >= 1e-12, so a joint gtol below that is not
-    # met: the first k fails as a stage, with no solution before it
+def test_fibered_continuation_checks_the_joint_gradient(monkeypatch):
+    # fiber solves that stop at gtol 1e-4 leave an assembled gradient
+    # (3.9e-5) above the joint gtol: the first k fails as a stage, with no
+    # solution before it
+    from weakkam import cell
+    solve = cell.solve_cell
+
+    def loose(problem, init=None, opts=None, state=None):
+        return solve(problem, init, replace(opts, gtol=1e-4), state)
+
+    monkeypatch.setattr(cell, "solve_cell", loose)
     model = _coupled_pair(TrigPoly(0.6, (((1,), 0.2, 0.0),)), [1.0])
     with pytest.raises(ContinuationError) as exc:
         continuation_solve(model, [0.3, 0.8], [8.0, 16.0], 4,
-                           TorusGrid(n=2, m=1, N_x=12, N_phi=3), SolverOptions(gtol=1e-14))
+                           TorusGrid(n=2, m=1, N_x=12, N_phi=3), SolverOptions(gtol=1e-8))
     assert (exc.value.tau, exc.value.k, exc.value.partial) == (1.0, 8.0, [])
     assert str(exc.value).startswith("stage (tau=1, k=8) did not converge (grad_norm")
+
+
+def test_fiber_pass_refuses_a_gtol_below_its_fiber_floor(monkeypatch):
+    # N fibers solved to gtol / sqrt(N) each meet the joint gtol; where that is
+    # below FIBER_GTOL_MIN the pass refuses before any solve, through either
+    # entry point
+    solves = _record_solves(monkeypatch)
+    model = _coupled_pair(TrigPoly(0.6, (((1,), 0.2, 0.0),)), [1.0])
+    with pytest.raises(ValueError, match=r"gtol 1e-12 is below what 3 fibers can meet: "
+                                         r"each would need gtol / sqrt\(3\) = 5.77e-13 < 1e-12; "
+                                         r"use tol.gtol >= 1.73e-12"):
+        continuation_solve(model, [0.3, 0.8], [8.0, 16.0], 4,
+                           TorusGrid(n=2, m=1, N_x=12, N_phi=3), SolverOptions(gtol=1e-12))
+    with pytest.raises(ValueError, match="below what 16 fibers can meet"):
+        fiber_decomposed_solve(CellProblem(_qp_model(), [0.7], 8.0,
+                                           TorusGrid(n=1, m=1, N_x=16, N_phi=16)),
+                               SolverOptions(gtol=3e-12))
+    assert solves == []
 
 
 def test_fiber_pass_converges_past_rounding_floor(monkeypatch):

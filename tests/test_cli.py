@@ -381,6 +381,18 @@ def test_cell_solves_fibered_2d_fiber_by_fiber(tmp_path):
         assert r["converged"] and "measure" in r and len(r["fiber_values"]) == 3
 
 
+def test_cell_refuses_a_gtol_its_fibers_cannot_meet(tmp_path, capsys):
+    # 3 fibers would each need gtol / sqrt(3) < 1e-12: exit 2 before any solve
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(FIBERED_2D_CFG + "tol.gtol = 1e-12\n")
+    out = tmp_path / "out"
+    assert run(["cell", "--config", cfg, "--out", out]) == 2
+    assert capsys.readouterr().err == (
+        "problem outside the solver's envelope: gtol 1e-12 is below what 3 fibers can meet: "
+        "each would need gtol / sqrt(3) = 5.77e-13 < 1e-12; use tol.gtol >= 1.73e-12\n")
+    assert not (out / "manifest.json").exists()
+
+
 def test_cell_keeps_the_fiber_passes_before_a_failed_one(tmp_path, monkeypatch):
     # a fiber that fails in the k = 16 pass fails the stage (tau = 1, k = 16);
     # the k = 8 pass is recorded without a measure block

@@ -69,8 +69,14 @@ def test_gradient_leaves_fiber_axes_alone():
     assert np.max(np.abs(grad_values(f.values, g)[0] - expected)) < 1e-12
 
 
-@pytest.mark.parametrize("shape, axis", [((256,), 0), ((128, 16), 0), ((32, 32), 0),
-                                         ((32, 32), 1), ((24, 24, 6), 0), ((24, 24, 6), 1)])
+# (shape, axis) of a spectral derivative: n = 1 with m = 0, 1 and 2 fiber
+# axes, n = 2 with m = 0 and 1 along either axis, on both sides of
+# fields.PRODUCT_MAX_N_X
+DIFF_SHAPES = [((256,), 0), ((128, 16), 0), ((32, 32), 0), ((32, 32), 1), ((24, 24, 6), 0),
+               ((24, 24, 6), 1), ((128,), 0), ((24, 6, 6), 0)]
+
+
+@pytest.mark.parametrize("shape, axis", DIFF_SHAPES)
 def test_cached_spectral_symbol_matches_uncached_formula(shape, axis):
     # the derivative symbol is built once per (N, axis, ndim); the result keeps
     # the bits of the symbol built on every call
@@ -83,6 +89,46 @@ def test_cached_spectral_symbol_matches_uncached_formula(shape, axis):
     mult = 1j * q.reshape([-1 if a == axis else 1 for a in range(values.ndim)])
     expected = np.fft.irfft(hat * mult, n=N, axis=axis)
     assert np.array_equal(_spectral_diff(values, axis, N), expected)
+
+
+@pytest.mark.parametrize("shape, axis", [(shape, axis) for shape, axis in DIFF_SHAPES
+                                         if shape[axis] <= fields.PRODUCT_MAX_N_X])
+def test_product_derivative_matches_fft(shape, axis):
+    # each entry of D (v - v_0) is an N-term dot product, within
+    # N eps ||D||_inf max|v - v_0| <= 2 N eps ||D||_inf max|v| of its exact
+    # value; the FFT's own error is of the same order, so twice that bounds
+    # the difference
+    from weakkam.fields import _diff_matrix, _product_diff, _spectral_diff
+    values = np.random.default_rng(len(shape) + axis).normal(size=shape)
+    N = shape[axis]
+    D = _diff_matrix(N, "spectral")
+    tol = 4 * N * np.finfo(float).eps * np.abs(D).sum(axis=1).max() * np.abs(values).max()
+    err = np.max(np.abs(_product_diff(values, axis, D) - _spectral_diff(values, axis, N)))
+    assert err <= tol, (err, tol)
+    # a field constant along the axis, whatever it does along the others, and
+    # a constant map to exact zeros
+    lines = np.repeat(np.take(values, [0], axis=axis), N, axis=axis)
+    assert not np.any(_product_diff(lines, axis, D))
+    assert not np.any(_product_diff(np.full(shape, 4.2), axis, D))
+
+
+@pytest.mark.parametrize("n, m, N_x, diff_mode", [
+    (1, 0, 128, "spectral"), (1, 1, 128, "spectral"), (2, 1, 32, "spectral"),
+    (1, 0, 256, "spectral"), (1, 1, 256, "spectral"), (1, 0, 64, "fd2"), (2, 0, 32, "fd2")])
+def test_diff_x_picks_its_kernel_by_grid(n, m, N_x, diff_mode):
+    # spectral grids up to PRODUCT_MAX_N_X take the product, larger ones keep
+    # the bits of the FFT, fd2 grids keep their stencil
+    from weakkam.fields import _diff_matrix, _diff_x, _fd2_diff, _product_diff, _spectral_diff
+    grid = TorusGrid(n=n, m=m, N_x=N_x, N_phi=4, diff_mode=diff_mode)
+    values = np.random.default_rng(N_x).normal(size=grid.shape)
+    for axis in range(n):
+        if diff_mode == "fd2":
+            expected = _fd2_diff(values, axis, grid.dx)
+        elif N_x <= fields.PRODUCT_MAX_N_X:
+            expected = _product_diff(values, axis, _diff_matrix(N_x, "spectral"))
+        else:
+            expected = _spectral_diff(values, axis, N_x)
+        assert np.array_equal(_diff_x(values, grid, axis), expected)
 
 
 def test_cached_spectral_symbol_is_read_only():
