@@ -239,13 +239,15 @@ class SwingModel:
             dx[j] += si if i == j else lam_j * s
         return HamEval(h, dx, y.copy())
 
-    def kick_drift_kick(self, x, y, betas, half, dt, every, left,
+    def kick_drift_kick(self, x, y, betas, steps, half, dt, every, left,
                         samples: list) -> tuple[list, list]:
-        """``len(betas)`` kick-drift-kick steps of one orbit's n float rows
+        """``steps`` kick-drift-kick steps of one orbit's n float rows
         ``x`` and ``y``: ``y -= half D_x V(x)``, ``x += dt y``,
-        ``y -= half D_x V(x)``, with ``betas`` the drive values of the
-        active terms at each step (one ``drive(phi)`` per step, as floats; an
-        autonomous model reads only the first).  After ``left`` steps, and
+        ``y -= half D_x V(x)``.  ``betas`` holds one list of floats per
+        active term, its drive values at each step (``drive(phi)`` tabulated
+        per term); an autonomous model reads only each list's first entry.
+        The step count is ``steps``, never taken from ``betas``: a model
+        with no active term has ``betas == []``.  After ``left`` steps, and
         then after every ``every`` steps, the tuple ``(x..., y...)`` is
         appended to ``samples``, followed, when autonomous, by the energy.
         Returns the new rows ``(x, y)``; each force equals ``evaluate``'s
@@ -253,7 +255,7 @@ class SwingModel:
         where ``math.sin`` or ``math.cos`` meets an infinite coupling
         argument, with the samples before it appended."""
         kernel = _kick_drift_kick_kernel(self.n, self._pairs, self.m == 0)
-        return kernel(x, y, betas, half, dt, every, left, self, samples)
+        return kernel(x, y, betas, steps, half, dt, every, left, self, samples)
 
     def float_potential(self, beta):
         """V as a function of the n coordinates of one point, given as Python
@@ -286,19 +288,22 @@ def _constant_lines(functions: str, n: int, pairs: tuple, starts: bool) -> list:
 
 
 def _kick_drift_kick_source(n: int, pairs: tuple, autonomous: bool) -> str:
-    """Source of ``kick_drift_kick(x, y, betas, half, dt, every, left,
-    model, samples)`` for the n rows and the active terms ``pairs``:
-    ``SwingModel.kick_drift_kick``, unrolled over rows and terms.  The
+    """Source of ``kick_drift_kick(x, y, betas, steps, half, dt, every,
+    left, model, samples)`` for the n rows and the active terms ``pairs``:
+    ``SwingModel.kick_drift_kick``, unrolled over rows and terms.  ``betas``
+    is one list of drive values per term; the loop runs ``steps`` times,
+    walking the term lists in step (``zip`` behind a ``range(steps)``) when
+    driven, so a pattern with no terms still takes every step.  The
     coupling sines are taken at the entry position and after each drift; the
     force is ``SwingModel.evaluate``'s ``dx`` operations in its order,
     rebuilt at each half-kick from the step's drive values, or, when
-    autonomous, from the first and carried from the second half-kick of a
-    step to the first of the next.  A sample is appended after ``left``
-    steps and then every ``every`` steps; when autonomous it ends with the
-    energy, written as ``evaluate``'s ``h`` operations in their order.  The
-    tilt lines run for every model: an untilted model's starts are 0.0, and
-    ``h + 0.0 * x`` is ``h`` at any finite x.  Parameter values come from
-    ``model`` and ``betas``, never from the text."""
+    autonomous, from each list's first entry and carried from the second
+    half-kick of a step to the first of the next.  A sample is appended
+    after ``left`` steps and then every ``every`` steps; when autonomous it
+    ends with the energy, written as ``evaluate``'s ``h`` operations in
+    their order.  The tilt lines run for every model: an untilted model's
+    starts are 0.0, and ``h + 0.0 * x`` is ``h`` at any finite x.  Parameter
+    values come from ``model`` and ``betas``, never from the text."""
     betas = _targets("beta", len(pairs))
     sines = [f"sin{t} = sin({_coupling_arg(t, i, j)})" for t, (i, j) in enumerate(pairs)]
     force = [f"f{i} = start{i}" for i in range(n)]
@@ -320,14 +325,16 @@ def _kick_drift_kick_source(n: int, pairs: tuple, autonomous: bool) -> str:
     head += ["append = samples.append", f"{_targets('x', n)} = x", f"{_targets('y', n)} = y",
              *sines]
     if autonomous:
-        head += [f"{betas} = betas[0]", *force, "for _ in range(len(betas)):"]
+        head += [*(f"beta{t} = betas[{t}][0]" for t in range(len(pairs))), *force,
+                 "for _ in range(steps):"]
         body = kick + drift + sines + force + kick
     else:
-        head.append(f"for {betas} in betas:")
+        head.append(f"for _, {betas} in zip(range(steps), *betas):" if pairs
+                    else "for _ in range(steps):")
         body = force + kick + drift + sines + force + kick
     body += ["left -= 1", "if not left:"]
     rows = lambda prefix: "[" + ", ".join(f"{prefix}{i}" for i in range(n)) + "]"
-    return "\n".join(["def kick_drift_kick(x, y, betas, half, dt, every, left, model, samples):",
+    return "\n".join(["def kick_drift_kick(x, y, betas, steps, half, dt, every, left, model, samples):",
                       *("    " + line for line in head),
                       *("        " + line for line in body),
                       *("            " + line for line in record),

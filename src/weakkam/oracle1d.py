@@ -10,7 +10,7 @@ finding, fully independent of the variational solver it validates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,6 +32,7 @@ class Potential1D:
     v_max: float
     v_min: float
     x_max: tuple      # locations of the maximum (quadrature split points)
+    point: callable   # V at one float point, as the quadrature integrand reads it
 
     @classmethod
     def from_callable(cls, V, samples: int = 4096) -> "Potential1D":
@@ -46,7 +47,7 @@ class Potential1D:
             raise ValueError("potential non-finite on the sampling grid")
         v_max, x_stars = _refine_extrema(V, xs, vals, sign=+1.0)
         v_min, _ = _refine_extrema(V, xs, vals, sign=-1.0)
-        return cls(v=V, v_max=v_max, v_min=v_min, x_max=tuple(x_stars))
+        return cls(v=V, v_max=v_max, v_min=v_min, x_max=tuple(x_stars), point=V)
 
 
 def _refine_extrema(V, xs, vals, sign):
@@ -96,7 +97,8 @@ def momentum_of_energy(pot: Potential1D, E: float) -> float:
 
     if E < pot.v_max - 1e-12:
         raise ValueError(f"energy {E!r} below the potential maximum {pot.v_max!r}")
-    f = lambda x: math.sqrt(max(2.0 * (E - float(pot.v(x))), 0.0))
+    v = pot.point
+    f = lambda x: math.sqrt(max(2.0 * (E - v(x)), 0.0))
     points = [x for x in pot.x_max if 0.0 < x < PERIOD] or None
     val, _ = _si.quad(f, 0.0, PERIOD, points=points, limit=400,
                       epsabs=1e-12, epsrel=1e-12)
@@ -108,21 +110,29 @@ def effective_hamiltonian_1d(pot: Potential1D, P: float) -> float:
 
     Even in P and convex; the root is bracketed and solved to 1e-12.
     """
+    return _hbar(pot, P, momentum_of_energy(pot, pot.v_max))
+
+
+def _hbar(pot: Potential1D, P: float, p_star: float) -> float:
+    """``effective_hamiltonian_1d`` given the flat-piece edge
+    ``p_star = momentum_of_energy(pot, pot.v_max)``.  The root search
+    starts at the bracket ends, whose momenta are already known: it reuses
+    them instead of integrating again."""
     from scipy import optimize as _so
 
     P = abs(float(P))
-    p_star = momentum_of_energy(pot, pot.v_max)
     if P <= p_star:
         return pot.v_max
     lo = pot.v_max
     hi = pot.v_max + max(1.0, P)
     cap = pot.v_max + 10.0 * (1.0 + P * P)
-    while momentum_of_energy(pot, hi) < P:
+    while (p_hi := momentum_of_energy(pot, hi)) < P:
         hi = pot.v_max + 2.0 * (hi - pot.v_max)
         if hi > cap:
             raise ValueError("root bracket not found; potential looks pathological")
-    return float(_so.brentq(lambda E: momentum_of_energy(pot, E) - P, lo, hi,
-                            xtol=1e-12, rtol=8.9e-16))
+    known = {lo: p_star, hi: p_hi}
+    return float(_so.brentq(lambda E: (known[E] if E in known else momentum_of_energy(pot, E)) - P,
+                            lo, hi, xtol=1e-12, rtol=8.9e-16))
 
 
 def potential_from_model(model: SwingModel) -> Potential1D:
@@ -141,11 +151,15 @@ def potential_from_model(model: SwingModel) -> Potential1D:
             return model.evaluate(x, np.zeros_like(x), np.zeros((0,) + xx.shape)).h
         return v_point(float(xx))
 
-    return Potential1D.from_callable(V)
+    # the quadrature integrand calls the float kernel itself: its nodes are
+    # floats, so V's dispatch would only cost time
+    return replace(Potential1D.from_callable(V), point=v_point)
 
 
 def oracle_table(pot: Potential1D, P_values) -> np.ndarray:
-    """Rows (P, Hbar(P)) for the CLI table and for dual-transform checks."""
+    """Rows (P, Hbar(P)) for the CLI table and for dual-transform checks;
+    each row equals ``effective_hamiltonian_1d(pot, P)`` bit for bit, with
+    the flat-piece edge integrated once per table."""
     P_values = np.asarray(P_values, dtype=float)
-    return np.column_stack([P_values,
-                            [effective_hamiltonian_1d(pot, p) for p in P_values]])
+    p_star = momentum_of_energy(pot, pot.v_max)
+    return np.column_stack([P_values, [_hbar(pot, p, p_star) for p in P_values]])

@@ -58,11 +58,13 @@ class SwingTrajectory:
 
 
 def _drive_steps(model, phi: np.ndarray) -> list:
-    """The drive values of the active terms at each column of ``phi``, a
-    list of floats per column."""
+    """The drive values of the active terms at the columns of ``phi``: one
+    list of floats per term, its entries in column order, and no list per
+    column.  A model with no active term gets ``[]``, which carries no step
+    count; the caller passes that separately."""
     cols = phi.shape[1]
     table = np.array([np.broadcast_to(b, (cols,)) for b in model.drive(phi)])
-    return table.reshape(-1, cols).T.tolist()
+    return table.reshape(-1, cols).tolist()
 
 
 def integrate_swing(model: SwingModel, x0, y0, T: float, dt: float,
@@ -78,15 +80,19 @@ def integrate_swing(model: SwingModel, x0, y0, T: float, dt: float,
     numpy.  The steps run in ``SwingModel.kick_drift_kick``, a kernel
     generated once per term pattern and unrolled over rows and terms, called
     for each block of ``DRIVE_BLOCK`` steps whose drive coefficients are
-    tabulated in one ``drive`` call; the kernel records the samples of the
-    block itself, and they are copied and checked once per block.  Each step
-    costs one coupling evaluation (plus one at each call's entry): the kernel
-    carries the coupling sines (the whole force, when autonomous) from the
-    second half-kick of a step to the first of the next.  Steps after the
-    last sample are not taken.  Sample 0 (its energy, when autonomous) is
-    taken by ``SwingModel.evaluate`` on (n, 1) arrays.  The trajectory is bit
-    for bit the one of a per-step loop that takes every force and energy
-    from ``evaluate`` on (n, 1) arrays.  Deterministic; raises
+    tabulated in one ``drive`` call, as one flat list of floats per active
+    term (an autonomous model's table is the one column at phi = (), built
+    once).  The kernel takes the block's step count as an argument, never
+    from the term lists: a model with no active term has none.  It records
+    the samples of the block itself, and they are copied and checked once
+    per block.  Each step costs one coupling evaluation (plus one at each
+    call's entry): the kernel carries the coupling sines (the whole force,
+    when autonomous) from the second half-kick of a step to the first of the
+    next.  Steps after the last sample are not taken.  Sample 0 (its energy,
+    when autonomous) is taken by ``SwingModel.evaluate`` on (n, 1) arrays.
+    The trajectory is bit for bit the one of a per-step loop that takes
+    every force and energy from ``evaluate`` on (n, 1) arrays.
+    Deterministic; raises
     NonFiniteStateError at the first non-finite sample, with the last valid
     index, or -1 if the start (its energy included) is not finite.
     """
@@ -108,7 +114,7 @@ def integrate_swing(model: SwingModel, x0, y0, T: float, dt: float,
     n_samples = n_steps // record_every + 1
     n_steps = (n_samples - 1) * record_every
     samples = np.empty((n_samples, 2 * n + autonomous))
-    beta = _drive_steps(model, np.zeros((0, 1)))[0] if autonomous else None
+    betas = _drive_steps(model, np.zeros((0, 1))) if autonomous else None
     half = 0.5 * dt
     samples[0, :2 * n] = xs + ys
     if autonomous:
@@ -120,16 +126,14 @@ def integrate_swing(model: SwingModel, x0, y0, T: float, dt: float,
         raise NonFiniteStateError(-1)
     for first in range(0, n_steps, DRIVE_BLOCK):
         last = min(first + DRIVE_BLOCK, n_steps)
-        if autonomous:
-            betas = [beta] * (last - first)
-        else:
+        if not autonomous:
             # beta at the midstep times (step + 1/2) dt of the block
             betas = _drive_steps(model, model.omega[:, None] * (
                 (np.arange(first, last) + 0.5) * dt))
         r = first // record_every + 1       # the block's first sample
         rows, raised = [], False
         try:
-            xs, ys = model.kick_drift_kick(xs, ys, betas, half, dt, record_every,
+            xs, ys = model.kick_drift_kick(xs, ys, betas, last - first, half, dt, record_every,
                                            record_every - first % record_every, rows)
         except ValueError:
             raised = True

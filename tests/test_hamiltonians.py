@@ -214,16 +214,18 @@ def test_potential_and_energy_match_evaluate(model):
     beta = np.broadcast_arrays(*model.drive(phi), x[0])[:-1]
     for s in range(0, x.shape[1], 7):
         xs, ys, bs = x[:, s].tolist(), y[:, s].tolist(), [float(b[s]) for b in beta]
+        # the drive table of one step: one list per term
+        table = [[b] for b in bs]
         # one kernel step from rest with half = 1 and dt = 0 ends at
         # y = (0 - f) - f = -2 f exactly
-        _, y_end = model.kick_drift_kick(xs, [0.0] * model.n, [bs], 1.0, 0.0, 1, 1, [])
+        _, y_end = model.kick_drift_kick(xs, [0.0] * model.n, table, 1, 1.0, 0.0, 1, 1, [])
         kernel_force = [-0.5 * yi for yi in y_end]
         # a step with half = dt = 0 stays at (x, y) and records the energy
         # there; a driven model's pattern is run through the autonomous
         # kernel, the one that writes the energy lines
         recorded = []
         hamiltonians._kick_drift_kick_kernel(model.n, model._pairs, True)(
-            xs, ys, [bs], 0.0, 0.0, 1, 1, model, recorded)
+            xs, ys, table, 1, 0.0, 0.0, 1, 1, model, recorded)
         kernel_energy = recorded[0][-1]
         v = model.float_potential(bs)(*xs)
         assert all(type(f) is float for f in [kernel_energy, v, *kernel_force])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from weakkam import verify
+from weakkam import oracle1d, verify
 from weakkam.hamiltonians import SwingModel, make_integrable, make_pendulum
 from weakkam.oracle1d import (
     Potential1D,
@@ -152,6 +152,29 @@ def test_oracle_table_matches_array_point_path():
     got = oracle_table(potential_from_model(model), ps)
     want = oracle_table(Potential1D.from_callable(v_array), ps)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("from_model", [False, True], ids=["callable", "model"])
+def test_oracle_table_integrates_the_edge_once(monkeypatch, pend_pot, from_model):
+    # the flat-piece edge p(V_max) is one quadrature per table, and each row
+    # is effective_hamiltonian_1d's bit for bit: inside the flat piece, at
+    # and around its edge 4/pi, and at negative P
+    pot = potential_from_model(make_pendulum(1.0)) if from_model else pend_pot
+    edge = 4.0 / np.pi
+    ps = np.concatenate([np.round(np.arange(-3.0, 3.0001, 0.25), 10),
+                         [edge, -edge, np.nextafter(edge, 0.0), np.nextafter(edge, 9.0)]])
+    energies = []
+    quadrature = oracle1d.momentum_of_energy
+    monkeypatch.setattr(oracle1d, "momentum_of_energy",
+                        lambda pot_, E: energies.append(E) or quadrature(pot_, E))
+    table = oracle_table(pot, ps)
+    assert energies.count(pot.v_max) == 1
+    want = [effective_hamiltonian_1d(pot, p) for p in ps]
+    assert energies.count(pot.v_max) == 1 + len(ps)
+    assert np.array_equal(table[:, 0], ps)
+    assert np.array_equal(table[:, 1].view(np.int64), np.array(want).view(np.int64))
+    assert (table[np.abs(ps) <= 1.0, 1] == pot.v_max).all()
+    assert (table[np.abs(ps) >= 1.5, 1] > pot.v_max).all()
 
 
 def test_oracle_table_shape(pend_pot):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from weakkam import hamiltonians, verify
-from weakkam.hamiltonians import SwingModel, TrigPoly, make_pendulum
+from weakkam.hamiltonians import SwingModel, TrigPoly, make_integrable, make_pendulum
 from weakkam.oracle1d import Potential1D, oracle_table, potential_from_model
 from weakkam.swingsim import (
     DRIVE_BLOCK,
@@ -39,6 +39,22 @@ def test_free_motion_exact():
     traj = integrate_swing(free_model(), [0.2], [0.7], 10.0, 1e-3)
     assert abs(rotation_number(traj)[0] - 0.7) <= 1e-10
     assert np.max(np.abs(traj.x[:, 0] - (0.2 + 0.7 * traj.times))) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("every", [1, 10])
+def test_driven_model_without_terms_moves_freely(n, every):
+    # a driven model with no active term has an empty drive table; its
+    # orbit still takes every step of every drive block
+    model = make_integrable(n, 1)
+    T, dt = 5.0, 1e-3
+    assert T / dt > DRIVE_BLOCK
+    x0, y0 = np.linspace(0.2, -0.1, n), np.linspace(0.7, -0.4, n)
+    traj = integrate_swing(model, x0, y0, T, dt, record_every=every)
+    assert traj.times[-1] == T
+    assert np.max(np.abs(traj.x[-1] - (x0 + y0 * T))) <= 1e-10
+    assert np.max(np.abs(traj.x - (x0 + y0 * traj.times[:, None]))) <= 1e-10
+    assert np.array_equal(traj.y, np.broadcast_to(y0, traj.y.shape))
 
 
 def test_sample_count_matches_record_stride():
