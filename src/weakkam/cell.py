@@ -60,13 +60,22 @@ tau-homotopy stage at tau < 1 is never returned and only starts the next
 stage, so it stops at the looser ``HOMOTOPY_GTOL``.  The first fiber of a
 fiber pass climbs ``FIBER_LADDER`` doublings of k to the first k instead of
 starting cold there; the others start at each k from the fibers before them.
+
+A solve ends with only what every solve needs: the re-centred v, Hbar_k,
+the gradient norm, ``converged`` and the Newton state.  Most solves only
+start another one (a homotopy stage, a fiber, an assembled fiber solution),
+so the diagnostics that only a record reads, ``el_residual``, ``sup_Dxu``,
+``fiber_values`` and ``warnings``, are computed on first read from the final
+evaluation the ``CellSolution`` keeps, and ``wall_time_s`` does not include
+them.  The problem of every stage and fiber shares its grid's meshes
+(``TorusGrid.meshes``, built once per grid).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -253,29 +262,57 @@ class NewtonState:
 
 @dataclass(frozen=True)
 class CellSolution:
+    """A solve's corrector v, its ``Hbar_k`` and diagnostics.
+
+    ``el_residual``, ``sup_Dxu``, ``fiber_values`` and ``warnings`` are
+    computed on first read and kept: most solves (a homotopy stage, a fiber,
+    an assembled fiber solution) only start another solve, and no record
+    reads them there.  ``wall_time_s`` does not include them."""
     v: ScalarField
     Hbar_k: float
     grad_norm: float
-    el_residual: float
-    fiber_values: np.ndarray
     iterations: int
-    sup_Dxu: float
     converged: bool
     status: str
     P: np.ndarray
     k: float
     tau: float
     objective_history: tuple = field(repr=False, default=())
-    warnings: tuple = ()
     wall_time_s: float = 0.0
     # the Newton state to hand the next warm start (None for an assembled
     # fiber solution); not part of any record
     newton_state: NewtonState | None = field(repr=False, default=None)
     # the final evaluation's H, D_yH (n, *grid.shape) and Gibbs weight
-    # exp(k (H - Hbar_k)), which ``gibbs_measure`` reads; not part of any record
+    # exp(k (H - Hbar_k)), which ``gibbs_measure`` reads, its D_xH and the
+    # problem: the state the lazy diagnostics are computed from.  Not part
+    # of any record
     h: np.ndarray | None = field(repr=False, default=None)
     dy: np.ndarray | None = field(repr=False, default=None)
     sigma: np.ndarray | None = field(repr=False, default=None)
+    dx: np.ndarray | None = field(repr=False, default=None)
+    problem: CellProblem | None = field(repr=False, default=None)
+
+    @cached_property
+    def el_residual(self) -> float:
+        return _el_residual(self.v.grid, self.sigma, self.dy)
+
+    @cached_property
+    def sup_Dxu(self) -> float:
+        dxu = self.problem.momentum_field(self.v.values)
+        return _sup_on_support(np.sqrt(np.einsum("i...,i...->...", dxu, dxu)), self.sigma)
+
+    @cached_property
+    def fiber_values(self) -> np.ndarray:
+        return _fiber_values(self.problem, self.h)
+
+    @cached_property
+    def warnings(self) -> tuple:
+        max_force = float(np.max(np.abs(self.dx))) if self.dx.size else 0.0
+        scale = self.k * self.v.grid.dx * max_force
+        if scale > 50.0:
+            return ("gibbs weight may concentrate below grid resolution "
+                    f"(k*dx*max|D_xH| = {scale:.1f} > 50)",)
+        return ()
 
 
 class ContinuationError(RuntimeError):
@@ -380,43 +417,28 @@ def _finish(problem: CellProblem, v_values: np.ndarray, iterations: int,
             status: str, history: list, opts: SolverOptions,
             t0: float, state: NewtonState | None = None,
             evaluated: tuple | None = None) -> CellSolution:
-    """The solution at ``v_values`` with its diagnostics.  ``evaluated`` is
-    the ``_evaluate`` output the solver already holds for this iterate (taken
-    before v was re-centered, which moves f and g only by rounding); without
-    it the iterate is evaluated here.  The solution keeps that evaluation's
-    H, D_yH and Gibbs weight, from which its measure is built."""
-    grid = problem.grid
+    """The solution at ``v_values``, re-centred to mean zero.  ``evaluated``
+    is the ``_evaluate`` output the solver already holds for this iterate
+    (taken before v was re-centered, which moves f and g only by rounding);
+    without it the iterate is evaluated here.  The solution keeps that
+    evaluation's H, D_xH, D_yH and Gibbs weight, from which its measure and
+    its lazy diagnostics are built."""
     v_values = v_values - grid_mean(v_values)
     value, grad, ev, sigma = evaluated or _evaluate(problem, v_values)
     gnorm = _grid_norm(grad)
-    el = _el_residual(grid, sigma, ev.dy)
-    dxu = problem.momentum_field(v_values)
-    sup_dxu = _sup_on_support(np.sqrt(np.einsum("i...,i...->...", dxu, dxu)), sigma)
-    warnings = []
-    max_force = float(np.max(np.abs(ev.dx))) if ev.dx.size else 0.0
-    if problem.k * grid.dx * max_force > 50.0:
-        warnings.append(
-            "gibbs weight may concentrate below grid resolution "
-            f"(k*dx*max|D_xH| = {problem.k * grid.dx * max_force:.1f} > 50)"
-        )
-    converged = status == "converged" and gnorm <= opts.gtol
     return CellSolution(
-        v=ScalarField(grid, v_values),
+        v=ScalarField(problem.grid, v_values),
         Hbar_k=value,
         grad_norm=gnorm,
-        el_residual=el,
-        fiber_values=_fiber_values(problem, ev.h),
         iterations=iterations,
-        sup_Dxu=sup_dxu,
-        converged=converged,
+        converged=status == "converged" and gnorm <= opts.gtol,
         status=status,
         P=problem.P.copy(),
         k=problem.k,
         tau=problem.tau,
         objective_history=tuple(history),
-        warnings=tuple(warnings),
         wall_time_s=time.perf_counter() - t0,
-        newton_state=state, h=ev.h, dy=ev.dy, sigma=sigma,
+        newton_state=state, h=ev.h, dy=ev.dy, sigma=sigma, dx=ev.dx, problem=problem,
     )
 
 

@@ -101,9 +101,8 @@ def _solve_record(sol, stats=None, sigma_dump=None) -> dict:
 def _write_manifest(out_dir: Path, manifest: dict) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "manifest.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=1)
-        fh.write("\n")
+    # one write of the whole text: json.dump would stream many small writes
+    path.write_text(json.dumps(manifest, indent=1) + "\n", encoding="utf-8")
     return path
 
 

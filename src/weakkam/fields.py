@@ -98,12 +98,19 @@ class TorusGrid:
     def phi_axis(self) -> np.ndarray:
         return np.arange(self.N_phi) * (PERIOD / self.N_phi)
 
+    @lru_cache(maxsize=16)
     def meshes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Return (x, phi) coordinate arrays of shape (n, *shape), (m, *shape)."""
+        """Return (x, phi) coordinate arrays of shape (n, *shape), (m, *shape).
+
+        Built once per grid (equal grids share them) and read-only, since
+        every caller shares them: the ``CellProblem`` of each continuation
+        stage and fiber reads them instead of building its own."""
         axes = [self.x_axis()] * self.n + [self.phi_axis()] * self.m
         grids = np.meshgrid(*axes, indexing="ij") if axes else []
         x = np.stack(grids[: self.n]) if self.n else np.zeros((0,) + self.shape)
         phi = np.stack(grids[self.n:]) if self.m else np.zeros((0,) + self.shape)
+        x.setflags(write=False)
+        phi.setflags(write=False)
         return x, phi
 
 

@@ -546,14 +546,18 @@ def oracle_shape(pot: oracle1d.Potential1D, even_ps=(0.3, 1.1, 2.4),
     """Shape of the 1-D effective Hamiltonian: (largest |Hbar(P) - Hbar(-P)|
     over even_ps, |Hbar(1) - max V| on the flat piece, largest midpoint
     convexity defect on 61 points of [-3, 3], Hbar(3) - Hbar(2), smallest
-    increase of the momentum between successive energies)."""
-    hbar = lambda p: oracle1d.effective_hamiltonian_1d(pot, p)
-    even = max(abs(hbar(p) - hbar(-p)) for p in even_ps)
-    flat = abs(hbar(1.0) - pot.v_max)
-    hs = np.array([hbar(p) for p in np.linspace(-3, 3, 61)])
+    increase of the momentum between successive energies).  Every Hbar comes
+    from one ``oracle_table``, which integrates the flat-piece edge once."""
+    ps = np.asarray(even_ps, dtype=float)
+    n = len(ps)
+    hbar = oracle1d.oracle_table(
+        pot, np.concatenate([ps, -ps, [1.0], np.linspace(-3, 3, 61), [3.0, 2.0]]))[:, 1]
+    even = float(np.max(np.abs(hbar[:n] - hbar[n:2 * n])))
+    flat = float(abs(hbar[2 * n] - pot.v_max))
+    hs = hbar[2 * n + 1:-2]
     convex = float(np.max(hs[1:-1] - 0.5 * (hs[:-2] + hs[2:])))
     momenta = [oracle1d.momentum_of_energy(pot, e) for e in energies]
-    return even, flat, convex, hbar(3.0) - hbar(2.0), float(np.min(np.diff(momenta)))
+    return even, flat, convex, float(hbar[-2] - hbar[-1]), float(np.min(np.diff(momenta)))
 
 
 # simulator ------------------------------------------------------------------

@@ -1278,3 +1278,67 @@ def test_fiber_jump_shrinks_with_refinement(quasi_swing):
         sol = fiber_decomposed_solve(CellProblem(quasi_swing, [0.0], 16.0, grid))
         jumps[nphi] = fiber_jump(sol.fiber_values)
     assert jumps[32] < jumps[16]
+
+
+# lazy diagnostics ------------------------------------------------------------
+
+DIAGNOSTIC_HELPERS = ("_el_residual", "_sup_on_support", "_fiber_values")
+
+
+def _count_diagnostics(monkeypatch) -> dict:
+    """Calls of each diagnostic helper of ``weakkam.cell``, by name."""
+    import weakkam.cell
+    calls = {}
+    for name in DIAGNOSTIC_HELPERS:
+        def counted(*args, _name=name, _helper=getattr(weakkam.cell, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _helper(*args)
+        monkeypatch.setattr(weakkam.cell, name, counted)
+    return calls
+
+
+def test_unread_diagnostics_are_never_computed(monkeypatch, pendulum):
+    # a continuation's homotopy stages and returned stages, a fiber pass's
+    # fibers and its assembled solution: nothing reads their diagnostics
+    calls = _count_diagnostics(monkeypatch)
+    sols = continuation_solve(pendulum, [0.5], [8.0, 16.0], 4, TorusGrid(n=1, N_x=256))
+    fib = fiber_decomposed_solve(CellProblem(_qp_model(), [0.7], 8.0,
+                                             TorusGrid(n=1, m=1, N_x=64, N_phi=8)))
+    assert len(sols) == 2 and fib.converged
+    assert calls == {}
+
+
+def test_cell_command_computes_each_diagnostic_once_per_record(tmp_path, monkeypatch):
+    import json
+
+    from weakkam.cli import main
+    calls = _count_diagnostics(monkeypatch)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text('model.name = "pendulum"\ngrid.N_x = 128\nP = [0.9]\n'
+                   "k_schedule = [8, 16]\ntau_steps = 2\n")
+    assert main(["cell", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    records = json.loads((tmp_path / "o" / "manifest.json").read_text())["solves"]
+    assert len(records) == 2
+    assert calls == {name: len(records) for name in DIAGNOSTIC_HELPERS}
+
+
+def test_lazy_diagnostics_match_their_helpers():
+    import weakkam.cell
+    problem = CellProblem(_qp_model(), [0.7], 8.0, TorusGrid(n=1, m=1, N_x=64, N_phi=8))
+    sol = solve_cell(problem)
+    dxu = problem.momentum_field(sol.v.values)
+    speed = np.sqrt(np.einsum("i...,i...->...", dxu, dxu))
+    want = {"el_residual": weakkam.cell._el_residual(problem.grid, sol.sigma, sol.dy),
+            "sup_Dxu": weakkam.cell._sup_on_support(speed, sol.sigma),
+            "fiber_values": weakkam.cell._fiber_values(problem, sol.h),
+            "warnings": ()}
+    for name, value in want.items():
+        got = getattr(sol, name)
+        assert np.array_equal(got, value), name
+        assert getattr(sol, name) is got, name
+    assert sol.fiber_values.shape == (8,)
+    # a copy with another Hbar_k (as the Hbar-dip test makes) reads them too
+    dipped = replace(sol, Hbar_k=sol.Hbar_k - 1.0)
+    for name, value in want.items():
+        assert np.array_equal(getattr(dipped, name), value), name
+    assert "problem" not in repr(sol) and "el_residual" not in repr(sol)

@@ -256,6 +256,16 @@ def test_cell_command_and_exit_codes(tmp_path):
     assert (out / "hbar_table.csv").read_text().startswith("P,k,hbar")
 
 
+def test_cell_manifest_is_one_json_text(tmp_path):
+    # the manifest file holds exactly json.dumps of its content, indent 1,
+    # with one closing newline
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CELL_CFG)
+    assert run(["cell", "--config", cfg, "--out", tmp_path / "out"]) == 0
+    raw = (tmp_path / "out" / "manifest.json").read_bytes()
+    assert raw == (json.dumps(json.loads(raw), indent=1) + "\n").encode("utf-8")
+
+
 def test_parser_built_once_per_process():
     # main reuses one parser; each parse gets a fresh namespace, so flags of
     # one call do not reach the next
@@ -826,13 +836,16 @@ def test_python_dash_m_entry_point(tmp_path):
 
 def test_cli_import_leaves_scipy_quadrature_unloaded():
     # only the oracle needs scipy.integrate and scipy.optimize; importing the
-    # CLI must not pay for them
-    code = ("import sys, weakkam.cli; "
-            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
-    done = subprocess.run([sys.executable, "-c", code], env=_child_env(),
-                          capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    # CLI must not pay for them.  A bare `import weakkam` loads no scipy
+    # module at all: scipy.linalg alone would add about 0.2 s to every start
+    for module, banned in [("weakkam.cli", ("scipy.integrate", "scipy.optimize")),
+                           ("weakkam", ("scipy",))]:
+        code = (f"import sys, {module}; print(sorted(m for m in sys.modules "
+                f"if any(m == b or m.startswith(b + '.') for b in {banned!r})))")
+        done = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]", module
 
 
 VERIFY_CHECKS = [

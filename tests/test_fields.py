@@ -38,6 +38,20 @@ def test_grid_validation():
     assert g.shape == (8, 8, 4)
 
 
+def test_meshes_built_once_per_grid_and_read_only():
+    # equal grids share one read-only pair of meshes: every solve stage and
+    # fiber reads them, so a write into them must fail
+    a, b = TorusGrid(n=1, m=1, N_x=32, N_phi=8), TorusGrid(n=1, m=1, N_x=32, N_phi=8)
+    assert a is not b
+    (xa, phia), (xb, phib) = a.meshes(), b.meshes()
+    assert xa is xb and phia is phib
+    assert np.array_equal(xa[0, :, 0], a.x_axis()) and np.array_equal(phia[0, 0], a.phi_axis())
+    for mesh in (xa, phia, TorusGrid(n=2, N_x=8).meshes()[1]):
+        assert not mesh.flags.writeable
+        with pytest.raises(ValueError):
+            mesh[...] = 0.0
+
+
 def test_nonfinite_rejected():
     g = grid1()
     bad = np.zeros(g.shape)

@@ -177,6 +177,28 @@ def test_oracle_table_integrates_the_edge_once(monkeypatch, pend_pot, from_model
     assert (table[np.abs(ps) >= 1.5, 1] > pot.v_max).all()
 
 
+def test_oracle_shape_integrates_the_edge_twice(monkeypatch, pend_pot):
+    # one flat-piece edge for all 70 Hbar values and one for the momentum
+    # list, which starts at E = 2 = max V; the 5-tuple is the per-P
+    # formula's bit for bit
+    hbar = lambda p: effective_hamiltonian_1d(pend_pot, p)
+    hs = np.array([hbar(p) for p in np.linspace(-3, 3, 61)])
+    momenta = [momentum_of_energy(pend_pot, e) for e in np.linspace(2.0, 6.0, 9)]
+    want = (max(abs(hbar(p) - hbar(-p)) for p in (0.3, 1.1, 2.4)),
+            abs(hbar(1.0) - pend_pot.v_max),
+            float(np.max(hs[1:-1] - 0.5 * (hs[:-2] + hs[2:]))),
+            hbar(3.0) - hbar(2.0),
+            float(np.min(np.diff(momenta))))
+    energies = []
+    quadrature = oracle1d.momentum_of_energy
+    monkeypatch.setattr(oracle1d, "momentum_of_energy",
+                        lambda pot_, E: energies.append(E) or quadrature(pot_, E))
+    got = verify.oracle_shape(pend_pot)
+    assert energies.count(pend_pot.v_max) == 2
+    assert all(type(x) is float for x in got)
+    assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
+
+
 def test_oracle_table_shape(pend_pot):
     table = oracle_table(pend_pot, [0.0, 1.0, 2.0])
     assert table.shape == (3, 2)
