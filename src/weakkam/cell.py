@@ -51,19 +51,19 @@ and the Fourier multiplier are built anew at every step.  A factor is never
 carried from one solve to the next.  The packed n=2 factor is built from the
 lower triangle of the operator only, the part its storage keeps.
 
-A warm start begins at a prediction that costs no solve or evaluation: the
-secant extrapolation of the last two solutions along the one parameter being
-walked (tau at one k, 1/k at tau = 1, the drive angle along one grid line of
-the last phi axis), re-centred to mean zero.  Where the last two solutions do
-not lie on the walked parameter's line, the start is the last solution.  A
-tau-homotopy stage at tau < 1 is never returned and only starts the next
-stage, so it stops at the looser ``HOMOTOPY_GTOL``.  The first fiber of a
-fiber pass climbs ``FIBER_LADDER`` doublings of k to the first k instead of
-starting cold there; the others start at each k from the fibers before them.
+Every continuation is one homotopy in k (``_k_walk``), which the first
+fiber of a fiber pass runs too: as k -> 0 the minimizer of F_k is v = 0, so
+the walk starts there on the lowest of its rungs k_0/2^r, ..., k_0/2 below
+the first k (r = ``tau_steps``, or ``FIBER_LADDER``), which stop at the
+looser ``HOMOTOPY_GTOL``.  A warm start begins at a prediction that costs no
+solve or evaluation: the secant extrapolation of the last two solutions in
+the one parameter walked (1/k, or the drive angle along one grid line of the
+last phi axis for a pass's later fibers), re-centred to mean zero; where the
+last two do not lie on that line, the start is the last solution.
 
 A solve ends with only what every solve needs: the re-centred v, Hbar_k,
 the gradient norm, ``converged`` and the Newton state.  Most solves only
-start another one (a homotopy stage, a fiber, an assembled fiber solution),
+start another one (a rung, a fiber, an assembled fiber solution),
 so the diagnostics that only a record reads, ``el_residual``, ``sup_Dxu``,
 ``fiber_values`` and ``warnings``, are computed on first read from the final
 evaluation the ``CellSolution`` keeps, and ``wall_time_s`` does not include
@@ -124,16 +124,17 @@ LAM_WARM_FLOOR = 1e-6
 # bounds of lam, in units of each fiber's largest sum_a C_aa / dx^2 (the
 # operator's grid-scale ceiling)
 LAM_MIN, LAM_MAX = 1e-12, 1e6
-# doublings of k the first fiber of the fiber pass climbs to its k
+# rungs of the walk in k where no tau_steps is given (fiber_decomposed_solve)
 FIBER_LADDER = 3
 # smallest gradient-norm tolerance a fiber of the fiber pass is solved to, near
 # the rounding floor of its gradient; a joint gtol that needs a smaller one is
 # refused before any solve
 FIBER_GTOL_MIN = 1e-12
-# gradient-norm tolerance of a continuation stage at tau < 1: such a stage is
-# never returned and only starts the next one, so it stops at this tolerance
-# (or at gtol, if that is looser)
+# gradient-norm tolerance of a rung of the walk in k, below the first k of the
+# schedule: a rung is never returned and only starts the next stage, so it
+# stops at this tolerance (or at gtol, if that is looser)
 HOMOTOPY_GTOL = 1e-2
+MONOTONE_SLACK = 1e-8   # decrease of Hbar_k allowed along the k schedule
 
 
 def _has_dense_step(grid: TorusGrid) -> bool:
@@ -162,8 +163,8 @@ def _dense_pays(grid: TorusGrid, applies: int) -> bool:
     switches.  On a grid
     with fiber axes the dense stack and the FD factor both grow with the
     fiber count, so the threshold holds there too: the quasi-periodic
-    rotor's joint continuation (N_x=128, 16 fibers, k 8 to 16) builds 3
-    dense stacks and 14 FD factors.
+    rotor's joint continuation (N_x=128, 16 fibers, k 8 to 16) builds 2
+    dense stacks and 10 FD factors.
 
     Spectral n=2, which starts on the Fourier multiplier: on 2 cores a dense
     factor, with its assembly and its solve of A^-1 1, takes 4 ms at
@@ -172,7 +173,7 @@ def _dense_pays(grid: TorusGrid, applies: int) -> bool:
     0.14 and 0.18 ms on the FFT).  A factor is kept for the later steps of
     the solve, and the later stages of a continuation start exact, so the
     switch does not weigh one factor against applies.
-    On the ladder model's continuation to k=64 (tau_steps=4) at N_x=32, a
+    On the ladder model's tau walk to k=64 (tau_steps=4) at N_x=32, a
     threshold of 5 applies took 9 factors and 60 applies, 6 took 6 and 82,
     10 took 6 and 98, 30 took 6 and 179, 150 took 5 and 451.  The least time
     (best of 5 runs, within noise) came from 5 to 10 at N_x=24, 6 to 12 at
@@ -205,8 +206,8 @@ class CellProblem:
     """One corrector problem: (model, P, k, grid, tau).
 
     The solver minimizes over ``ham``: the model itself at tau = 1, else
-    ``model.scaled(tau)``, the Hamiltonian tau H + (1 - tau) |y|^2/2 on the
-    way from the free rotor to the model.
+    ``model.scaled(tau)``, tau H + (1 - tau) |y|^2/2, which only the
+    benchmark's warm-up solves build: no continuation walks tau.
     """
 
     def __init__(self, model: SwingModel, P, k: float, grid: TorusGrid,
@@ -265,8 +266,8 @@ class CellSolution:
     """A solve's corrector v, its ``Hbar_k`` and diagnostics.
 
     ``el_residual``, ``sup_Dxu``, ``fiber_values`` and ``warnings`` are
-    computed on first read and kept: most solves (a homotopy stage, a fiber,
-    an assembled fiber solution) only start another solve, and no record
+    computed on first read and kept: most solves (a rung, a fiber, an
+    assembled fiber solution) only start another solve, and no record
     reads them there.  ``wall_time_s`` does not include them."""
     v: ScalarField
     Hbar_k: float
@@ -316,9 +317,9 @@ class CellSolution:
 
 
 class ContinuationError(RuntimeError):
-    """A stage of the homotopy/k continuation failed to converge.
+    """A stage of the continuation in k failed to converge.
 
-    Carries the partial list of completed solutions and the failing stage.
+    Carries the completed solutions and the failing stage's k and tau (1).
     """
 
     def __init__(self, message: str, partial: list, tau: float, k: float):
@@ -342,6 +343,12 @@ def _grid_norm(values: np.ndarray) -> float:
 
 def _grid_inner(a: np.ndarray, b: np.ndarray) -> float:
     return float(grid_mean(a * b))
+
+
+def _check_mean_zero(values: np.ndarray, name: str) -> None:
+    """Refuse an input field whose mean is not zero up to rounding."""
+    if abs(float(np.mean(values))) > 1e-8 * (1.0 + float(np.max(np.abs(values)))):
+        raise ValueError(f"{name} must have zero mean")
 
 
 def _evaluate(problem: CellProblem, v_values: np.ndarray):
@@ -371,8 +378,7 @@ def objective(problem: CellProblem, v: ScalarField):
     """
     if v.grid != problem.grid:
         raise ValueError("field lives on a different grid")
-    if abs(float(np.mean(v.values))) > 1e-8 * (1.0 + float(np.max(np.abs(v.values)))):
-        raise ValueError("v must have zero mean")
+    _check_mean_zero(v.values, "v")
     value, grad, _, _ = _evaluate(problem, v.values)
     return value, ScalarField(problem.grid, grad)
 
@@ -620,7 +626,7 @@ def _fourier_preconditioner(grid: TorusGrid, C: np.ndarray, shift: np.ndarray):
     Nyquist mode zeroed, as in ``fields._spectral_symbol``).  Its inverse
     maps the zero mode to 0, so each solve is one ``rfft2`` / ``irfft2``
     pair.  It costs no factor, and is near-exact while the Gibbs weight is
-    spread out (low k, early homotopy stages); where it is not, CG stalls
+    spread out (low k, the early rungs); where it is not, CG stalls
     and the solve moves to the exact step (``_dense_pays``).
     """
     N = grid.N_x
@@ -931,8 +937,7 @@ def solve_cell(problem: CellProblem, init: ScalarField | None = None,
     else:
         if init.grid != problem.grid:
             raise ValueError("init lives on a different grid")
-        if abs(float(np.mean(init.values))) > 1e-8 * (1.0 + float(np.max(np.abs(init.values)))):
-            raise ValueError("init must have zero mean")
+        _check_mean_zero(init.values, "init")
         v = init.values - init.values.mean()
     v, iters, status, history, state, evaluated = _minimize_newton(problem, v, opts, state)
     return _finish(problem, v, iters, status, history, opts, t0, state, evaluated)
@@ -951,23 +956,37 @@ def _secant(points: list, s: float) -> np.ndarray:
     return v - v.mean()
 
 
+def _k_walk(model: SwingModel, P, grid: TorusGrid, rungs: int, k_schedule: list,
+            opts: SolverOptions):
+    """Yield, with the options it ran under, each solve of one walk in k:
+    ``rungs`` rungs k_0 / 2^rungs, ..., k_0 / 2 below the first k of
+    ``k_schedule``, the first from v = 0 (exact as k -> 0), then every k of
+    the schedule.  Each later stage starts from the Newton state of the solve
+    before it and the secant in 1/k of the last two solutions.  A rung only
+    starts the next stage, so it stops at gtol max(opts.gtol,
+    ``HOMOTOPY_GTOL``); a scheduled k meets opts.gtol, and the strictly
+    convex functional pins its minimizer whatever the start."""
+    loose = replace(opts, gtol=max(opts.gtol, HOMOTOPY_GTOL))
+    points, state = [], None        # (1/k, v) of the last two solutions
+    for i, k in enumerate([k_schedule[0] / 2 ** r for r in range(rungs, 0, -1)] + k_schedule):
+        init = _secant(points, 1.0 / k) if points else np.zeros(grid.shape)
+        stage_opts = loose if i < rungs else opts
+        sol = solve_cell(CellProblem(model, P, k, grid), ScalarField(grid, init),
+                         stage_opts, state)
+        yield sol, stage_opts
+        points, state = [*points[-1:], (1.0 / k, sol.v.values)], sol.newton_state
+
+
 def continuation_solve(model: SwingModel, P, k_schedule, tau_steps: int,
                        grid: TorusGrid, opts: SolverOptions | None = None) -> list:
-    """Homotopy in tau at the first k, then warm-started continuation in k.
+    """Continuation in k from below: ``tau_steps`` homotopy rungs under the
+    first k, then every k of ``k_schedule`` (``_k_walk``).
 
-    Starts from the integrable endpoint tau=0 where v=0 is exact, walks tau to
-    1 in ``tau_steps`` uniform steps at k_schedule[0], then re-solves at each
-    larger k.  Each stage starts from the Newton state the stage before it
-    ended with, and from the secant extrapolation of the last two stages'
-    solutions: in tau while they share the next stage's k (the walk is seeded
-    with v = 0 at tau = 0), in 1/k once they lie at tau = 1.  The first k
-    stage after the tau walk starts from the last solution.  A stage at
-    tau < 1 only starts the next one, so it stops at gtol
-    max(opts.gtol, ``HOMOTOPY_GTOL``); every tau = 1 stage meets opts.gtol,
-    and the strictly convex functional pins its minimizer whatever the start.
-    Returns one solution per k, each checked to have converged, with Hbar_k
-    nondecreasing (slack 1e-8).  On an n=2 grid with fiber axes the schedule
-    is one ``_fiber_pass``: no tau walk runs, and ``tau_steps`` is not used.
+    Returns one solution per scheduled k, each checked to have converged,
+    with Hbar_k nondecreasing (slack ``MONOTONE_SLACK``).  A stage that does
+    not converge raises a ``ContinuationError`` naming the scheduled k it
+    serves and, for a rung, the rung's k.  On an n=2 grid with fiber axes
+    the schedule is one ``_fiber_pass``, whose first fiber runs the walk.
     """
     opts = opts or SolverOptions()
     k_schedule = [float(k) for k in k_schedule]
@@ -977,31 +996,18 @@ def continuation_solve(model: SwingModel, P, k_schedule, tau_steps: int,
         raise ValueError("tau_steps must be >= 1")
 
     if grid.n == 2 and grid.m >= 1:
-        results = _fiber_pass([CellProblem(model, P, k, grid) for k in k_schedule], opts)
+        results = _fiber_pass([CellProblem(model, P, k, grid) for k in k_schedule],
+                              tau_steps, opts)
     else:
-        stages = [(i / tau_steps, k_schedule[0]) for i in range(1, tau_steps + 1)]
-        stages += [(1.0, k) for k in k_schedule[1:]]
         results: list[CellSolution] = []
-        # (tau, 1/k, v) of the last two solved stages
-        walk = [(0.0, 1.0 / k_schedule[0], np.zeros(grid.shape))]
-        state = None
-        homotopy_opts = replace(opts, gtol=max(opts.gtol, HOMOTOPY_GTOL))
-        for tau, k in stages:
-            stage_opts = opts if tau == 1.0 else homotopy_opts
-            problem = CellProblem(model, P, k, grid, tau)
-            s = 1.0 / k
-            if walk[-1][1] == s:        # a step in tau at one k
-                init = _secant([(t, v) for t, s_i, v in walk if s_i == s], tau)
-            else:                       # a step in 1/k at tau = 1
-                init = _secant([(s_i, v) for t, s_i, v in walk if t == 1.0], s)
-            sol = solve_cell(problem, ScalarField(grid, init), stage_opts, state)
-            walk = [walk[-1], (tau, s, sol.v.values)]
-            state = sol.newton_state
+        for sol, stage_opts in _k_walk(model, P, grid, tau_steps, k_schedule, opts):
+            k = k_schedule[len(results)]
             if not sol.converged:
+                rung = f" at k={sol.k:g}" if sol.k < k else ""
                 raise ContinuationError(
-                    f"stage (tau={tau:g}, k={k:g}) did not converge "
-                    f"({_unconverged_reason(sol, stage_opts)})", results, tau, k)
-            if tau == 1.0:
+                    f"stage (tau=1, k={k:g}) did not converge "
+                    f"({_unconverged_reason(sol, stage_opts)}){rung}", results, 1.0, k)
+            if sol.k == k:
                 results.append(sol)
 
     for i, b in enumerate(results):
@@ -1010,15 +1016,15 @@ def continuation_solve(model: SwingModel, P, k_schedule, tau_steps: int,
             raise ContinuationError(
                 f"stage (tau=1, k={b.k:g}) did not converge "
                 f"({_unconverged_reason(b, opts)})", results[:i], 1.0, b.k)
-        if i and b.Hbar_k < results[i - 1].Hbar_k - 1e-8:
+        if i and b.Hbar_k < results[i - 1].Hbar_k - MONOTONE_SLACK:
             raise ContinuationError(
                 f"stage (tau=1, k={b.k:g}): Hbar_k not monotone along the schedule: "
                 f"{results[i - 1].Hbar_k!r} -> {b.Hbar_k!r}", results, 1.0, b.k)
     return results
 
 
-def _fiber_pass(problems: list, opts: SolverOptions) -> list:
-    """Solve ``problems`` (one model, P, tau and grid with fiber axes, at
+def _fiber_pass(problems: list, rungs: int, opts: SolverOptions) -> list:
+    """Solve ``problems`` (one model, P and grid with fiber axes, at
     increasing k) fiber by fiber; returns the assembled solution at each k,
     up to the first that did not converge.
 
@@ -1028,16 +1034,15 @@ def _fiber_pass(problems: list, opts: SolverOptions) -> list:
     to gtol_f = gtol / sqrt(N): the joint gradient is w_phi g_phi on fiber
     phi, with Gibbs mass share w_phi of mean 1, so ||g_joint||^2 =
     mean(w^2 ||g||^2) <= max(w) gtol_f^2 <= N gtol_f^2 = gtol^2.  A gtol_f
-    below ``FIBER_GTOL_MIN`` raises a ``ValueError`` before any solve.  The first
-    fiber climbs the ladder k_0 / 2^d, d = ``FIBER_LADDER``, ..., 1, then
-    walks the schedule, each solve from its own last Newton state and secant
-    in 1/k, its Hbar_k not falling (slack 1e-8).  A later fiber starts from
-    the fiber before it at its k: its Newton state, and the secant
-    2 v_prev - v_prevprev where the three lie consecutively on one grid line
-    of the last phi axis, else v_prev.  A failed fiber raises a
-    ``ContinuationError`` naming it and its k, with the earlier k's
-    solutions.  ``converged`` is judged on the joint problem; ``iterations`` and
-    ``wall_time_s`` count the work of each k, the ladder's in the first.
+    below ``FIBER_GTOL_MIN`` raises a ``ValueError`` before any solve.  The
+    first fiber runs the walk in k (``_k_walk``) with ``rungs`` rungs, its
+    Hbar_k at each k not below the one before (slack ``MONOTONE_SLACK``).  A
+    later fiber starts from the fiber before it at its k: its Newton state, and
+    the secant 2 v_prev - v_prevprev where the three lie consecutively on one
+    grid line of the last phi axis, else v_prev.  A failed fiber raises a
+    ``ContinuationError`` naming it and its k, with the earlier k's solutions.
+    ``converged`` is judged on the joint problem; ``iterations`` and
+    ``wall_time_s`` count each k's work, the rungs' in the first.
     """
     grid = problems[0].grid
     grid_x = TorusGrid(n=grid.n, m=0, N_x=grid.N_x, diff_mode=grid.diff_mode)
@@ -1051,40 +1056,34 @@ def _fiber_pass(problems: list, opts: SolverOptions) -> list:
             f"gtol / sqrt({len(fibers)}) = {gtol_f:.3g} < {FIBER_GTOL_MIN:g}; "
             f"use tol.gtol >= {FIBER_GTOL_MIN * len(fibers) ** 0.5:.3g}")
     fiber_opts = replace(opts, gtol=gtol_f)
-    rungs = [problems[0].k / 2 ** d for d in range(FIBER_LADDER, 0, -1)]
-    results, own = [], []           # own: the first fiber's last two solutions
-    iters, t0 = 0, time.perf_counter()
-    for k in rungs + [problem.k for problem in problems]:
-        problem = problems[len(results)]        # the problem this k's work counts toward
+    results, first_hbar, iters, t0 = [], -np.inf, 0, time.perf_counter()
+    walk = _k_walk(fibers[0][1], problems[0].P, grid_x, rungs, [p.k for p in problems],
+                   fiber_opts)
+    for sol, sol_opts in walk:      # the first fiber, at a rung or a scheduled k
+        problem = problems[len(results)]
         v_joint = np.zeros(grid.shape)
         done = []                   # (index, v) of the last two fibers solved at k
-        for idx, fiber_model in fibers[:1] if k < problem.k else fibers:
-            if done:
+        for idx, fiber_model in fibers if sol.k == problem.k else fibers[:1]:
+            if done:                # a later fiber, from the fibers before it
                 line = [(i[-1], v) for i, v in done if i[:-1] == idx[:-1]]
                 init = _secant(line, idx[-1]) if line else done[-1][1]
-            elif own:
-                init = _secant([(1.0 / s.k, s.v.values) for s in own], 1.0 / k)
-                state = own[-1].newton_state
-            else:
-                init, state = np.zeros(grid_x.shape), None
-            sol = solve_cell(CellProblem(fiber_model, problem.P, k, grid_x),
-                             ScalarField(grid_x, init), fiber_opts, state)
+                sol = solve_cell(CellProblem(fiber_model, problem.P, problem.k, grid_x),
+                                 ScalarField(grid_x, init), sol_opts, sol.newton_state)
             iters += sol.iterations
-            fell = not done and own and sol.Hbar_k < own[-1].Hbar_k - 1e-8
+            fell = not done and sol.Hbar_k < first_hbar - MONOTONE_SLACK
             if fell or not sol.converged:
-                why = (f"Hbar_k fell {own[-1].Hbar_k!r} -> {sol.Hbar_k!r}" if sol.converged
-                       else f"did not converge ({_unconverged_reason(sol, fiber_opts)})")
-                raise ContinuationError(f"stage (tau={problem.tau:g}, k={problem.k:g}): fiber "
-                                        f"{idx} {why} at k={k:g}", results, problem.tau, problem.k)
-            if not done:
-                own = [*own[-1:], sol]
+                why = (f"Hbar_k fell {first_hbar!r} -> {sol.Hbar_k!r}" if sol.converged
+                       else f"did not converge ({_unconverged_reason(sol, sol_opts)})")
+                raise ContinuationError(f"stage (tau=1, k={problem.k:g}): fiber {idx} {why} "
+                                        f"at k={sol.k:g}", results, 1.0, problem.k)
+            if not done and sol.k == problem.k:
+                first_hbar = sol.Hbar_k
             done = [*done[-1:], (idx, sol.v.values)]
-            state = sol.newton_state
             v_joint[(Ellipsis,) + idx] = sol.v.values
-        if k == problem.k:
+        if sol.k == problem.k:
             results.append(_finish(problem, v_joint, iters, "converged", [], opts, t0))
             if not results[-1].converged:
-                break                   # continuation_solve stops there
+                break               # continuation_solve stops there
             iters, t0 = 0, time.perf_counter()
     return results
 
@@ -1095,7 +1094,7 @@ def fiber_decomposed_solve(problem: CellProblem,
     solution: ``_fiber_pass`` over the one k."""
     if problem.grid.m < 1:
         raise ValueError("fiber decomposition needs m >= 1")
-    return _fiber_pass([problem], opts or SolverOptions())[0]
+    return _fiber_pass([problem], FIBER_LADDER, opts or SolverOptions())[0]
 
 
 def fiber_jump(fiber_values: np.ndarray) -> float:

@@ -188,8 +188,8 @@ class SwingModel:
     def scaled(self, tau: float) -> "SwingModel":
         """|y|^2/2 + tau V: every beta coefficient (and alpha) times tau.
 
-        That is tau H + (1 - tau) |y|^2/2, the deformation toward the free
-        rotor that ``continuation_solve`` walks; ``scaled(1.0)`` evaluates
+        That is tau H + (1 - tau) |y|^2/2, which ``CellProblem`` builds at
+        tau < 1 (no continuation does); ``scaled(1.0)`` evaluates
         bit for bit like this model."""
         beta = tuple(tuple(TrigPoly(tau * b.const,
                                     tuple((kvec, tau * a, tau * s) for kvec, a, s in b.modes))

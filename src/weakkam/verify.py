@@ -49,7 +49,7 @@ INTEGRABLE_TOL = 1e-12          # |Hbar_k - P^2/2| and max|v| from v = 0
 INTEGRABLE_MAX_ITERS = 2
 SEPARABLE_TOL = 1e-10           # |Hbar_k of an uncoupled n=2 pair - the sum of its rotors'|
 DESCENT_TOL = 1e-12             # objective increase per step, |mean v|
-MONOTONE_SLACK = 1e-8           # decrease of Hbar_k allowed along the k schedule
+MONOTONE_SLACK = cell.MONOTONE_SLACK    # continuation_solve's own slack
 INFMAX_TOL = 1e-10
 STATIONARITY_TOL = 1e-6         # weak Euler-Lagrange residual: closedness of the measure
 WEAK_RESIDUAL_SLACK = 1e-12     # el_residual above grad_norm / sqrt 2 (round-off)

@@ -7,6 +7,7 @@ from scipy.optimize import brentq
 from weakkam import verify
 from weakkam.cell import (
     FIBER_LADDER,
+    HOMOTOPY_GTOL,
     CellProblem,
     ContinuationError,
     SolverOptions,
@@ -280,37 +281,38 @@ def test_nonconverged_has_larger_el_residual(pendulum, grid256, pendulum_sweep):
 
 
 def test_continuation_error_carries_partial(pendulum, grid256):
-    # (opts, tau_steps) -> the failing stage, how many k stages completed
-    # before it, and the message prefix
+    # (opts, tau_steps) -> the scheduled k of the failing stage, how many k
+    # stages completed before it, the message prefix and its end
     cases = [
-        # a tau stage: the first one takes 6 steps to HOMOTOPY_GTOL, and its
-        # message names that tolerance
-        (SolverOptions(max_iter=5), 2, 0.5, 8.0, 0,
-         "stage (tau=0.5, k=8) did not converge (max_iter", "> gtol 0.01"),
-        # a k stage: the three tau stages take 4, 1 and 2 steps (the last two
-        # from secant starts), tau=1 at k=8 takes 4, k=64 takes 8
-        (SolverOptions(max_iter=7), 4, 1.0, 64.0, 1,
-         "stage (tau=1, k=64) did not converge (max_iter", "> gtol 1e-08"),
+        # a rung: the first one, k=2, takes 4 steps to HOMOTOPY_GTOL; the
+        # message names that tolerance and the rung's k
+        (SolverOptions(max_iter=3), 2, 8.0, 0,
+         "stage (tau=1, k=8) did not converge (max_iter", "> gtol 0.01) at k=2"),
+        # a k stage: the rungs k=0.5, 1, 2 and 4 take 2, 2, 1 and 2 steps (the
+        # last three from secant starts), k=8 takes 4, k=64 takes 5
+        (SolverOptions(max_iter=4), 4, 64.0, 1,
+         "stage (tau=1, k=64) did not converge (max_iter", "> gtol 1e-08)"),
     ]
-    for opts, tau_steps, tau, k, done, prefix, gtol in cases:
+    for opts, tau_steps, k, done, prefix, end in cases:
         with pytest.raises(ContinuationError) as err:
             continuation_solve(pendulum, [1.5], [8.0, 64.0], tau_steps, grid256, opts)
-        assert (err.value.tau, err.value.k, len(err.value.partial)) == (tau, k, done)
+        assert (err.value.tau, err.value.k, len(err.value.partial)) == (1.0, k, done)
         assert str(err.value).startswith(prefix), str(err.value)
-        assert str(err.value).endswith(f"{gtol})"), str(err.value)
+        assert str(err.value).endswith(end), str(err.value)
         assert all(s.tau == 1.0 and s.converged for s in err.value.partial)
 
 
 def test_homotopy_stages_stop_at_their_own_tolerance(pendulum, grid256, monkeypatch):
-    # tau < 1 stages only start the next stage: they stop at HOMOTOPY_GTOL,
-    # the returned tau = 1 stages meet gtol and match a full-tolerance walk
+    # the rungs below the first k only start the next stage: they stop at
+    # HOMOTOPY_GTOL, the returned stages meet gtol and match a full-tolerance
+    # walk
     import weakkam.cell
     solve = weakkam.cell.solve_cell
-    calls = []                      # (tau, gtol, iterations) of each stage
+    calls = []                      # (k, gtol, iterations) of each stage
 
     def counted(problem, init, opts, state):
         sol = solve(problem, init, opts, state)
-        calls.append((problem.tau, opts.gtol, sol.iterations))
+        calls.append((problem.k, opts.gtol, sol.iterations))
         return sol
 
     def walk(opts):
@@ -319,21 +321,22 @@ def test_homotopy_stages_stop_at_their_own_tolerance(pendulum, grid256, monkeypa
         return sols, list(calls)
 
     def homotopy_steps(stages):
-        return sum(iters for tau, _, iters in stages if tau < 1.0)
+        return sum(iters for k, _, iters in stages if k < 8.0)
 
     monkeypatch.setattr(weakkam.cell, "solve_cell", counted)
     opts = SolverOptions()
     sols, stages = walk(opts)
-    assert [g for _, g, _ in stages] == [weakkam.cell.HOMOTOPY_GTOL] * 3 + [opts.gtol] * 2
+    assert [k for k, _, _ in stages] == [0.5, 1.0, 2.0, 4.0, 8.0, 16.0]
+    assert [g for _, g, _ in stages] == [weakkam.cell.HOMOTOPY_GTOL] * 4 + [opts.gtol] * 2
     assert all(s.grad_norm <= opts.gtol for s in sols)
 
-    # a gtol looser than HOMOTOPY_GTOL holds the tau stages too
+    # a gtol looser than HOMOTOPY_GTOL holds the rungs too
     _, loose_stages = walk(SolverOptions(gtol=5e-2))
-    assert [g for _, g, _ in loose_stages] == [5e-2] * 5
+    assert [g for _, g, _ in loose_stages] == [5e-2] * 6
 
     monkeypatch.setattr(weakkam.cell, "HOMOTOPY_GTOL", 0.0)
     full, full_stages = walk(opts)
-    assert [g for _, g, _ in full_stages] == [opts.gtol] * 5
+    assert [g for _, g, _ in full_stages] == [opts.gtol] * 6
     assert homotopy_steps(stages) < homotopy_steps(full_stages)
     assert len(full) == len(sols) == 2
     assert all(abs(a.Hbar_k - b.Hbar_k) <= 1e-12 for a, b in zip(sols, full))
@@ -877,14 +880,30 @@ def _record_solves(monkeypatch, carry=True):
 
 
 def test_carried_state_cuts_newton_steps(pendulum, grid256, monkeypatch):
-    # the tau and k stages hand their Levenberg lam on and start from secant
+    # the rungs and k stages hand their Levenberg lam on and start from secant
     # predictions: 56 Newton steps when every stage started at the cold lam
-    # with the grid-scale shift, 25 with the carried lam, 24 now
+    # with the grid-scale shift, 25 with the carried lam, 24 with the secant
+    # starts of the former tau walk, 15 on the walk in k
     solves = _record_solves(monkeypatch)
-    sols = continuation_solve(pendulum, [0.5], [8.0, 16.0, 32.0, 64.0], 4, grid256)
-    assert all(s.converged for s in sols) and len(solves) == 7
+    tau_steps, k_schedule = 4, [8.0, 16.0, 32.0, 64.0]
+    sols = continuation_solve(pendulum, [0.5], k_schedule, tau_steps, grid256)
+    assert all(s.converged for s in sols) and len(solves) == tau_steps + len(k_schedule)
     steps = [sol.iterations for *_, sol in solves]
     assert sum(steps) <= 24, steps
+
+
+@pytest.mark.parametrize("P,hbar64", [(0.1, 1.9531810713050077), (1.0, 1.9531810720830434),
+                                      (1.3, 2.0159940669158845), (2.5, 4.16522370022641)])
+def test_walk_in_k_reaches_a_lone_k64_from_below(P, hbar64, pendulum, grid256, monkeypatch):
+    # a schedule of k = 64 alone: the rungs k = 4, 8, 16 and 32 carry the
+    # walk there from v = 0.  A tau walk at k = 64 took 218, 117, 107 and 69
+    # Newton steps at these P; Hbar_64 is its value
+    solves = _record_solves(monkeypatch)
+    [sol] = continuation_solve(pendulum, [P], [64.0], 4, grid256)
+    assert [s.k for *_, s in solves] == [4.0, 8.0, 16.0, 32.0, 64.0]
+    steps = [s.iterations for *_, s in solves]
+    assert sum(steps) <= 30, steps
+    assert sol.Hbar_k == pytest.approx(hbar64, abs=1e-10)
 
 
 def test_carried_state_keeps_the_minimizer(pendulum, grid256, monkeypatch):
@@ -960,8 +979,9 @@ def test_dense_pays_at_the_cg_cap():
 def test_joint_rotor_starts_on_fd_factor(monkeypatch):
     # the fibered n=1 grid starts on the FD factor, fiber by fiber, and
     # builds the dense stack only once CG on it stalls: the joint
-    # continuation of the quasi-periodic rotor builds 3 stacks (7 when every
-    # stage started exact; the bound leaves 1 of margin)
+    # continuation of the quasi-periodic rotor builds 2 stacks (3 on the
+    # former tau walk, 7 when every stage started exact; the bound is that
+    # of the tau walk, with 1 of margin)
     built = _count_dense_factors(monkeypatch)
     sols = continuation_solve(_qp_model(), [0.7886112211144736], [8.0, 16.0], 4,
                               TorusGrid(n=1, m=1, N_x=128, N_phi=16))
@@ -996,7 +1016,9 @@ def test_rotor_k64_cg_stays_off_its_cap(mode, P, hbar64, monkeypatch):
     # P=2.3 (fd2) the k=64 stage ended in a line_search failure.  Now no CG
     # reaches the cap, and one on a kept factor stops after
     # REFACTOR_APPLIES + 1 applies, after which the next step factors anew.
-    # Hbar_64 is the spectral one of the exact-start solver in both cases
+    # Hbar_64 is the spectral one of the exact-start solver in both cases.
+    # On the walk in k the fd2 case runs no CG on a kept factor, so the
+    # spectral case alone exercises that bound
     from weakkam.cell import CG_MAX_ITER, REFACTOR_APPLIES
     solves = _record_pcg_on_kept_factors(monkeypatch)
     sols = continuation_solve(_qp_model(), [P], [8.0, 16.0, 32.0, 64.0], 4,
@@ -1005,23 +1027,24 @@ def test_rotor_k64_cg_stays_off_its_cap(mode, P, hbar64, monkeypatch):
     assert sols[-1].Hbar_k == pytest.approx(hbar64, abs=1e-10)
     assert max(n for n, _ in solves) < CG_MAX_ITER
     kept = [n for n, on_kept in solves if on_kept]
-    assert kept and max(kept) <= REFACTOR_APPLIES + 1, kept
+    assert kept or mode == "fd2"
+    assert max(kept, default=0) <= REFACTOR_APPLIES + 1, kept
 
 
 def test_ladder_2d_converges(monkeypatch):
-    # spectral n=2 at k up to 32: every stage, the tau stages included,
-    # converges within 20 Newton steps.  Each stage starts on the Fourier
-    # multiplier and factors only once CG on it stalls; the exact factor is
-    # then kept across steps.  A factor per step was 51 over the six stages,
-    # a kept factor from the first step 9, the factor-free start 5 (the bound
-    # leaves 2 of margin)
+    # spectral n=2 at k up to 32: every stage, the four rungs below k=8
+    # included, converges within 20 Newton steps.  Each stage starts on the
+    # Fourier multiplier and factors only once CG on it stalls; the exact
+    # factor is then kept across steps.  A factor per step was 51 over the six
+    # stages of the former tau walk, a kept factor from the first step 9, the
+    # factor-free start 5 (the bound leaves 2 of margin)
     factored = _count_rfp_factors(monkeypatch)
     solves = _record_solves(monkeypatch)
     sols = continuation_solve(_ladder_model(), [0.3, 0.6], [8.0, 16.0, 32.0], 4,
                               TorusGrid(n=2, m=0, N_x=32), SolverOptions(max_iter=350))
-    stages = [(s.tau, s.k, s.iterations, s.converged) for *_, s in solves]
-    assert len(stages) == 6
-    assert all(conv and iters <= 20 for _, _, iters, conv in stages), stages
+    stages = [(s.k, s.iterations, s.converged) for *_, s in solves]
+    assert len(stages) == 7
+    assert all(conv and iters <= 20 for _, iters, conv in stages), stages
     assert 0 < len(factored) <= 7, len(factored)
     assert [s.k for s in sols] == [8.0, 16.0, 32.0]
     # Hbar_8 and Hbar_16 of an independent quasi-Newton solve of the same stages
@@ -1091,6 +1114,30 @@ def test_fiber_two_drive_angles(monkeypatch):
     assert abs(joint.Hbar_k - fib.Hbar_k) <= 1e-8
 
 
+@pytest.mark.parametrize("case", ["pair_k6", "rotor_k64"])
+def test_fiber_rungs_beat_the_doubling_ladder(case, monkeypatch):
+    # the fixed ladder of FIBER_LADDER doublings, each rung to the fibers'
+    # gtol, cost the most at low k on the coupled pair (44 Newton steps over
+    # the pass, more than a cold first fiber) and at high k on the
+    # quasi-periodic rotor at |P| = 0.78861 (423).  Rungs that stop at
+    # HOMOTOPY_GTOL take fewer; Hbar_k is the ladder's
+    if case == "pair_k6":
+        problem = CellProblem(_coupled_pair(TrigPoly(0.6, (((1,), 0.2, 0.0),)), [1.0]),
+                              [0.3, 0.8], 6.0, TorusGrid(n=2, m=1, N_x=24, N_phi=6))
+        ladder_steps, hbar = 44, 2.257383583470319
+    else:
+        problem = CellProblem(_qp_model(), [0.7886112211144736], 64.0,
+                              TorusGrid(n=1, m=1, N_x=128, N_phi=16))
+        ladder_steps, hbar = 423, 2.9069219937793758
+    solves = _record_solves(monkeypatch)
+    sol = fiber_decomposed_solve(problem)
+    assert sol.converged
+    assert [s.k for *_, s in solves[:FIBER_LADDER + 1]] == \
+        [problem.k / 2 ** d for d in range(FIBER_LADDER, -1, -1)]
+    assert sol.iterations == sum(s.iterations for *_, s in solves) < ladder_steps
+    assert sol.Hbar_k == pytest.approx(hbar, abs=1e-10)
+
+
 def _coupled_pair(b00, omega):
     """Coupled pair beta11 = b00, beta12 = 0.3, beta21 = 0, beta22 = 0.4,
     lam = 1, driven at the frequencies omega."""
@@ -1102,16 +1149,18 @@ def _coupled_pair(b00, omega):
 def test_fiber_two_rotors_one_drive(monkeypatch):
     # n = 2, m = 1: coupled pair under one drive.  The continuation is one
     # fiber pass over its schedule, so every Newton solve is on an n=2 grid
-    # without fiber axes: the first fiber's k ladder once, then one solve
-    # per fiber and k.  Hbar_k is that of the joint Newton solve of the
-    # whole grid (tau_steps = 4), which the fiber pass replaced
+    # without fiber axes: the first fiber's tau_steps rungs below k = 8
+    # once, then one solve per fiber and k.  Hbar_k is that of the joint
+    # Newton solve of the whole grid (tau_steps = 4), which the fiber pass
+    # replaced
     model = _coupled_pair(TrigPoly(0.6, (((1,), 0.2, 0.0),)), [1.0])
     grid = TorusGrid(n=2, m=1, N_x=24, N_phi=6)
     solves = _record_solves(monkeypatch)
-    sols = continuation_solve(model, [0.3, 0.8], [8.0, 16.0], 4, grid)
+    tau_steps = 4
+    sols = continuation_solve(model, [0.3, 0.8], [8.0, 16.0], tau_steps, grid)
     assert [(s.tau, s.k) for s in sols] == [(1.0, 8.0), (1.0, 16.0)]
     assert all(s.converged for s in sols)
-    assert len(solves) == FIBER_LADDER + 2 * grid.N_phi
+    assert len(solves) == tau_steps + 2 * grid.N_phi
     assert all(problem.grid.m == 0 for problem, *_ in solves)
     assert sols[0].Hbar_k == pytest.approx(2.360633245982229, abs=1e-12)
     assert sols[1].Hbar_k == pytest.approx(2.5956830189367155, abs=1e-12)
@@ -1246,9 +1295,10 @@ def test_fiber_pass_converges_past_rounding_floor(monkeypatch):
     # of gtol over its mass share would sit below f's rounding floor.  Each of
     # the 16 fibers is solved once, to gtol / sqrt(16), and the assembled
     # gradient still meets gtol.  The joint k=16 stage used to take 44 Newton
-    # steps.  The first fiber climbs its k ladder at the same gtol; the pass
-    # took 166 Newton steps with a cold first fiber and plain warm starts,
-    # 92 with the ladder and secant starts
+    # steps.  The first fiber climbs FIBER_LADDER rungs below k = 16, each
+    # to HOMOTOPY_GTOL; the pass took 166 Newton steps with a cold first
+    # fiber and plain warm starts, 92 with a ladder to the fibers' gtol and
+    # secant starts, 82 with rungs to HOMOTOPY_GTOL
     solves = _record_solves(monkeypatch)
     applies = _count_pcg_applies(monkeypatch)
     model, P = _qp_model(), [0.7886112211144736]
@@ -1262,12 +1312,14 @@ def test_fiber_pass_converges_past_rounding_floor(monkeypatch):
     assert fib.converged, (fib.grad_norm, fib.status)
     assert len(solves) == 16 + FIBER_LADDER
     assert fib.iterations == sum(sol.iterations for *_, sol in solves) <= 100
-    assert all(opts.gtol == SolverOptions().gtol / 4 for _, opts, _ in solves)
+    assert [opts.gtol for _, opts, _ in solves] == \
+        [HOMOTOPY_GTOL] * FIBER_LADDER + [SolverOptions().gtol / 4] * 16
     assert all(sol.status == "converged" for *_, sol in solves), \
         [sol.status for *_, sol in solves]
     assert abs(joint.Hbar_k - fib.Hbar_k) <= 1e-8
-    # the n=1 fiber subproblems leave the FD factor once CG stalls (238
-    # applies; 550 with a cold first fiber)
+    # the n=1 fiber subproblems leave the FD factor once CG stalls (202
+    # applies; 232 with the ladder to the fibers' gtol, 550 with a cold
+    # first fiber)
     assert sum(applies) <= 300, sum(applies)
 
 

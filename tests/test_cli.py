@@ -430,17 +430,17 @@ def test_cell_keeps_the_fiber_passes_before_a_failed_one(tmp_path, monkeypatch):
 
 
 def test_sweep_reports_every_failed_P_once(tmp_path):
-    # three Newton steps do not reach the homotopy tolerance at the first
-    # stage of any P: it takes 4, 5 and 6 steps at P = 0.5, 1.2 and 2.0
+    # two Newton steps reach the homotopy tolerance on every rung below k = 8
+    # but not gtol at k = 8, for any of the three P
     cfg = tmp_path / "sweep.cfg"
-    cfg.write_text("grid.N_x = 64\ntol.max_iter = 3\nP = [0.5, 1.2, 2.0]\n")
+    cfg.write_text("grid.N_x = 64\ntol.max_iter = 2\nP = [0.5, 1.2, 2.0]\n")
     out = tmp_path / "out"
     assert run(["sweep", "--config", cfg, "--out", out]) == 2
     manifest = json.loads((out / "manifest.json").read_text())
     assert [f["P"] for f in manifest["failures"]] == [[0.5], [1.2], [2.0]]
     for failure in manifest["failures"]:
-        assert failure["error"].startswith("stage (tau=0.25, k=8) did not converge (max_iter")
-        assert failure["error"].endswith("> gtol 0.01)")
+        assert failure["error"].startswith("stage (tau=1, k=8) did not converge (max_iter")
+        assert failure["error"].endswith("> gtol 1e-08)")
         assert failure["error"].count("stage") == 1
     assert manifest["solves"] == [] and manifest["sweep_convexity"] is None
 
@@ -977,6 +977,19 @@ def test_bundled_pendulum_config(tmp_path):
     assert all(rec["converged"] for rec in manifest["solves"])
     hb = [rec["Hbar_k"] for rec in manifest["solves"]]
     assert hb == sorted(hb)
+
+
+def test_bundled_quasiperiodic_config(tmp_path):
+    # the joint quasi-periodic continuation, k 8 -> 16, as the bundled config
+    # runs it; Hbar_k is that of the former tau walk
+    from pathlib import Path
+    bundled = Path(__file__).resolve().parents[1] / "configs" / "swing_quasiperiodic.cfg"
+    out = tmp_path / "o"
+    assert run(["cell", "--config", bundled, "--out", out]) == 0
+    records = json.loads((out / "manifest.json").read_text())["solves"]
+    assert [(r["k"], r["converged"]) for r in records] == [(8.0, True), (16.0, True)]
+    assert records[0]["Hbar_k"] == pytest.approx(2.489907982150954, abs=1e-10)
+    assert records[1]["Hbar_k"] == pytest.approx(2.700409618011114, abs=1e-10)
 
 
 def test_cell_measures_evaluate_nothing(tmp_path, monkeypatch):
